@@ -10,6 +10,6 @@ Subpackages:
   cli         command line front end
 """
 
-from .exactfield import DEFAULT_PRIME, Mat, Scalar
+from .exactfield import DEFAULT_PRIME, Mat
 
-__all__ = ["DEFAULT_PRIME", "Mat", "Scalar"]
+__all__ = ["DEFAULT_PRIME", "Mat"]

@@ -1,19 +1,21 @@
 """Exact dense linear algebra over a prime field F_p.
 
 Matrices are wrapped numpy int64 arrays with entries reduced mod p.
-Every operation is exact: products of residues stay far below 2**63
-at the dimensions this package works at (<= a few dozen), and the
-only division ever performed is by modular inverse.  No floats.
+Every operation is exact: primes with (p-1)**2 >= 2**63 are refused, and
+so is a product whose inner dimension n has n*(p-1)**2 >= 2**63, so no
+int64 sum of residue products can wrap.  The only division ever
+performed is by modular inverse.  No floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 DEFAULT_PRIME = 2
+_INT64_LIMIT = 2**63
 
 
 def is_prime(n: int) -> bool:
@@ -27,55 +29,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def _check_prime(p: int) -> int:
+    """p itself, once it is known to be a prime inside the exact range.
+
+    Every Mat and Module construction asks, so the answer is kept per p
+    (trial division alone took 10 ms at p = 2**31 - 1).
+    """
+    if p > 1 and (p - 1) ** 2 >= _INT64_LIMIT:
+        raise ValueError(f"modulus {p} is too large for exact int64 arithmetic: need (p-1)**2 < 2**63")
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
     return p
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """Residue in {0, .., p-1} with exact arithmetic mod a prime p."""
-
-    value: int
-    p: int = DEFAULT_PRIME
-
-    def __post_init__(self):
-        _check_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.p != self.p:
-                raise ValueError("mixed moduli")
-            return other
-        return Scalar(int(other), self.p)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Scalar(self.value + o.value, self.p)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Scalar(self.value - o.value, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return Scalar(self.value * o.value, self.p)
-
-    def inverse(self) -> "Scalar":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return Scalar(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __neg__(self):
-        return Scalar(-self.value, self.p)
-
-    def __bool__(self):
-        return self.value != 0
 
 
 class Mat:
@@ -172,6 +137,8 @@ class Mat:
         self._need_same_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        if self.cols * (self.p - 1) ** 2 >= _INT64_LIMIT:
+            raise ValueError(f"inner dimension {self.cols} over F_{self.p} would overflow int64")
         return Mat(self.p, self.a @ other.a)
 
     def scale(self, c: int) -> "Mat":
@@ -243,55 +210,32 @@ class Mat:
             return Mat.zeros(self.p, self.rows, 0)
         return Mat(self.p, np.stack(cols, axis=1))
 
-    def solve(self, b: "Mat") -> tuple[Optional["Mat"], "Mat"]:
-        """Solve self @ x = b.
+    def solve(self, b: "Mat") -> Optional["Mat"]:
+        """One solution x of self @ x = b, or None when there is none.
 
-        Returns (particular, kernel) where particular is None when the
-        system is inconsistent; kernel columns span the null space of
-        self either way.  b may have several columns.
+        Free variables are set to zero, so x is the particular solution
+        read off the reduced echelon form; kernel_basis() gives the rest.
+        b may have several columns.
         """
         self._need_same_field(b)
         if b.rows != self.rows:
             raise ValueError(f"rhs has {b.rows} rows, expected {self.rows}")
-        aug = self.hstack(b)
-        r, pivots = aug.rref()
-        kernel = self.kernel_basis()
+        r, pivots = self.hstack(b).rref()
         if any(pc >= self.cols for pc in pivots):
-            return None, kernel
+            return None
         x = np.zeros((self.cols, b.cols), dtype=np.int64)
-        for row, pc in enumerate(pivots):
-            x[pc] = r.a[row, self.cols:]
-        return Mat(self.p, x), kernel
+        x[list(pivots)] = r.a[:len(pivots), self.cols:]
+        return Mat(self.p, x)
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise ValueError("not square")
-        x, _ = self.solve(Mat.identity(self.p, self.rows))
-        if x is None or (self.a @ x.a % self.p != np.eye(self.rows, dtype=np.int64)).any():
+        ident = Mat.identity(self.p, self.rows)
+        x = self.solve(ident)
+        if x is None or self @ x != ident:
             raise ValueError("matrix is singular")
         return x
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
 
-
-# Module-level aliases matching the operation names used elsewhere.
-
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    return m.rref()
-
-
-def rank(m: Mat) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Mat) -> Mat:
-    return m.kernel_basis()
-
-
-def image_basis(m: Mat) -> Mat:
-    return m.image_basis()
-
-
-def solve(a: Mat, b: Mat) -> tuple[Optional[Mat], Mat]:
-    return a.solve(b)

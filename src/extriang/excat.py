@@ -166,17 +166,6 @@ def is_deflation(m: Morphism, e: ExCat) -> bool:
     return e.contains(ker)
 
 
-def is_compatible(m: Morphism, e: ExCat) -> bool:
-    """Inflation-and-deflation forces isomorphism.
-
-    In this concrete model a morphism that is both is vertexwise bijective,
-    so the check always succeeds; it is still evaluated honestly.
-    """
-    if is_inflation(m, e) and is_deflation(m, e):
-        return m.is_isomorphism()
-    return True
-
-
 def is_right_exact_seq(f: Morphism, g: Morphism, e: ExCat) -> bool:
     """g is a deflation, g o f = 0, and A ->> ker(g) is again a deflation."""
     if f.target != g.source:
@@ -188,7 +177,7 @@ def is_right_exact_seq(f: Morphism, g: Morphism, e: ExCat) -> bool:
     ker_mod, incl = kernel(g)
     comps = {}
     for v in f.source.algebra.vertices:
-        sol, _ = incl.comps[v].solve(f.comps[v])
+        sol = incl.comps[v].solve(f.comps[v])
         if sol is None:
             raise AssertionError("factorization through the kernel failed")
         comps[v] = sol
@@ -519,9 +508,8 @@ def quotient(e: ExCat, t: Subcat) -> QuotientCat:
             ideal = factoring_ideal_coords(catalog.indecs[i], catalog.indecs[j], t)
             if ideal is None or ideal.rows == 0:
                 pivots: tuple[int, ...] = ()
-                rrefd = None
             else:
-                rrefd, pivots = ideal.rref()
+                _, pivots = ideal.rref()
             keep = tuple(b for k, b in enumerate(basis) if k not in pivots)
             qhom[(i, j)] = QuotientHom(dimension=len(basis) - len(pivots), basis=keep)
         ident_survives = _identity_survives(catalog, i, t)

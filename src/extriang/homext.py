@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +28,8 @@ from .quivrep import (
     Module,
     Morphism,
     NotFiniteDimensionalError,
+    _commuting_system,
+    _morphism_from_vector,
     cokernel,
     direct_sum,
     hom_basis,
@@ -34,7 +37,6 @@ from .quivrep import (
     kernel,
     morphism_coords,
     morphism_from_coords,
-    zero_morphism,
 )
 
 _MAX_PATHS = 200_000
@@ -52,10 +54,7 @@ class ProjectiveData:
     basis_paths: tuple[tuple[tuple[str, ...], str], ...]  # (path, target vertex)
 
 
-_projective_cache: dict = {}
-_presentation_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def projective_module(algebra: Algebra, p: int, v: str) -> ProjectiveData:
     """Build P(v) = (kQ/I)e_v from paths out of v.
 
@@ -66,10 +65,6 @@ def projective_module(algebra: Algebra, p: int, v: str) -> ProjectiveData:
     NotFiniteDimensionalError when no empty degree appears within a safety
     budget of paths.
     """
-    key = (algebra, p, v)
-    hit = _projective_cache.get(key)
-    if hit is not None:
-        return hit
     for rel in algebra.relations:
         lengths = {sum(1 for _ in path) for _, path in rel}
         if len(lengths) != 1:
@@ -198,9 +193,7 @@ def projective_module(algebra: Algebra, p: int, v: str) -> ProjectiveData:
             m[:, col] = reduce_path((a.name,) + path, a.tgt)
         action[a.name] = Mat(p, m)
     module = Module(algebra, p, dims, action)
-    data = ProjectiveData(module=module, vertex=v, basis_paths=tuple(basis))
-    _projective_cache[key] = data
-    return data
+    return ProjectiveData(module=module, vertex=v, basis_paths=tuple(basis))
 
 
 def projective_cover(m: Module) -> Morphism:
@@ -246,16 +239,12 @@ def projective_cover(m: Module) -> Morphism:
     return cover
 
 
+@lru_cache(maxsize=None)
 def presentation(m: Module) -> tuple[Module, Morphism, Morphism]:
     """(K, incl, cover) with K -> P0 -> m exact, P0 projective."""
-    key = m.key()
-    hit = _presentation_cache.get(key)
-    if hit is None:
-        cover = projective_cover(m)
-        k, incl = kernel(cover)
-        hit = (k, incl, cover)
-        _presentation_cache[key] = hit
-    return hit
+    cover = projective_cover(m)
+    k, incl = kernel(cover)
+    return k, incl, cover
 
 
 # -- short exact sequences -----------------------------------------------------
@@ -327,57 +316,28 @@ def summand_projection(mods: Sequence[Module], k: int, total: Optional[Module] =
 def lift_through_surjection(target_map: Morphism, surjection: Morphism) -> Morphism:
     """Find lam with surjection @ lam = target_map; source must be projective.
 
-    Solves one linear system over F_p: morphism squares plus the composition
-    constraint.  Raises when inconsistent.
+    Solves one linear system over F_p: the commuting squares of lam plus
+    the composition rows (surj_v kron I) vec(lam_v) = vec(target_v).
+    Raises when inconsistent.
     """
     p0 = target_map.source
     b = surjection.source
     if target_map.target != surjection.target:
         raise ValueError("codomain mismatch")
-    alg, p = p0.algebra, p0.p
-    sizes = {v: b.dim(v) * p0.dim(v) for v in alg.vertices}
-    offsets = {}
-    total = 0
-    for v in alg.vertices:
-        offsets[v] = total
-        total += sizes[v]
-    rows: list[np.ndarray] = []
-    rhs: list[np.ndarray] = []
-    for a in alg.arrows:
-        nr = b.dim(a.tgt) * p0.dim(a.src)
-        if nr == 0:
-            continue
-        block = np.zeros((nr, total), dtype=np.int64)
-        if sizes[a.src]:
-            block[:, offsets[a.src]:offsets[a.src] + sizes[a.src]] += np.kron(
-                b.action[a.name].a, np.eye(p0.dim(a.src), dtype=np.int64))
-        if sizes[a.tgt]:
-            block[:, offsets[a.tgt]:offsets[a.tgt] + sizes[a.tgt]] -= np.kron(
-                np.eye(b.dim(a.tgt), dtype=np.int64), p0.action[a.name].a.T)
-        rows.append(block % p)
-        rhs.append(np.zeros(nr, dtype=np.int64))
-    for v in alg.vertices:
-        nr = target_map.target.dim(v) * p0.dim(v)
-        if nr == 0:
-            continue
-        block = np.zeros((nr, total), dtype=np.int64)
-        if sizes[v]:
-            block[:, offsets[v]:offsets[v] + sizes[v]] = np.kron(
-                surjection.comps[v].a, np.eye(p0.dim(v), dtype=np.int64))
-        rows.append(block % p)
+    p = p0.p
+    squares, offsets = _commuting_system(p0, b)
+    rows = [squares.a]
+    rhs = [np.zeros(squares.rows, dtype=np.int64)]
+    for v in p0.algebra.vertices:
+        block = np.zeros((target_map.target.dim(v) * p0.dim(v), squares.cols), dtype=np.int64)
+        k = np.kron(surjection.comps[v].a, np.eye(p0.dim(v), dtype=np.int64))
+        block[:, offsets[v]:offsets[v] + k.shape[1]] = k
+        rows.append(block)
         rhs.append(target_map.comps[v].a.reshape(-1))
-    if not rows:
-        return zero_morphism(p0, b)
-    system = Mat(p, np.vstack(rows))
-    x, _ = system.solve(Mat(p, np.concatenate(rhs).reshape(-1, 1)))
+    x = Mat(p, np.vstack(rows)).solve(Mat(p, np.concatenate(rhs).reshape(-1, 1)))
     if x is None:
         raise ValueError("no lift exists (source not projective over this surjection?)")
-    vec = x.a[:, 0]
-    comps = {}
-    for v in alg.vertices:
-        r, c = b.dim(v), p0.dim(v)
-        comps[v] = Mat(p, vec[offsets[v]:offsets[v] + r * c].reshape(r, c))
-    return Morphism(p0, b, comps)
+    return _morphism_from_vector(x.a[:, 0], p0, b, offsets, check=True)
 
 
 def is_split(ses: SES) -> bool:
@@ -422,7 +382,7 @@ def pullback_ses(ses: SES, h: Morphism) -> SES:
     prj_comps = {}
     for v in alg.vertices:
         lifted = ses.inc.comps[v].vstack(Mat.zeros(p, x.dim(v), ses.a.dim(v)))
-        sol, _ = incl.comps[v].solve(lifted)
+        sol = incl.comps[v].solve(lifted)
         if sol is None:
             raise AssertionError("pullback inclusion failed")
         inc_comps[v] = sol
@@ -548,7 +508,7 @@ class Ext1Space:
         composed = lam @ self.incl
         xi_comps = {}
         for v in self.k.algebra.vertices:
-            sol, _ = ses.inc.comps[v].solve(composed.comps[v])
+            sol = ses.inc.comps[v].solve(composed.comps[v])
             if sol is None:
                 raise AssertionError("lift did not land in the subobject")
             xi_comps[v] = sol
@@ -556,16 +516,9 @@ class Ext1Space:
         return self.class_from_cocycle(xi)
 
 
-_ext_space_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def ext1_space(c: Module, a: Module) -> Ext1Space:
-    key = (c.key(), a.key())
-    hit = _ext_space_cache.get(key)
-    if hit is None:
-        hit = Ext1Space(c, a)
-        _ext_space_cache[key] = hit
-    return hit
+    return Ext1Space(c, a)
 
 
 def class_of(ses: SES) -> ExtClass:
@@ -601,7 +554,7 @@ def ext_pull(cls: ExtClass, h: Morphism, target_space: Optional[Ext1Space] = Non
     composed = h0 @ space.incl
     h1_comps = {}
     for v in space.k.algebra.vertices:
-        sol, _ = src_space.incl.comps[v].solve(composed.comps[v])
+        sol = src_space.incl.comps[v].solve(composed.comps[v])
         if sol is None:
             raise AssertionError("syzygy map did not restrict")
         h1_comps[v] = sol

@@ -322,50 +322,60 @@ def zero_morphism(source: Module, target: Module) -> Morphism:
 # -- Hom spaces ----------------------------------------------------------
 
 
-def hom_basis(m: Module, n: Module) -> list[Morphism]:
-    """Basis of Hom(m, n), the solution space of all commuting squares.
+def _commuting_system(m: Module, n: Module) -> tuple[Mat, dict[str, int]]:
+    """The commuting squares N_a phi_src - phi_tgt M_a = 0 as one system.
 
-    One linear system over F_p: unknowns are the entries of every vertex
-    component, equations come from N_a phi_src - phi_tgt M_a = 0 per arrow.
-    The basis is canonical (reduced-echelon kernel in a fixed ordering).
+    Unknowns are the row-major entries of each vertex component of
+    phi: m -> n, in vertex order; offsets[v] is where the component at v
+    starts among them.
     """
-    if m.algebra != n.algebra or m.p != n.p:
-        raise ValueError("hom_basis endpoints over different algebras")
-    alg, p = m.algebra, m.p
+    alg = m.algebra
     sizes = {v: n.dim(v) * m.dim(v) for v in alg.vertices}
     offsets = {}
     total = 0
     for v in alg.vertices:
         offsets[v] = total
         total += sizes[v]
-    if total == 0:
-        return []
     rows: list[np.ndarray] = []
     for a in alg.arrows:
         nr = n.dim(a.tgt) * m.dim(a.src)
         if nr == 0:
             continue
         block = np.zeros((nr, total), dtype=np.int64)
+        s, t = offsets[a.src], offsets[a.tgt]
         if sizes[a.src]:
             # vec(N_a @ phi_src) = (N_a kron I) vec(phi_src)
-            k = np.kron(n.action[a.name].a, np.eye(m.dim(a.src), dtype=np.int64))
-            block[:, offsets[a.src]:offsets[a.src] + sizes[a.src]] += k
+            block[:, s:s + sizes[a.src]] += np.kron(n.action[a.name].a, np.eye(m.dim(a.src), dtype=np.int64))
         if sizes[a.tgt]:
             # vec(phi_tgt @ M_a) = (I kron M_a^T) vec(phi_tgt)
-            k = np.kron(np.eye(n.dim(a.tgt), dtype=np.int64), m.action[a.name].a.T)
-            block[:, offsets[a.tgt]:offsets[a.tgt] + sizes[a.tgt]] -= k
-        rows.append(block % p)
-    system = Mat(p, np.vstack(rows) if rows else np.zeros((0, total), dtype=np.int64))
+            block[:, t:t + sizes[a.tgt]] -= np.kron(np.eye(n.dim(a.tgt), dtype=np.int64), m.action[a.name].a.T)
+        rows.append(block)
+    system = np.vstack(rows) if rows else np.zeros((0, total), dtype=np.int64)
+    return Mat(m.p, system), offsets
+
+
+def _morphism_from_vector(vec: np.ndarray, m: Module, n: Module, offsets: Mapping[str, int],
+                          check: bool = False) -> Morphism:
+    """Inverse of the unknown layout of _commuting_system."""
+    comps = {}
+    for v in m.algebra.vertices:
+        r, c = n.dim(v), m.dim(v)
+        comps[v] = Mat(m.p, vec[offsets[v]:offsets[v] + r * c].reshape(r, c))
+    return Morphism(m, n, comps, check=check)
+
+
+def hom_basis(m: Module, n: Module) -> list[Morphism]:
+    """Basis of Hom(m, n), the solution space of all commuting squares.
+
+    The basis is canonical (reduced-echelon kernel in a fixed ordering).
+    """
+    if m.algebra != n.algebra or m.p != n.p:
+        raise ValueError("hom_basis endpoints over different algebras")
+    if not any(dm * dn for dm, dn in zip(m.dims, n.dims)):
+        return []
+    system, offsets = _commuting_system(m, n)
     kernel = system.kernel_basis()
-    basis = []
-    for k in range(kernel.cols):
-        vec = kernel.a[:, k]
-        comps = {}
-        for v in alg.vertices:
-            r, c = n.dim(v), m.dim(v)
-            comps[v] = Mat(p, vec[offsets[v]:offsets[v] + r * c].reshape(r, c))
-        basis.append(Morphism(m, n, comps, check=False))
-    return basis
+    return [_morphism_from_vector(kernel.a[:, k], m, n, offsets) for k in range(kernel.cols)]
 
 
 def morphism_coords(phi: Morphism, basis: Sequence[Morphism]) -> np.ndarray:
@@ -378,7 +388,7 @@ def morphism_coords(phi: Morphism, basis: Sequence[Morphism]) -> np.ndarray:
     cols = [_flatten_morphism(b) for b in basis]
     target = _flatten_morphism(phi)
     system = Mat(p, np.stack(cols, axis=1))
-    x, _ = system.solve(Mat(p, target.reshape(-1, 1)))
+    x = system.solve(Mat(p, target.reshape(-1, 1)))
     if x is None:
         raise ValueError("morphism not in span of basis")
     return x.a[:, 0]
@@ -409,7 +419,7 @@ def kernel(phi: Morphism) -> tuple[Module, Morphism]:
     action = {}
     for a in alg.arrows:
         carried = src.action[a.name] @ bases[a.src]
-        sol, _ = bases[a.tgt].solve(carried)
+        sol = bases[a.tgt].solve(carried)
         if sol is None:
             raise AssertionError("kernel not closed under action")
         action[a.name] = sol
@@ -450,27 +460,6 @@ def cokernel(phi: Morphism) -> tuple[Module, Morphism, dict[str, Mat]]:
     c = Module(alg, p, dims, action, check=False)
     pr = Morphism(tgt, c, proj, check=False)
     return c, pr, sect
-
-
-def image(phi: Morphism) -> tuple[Module, Morphism, Morphism]:
-    """Image subrepresentation, its inclusion, and the corestriction."""
-    alg, p = phi.source.algebra, phi.source.p
-    bases = {v: phi.comps[v].image_basis() for v in alg.vertices}
-    dims = {v: bases[v].cols for v in alg.vertices}
-    action = {}
-    for a in alg.arrows:
-        sol, _ = bases[a.tgt].solve(phi.target.action[a.name] @ bases[a.src])
-        if sol is None:
-            raise AssertionError("image not closed under action")
-        action[a.name] = sol
-    i = Module(alg, p, dims, action, check=False)
-    incl = Morphism(i, phi.target, bases, check=False)
-    core_comps = {}
-    for v in alg.vertices:
-        sol, _ = bases[v].solve(phi.comps[v])
-        core_comps[v] = sol
-    core = Morphism(phi.source, i, core_comps, check=False)
-    return i, incl, core
 
 
 # -- isomorphism and indecomposability ------------------------------------
@@ -528,9 +517,10 @@ def is_indecomposable(m: Module) -> bool:
 def split_off_summand(u: Module, m: Module) -> Optional[tuple[Morphism, Morphism]]:
     """Try to realize the indecomposable u as a direct summand of m.
 
-    Returns (section, retraction) with retraction @ section = id_u, or
-    None.  Correctness needs End(u) local, i.e. u indecomposable: u is a
-    summand of m iff some composite m -> u of basis morphisms with a basis
+    Returns (section, g) with g @ section an automorphism of u, or None.
+    Then the section splits, and ker(g) is a complement of its image.
+    Correctness needs End(u) local, i.e. u indecomposable: u is a summand
+    of m iff some composite m -> u of basis morphisms with a basis
     morphism u -> m is invertible (a sum of non-units in a local ring
     cannot be the identity).
     """
@@ -540,13 +530,10 @@ def split_off_summand(u: Module, m: Module) -> Optional[tuple[Morphism, Morphism
     if not into:
         return None
     back = hom_basis(m, u)
-    ident = identity_morphism(u)
     for h in into:
         for g in back:
-            comp = g @ h
-            if comp.is_isomorphism():
-                retraction = comp.inverse() @ g
-                return h, retraction
+            if (g @ h).is_isomorphism():
+                return h, g
     return None
 
 
@@ -633,10 +620,10 @@ class Catalog:
 def decompose(m: Module, catalog: Catalog) -> Counter:
     """Krull-Schmidt multiset of catalog indices with direct_sum ~ m.
 
-    Splits idempotents one summand at a time: find a catalog entry with a
-    section/retraction pair into m, pass to the kernel of the retraction,
-    repeat.  Raises CatalogIncompleteError when a nonzero remainder has no
-    catalog summand.
+    Splits one summand at a time: find a catalog entry u with a section
+    h: u -> m and a map g: m -> u such that g @ h is invertible, pass to
+    the kernel of g, repeat.  Raises CatalogIncompleteError when a nonzero
+    remainder has no catalog summand.
     """
     if m.algebra != catalog.algebra or m.p != catalog.p:
         raise ValueError("module not over the catalog's algebra")
@@ -646,9 +633,9 @@ def decompose(m: Module, catalog: Catalog) -> Counter:
         for idx, u in enumerate(catalog.indecs):
             pair = split_off_summand(u, current)
             if pair is not None:
-                _, retraction = pair
+                _, g = pair
                 result[idx] += 1
-                current, _ = kernel(retraction)
+                current, _ = kernel(g)
                 break
         else:
             raise CatalogIncompleteError(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extriang.exactfield import Mat, Scalar, is_prime, rank, rref, solve
+from extriang.exactfield import Mat, is_prime
 
 
 def naive_rref(rows, p):
@@ -45,45 +45,66 @@ def matrices(p, max_dim=6):
 
 
 def test_scalar_arithmetic():
-    a = Scalar(3, 5)
-    b = Scalar(4, 5)
-    assert (a + b).value == 2
-    assert (a * b).value == 2
-    assert (a / b).value == (3 * pow(4, 3, 5)) % 5
+    a = Mat.from_rows(5, [[3]])
+    b = Mat.from_rows(5, [[4]])
+    assert (a + b).tolist() == [[2]]
+    assert (a @ b).tolist() == [[2]]
+    assert (a @ b.inverse()).tolist() == [[(3 * pow(4, 3, 5)) % 5]]
     with pytest.raises(ValueError):
-        Scalar(1, 6)
+        Mat.from_rows(6, [[1]])
     assert not is_prime(1)
+
+
+def test_prime_outside_exact_range_is_refused():
+    # (p-1)**2 >= 2**63: int64 products of two residues would wrap; this
+    # square used to come out as 4294966863 in every entry instead of 2
+    p = 4294967311
+    assert is_prime(p)
+    with pytest.raises(ValueError, match="too large"):
+        Mat.from_rows(p, [[p - 1, p - 1], [p - 1, p - 1]])
+
+
+def test_product_outside_exact_range_is_refused():
+    # p = 2**31 - 1 is admitted, but an inner dimension n with
+    # n * (p-1)**2 >= 2**63 could wrap the int64 sum of products
+    p = 2**31 - 1
+    row = Mat.from_rows(p, [[p - 1, p - 1]])
+    assert (row @ row.transpose()).tolist() == [[2]]
+    row3 = Mat.from_rows(p, [[p - 1] * 3])
+    with pytest.raises(ValueError, match="overflow"):
+        row3 @ row3.transpose()
 
 
 def test_rref_identity_over_f2():
     m = Mat.identity(2, 2)
-    r, piv = rref(m)
+    r, piv = m.rref()
     assert r == m and piv == (0, 1)
 
 
 def test_rref_rank_one_over_f2():
     m = Mat.from_rows(2, [[1, 1], [1, 1]])
-    r, piv = rref(m)
+    r, piv = m.rref()
     assert r == Mat.from_rows(2, [[1, 1], [0, 0]])
     assert piv == (0,)
 
 
 def test_rref_zero():
     m = Mat.zeros(2, 3, 3)
-    r, piv = rref(m)
+    r, piv = m.rref()
     assert r == m and piv == ()
 
 
 def test_solve_identity():
     b = Mat.from_rows(5, [[2], [3]])
-    x, ker = solve(Mat.identity(5, 2), b)
-    assert x == b and ker.cols == 0
+    assert Mat.identity(5, 2).solve(b) == b
+    assert Mat.identity(5, 2).kernel_basis().cols == 0
 
 
 def test_solve_underdetermined_f2():
     # all four vectors of F_2^2 confirm the kernel is spanned by (1,1)
     a = Mat.from_rows(2, [[1, 1]])
-    x, ker = solve(a, Mat.from_rows(2, [[0]]))
+    x = a.solve(Mat.from_rows(2, [[0]]))
+    ker = a.kernel_basis()
     assert x == Mat.from_rows(2, [[0], [0]])
     assert ker.cols == 1
     solutions = {
@@ -96,22 +117,22 @@ def test_solve_underdetermined_f2():
 
 
 def test_solve_inconsistent():
-    x, ker = solve(Mat.zeros(2, 1, 1), Mat.from_rows(2, [[1]]))
-    assert x is None
-    assert ker.cols == 1
+    a = Mat.zeros(2, 1, 1)
+    assert a.solve(Mat.from_rows(2, [[1]])) is None
+    assert a.kernel_basis().cols == 1
 
 
 def test_kernel_image_rank_examples():
     ident = Mat.identity(3, 4)
     assert ident.kernel_basis().cols == 0
     assert ident.image_basis().cols == 4
-    assert rank(ident) == 4
+    assert ident.rank() == 4
 
     z = Mat.zeros(2, 3, 4)
-    assert z.kernel_basis().cols == 4 and rank(z) == 0
+    assert z.kernel_basis().cols == 4 and z.rank() == 0
 
     m = Mat.from_rows(2, [[1, 0], [1, 0]])
-    assert rank(m) == 1
+    assert m.rank() == 1
     assert m.kernel_basis().cols == 1
     # cross-check by enumerating F_2^2
     kernel_vectors = {
@@ -124,7 +145,7 @@ def test_kernel_image_rank_examples():
 
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        solve(Mat.identity(2, 2), Mat.zeros(2, 3, 1))
+        Mat.identity(2, 2).solve(Mat.zeros(2, 3, 1))
 
 
 @pytest.mark.parametrize("p", [2, 5])
@@ -133,9 +154,9 @@ def test_dimension_mismatch_raises():
 def test_rank_nullity_and_idempotence(p, data):
     rows = data.draw(matrices(p))
     m = Mat.from_rows(p, rows)
-    assert rank(m) + m.kernel_basis().cols == m.cols
-    r, piv = rref(m)
-    r2, piv2 = rref(r)
+    assert m.rank() + m.kernel_basis().cols == m.cols
+    r, piv = m.rref()
+    r2, piv2 = r.rref()
     assert r2 == r and piv2 == piv
     oracle_rows, oracle_piv = naive_rref(rows, p)
     assert r.tolist() == [row[:] for row in oracle_rows]
@@ -151,9 +172,12 @@ def test_solve_exactness(p, data):
     x_true = data.draw(st.lists(st.integers(0, p - 1), min_size=m.cols, max_size=m.cols))
     xt = Mat(p, np.array(x_true, dtype=np.int64).reshape(-1, 1))
     b = m @ xt
-    x, ker = solve(m, b)
+    x = m.solve(b)
+    ker = m.kernel_basis()
     assert x is not None
     assert m @ x == b
+    _, piv = m.rref()
+    assert all(x.a[c, 0] == 0 for c in range(m.cols) if c not in piv)  # free variables are zero
     for k in range(ker.cols):
         v = Mat(p, ker.a[:, k].reshape(-1, 1))
         assert (m @ v).is_zero()

@@ -188,6 +188,13 @@ def test_cli_catalog_other_fields(capsys):
     assert code == 0 and payload["count"] == 11
 
 
+def test_cli_refuses_prime_outside_exact_range(capsys):
+    code = main(["catalog", "--example51", "modA", "--field", "4294967311", "--bound", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "too large" in captured.err
+
+
 def test_subcat_spec_dimension_vector_patterns(bundle):
     sub = bundle.parse_subcat("(1,1,0,0),(0,0,1,1)", bundle.mod_lambda)
     assert sub.members == {bundle.lambda_names["[P1;0]_0"], bundle.lambda_names["[0;P1]_0"]}

@@ -3,7 +3,7 @@
 import pytest
 
 from extriang.exactfield import Mat
-from extriang.quivrep import Module, hom_basis, is_isomorphic
+from extriang.quivrep import Module, hom_basis, identity_morphism, is_isomorphic
 from extriang.homext import (
     SES,
     all_conflations,
@@ -12,6 +12,8 @@ from extriang.homext import (
     five_term_contravariant,
     five_term_covariant,
     is_split,
+    lift_through_surjection,
+    presentation,
     projective_module,
     projective_cover,
     pullback_ses,
@@ -44,6 +46,36 @@ def test_projective_cover_surjective(bundle):
     for m in bundle.mod_lambda.indecs:
         cover = projective_cover(m)
         assert cover.is_surjective()
+
+
+def test_lift_through_projective_cover(bundle):
+    for c in bundle.mod_lambda.indecs:
+        cover = projective_cover(c)
+        for phi in hom_basis(cover.source, c):
+            lam = lift_through_surjection(phi, cover)
+            assert lam.source == cover.source and lam.target == cover.source
+            assert cover @ lam == phi
+
+
+def test_lift_of_identity_through_nonsplit_deflation_fails(bundle):
+    cat = bundle.mod_a
+    s1 = cat.indecs[idx_of(cat, (1, 0))]
+    s2 = cat.indecs[idx_of(cat, (0, 1))]
+    ses = ext1_space(s1, s2).basis()[0].realize()  # S2 >-> P1 ->> S1
+    with pytest.raises(ValueError):
+        lift_through_surjection(identity_morphism(s1), ses.prj)
+
+
+def test_equal_modules_share_presentation_and_ext_space(bundle):
+    m = bundle.mod_lambda.indecs[-1]
+    a = bundle.mod_lambda.indecs[0]
+    twin = Module(m.algebra, m.p, m.dims, dict(m.action))
+    assert twin is not m and twin == m
+    assert presentation(twin) is presentation(m)
+    space = ext1_space(m, a)
+    hits = ext1_space.cache_info().hits
+    assert ext1_space(twin, Module(a.algebra, a.p, a.dims, dict(a.action))) is space
+    assert ext1_space.cache_info().hits == hits + 1
 
 
 def test_ext_dim_anchors(bundle):
