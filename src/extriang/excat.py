@@ -16,19 +16,18 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .exactfield import Mat
 from .quivrep import (
     Catalog,
     Module,
     Morphism,
-    find_isomorphism,
     hom_basis,
     identity_morphism,
     kernel,
     cokernel,
     morphism_coords,
+    morphism_coords_many,
+    split_off_summand,
 )
 from .homext import (
     ConflationRecord,
@@ -274,10 +273,10 @@ def _find_witness(c_index: int, t: Subcat, f: Subcat, e: ExCat) -> Optional[SES]
                 ses = space.realize(cls)
                 if catalog.decompose(ses.b) != {c_index: 1}:
                     continue
-                psi = find_isomorphism(ses.b, c_mod)
-                if psi is None:
-                    continue
-                return SES(ses.a, c_mod, ses.c, psi @ ses.inc, ses.prj @ psi.inverse())
+                # ses.b ~ c_mod splits off itself; with equal dimension
+                # vectors the retraction g is an isomorphism ses.b -> c_mod
+                _, g = split_off_summand(c_mod, ses.b)
+                return SES(ses.a, c_mod, ses.c, g @ ses.inc, ses.prj @ g.inverse())
     return None
 
 
@@ -473,18 +472,12 @@ def factoring_ideal_coords(i_mod: Module, j_mod: Module, through: Subcat) -> Opt
     if not basis:
         return None
     catalog = through.catalog
-    rows = []
+    composites = []
     for k in through.sorted_members():
         t_mod = catalog.indecs[k]
-        into = hom_basis(i_mod, t_mod)
         back = hom_basis(t_mod, j_mod)
-        for f in into:
-            for g in back:
-                rows.append(morphism_coords(g @ f, basis))
-    p = i_mod.p
-    if not rows:
-        return Mat.zeros(p, 0, len(basis))
-    return Mat(p, np.stack(rows))
+        composites.extend(g @ f for f in hom_basis(i_mod, t_mod) for g in back)
+    return Mat(i_mod.p, morphism_coords_many(composites, basis).T)
 
 
 def quotient_hom_dim(i_mod: Module, j_mod: Module, through: Subcat) -> int:

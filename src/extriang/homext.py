@@ -28,6 +28,7 @@ from .quivrep import (
     Module,
     Morphism,
     NotFiniteDimensionalError,
+    _add_kron_eye,
     _commuting_system,
     _morphism_from_vector,
     cokernel,
@@ -36,6 +37,7 @@ from .quivrep import (
     identity_morphism,
     kernel,
     morphism_coords,
+    morphism_coords_many,
     morphism_from_coords,
 )
 
@@ -250,9 +252,12 @@ def presentation(m: Module) -> tuple[Module, Morphism, Morphism]:
 # -- short exact sequences -----------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SES:
-    """Short exact sequence a >-> b ->> c, exactness rank-checked."""
+    """Short exact sequence a >-> b ->> c, exactness rank-checked.
+
+    Frozen, so equal sequences hash equal and can key the class_of memo.
+    """
 
     a: Module
     b: Module
@@ -313,12 +318,14 @@ def summand_projection(mods: Sequence[Module], k: int, total: Optional[Module] =
     return Morphism(total, mods[k], comps, check=False)
 
 
+@lru_cache(maxsize=None)
 def lift_through_surjection(target_map: Morphism, surjection: Morphism) -> Morphism:
     """Find lam with surjection @ lam = target_map; source must be projective.
 
     Solves one linear system over F_p: the commuting squares of lam plus
     the composition rows (surj_v kron I) vec(lam_v) = vec(target_v).
-    Raises when inconsistent.
+    Raises when inconsistent.  Lifts repeat heavily along the five-term
+    maps, so they are memoized by value (a failed lift is not cached).
     """
     p0 = target_map.source
     b = surjection.source
@@ -330,8 +337,8 @@ def lift_through_surjection(target_map: Morphism, surjection: Morphism) -> Morph
     rhs = [np.zeros(squares.rows, dtype=np.int64)]
     for v in p0.algebra.vertices:
         block = np.zeros((target_map.target.dim(v) * p0.dim(v), squares.cols), dtype=np.int64)
-        k = np.kron(surjection.comps[v].a, np.eye(p0.dim(v), dtype=np.int64))
-        block[:, offsets[v]:offsets[v] + k.shape[1]] = k
+        width = b.dim(v) * p0.dim(v)
+        _add_kron_eye(block[:, offsets[v]:offsets[v] + width], surjection.comps[v].a, p0.dim(v))
         rows.append(block)
         rhs.append(target_map.comps[v].a.reshape(-1))
     x = Mat(p, np.vstack(rows)).solve(Mat(p, np.concatenate(rhs).reshape(-1, 1)))
@@ -444,12 +451,9 @@ class Ext1Space:
         self.presentation_ses = SES(self.k, self.incl.target, c, self.incl, self.cover)
         self.hom_k_a = hom_basis(self.k, a)
         restricted = [phi @ self.incl for phi in hom_basis(self.incl.target, a)]
-        coords = [morphism_coords(phi, self.hom_k_a) for phi in restricted if self.hom_k_a]
-        if coords:
-            sub = Mat(self.p, np.stack(coords))
-            self._rref, self._pivots = sub.rref()
-        else:
-            self._rref, self._pivots = Mat.zeros(self.p, 0, len(self.hom_k_a)), ()
+        # one row of hom_k_a coordinates per restriction
+        coords = morphism_coords_many(restricted, self.hom_k_a).T
+        self._rref, self._pivots = Mat(self.p, coords).rref()
         self._free = [i for i in range(len(self.hom_k_a)) if i not in self._pivots]
 
     @property
@@ -521,6 +525,7 @@ def ext1_space(c: Module, a: Module) -> Ext1Space:
     return Ext1Space(c, a)
 
 
+@lru_cache(maxsize=None)
 def class_of(ses: SES) -> ExtClass:
     return ext1_space(ses.c, ses.a).class_of(ses)
 
@@ -591,10 +596,10 @@ def five_term_covariant(ses: SES, x: Module) -> dict:
     hom_c = hom_basis(x, ses.c)
     ext_a = ext1_space(x, ses.a)
     ext_b = ext1_space(x, ses.b)
-    delta_cls = ext1_space(ses.c, ses.a).class_of(ses)
+    delta_cls = class_of(ses)
 
-    m1 = _map_matrix(hom_a, lambda f: morphism_coords(ses.inc @ f, hom_b) if hom_b else [], p, len(hom_b))
-    m2 = _map_matrix(hom_b, lambda f: morphism_coords(ses.prj @ f, hom_c) if hom_c else [], p, len(hom_c))
+    m1 = Mat(p, morphism_coords_many([ses.inc @ f for f in hom_a], hom_b))
+    m2 = Mat(p, morphism_coords_many([ses.prj @ f for f in hom_b], hom_c))
     m3 = _map_matrix(hom_c, lambda f: ext_a.compress(ext_pull(delta_cls, f, ext_a).coords), p, ext_a.dim)
     m4 = _map_matrix(ext_a.basis(), lambda e: ext_b.compress(ext_push(e, ses.inc, ext_b).coords), p, ext_b.dim)
     return {
@@ -612,10 +617,10 @@ def five_term_contravariant(ses: SES, x: Module) -> dict:
     hom_a = hom_basis(ses.a, x)
     ext_c = ext1_space(ses.c, x)
     ext_b = ext1_space(ses.b, x)
-    delta_cls = ext1_space(ses.c, ses.a).class_of(ses)
+    delta_cls = class_of(ses)
 
-    m1 = _map_matrix(hom_c, lambda f: morphism_coords(f @ ses.prj, hom_b) if hom_b else [], p, len(hom_b))
-    m2 = _map_matrix(hom_b, lambda f: morphism_coords(f @ ses.inc, hom_a) if hom_a else [], p, len(hom_a))
+    m1 = Mat(p, morphism_coords_many([f @ ses.prj for f in hom_c], hom_b))
+    m2 = Mat(p, morphism_coords_many([f @ ses.inc for f in hom_b], hom_a))
     m3 = _map_matrix(hom_a, lambda f: ext_c.compress(ext_push(delta_cls, f, ext_c).coords), p, ext_c.dim)
     m4 = _map_matrix(ext_c.basis(), lambda e: ext_b.compress(ext_pull(e, ses.prj, ext_b).coords), p, ext_b.dim)
     return {

@@ -322,6 +322,21 @@ def zero_morphism(source: Module, target: Module) -> Morphism:
 # -- Hom spaces ----------------------------------------------------------
 
 
+def _add_kron_eye(out: np.ndarray, a: np.ndarray, k: int, eye_first: bool = False) -> None:
+    """Add np.kron(a, I_k), or np.kron(I_k, a) when eye_first, into out in place.
+
+    out must have the product's shape; it may be a column slice of a
+    larger array, since splitting its axes in reshape gives a view.  Only
+    the k diagonal copies of a are touched, by one broadcast assignment.
+    """
+    r, c = a.shape
+    diag = np.arange(k)
+    if eye_first:
+        out.reshape(k, r, k, c)[diag, :, diag, :] += a
+    else:
+        out.reshape(r, k, c, k)[:, diag, :, diag] += a
+
+
 def _commuting_system(m: Module, n: Module) -> tuple[Mat, dict[str, int]]:
     """The commuting squares N_a phi_src - phi_tgt M_a = 0 as one system.
 
@@ -345,10 +360,10 @@ def _commuting_system(m: Module, n: Module) -> tuple[Mat, dict[str, int]]:
         s, t = offsets[a.src], offsets[a.tgt]
         if sizes[a.src]:
             # vec(N_a @ phi_src) = (N_a kron I) vec(phi_src)
-            block[:, s:s + sizes[a.src]] += np.kron(n.action[a.name].a, np.eye(m.dim(a.src), dtype=np.int64))
+            _add_kron_eye(block[:, s:s + sizes[a.src]], n.action[a.name].a, m.dim(a.src))
         if sizes[a.tgt]:
             # vec(phi_tgt @ M_a) = (I kron M_a^T) vec(phi_tgt)
-            block[:, t:t + sizes[a.tgt]] -= np.kron(np.eye(n.dim(a.tgt), dtype=np.int64), m.action[a.name].a.T)
+            _add_kron_eye(block[:, t:t + sizes[a.tgt]], -m.action[a.name].a.T, n.dim(a.tgt), eye_first=True)
         rows.append(block)
     system = np.vstack(rows) if rows else np.zeros((0, total), dtype=np.int64)
     return Mat(m.p, system), offsets
@@ -378,20 +393,29 @@ def hom_basis(m: Module, n: Module) -> list[Morphism]:
     return [_morphism_from_vector(kernel.a[:, k], m, n, offsets) for k in range(kernel.cols)]
 
 
-def morphism_coords(phi: Morphism, basis: Sequence[Morphism]) -> np.ndarray:
-    """Coordinates of phi in a Hom basis (exact; raises if not in span)."""
+def morphism_coords_many(phis: Sequence[Morphism], basis: Sequence[Morphism]) -> np.ndarray:
+    """Coordinates of each phi in a Hom basis, one column per phi.
+
+    One elimination of the basis against all right-hand sides at once
+    (exact; raises if some phi is not in the span).
+    """
     if not basis:
-        if phi.is_zero():
-            return np.zeros(0, dtype=np.int64)
+        if all(phi.is_zero() for phi in phis):
+            return np.zeros((0, len(phis)), dtype=np.int64)
         raise ValueError("morphism not in span of empty basis")
-    p = phi.source.p
-    cols = [_flatten_morphism(b) for b in basis]
-    target = _flatten_morphism(phi)
-    system = Mat(p, np.stack(cols, axis=1))
-    x = system.solve(Mat(p, target.reshape(-1, 1)))
+    if not phis:
+        return np.zeros((len(basis), 0), dtype=np.int64)
+    p = basis[0].source.p
+    system = Mat(p, np.stack([_flatten_morphism(b) for b in basis], axis=1))
+    x = system.solve(Mat(p, np.stack([_flatten_morphism(phi) for phi in phis], axis=1)))
     if x is None:
         raise ValueError("morphism not in span of basis")
-    return x.a[:, 0]
+    return x.a
+
+
+def morphism_coords(phi: Morphism, basis: Sequence[Morphism]) -> np.ndarray:
+    """Coordinates of phi in a Hom basis (exact; raises if not in span)."""
+    return morphism_coords_many([phi], basis)[:, 0]
 
 
 def _flatten_morphism(phi: Morphism) -> np.ndarray:

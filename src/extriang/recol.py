@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from .exactfield import Mat
 from .quivrep import (
     Algebra,
@@ -32,7 +30,7 @@ from .quivrep import (
     identity_morphism,
     is_isomorphic,
     kernel,
-    morphism_coords,
+    morphism_coords_many,
     zero_module,
     zero_morphism,
 )
@@ -556,8 +554,7 @@ def check_recollement(r: RecollementData) -> RecollementReport:
                     continue
                 if not src_basis:
                     continue
-                cols = [morphism_coords(fd.mor_map[(i, j)][k], tgt_basis) for k in range(len(src_basis))]
-                mat = Mat(src.catalog.p, np.stack(cols, axis=1))
+                mat = Mat(src.catalog.p, morphism_coords_many(fd.mor_map[(i, j)], tgt_basis))
                 if not mat.is_invertible():
                     ff_fail.append((name, i, j, "not bijective"))
     clauses.append(ClauseResult("R3_fully_faithful", not ff_fail,

@@ -305,6 +305,25 @@ def test_five_term_sequences_on_mod_a(bundle):
         assert all(five_term_contravariant(ses, x).values())
 
 
+def test_five_term_sequences_compute_the_class_once(bundle):
+    """Both variances against every x share one class_of computation."""
+    cat = bundle.mod_a
+    space = ext1_space(cat.indecs[idx_of(cat, (1, 0))], cat.indecs[idx_of(cat, (0, 1))])
+    cls = [e for e in space.elements() if not e.is_zero()][0]
+    ses, twin = cls.realize(), cls.realize()
+    assert twin is not ses and twin == ses and hash(twin) == hash(ses)
+    class_of.cache_clear()
+    before = class_of.cache_info()
+    for x in cat.indecs:
+        five_term_covariant(ses, x)
+        five_term_contravariant(ses, x)
+    after = class_of.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 2 * len(cat.indecs) - 1
+    assert class_of(twin) == cls
+    assert class_of.cache_info().misses == after.misses
+
+
 def test_first_map_iso_iff_third_term_zero(bundle):
     """inc is an isomorphism exactly when the quotient vanishes, and dually."""
     for rec in bundle.b_ext.conflations:

@@ -1,5 +1,6 @@
 """Algebras, modules, Hom spaces, isomorphism, decomposition, enumeration."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from extriang.quivrep import (
     Arrow,
     CatalogIncompleteError,
     Module,
+    _add_kron_eye,
     decompose,
     direct_sum,
     dump_algebra_text,
@@ -19,6 +21,9 @@ from extriang.quivrep import (
     is_isomorphic,
     kernel,
     cokernel,
+    morphism_coords,
+    morphism_coords_many,
+    morphism_from_coords,
     parse_algebra_text,
     zero_module,
 )
@@ -195,6 +200,46 @@ def test_every_hom_basis_element_commutes(a2_catalog):
                 for arr in A2.arrows:
                     assert tgt.action[arr.name] @ phi.comps[arr.src] == \
                         phi.comps[arr.tgt] @ src.action[arr.name]
+
+
+@pytest.mark.parametrize("rows, cols, k", [
+    (0, 0, 0), (0, 3, 2), (2, 0, 3), (2, 3, 0), (1, 1, 1),
+    (1, 4, 1), (3, 1, 2), (2, 3, 4), (4, 4, 3),
+])
+def test_kron_free_blocks_match_np_kron(rows, cols, k):
+    rng = np.random.default_rng(rows * 100 + cols * 10 + k)
+    a = rng.integers(-3, 4, size=(rows, cols), dtype=np.int64)
+    out = np.zeros((rows * k, cols * k), dtype=np.int64)
+    _add_kron_eye(out, a, k)
+    assert np.array_equal(out, np.kron(a, np.eye(k, dtype=np.int64)))
+    out = np.zeros((cols * k, rows * k), dtype=np.int64)
+    _add_kron_eye(out, a.T, k, eye_first=True)
+    assert np.array_equal(out, np.kron(np.eye(k, dtype=np.int64), a.T))
+    # a column slice of a wider array is written in place and adds to it
+    wide = np.ones((rows * k, cols * k + 5), dtype=np.int64)
+    _add_kron_eye(wide[:, 2:2 + cols * k], a, k)
+    assert np.array_equal(wide[:, 2:2 + cols * k], 1 + np.kron(a, np.eye(k, dtype=np.int64)))
+    assert (wide[:, :2] == 1).all() and (wide[:, 2 + cols * k:] == 1).all()
+
+
+def test_batched_coords_agree_with_the_basis(a2_catalog):
+    cat = a2_catalog
+    s1 = cat.indecs[by_dims(cat, (1, 0))]
+    ss = direct_sum([s1, s1])
+    ends = hom_basis(ss, ss)  # 4-dimensional, so sums of basis maps are new images
+    spaces = [(m, n, cat.hom(i, j)) for i, m in enumerate(cat.indecs) for j, n in enumerate(cat.indecs)]
+    for m, n, basis in spaces + [(ss, ss, ends)]:
+        images = list(basis) + [b + c for b, c in zip(basis, basis[1:])]
+        coords = morphism_coords_many(images, basis)
+        assert coords.shape == (len(basis), len(images))
+        for k, phi in enumerate(images):
+            assert morphism_from_coords(coords[:, k], basis, m, n) == phi
+            assert np.array_equal(morphism_coords(phi, basis), coords[:, k])
+        assert morphism_coords_many([], basis).shape == (len(basis), 0)
+    with pytest.raises(ValueError):
+        morphism_coords_many(ends[1:], ends[:1])
+    with pytest.raises(ValueError):
+        morphism_coords_many(ends[:1], [])
 
 
 def test_hom_dim_is_iso_invariant(a2_catalog):
