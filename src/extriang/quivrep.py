@@ -6,12 +6,13 @@ Paths compose right to left: the path written "b.a" means apply a, then b,
 so its matrix is M_b @ M_a.
 
 The enumeration of indecomposables is exhaustive over dimension vectors:
-for each vector it walks every relation-satisfying tuple of arrow matrices,
-dedupes by base-change orbits (two representations with the same dimension
-vector are isomorphic exactly when a product of GL(d_v) actions carries one
-to the other), and keeps an orbit representative when no previously found
-indecomposable splits off.  Cost grows like p**(sum of matrix sizes) per
-dimension vector, so it is meant for small bounds over small primes.
+for each vector it labels the whole grid of arrow-matrix tuples with their
+base-change orbits by array operations (two representations with the same
+dimension vector are isomorphic exactly when a product of GL(d_v) actions
+carries one to the other), takes one representative per relation-satisfying
+orbit, and keeps it when no previously found indecomposable splits off.
+The grid has p**(sum of matrix sizes) cells per dimension vector, capped
+at MAX_GRID_CELLS, so it is meant for small bounds over small primes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -72,6 +72,10 @@ class Algebra:
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
     relations: tuple[Relation, ...] = ()
+    # lookups derived from the fields above, built once; they take no part
+    # in equality, hashing or repr
+    vertex_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    arrow_by_name: dict[str, Arrow] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.vertices)) != len(self.vertices):
@@ -79,9 +83,10 @@ class Algebra:
         names = [a.name for a in self.arrows]
         if len(set(names)) != len(names):
             raise ValueError("duplicate arrow names")
-        vset = set(self.vertices)
+        object.__setattr__(self, "vertex_index", {v: i for i, v in enumerate(self.vertices)})
+        object.__setattr__(self, "arrow_by_name", {a.name: a for a in self.arrows})
         for a in self.arrows:
-            if a.src not in vset or a.tgt not in vset:
+            if a.src not in self.vertex_index or a.tgt not in self.vertex_index:
                 raise ValueError(f"arrow {a.name} references unknown vertex")
         for rel in self.relations:
             if not rel:
@@ -89,13 +94,6 @@ class Algebra:
             endpoints = {(self.path_source(path), self.path_target(path)) for _, path in rel}
             if len(endpoints) != 1:
                 raise ValueError(f"relation terms do not share source/target: {rel}")
-
-    @property
-    def arrow_by_name(self) -> dict[str, Arrow]:
-        return {a.name: a for a in self.arrows}
-
-    def vertex_index(self, v: str) -> int:
-        return self.vertices.index(v)
 
     def path_source(self, path: tuple[str, ...]) -> str:
         by_name = self.arrow_by_name
@@ -161,7 +159,7 @@ class Module:
         return total
 
     def dim(self, v: str) -> int:
-        return self.dims[self.algebra.vertex_index(v)]
+        return self.dims[self.algebra.vertex_index[v]]
 
     @property
     def dims_by_vertex(self) -> dict[str, int]:
@@ -212,8 +210,8 @@ def direct_sum(modules: Sequence[Module], algebra: Optional[Algebra] = None, p: 
     dims = tuple(sum(m.dims[i] for m in modules) for i in range(len(algebra.vertices)))
     action = {}
     for a in algebra.arrows:
-        r = dims[algebra.vertex_index(a.tgt)]
-        c = dims[algebra.vertex_index(a.src)]
+        r = dims[algebra.vertex_index[a.tgt]]
+        c = dims[algebra.vertex_index[a.src]]
         block = np.zeros((r, c), dtype=np.int64)
         ro = co = 0
         for m in modules:
@@ -670,33 +668,38 @@ def decompose(m: Module, catalog: Catalog) -> Counter:
 
 # -- exhaustive enumeration -------------------------------------------------
 
+# The orbit search holds int32 and bool arrays with one cell per
+# arrow-matrix tuple of a dimension vector, about 50 bytes per cell in
+# all; enumerate_indecomposables refuses a larger grid before building any.
+MAX_GRID_CELLS = 2 ** 20
 
-@lru_cache(maxsize=None)
-def _all_matrices(p: int, rows: int, cols: int):
-    """All rows x cols matrices over F_p, lexicographic by flat entries."""
-    mats = []
-    index = {}
-    for flat in itertools.product(range(p), repeat=rows * cols):
-        a = np.array(flat, dtype=np.int64).reshape(rows, cols)
-        a.setflags(write=False)
-        index[a.tobytes()] = len(mats)
-        mats.append(a)
-    return mats, index
+# Matrices are decoded and relation values formed this many cells at a
+# time, so temporaries stay small whatever the grid size.
+_CHUNK_CELLS = 2 ** 12
 
 
 def _primitive_root(p: int) -> int:
-    for g in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    return 1
+    """Least generator of F_p^x: g**((p-1)/q) != 1 for each prime q dividing p-1."""
+    factors = []
+    n, q = p - 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        factors.append(n)
+    return next((g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors)), 1)
 
 
 def _gl_generators(d: int, p: int) -> list[np.ndarray]:
+    """Generators of GL(d, F_p): the unit transvections E_ij(1), and
+    diag(w, 1, ..., 1) for a primitive root w when p > 2.
+
+    E_ij(1)**c = E_ij(c), so every transvection lies in the group they
+    generate, and the transvections with that diagonal generate GL(d, F_p).
+    """
     gens = []
     if d == 0:
         return gens
@@ -706,11 +709,9 @@ def _gl_generators(d: int, p: int) -> list[np.ndarray]:
         gens.append(m)
     for i in range(d):
         for j in range(d):
-            if i == j:
-                continue
-            for lam in range(1, p):
+            if i != j:
                 m = np.eye(d, dtype=np.int64)
-                m[i, j] = lam
+                m[i, j] = 1
                 gens.append(m)
     return gens
 
@@ -726,91 +727,127 @@ def _dim_vectors(n: int, bound: int):
     return vecs
 
 
-def _orbit_representatives(algebra: Algebra, p: int, dv: tuple[int, ...]):
-    """One arrow-matrix tuple per isomorphism class at this dimension vector."""
-    arrows = algebra.arrows
-    vidx = {v: i for i, v in enumerate(algebra.vertices)}
-    shapes = [(dv[vidx[a.tgt]], dv[vidx[a.src]]) for a in arrows]
-    mats = []
-    index = []
-    for r, c in shapes:
-        ms, ix = _all_matrices(p, r, c)
-        mats.append(ms)
-        index.append(ix)
+def _grid_cells(algebra: Algebra, p: int, dv: tuple[int, ...]) -> int:
+    """Number of arrow-matrix tuples at dv: p**(sum over arrows of d_src * d_tgt)."""
+    at = algebra.vertex_index
+    return p ** sum(dv[at[a.src]] * dv[at[a.tgt]] for a in algebra.arrows)
 
-    rel_progs = []
+
+def _base_p_weights(p: int, n: int) -> np.ndarray:
+    return p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _matrices(p: int, rows: int, cols: int, codes: np.ndarray) -> np.ndarray:
+    """The rows x cols matrices over F_p with the given indices, as one
+    (len(codes), rows, cols) array.
+
+    Matrices are indexed lexicographically by flat entries, so an index is
+    the base-p number the entries spell, first entry most significant.
+    """
+    return (codes[:, None] // _base_p_weights(p, rows * cols) % p).reshape(len(codes), rows, cols)
+
+
+def _matrix_codes(p: int, mats: np.ndarray) -> np.ndarray:
+    """Index of each matrix of a (k, rows, cols) array; inverse of _matrices."""
+    k, rows, cols = mats.shape
+    return mats.reshape(k, rows * cols) @ _base_p_weights(p, rows * cols)
+
+
+def _moved_codes(p: int, rows: int, cols: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """For every rows x cols matrix M in index order, the index of left @ M @ right."""
+    n = p ** (rows * cols)
+    out = np.empty(n, dtype=np.int32)
+    for lo in range(0, n, _CHUNK_CELLS):
+        mats = _matrices(p, rows, cols, np.arange(lo, min(n, lo + _CHUNK_CELLS)))
+        out[lo:lo + len(mats)] = _matrix_codes(p, (left @ mats % p) @ right % p)
+    return out
+
+
+def _relation_mask(algebra: Algebra, p: int, shapes: list[tuple[int, int]]) -> np.ndarray:
+    """Whether each tuple satisfies every relation, on the tuple grid.
+
+    Grid axis k indexes the matrices of arrow k.  A relation's path
+    products broadcast the matrices of its arrows over their own axes,
+    one slice of its first arrow's axis at a time.  A relation whose
+    source or target has dimension 0 has empty values, which never fail.
+    """
+    grid = tuple(p ** (r * c) for r, c in shapes)
+    valid = np.ones(grid, dtype=bool)
+    arrow_pos = {a.name: k for k, a in enumerate(algebra.arrows)}
+
+    def axis_view(k: int, lo: int, hi: int) -> np.ndarray:
+        lead = (1,) * k + (hi - lo,) + (1,) * (len(grid) - 1 - k)
+        return _matrices(p, *shapes[k], np.arange(lo, hi)).reshape(lead + shapes[k])
+
     for rel in algebra.relations:
-        src = algebra.path_source(rel[0][1])
-        tgt = algebra.path_target(rel[0][1])
-        if dv[vidx[src]] == 0 or dv[vidx[tgt]] == 0:
+        first, *others = sorted({arrow_pos[name] for _, path in rel for name in path})
+        views = {k: axis_view(k, 0, grid[k]) for k in others}
+        step = max(1, _CHUNK_CELLS // int(np.prod([grid[k] for k in others])))
+        for lo in range(0, grid[first], step):
+            hi = min(grid[first], lo + step)
+            views[first] = axis_view(first, lo, hi)
+            total = 0
+            for coeff, path in rel:
+                term = views[arrow_pos[path[0]]]
+                for name in path[1:]:
+                    term = term @ views[arrow_pos[name]] % p
+                total = total + coeff * term
+            valid[(slice(None),) * first + (slice(lo, hi),)] &= ~np.any(total % p, axis=(-2, -1))
+    return valid
+
+
+def _orbit_representatives(algebra: Algebra, p: int, dv: tuple[int, ...]):
+    """One arrow-matrix tuple per isomorphism class at this dimension vector.
+
+    The tuples form a grid with one axis per arrow, indexed by matrix
+    index, so flat indices order tuples lexicographically.  Every cell's
+    label starts as its flat index and drops to the least label among its
+    images under the GL(d_v) generators, with pointer jumping, until
+    nothing changes; each label is then the least flat index of its orbit.
+    The representatives are the relation-satisfying cells that are their
+    own label, ascending: the lexicographically first tuple of each orbit.
+    """
+    arrows = algebra.arrows
+    if not arrows:
+        return [{}]
+    at = algebra.vertex_index
+    shapes = [(dv[at[a.tgt]], dv[at[a.src]]) for a in arrows]
+    grid = tuple(p ** (r * c) for r, c in shapes)
+    valid = _relation_mask(algebra, p, shapes)
+
+    # A generator g at v moves the matrix index of each arrow at v
+    # (M -> g M at its target, M -> M g^-1 at its source).  np.ix_ keeps
+    # these per-arrow maps as an open mesh, never a full-grid index array.
+    moves = []
+    for v, i in at.items():
+        touching = [k for k, a in enumerate(arrows) if v in (a.src, a.tgt) and grid[k] > 1]
+        if not touching:
             continue
-        arrow_pos = {a.name: k for k, a in enumerate(arrows)}
-        rel_progs.append([(coeff % p, [arrow_pos[name] for name in path]) for coeff, path in rel])
-
-    def relations_ok(combo) -> bool:
-        for prog in rel_progs:
-            total = None
-            for coeff, positions in prog:
-                acc = mats[positions[0]][combo[positions[0]]]
-                for pos in positions[1:]:
-                    acc = acc @ mats[pos][combo[pos]]
-                term = coeff * acc
-                total = term if total is None else total + term
-            if (total % p).any():
-                return False
-        return True
-
-    # Generator index tables: applying one GL(d_v) generator rewrites only
-    # the matrices of arrows touching v.
-    tables = []
-    for v, i in vidx.items():
         for g in _gl_generators(dv[i], p):
             g_inv = Mat(p, g).inverse().a
-            tbl = {}
-            for k, a in enumerate(arrows):
+            maps = [np.arange(n, dtype=np.int32) for n in grid]
+            for k in touching:
                 r, c = shapes[k]
-                if r == 0 or c == 0:
-                    continue
-                at_src = a.src == v
-                at_tgt = a.tgt == v
-                if not (at_src or at_tgt):
-                    continue
-                mapping = np.empty(len(mats[k]), dtype=np.int64)
-                for mi, m in enumerate(mats[k]):
-                    out = m
-                    if at_tgt:
-                        out = g @ out % p
-                    if at_src:
-                        out = out @ g_inv % p
-                    mapping[mi] = index[k][np.ascontiguousarray(out).tobytes()]
-                tbl[k] = mapping
-            if tbl:
-                tables.append(tbl)
+                left = g if arrows[k].tgt == v else np.eye(r, dtype=np.int64)
+                right = g_inv if arrows[k].src == v else np.eye(c, dtype=np.int64)
+                maps[k] = _moved_codes(p, r, c, left, right)
+            moves.append(np.ix_(*maps))
 
-    n_arrows = len(arrows)
-    seen: set = set()
-    reps = []
-    for combo in itertools.product(*[range(len(ms)) for ms in mats]):
-        if combo in seen:
-            continue
-        if not relations_ok(combo):
-            continue
-        reps.append(combo)
-        queue = [combo]
-        seen.add(combo)
-        while queue:
-            cur = queue.pop()
-            for tbl in tables:
-                nxt = tuple(tbl[k][cur[k]] if k in tbl else cur[k] for k in range(n_arrows))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-
-    out = []
-    for combo in reps:
-        action = {a.name: Mat(p, mats[k][combo[k]]) for k, a in enumerate(arrows)}
-        out.append(action)
-    return out
+    label = np.arange(valid.size, dtype=np.int32).reshape(grid)
+    flat = label.reshape(-1)
+    changed = bool(moves)
+    while changed:
+        changed = False
+        for move in moves:
+            moved = label[move]
+            if (moved < label).any():
+                np.minimum(label, moved, out=label)
+                changed = True
+        flat[:] = flat[flat]
+    candidates = np.flatnonzero(valid)
+    reps = candidates[flat[candidates] == candidates]
+    mats = [_matrices(p, r, c, codes) for (r, c), codes in zip(shapes, np.unravel_index(reps, grid))]
+    return [{a.name: Mat(p, mats[k][j]) for k, a in enumerate(arrows)} for j in range(len(reps))]
 
 
 def _with_hom_table(algebra: Algebra, p: int, bound: int, indecs: tuple[Module, ...]) -> Catalog:
@@ -824,17 +861,28 @@ def _with_hom_table(algebra: Algebra, p: int, bound: int, indecs: tuple[Module, 
 def enumerate_indecomposables(algebra: Algebra, bound: int, p: int = DEFAULT_PRIME) -> Catalog:
     """All indecomposables with every vertex dimension <= bound.
 
-    Exhaustive and exact: every relation-satisfying matrix tuple is visited
-    once, orbit-deduped under base change, and kept when no earlier
-    indecomposable splits off (earlier = smaller in the layered dimension
-    vector order, which contains every proper summand).  Runtime is
-    dominated by p**(total matrix entries) per dimension vector.
+    Exhaustive and exact: at each dimension vector, array operations over
+    the grid of all p**(total matrix entries) arrow-matrix tuples label
+    every tuple with its base-change orbit; each relation-satisfying orbit
+    gives one representative, kept when no earlier indecomposable splits
+    off (earlier = smaller in the layered dimension vector order, which
+    contains every proper summand).  Before any grid is built, raises
+    ValueError when some dimension vector has more than MAX_GRID_CELLS
+    tuples.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     _check_prime(p)
+    dim_vectors = _dim_vectors(len(algebra.vertices), bound)
+    widest = max(dim_vectors, key=lambda dv: _grid_cells(algebra, p, dv), default=())
+    cells = _grid_cells(algebra, p, widest)
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(
+            f"dimension vector {dict(zip(algebra.vertices, widest))} has {cells} arrow-matrix "
+            f"tuples, more than the {MAX_GRID_CELLS} an exhaustive enumeration may hold; "
+            "lower the bound or the prime")
     found: list[Module] = []
-    for dv in _dim_vectors(len(algebra.vertices), bound):
+    for dv in dim_vectors:
         for action in _orbit_representatives(algebra, p, dv):
             m = Module(algebra, p, dv, action, check=False)
             if any(split_off_summand(u, m) is not None for u in found):

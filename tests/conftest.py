@@ -26,3 +26,8 @@ def b_indices(bundle):
 @pytest.fixture(scope="session")
 def golden_torsion_pairs():
     return (GOLDEN_DIR / "torsion_pairs_b_ext.json").read_text()
+
+
+@pytest.fixture(scope="session")
+def golden_catalog_modlambda():
+    return (GOLDEN_DIR / "catalog_modlambda.json").read_text()

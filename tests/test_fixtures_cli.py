@@ -195,6 +195,27 @@ def test_cli_refuses_prime_outside_exact_range(capsys):
     assert "too large" in captured.err
 
 
+def test_cli_refuses_a_tuple_grid_beyond_the_ceiling(capsys):
+    # the prime is inside the exact range, but the (1, 1) grid has p cells
+    code = main(["catalog", "--example51", "modA", "--field", "2147483647", "--bound", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "{'1': 1, '2': 1} has 2147483647 arrow-matrix tuples" in captured.err
+
+
+def test_cli_catalog_one_vertex_at_a_large_prime(capsys, tmp_path):
+    algebra_file = tmp_path / "point.alg"
+    algebra_file.write_text("vertex 1\n")
+    code, payload = run_cli_json(capsys, "catalog", str(algebra_file),
+                                 "--field", "2147483647", "--bound", "1")
+    assert code == 0 and payload["count"] == 1
+
+
+def test_cli_catalog_modlambda_matches_golden(capsys, golden_catalog_modlambda):
+    code, out = run_cli(capsys, "catalog", "--example51", "modLambda")
+    assert code == 0 and out == golden_catalog_modlambda
+
+
 def test_subcat_spec_dimension_vector_patterns(bundle):
     sub = bundle.parse_subcat("(1,1,0,0),(0,0,1,1)", bundle.mod_lambda)
     assert sub.members == {bundle.lambda_names["[P1;0]_0"], bundle.lambda_names["[0;P1]_0"]}

@@ -1,17 +1,25 @@
 """Algebras, modules, Hom spaces, isomorphism, decomposition, enumeration."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from extriang.exactfield import Mat
 from extriang.quivrep import (
+    MAX_GRID_CELLS,
     Algebra,
     AlgebraFormatError,
     Arrow,
     CatalogIncompleteError,
     Module,
     _add_kron_eye,
+    _dim_vectors,
+    _gl_generators,
+    _orbit_representatives,
+    _primitive_root,
     decompose,
     direct_sum,
     dump_algebra_text,
@@ -27,10 +35,16 @@ from extriang.quivrep import (
     parse_algebra_text,
     zero_module,
 )
+from extriang.recol import build_triangular
 
 A2 = Algebra(("1", "2"), (Arrow("a", "1", "2"),))
 D4 = Algebra(("0", "1", "2", "3"),
              (Arrow("a1", "1", "0"), Arrow("a2", "2", "0"), Arrow("a3", "3", "0")))
+KRONECKER = Algebra(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
+A3_LINEAR = Algebra(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
+A3_SINK = Algebra(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "3", "2")))
+A3_ZERO = Algebra(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")), (((1, ("b", "a")),),))
+LAMBDA = build_triangular(A2).algebra
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +65,16 @@ def test_algebra_validation():
     with pytest.raises(ValueError):
         Algebra(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "2", "1")),
                 (((1, ("a",)), (1, ("b",))),))
+
+
+def test_algebra_lookups_take_no_part_in_identity():
+    again = Algebra(D4.vertices, D4.arrows)
+    assert again is not D4 and again == D4 and hash(again) == hash(D4)
+    assert D4.vertex_index == {"0": 0, "1": 1, "2": 2, "3": 3}
+    assert D4.arrow_by_name["a2"] == Arrow("a2", "2", "0")
+    assert "vertex_index" not in repr(D4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        D4.vertex_index = {}
 
 
 def test_module_relation_check():
@@ -187,9 +211,109 @@ def test_d4_enumeration_appends():
 
 
 def test_kronecker_regulars_count():
-    kron = Algebra(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
-    assert len(enumerate_indecomposables(kron, 1, 2)) == 5
-    assert len(enumerate_indecomposables(kron, 1, 3)) == 6
+    assert len(enumerate_indecomposables(KRONECKER, 1, 2)) == 5
+    assert len(enumerate_indecomposables(KRONECKER, 1, 3)) == 6
+
+
+def _bfs_orbit_representatives(algebra, p, dv):
+    """Reference orbit search: scan matrix tuples one at a time in
+    lexicographic order, keep each relation-satisfying tuple not seen yet,
+    and mark its whole orbit by breadth-first search under base change."""
+    arrows = algebra.arrows
+    vidx = {v: i for i, v in enumerate(algebra.vertices)}
+    shapes = [(dv[vidx[a.tgt]], dv[vidx[a.src]]) for a in arrows]
+    mats, index = [], []
+    for r, c in shapes:
+        ms = [np.array(flat, dtype=np.int64).reshape(r, c)
+              for flat in itertools.product(range(p), repeat=r * c)]
+        mats.append(ms)
+        index.append({m.tobytes(): i for i, m in enumerate(ms)})
+    arrow_pos = {a.name: k for k, a in enumerate(arrows)}
+    rel_progs = [[(coeff, [arrow_pos[name] for name in path]) for coeff, path in rel]
+                 for rel in algebra.relations
+                 if dv[vidx[algebra.path_source(rel[0][1])]] and dv[vidx[algebra.path_target(rel[0][1])]]]
+
+    def relations_ok(combo):
+        for prog in rel_progs:
+            total = 0
+            for coeff, positions in prog:
+                acc = mats[positions[0]][combo[positions[0]]]
+                for pos in positions[1:]:
+                    acc = acc @ mats[pos][combo[pos]]
+                total = total + coeff * acc
+            if (total % p).any():
+                return False
+        return True
+
+    # all of GL(d_v): every transvection E_ij(lam) and every diag(lam, 1, ..., 1)
+    tables = []
+    for v, i in vidx.items():
+        d = dv[i]
+        gens = []
+        for lam in range(1, p):
+            for r in range(d):
+                for c in range(d):
+                    if (r == c == 0 and lam > 1) or (r != c):
+                        g = np.eye(d, dtype=np.int64)
+                        g[r, c] = lam
+                        gens.append(g)
+        for g in gens:
+            g_inv = Mat(p, g).inverse().a
+            tbl = {}
+            for k, a in enumerate(arrows):
+                if 0 in shapes[k] or v not in (a.src, a.tgt):
+                    continue
+                mapping = []
+                for m in mats[k]:
+                    out = m
+                    if a.tgt == v:
+                        out = g @ out % p
+                    if a.src == v:
+                        out = out @ g_inv % p
+                    mapping.append(index[k][np.ascontiguousarray(out).tobytes()])
+                tbl[k] = mapping
+            if tbl:
+                tables.append(tbl)
+
+    seen, reps = set(), []
+    for combo in itertools.product(*[range(len(ms)) for ms in mats]):
+        if combo in seen or not relations_ok(combo):
+            continue
+        reps.append(combo)
+        seen.add(combo)
+        queue = [combo]
+        while queue:
+            cur = queue.pop()
+            for tbl in tables:
+                nxt = tuple(tbl[k][cur[k]] if k in tbl else cur[k] for k in range(len(arrows)))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return [{a.name: Mat(p, mats[k][combo[k]]) for k, a in enumerate(arrows)} for combo in reps]
+
+
+@pytest.mark.parametrize("algebra, p, bound", [
+    (A2, 3, 2), (A3_LINEAR, 2, 2), (A3_SINK, 2, 2), (KRONECKER, 3, 2), (A3_ZERO, 3, 2),
+    (LAMBDA, 2, 1), (LAMBDA, 2, 2),
+], ids=["A2", "A3-linear", "A3-sink", "Kronecker", "A3-zero-relation", "Lambda-1", "Lambda-2"])
+def test_orbit_representatives_match_the_bfs_oracle(algebra, p, bound):
+    for dv in _dim_vectors(len(algebra.vertices), bound):
+        assert _orbit_representatives(algebra, p, dv) == _bfs_orbit_representatives(algebra, p, dv), dv
+
+
+def test_gl_generators_need_no_loop_over_the_field():
+    assert _primitive_root(2147483647) == 7
+    assert [_primitive_root(p) for p in (2, 3, 5, 7, 11, 13)] == [1, 2, 2, 3, 2, 2]
+    assert len(_gl_generators(2, 2147483647)) == 3
+    assert len(_gl_generators(3, 2)) == 6
+
+
+def test_enumeration_refuses_a_grid_beyond_the_ceiling():
+    # A2 at (2, 2) over F_47 has 47**4 > MAX_GRID_CELLS tuples; bound 1 has 47
+    assert 47 ** 4 > MAX_GRID_CELLS
+    with pytest.raises(ValueError, match=r"\{'1': 2, '2': 2\} has 4879681 arrow-matrix tuples"):
+        enumerate_indecomposables(A2, 2, 47)
+    assert len(enumerate_indecomposables(A2, 1, 47)) == 3
 
 
 def test_every_hom_basis_element_commutes(a2_catalog):
