@@ -2,13 +2,15 @@
 
 Every subcommand prints a JSON document (top-level "schema": 1) to stdout,
 or a human-readable rendering with --pretty.  Exit codes: 0 all checks
-passed, 1 a mathematical check failed (report still printed), 2 bad input.
+passed, 1 a mathematical check failed (report still printed), 2 bad input,
+141 stdout closed before the report was written (as for a SIGPIPE kill).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .quivrep import AlgebraFormatError, enumerate_indecomposables, parse_algebra_text
@@ -350,7 +352,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, so a closed reader surfaces below and not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone; send what is still buffered to the null
+        # device, so the interpreter's final flush stays silent too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except AlgebraFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,8 @@ for each vector it labels the whole grid of arrow-matrix tuples with their
 base-change orbits by array operations (two representations with the same
 dimension vector are isomorphic exactly when a product of GL(d_v) actions
 carries one to the other), takes one representative per relation-satisfying
-orbit, and keeps it when no previously found indecomposable splits off.
+orbit, and keeps it unless its orbit holds a direct sum of indecomposables
+found at smaller dimension vectors.
 The grid has p**(sum of matrix sizes) cells per dimension vector, capped
 at MAX_GRID_CELLS, so it is meant for small bounds over small primes.
 """
@@ -693,26 +694,30 @@ def _primitive_root(p: int) -> int:
     return next((g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors)), 1)
 
 
-def _gl_generators(d: int, p: int) -> list[np.ndarray]:
-    """Generators of GL(d, F_p): the unit transvections E_ij(1), and
-    diag(w, 1, ..., 1) for a primitive root w when p > 2.
+def _gl_generators(d: int, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Generators of GL(d, F_p), each with its inverse: the unit
+    transvections E_ij(1), and diag(w, 1, ..., 1) for a primitive root w
+    when p > 2.
 
     E_ij(1)**c = E_ij(c), so every transvection lies in the group they
     generate, and the transvections with that diagonal generate GL(d, F_p).
+    The inverses are closed forms, E_ij(1)**-1 = E_ij(p - 1) and
+    diag(w, 1, ...)**-1 = diag(w**(p - 2), 1, ...), so no elimination runs.
     """
     gens = []
     if d == 0:
         return gens
     if p > 2:
-        m = np.eye(d, dtype=np.int64)
-        m[0, 0] = _primitive_root(p)
-        gens.append(m)
+        w = _primitive_root(p)
+        g, g_inv = np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64)
+        g[0, 0], g_inv[0, 0] = w, pow(w, p - 2, p)
+        gens.append((g, g_inv))
     for i in range(d):
         for j in range(d):
             if i != j:
-                m = np.eye(d, dtype=np.int64)
-                m[i, j] = 1
-                gens.append(m)
+                g, g_inv = np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64)
+                g[i, j], g_inv[i, j] = 1, p - 1
+                gens.append((g, g_inv))
     return gens
 
 
@@ -796,20 +801,19 @@ def _relation_mask(algebra: Algebra, p: int, shapes: list[tuple[int, int]]) -> n
     return valid
 
 
-def _orbit_representatives(algebra: Algebra, p: int, dv: tuple[int, ...]):
-    """One arrow-matrix tuple per isomorphism class at this dimension vector.
+def _orbit_labels(algebra: Algebra, p: int, dv: tuple[int, ...]):
+    """Orbit labels on the grid of arrow-matrix tuples at this dimension vector.
 
     The tuples form a grid with one axis per arrow, indexed by matrix
-    index, so flat indices order tuples lexicographically.  Every cell's
+    index, so flat indices order tuples lexicographically (a quiver
+    without arrows has a grid of one cell, its only tuple).  Every cell's
     label starts as its flat index and drops to the least label among its
     images under the GL(d_v) generators, with pointer jumping, until
     nothing changes; each label is then the least flat index of its orbit.
-    The representatives are the relation-satisfying cells that are their
-    own label, ascending: the lexicographically first tuple of each orbit.
+    Returns the grid shape, the arrow shapes, and the flat relation mask
+    and labels.
     """
     arrows = algebra.arrows
-    if not arrows:
-        return [{}]
     at = algebra.vertex_index
     shapes = [(dv[at[a.tgt]], dv[at[a.src]]) for a in arrows]
     grid = tuple(p ** (r * c) for r, c in shapes)
@@ -823,8 +827,7 @@ def _orbit_representatives(algebra: Algebra, p: int, dv: tuple[int, ...]):
         touching = [k for k, a in enumerate(arrows) if v in (a.src, a.tgt) and grid[k] > 1]
         if not touching:
             continue
-        for g in _gl_generators(dv[i], p):
-            g_inv = Mat(p, g).inverse().a
+        for g, g_inv in _gl_generators(dv[i], p):
             maps = [np.arange(n, dtype=np.int32) for n in grid]
             for k in touching:
                 r, c = shapes[k]
@@ -844,10 +847,73 @@ def _orbit_representatives(algebra: Algebra, p: int, dv: tuple[int, ...]):
                 np.minimum(label, moved, out=label)
                 changed = True
         flat[:] = flat[flat]
+    return grid, shapes, valid.reshape(-1), flat
+
+
+def _self_labelled(valid: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """The relation-satisfying cells that are their own label, ascending:
+    the lexicographically first tuple of each orbit."""
     candidates = np.flatnonzero(valid)
-    reps = candidates[flat[candidates] == candidates]
-    mats = [_matrices(p, r, c, codes) for (r, c), codes in zip(shapes, np.unravel_index(reps, grid))]
-    return [{a.name: Mat(p, mats[k][j]) for k, a in enumerate(arrows)} for j in range(len(reps))]
+    return candidates[label[candidates] == candidates]
+
+
+def _matrices_at(p: int, grid, shapes, cells: np.ndarray) -> list[np.ndarray]:
+    """Per arrow, the matrices of the tuples at these flat grid indices,
+    stacked along a first axis."""
+    if not shapes:
+        return []
+    return [_matrices(p, r, c, codes) for (r, c), codes in zip(shapes, np.unravel_index(cells, grid))]
+
+
+def _cells_at(p: int, grid, stacks: list[np.ndarray], count: int) -> np.ndarray:
+    """Flat grid index of each of count stacked tuples; inverse of _matrices_at."""
+    if not stacks:
+        return np.zeros(count, dtype=np.intp)
+    return np.ravel_multi_index([_matrix_codes(p, s) for s in stacks], grid)
+
+
+def _actions(algebra: Algebra, p: int, stacks: list[np.ndarray], count: int) -> list[dict[str, Mat]]:
+    """One arrow-name to matrix dict per stacked tuple."""
+    return [{a.name: Mat(p, s[j]) for a, s in zip(algebra.arrows, stacks)} for j in range(count)]
+
+
+def _orbit_representatives(algebra: Algebra, p: int, dv: tuple[int, ...]):
+    """One arrow-matrix tuple per isomorphism class at this dimension
+    vector: the lexicographically first tuple of each relation-satisfying
+    orbit, in ascending order."""
+    grid, shapes, valid, label = _orbit_labels(algebra, p, dv)
+    reps = _self_labelled(valid, label)
+    return _actions(algebra, p, _matrices_at(p, grid, shapes, reps), len(reps))
+
+
+def _direct_sums(found: Sequence[Module], classes: Mapping, dv: tuple[int, ...], shapes):
+    """Every decomposable isomorphism class at dv as a block-diagonal sum:
+    per arrow the sums' matrices stacked, and each sum's least summand index.
+
+    classes maps each dimension vector below dv to its isomorphism classes
+    in the same form, over the indecomposables in found.  By Krull-Schmidt
+    a decomposable class at dv is found[i] + Y for exactly one i, its least
+    summand index, and one class Y at dv - dims(found[i]) whose least index
+    is at least i, so each class is built once, with found[i] first.
+    """
+    parts = [[np.zeros((0, r, c), dtype=np.int64)] for r, c in shapes]
+    least = [np.zeros(0, dtype=np.int64)]
+    for i, top in enumerate(found):
+        rest = classes.get(tuple(d - e for d, e in zip(dv, top.dims)))
+        if rest is None:
+            continue
+        stacks, first = rest
+        keep = first >= i
+        n = int(np.count_nonzero(keep))
+        for k, a in enumerate(top.algebra.arrows):
+            block = top.action[a.name].a
+            r, c = block.shape
+            out = np.zeros((n,) + shapes[k], dtype=np.int64)
+            out[:, :r, :c] = block
+            out[:, r:, c:] = stacks[k][keep]
+            parts[k].append(out)
+        least.append(np.full(n, i, dtype=np.int64))
+    return [np.concatenate(ps) for ps in parts], np.concatenate(least)
 
 
 def _with_hom_table(algebra: Algebra, p: int, bound: int, indecs: tuple[Module, ...]) -> Catalog:
@@ -861,12 +927,16 @@ def _with_hom_table(algebra: Algebra, p: int, bound: int, indecs: tuple[Module, 
 def enumerate_indecomposables(algebra: Algebra, bound: int, p: int = DEFAULT_PRIME) -> Catalog:
     """All indecomposables with every vertex dimension <= bound.
 
-    Exhaustive and exact: at each dimension vector, array operations over
+    Exhaustive and exact: at each dimension vector d, array operations over
     the grid of all p**(total matrix entries) arrow-matrix tuples label
-    every tuple with its base-change orbit; each relation-satisfying orbit
-    gives one representative, kept when no earlier indecomposable splits
-    off (earlier = smaller in the layered dimension vector order, which
-    contains every proper summand).  Before any grid is built, raises
+    every tuple with its base-change orbit, and each relation-satisfying
+    orbit gives one representative.  Every proper summand sorts earlier in
+    the layered dimension vector order, so the indecomposables found so far
+    contain one of each class below d; by Krull-Schmidt a decomposable
+    orbit at d holds exactly one of the block-diagonal sums of two or more
+    of them that _direct_sums builds.  The orbits of those sums are struck
+    out and the rest kept, so no Hom space is computed before the catalog's
+    Hom table.  Before any grid is built, raises
     ValueError when some dimension vector has more than MAX_GRID_CELLS
     tuples.
     """
@@ -882,12 +952,20 @@ def enumerate_indecomposables(algebra: Algebra, bound: int, p: int = DEFAULT_PRI
             f"tuples, more than the {MAX_GRID_CELLS} an exhaustive enumeration may hold; "
             "lower the bound or the prime")
     found: list[Module] = []
+    # every isomorphism class at each dimension vector done so far, in the
+    # form _direct_sums takes and returns
+    classes: dict[tuple[int, ...], tuple[list[np.ndarray], np.ndarray]] = {}
     for dv in dim_vectors:
-        for action in _orbit_representatives(algebra, p, dv):
-            m = Module(algebra, p, dv, action, check=False)
-            if any(split_off_summand(u, m) is not None for u in found):
-                continue
-            found.append(m)
+        grid, shapes, valid, label = _orbit_labels(algebra, p, dv)
+        sums, least = _direct_sums(found, classes, dv, shapes)
+        decomposable = np.zeros(label.size, dtype=bool)
+        decomposable[label[_cells_at(p, grid, sums, len(least))]] = True
+        reps = _self_labelled(valid, label)
+        reps = reps[~decomposable[reps]]
+        new = _matrices_at(p, grid, shapes, reps)
+        classes[dv] = ([np.concatenate(pair) for pair in zip(sums, new)],
+                       np.concatenate([least, np.arange(len(found), len(found) + len(reps))]))
+        found += [Module(algebra, p, dv, action, check=False) for action in _actions(algebra, p, new, len(reps))]
     return _with_hom_table(algebra, p, bound, tuple(found))
 
 

@@ -1,6 +1,7 @@
 """Fixture bundle determinism and the command line surface."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -77,6 +78,20 @@ def test_cli_catalog_bad_file(tmp_path):
     )
     assert proc.returncode == 2
     assert "line 4" in proc.stderr
+
+
+def test_cli_exits_quietly_when_its_reader_has_gone():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "extriang", "catalog", "--example51", "modA"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_cli_recollement_check(capsys):
