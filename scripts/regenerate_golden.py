@@ -2,13 +2,16 @@
 """Regenerate the golden files under tests/golden/.
 
 The torsion-pair list for the middle extension-closed subcategory is an
-exhaustively computed oracle, and the mod Lambda catalog is the output of
-`extriang catalog --example51 modLambda`; rewriting either is an explicit,
-reviewed act, so this script is the only thing that touches the files.
+exhaustively computed oracle, the mod Lambda catalog is the output of
+`extriang catalog --example51 modLambda`, and the README commands file
+holds the exit code, stdout and stderr of every command in the README's
+command block; rewriting any of them is an explicit, reviewed act, so
+this script is the only thing that touches the files.
 """
 
 import contextlib
 import io
+import json
 import pathlib
 import sys
 
@@ -18,6 +21,36 @@ from extriang.fixtures import build_example51
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
 
+B_PAIR = ["--t", "[P1;0]_0", "--f", "[0;P1]_0,[S2;0]_0"]
+CANDIDATE = ["--t", "[P1;P1]_1,[0;P1]_0,[S2;0]_0"]
+
+# the README's command block, less the file-based `catalog`
+README_COMMANDS = [
+    ["catalog", "--example51", "modLambda"],
+    ["torsion", "enumerate", "--example51", "B"],
+    ["torsion", "verify", "--example51", "B", *B_PAIR],
+    ["recollement", "check", "--example51", "restricted"],
+    ["recollement", "classify", "--example51", "restricted"],
+    ["glue", "--example51", "--t1", "P1", "--f1", "S2", "--t2", "P1", "--f2", "-"],
+    ["restrict", "--example51", *B_PAIR],
+    ["cluster-tilting", "verify", *CANDIDATE],
+    ["quotient", *CANDIDATE],
+    ["quotient-recollement", *CANDIDATE],
+    ["quotient-recollement", *CANDIDATE, "--force"],
+]
+
+
+def run_command(argv: list[str]) -> dict:
+    """Exit code, stdout and stderr of one CLI invocation, run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return {"argv": argv, "exit_code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def readme_commands_json() -> str:
+    return json.dumps([run_command(argv) for argv in README_COMMANDS], indent=2) + "\n"
+
 
 def main() -> int:
     GOLDEN.mkdir(parents=True, exist_ok=True)
@@ -26,12 +59,12 @@ def main() -> int:
     out = GOLDEN / "torsion_pairs_b_ext.json"
     out.write_text(torsion_pairs_to_json(pairs, bundle.b_ext))
     print(f"wrote {out} ({len(pairs)} pairs)")
-    text = io.StringIO()
-    with contextlib.redirect_stdout(text):
-        cli_main(["catalog", "--example51", "modLambda"])
     out = GOLDEN / "catalog_modlambda.json"
-    out.write_text(text.getvalue())
+    out.write_text(run_command(["catalog", "--example51", "modLambda"])["stdout"])
     print(f"wrote {out}")
+    out = GOLDEN / "readme_commands.json"
+    out.write_text(readme_commands_json())
+    print(f"wrote {out} ({len(README_COMMANDS)} commands)")
     return 0
 
 

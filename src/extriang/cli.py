@@ -66,17 +66,14 @@ def _bundle(args) -> FixtureBundle:
     return build_example51(p=args.field, bound=args.bound)
 
 
+# category name -> bundle attribute; only the chosen one is built
+_CATEGORIES = {"A": "a_ext", "B": "b_ext", "C": "c_ext", "modA": "full_a", "modLambda": "full_b"}
+
+
 def _excat_by_name(bundle: FixtureBundle, which: str):
-    table = {
-        "A": bundle.a_ext,
-        "B": bundle.b_ext,
-        "C": bundle.c_ext,
-        "modA": bundle.full_a,
-        "modLambda": bundle.full_b,
-    }
-    if which not in table:
-        raise InputError(f"unknown category {which!r}; pick one of {sorted(table)}")
-    return table[which]
+    if which not in _CATEGORIES:
+        raise InputError(f"unknown category {which!r}; pick one of {sorted(_CATEGORIES)}")
+    return getattr(bundle, _CATEGORIES[which])
 
 
 def _labels_for(bundle: FixtureBundle, catalog) -> dict[str, str]:
@@ -101,21 +98,12 @@ def cmd_catalog(args) -> int:
         catalog = enumerate_indecomposables(algebra, args.bound, args.field)
         payload = catalog.to_json_dict()
     elif args.example51:
-        # only the requested catalog is built, so unusual --field/--bound
-        # combinations stay cheap
-        from .fixtures import example51_mod_a, example51_mod_lambda
-        if args.example51 == "modA":
-            catalog, names = example51_mod_a(args.field, args.bound)
-            notes = []
-        else:
-            _, catalog, names, notes = example51_mod_lambda(args.field, args.bound)
+        bundle = _bundle(args)
+        catalog = bundle.mod_a if args.example51 == "modA" else bundle.mod_lambda
         payload = catalog.to_json_dict()
-        labels: dict[str, str] = {}
-        for label, idx in names.items():
-            labels.setdefault(str(idx), label)
-        payload["labels"] = labels
-        if notes:
-            payload["notes"] = notes
+        payload["labels"] = _labels_for(bundle, catalog)
+        if args.example51 == "modLambda" and bundle.notes:
+            payload["notes"] = bundle.notes
     else:
         raise InputError("need an algebra file or --example51")
     payload["count"] = len(catalog)

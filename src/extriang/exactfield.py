@@ -2,9 +2,9 @@
 
 Matrices are wrapped numpy int64 arrays with entries reduced mod p.
 Every operation is exact: primes with (p-1)**2 >= 2**63 are refused, and
-so is a product whose inner dimension n has n*(p-1)**2 >= 2**63, so no
-int64 sum of residue products can wrap.  The only division ever
-performed is by modular inverse.  No floats.
+a matrix product sums at most (2**63 - 1) // (p-1)**2 residue products
+before it reduces mod p, so no int64 sum can wrap.  The only division
+ever performed is by modular inverse.  No floats.
 """
 
 from __future__ import annotations
@@ -137,9 +137,15 @@ class Mat:
         self._need_same_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        if self.cols * (self.p - 1) ** 2 >= _INT64_LIMIT:
-            raise ValueError(f"inner dimension {self.cols} over F_{self.p} would overflow int64")
-        return Mat(self.p, self.a @ other.a)
+        p = self.p
+        if self.cols * (p - 1) ** 2 < _INT64_LIMIT:
+            return Mat(p, self.a @ other.a)
+        # sum slices of inner terms whose products stay inside int64
+        step = (_INT64_LIMIT - 1) // (p - 1) ** 2
+        out = np.zeros((self.rows, other.cols), dtype=np.int64)
+        for k in range(0, self.cols, step):
+            out = (out + (self.a[:, k:k + step] @ other.a[k:k + step]) % p) % p
+        return Mat(p, out)
 
     def scale(self, c: int) -> "Mat":
         return Mat(self.p, self.a * (c % self.p))

@@ -95,7 +95,6 @@ class ExCat:
         catalog: Catalog,
         members: Optional[Iterable[int]] = None,
         cap: int = 2,
-        verify_closed: bool = True,
     ):
         self.catalog = catalog
         if members is None:
@@ -104,7 +103,7 @@ class ExCat:
             self.objects = Subcat.add(catalog, members)
         self.cap = cap
         self._conflations: Optional[list[ConflationRecord]] = None
-        if verify_closed and not self.is_full():
+        if not self.is_full():
             bad = self.extension_closure_failure()
             if bad is not None:
                 raise NotExtensionClosedError(
@@ -137,9 +136,6 @@ class ExCat:
 
     def indec_indices(self) -> list[int]:
         return self.objects.sorted_members()
-
-    def indec(self, i: int) -> Module:
-        return self.catalog.indecs[i]
 
 
 # -- inflations, deflations, one-sided exactness -----------------------------
@@ -440,22 +436,16 @@ def is_cluster_tilting(t: Subcat, e: ExCat) -> ClusterTiltingReport:
 
 
 @dataclass
-class QuotientHom:
-    dimension: int
-    basis: tuple[Morphism, ...]
-
-
-@dataclass
 class QuotientCat:
     """Additive quotient: same objects, morphisms modulo maps through `killed`."""
 
     host: ExCat
     killed: Subcat
     qindecs: tuple[int, ...]
-    qhom: dict[tuple[int, int], QuotientHom] = field(repr=False)
+    qhom: dict[tuple[int, int], int] = field(repr=False)  # quotient Hom dimensions
 
     def qdim(self, i: int, j: int) -> int:
-        return self.qhom[(i, j)].dimension
+        return self.qhom[(i, j)]
 
     def to_json_dict(self) -> dict:
         members = self.host.indec_indices()
@@ -493,18 +483,13 @@ def quotient(e: ExCat, t: Subcat) -> QuotientCat:
         raise ValueError("killed subcategory must lie inside")
     catalog = e.catalog
     members = e.indec_indices()
-    qhom: dict[tuple[int, int], QuotientHom] = {}
+    qhom: dict[tuple[int, int], int] = {}
     survivors = []
     for i in members:
         for j in members:
-            basis = catalog.hom(i, j)
             ideal = factoring_ideal_coords(catalog.indecs[i], catalog.indecs[j], t)
-            if ideal is None or ideal.rows == 0:
-                pivots: tuple[int, ...] = ()
-            else:
-                _, pivots = ideal.rref()
-            keep = tuple(b for k, b in enumerate(basis) if k not in pivots)
-            qhom[(i, j)] = QuotientHom(dimension=len(basis) - len(pivots), basis=keep)
+            rank = 0 if ideal is None else ideal.rank()
+            qhom[(i, j)] = catalog.dim_hom(i, j) - rank
         ident_survives = _identity_survives(catalog, i, t)
         if ident_survives:
             survivors.append(i)

@@ -7,42 +7,118 @@ module categories, the three extension-closed subcategories
     A_ext = add(P1 + S2),  B_ext = add([P1;0] + [P1;P1]_1 + [S2;0] + [0;P1]),
     C_ext = add(P1),
 
-and the restricted and full six-functor recollements between them, with
-every object resolvable by an ASCII label such as "[P1;P1]_1".
+and the restricted and full six-functor recollements between them, each
+built on first use, with every object resolvable by an ASCII label such
+as "[P1;P1]_1".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .quivrep import Algebra, Arrow, Catalog, Module
+from .quivrep import Algebra, Arrow, Catalog, Module, enumerate_indecomposables
 from .excat import ExCat, Subcat
 from .recol import RecollementData, TriangularData, build_triangular, six_functors
 
 A2_ALGEBRA = Algebra(("1", "2"), (Arrow("a", "1", "2"),))
 
+_A_NAMES = {(0, 1): "S2", (1, 0): "S1", (1, 1): "P1"}
 
-@dataclass
+
 class FixtureBundle:
-    p: int
-    bound: int
-    a_algebra: Algebra
-    lambda_algebra: Algebra
-    triangular: TriangularData
-    mod_a: Catalog
-    mod_lambda: Catalog
-    full_a: ExCat
-    full_b: ExCat
-    full_c: ExCat
-    a_ext: ExCat
-    b_ext: ExCat
-    c_ext: ExCat
-    restricted: RecollementData
-    full: RecollementData
-    a_names: dict[str, int]
-    lambda_names: dict[str, int]
-    notes: list[str] = field(default_factory=list)
+    """The worked example over F_p at one dimension bound.
+
+    Every catalog, category and recollement is built on first use from the
+    pieces it reads, so a question about mod A never enumerates mod Lambda.
+    """
+
+    a_algebra = A2_ALGEBRA
+
+    def __init__(self, p: int = 2, bound: int = 2):
+        self.p = p
+        self.bound = bound
+
+    @cached_property
+    def mod_a(self) -> Catalog:
+        return enumerate_indecomposables(A2_ALGEBRA, self.bound, self.p)
+
+    @cached_property
+    def a_names(self) -> dict[str, int]:
+        names = {}
+        for i, m in enumerate(self.mod_a.indecs):
+            if m.dims in _A_NAMES:
+                names[_A_NAMES[m.dims]] = i
+        for alias, name in (("P(1)", "P1"), ("S(1)", "S1"), ("S(2)", "S2")):
+            if name in names:
+                names[alias] = names[name]
+        return names
+
+    @cached_property
+    def triangular(self) -> TriangularData:
+        return build_triangular(A2_ALGEBRA)
+
+    @property
+    def lambda_algebra(self) -> Algebra:
+        return self.triangular.algebra
+
+    @cached_property
+    def mod_lambda(self) -> Catalog:
+        return enumerate_indecomposables(self.lambda_algebra, self.bound, self.p)
+
+    @cached_property
+    def lambda_names(self) -> dict[str, int]:
+        names = {}
+        for i, m in enumerate(self.mod_lambda.indecs):
+            names[_lambda_label(self.mod_a, self.triangular, m)] = i
+        if "[S1;P1]_f" in names:
+            # the epimorphism P1 ->> S1 is often written with its own letter
+            names["[S1;P1]_g"] = names["[S1;P1]_f"]
+        return names
+
+    @cached_property
+    def notes(self) -> list[str]:
+        if "[S2;S2]_1" in self.lambda_names and "[S2;S2]_0" not in self.lambda_names:
+            return [
+                "the indecomposable with dimension vector (0,1,0,1) is [S2;S2]_1; "
+                "a module [S2;S2]_0 would decompose as [S2;0] + [0;S2]"
+            ]
+        return []
+
+    @cached_property
+    def full_a(self) -> ExCat:
+        return ExCat(self.mod_a, cap=2)
+
+    @cached_property
+    def full_b(self) -> ExCat:
+        # the full middle category keeps its conflation list tractable with
+        # single-indecomposable ends; the restricted categories use cap 2
+        return ExCat(self.mod_lambda, cap=1)
+
+    @property
+    def full_c(self) -> ExCat:
+        return self.full_a
+
+    @cached_property
+    def a_ext(self) -> ExCat:
+        return ExCat(self.mod_a, {self.a_names["P1"], self.a_names["S2"]}, cap=2)
+
+    @cached_property
+    def b_ext(self) -> ExCat:
+        n = self.lambda_names
+        members = {n["[P1;0]_0"], n["[P1;P1]_1"], n["[S2;0]_0"], n["[0;P1]_0"]}
+        return ExCat(self.mod_lambda, members, cap=2)
+
+    @cached_property
+    def c_ext(self) -> ExCat:
+        return ExCat(self.mod_a, {self.a_names["P1"]}, cap=2)
+
+    @cached_property
+    def restricted(self) -> RecollementData:
+        return six_functors(self.a_ext, self.b_ext, self.c_ext, self.triangular)
+
+    @cached_property
+    def full(self) -> RecollementData:
+        return six_functors(self.full_a, self.full_b, self.full_c, self.triangular)
 
     def resolve(self, token: str, catalog: Catalog) -> int:
         """Catalog index from a label, an integer, or a (d1,d2,...) pattern."""
@@ -95,8 +171,7 @@ def _a_label(catalog: Catalog, m: Module) -> str:
         return "0"
     parts = []
     for idx, mult in sorted(catalog.decompose(m).items()):
-        name = {(0, 1): "S2", (1, 0): "S1", (1, 1): "P1"}[catalog.indecs[idx].dims]
-        parts.extend([name] * mult)
+        parts.extend([_A_NAMES[catalog.indecs[idx].dims]] * mult)
     return "+".join(parts)
 
 
@@ -114,78 +189,6 @@ def _lambda_label(bundle_mod_a: Catalog, tri: TriangularData, m: Module) -> str:
 
 
 @lru_cache(maxsize=None)
-def example51_mod_a(p: int = 2, bound: int = 2):
-    """(catalog, labels) for the one-arrow base algebra alone."""
-    from .quivrep import enumerate_indecomposables
-
-    mod_a = enumerate_indecomposables(A2_ALGEBRA, bound, p)
-    a_names: dict[str, int] = {}
-    for i, m in enumerate(mod_a.indecs):
-        name = {(0, 1): "S2", (1, 0): "S1", (1, 1): "P1"}.get(m.dims)
-        if name:
-            a_names[name] = i
-    for alias, name in (("P(1)", "P1"), ("S(1)", "S1"), ("S(2)", "S2")):
-        if name in a_names:
-            a_names[alias] = a_names[name]
-    return mod_a, a_names
-
-
-@lru_cache(maxsize=None)
-def example51_mod_lambda(p: int = 2, bound: int = 2):
-    """(triangular data, catalog, labels, notes) for the doubled algebra alone."""
-    from .quivrep import enumerate_indecomposables
-
-    mod_a, _ = example51_mod_a(p, bound)
-    tri = build_triangular(A2_ALGEBRA)
-    mod_lambda = enumerate_indecomposables(tri.algebra, bound, p)
-    lambda_names: dict[str, int] = {}
-    for i, m in enumerate(mod_lambda.indecs):
-        lambda_names[_lambda_label(mod_a, tri, m)] = i
-    notes = []
-    if "[S1;P1]_f" in lambda_names:
-        # the epimorphism P1 ->> S1 is often written with its own letter
-        lambda_names["[S1;P1]_g"] = lambda_names["[S1;P1]_f"]
-    if "[S2;S2]_1" in lambda_names and "[S2;S2]_0" not in lambda_names:
-        notes.append(
-            "the indecomposable with dimension vector (0,1,0,1) is [S2;S2]_1; "
-            "a module [S2;S2]_0 would decompose as [S2;0] + [0;S2]"
-        )
-    return tri, mod_lambda, lambda_names, notes
-
-
-@lru_cache(maxsize=None)
 def build_example51(p: int = 2, bound: int = 2) -> FixtureBundle:
-    """Deterministic bundle for the A2 / triangular-matrix worked example."""
-    a_algebra = A2_ALGEBRA
-    mod_a, a_names = example51_mod_a(p, bound)
-    tri, mod_lambda, lambda_names, notes = example51_mod_lambda(p, bound)
-
-    full_a = ExCat(mod_a, cap=2)
-    # the full middle category keeps its conflation list tractable with
-    # single-indecomposable ends; the restricted categories use cap 2
-    full_b = ExCat(mod_lambda, cap=1)
-    full_c = full_a
-
-    a_ext = ExCat(mod_a, {a_names["P1"], a_names["S2"]}, cap=2)
-    c_ext = ExCat(mod_a, {a_names["P1"]}, cap=2)
-    b_members = {
-        lambda_names["[P1;0]_0"],
-        lambda_names["[P1;P1]_1"],
-        lambda_names["[S2;0]_0"],
-        lambda_names["[0;P1]_0"],
-    }
-    b_ext = ExCat(mod_lambda, b_members, cap=2)
-
-    restricted = six_functors(a_ext, b_ext, c_ext, tri)
-    full = six_functors(full_a, full_b, full_c, tri)
-
-    return FixtureBundle(
-        p=p, bound=bound,
-        a_algebra=a_algebra, lambda_algebra=tri.algebra, triangular=tri,
-        mod_a=mod_a, mod_lambda=mod_lambda,
-        full_a=full_a, full_b=full_b, full_c=full_c,
-        a_ext=a_ext, b_ext=b_ext, c_ext=c_ext,
-        restricted=restricted, full=full,
-        a_names=a_names, lambda_names=lambda_names,
-        notes=notes,
-    )
+    """The worked example's bundle, one per (p, bound); nothing is built yet."""
+    return FixtureBundle(p, bound)

@@ -230,10 +230,10 @@ def projective_cover(m: Module) -> Morphism:
             per_vertex[tgt].append(path)
         for w in alg.vertices:
             for j, path in enumerate(per_vertex[w]):
-                vec = x
+                vec = Mat(p, x.reshape(-1, 1))
                 for name in reversed(path):
-                    vec = m.action[name].a @ vec % p
-                comps[w][:, offsets[w] + j] = vec
+                    vec = m.action[name] @ vec
+                comps[w][:, offsets[w] + j] = vec.a[:, 0]
             offsets[w] += len(per_vertex[w])
     cover = Morphism(p0, m, {w: Mat(p, comps[w]) for w in alg.vertices})
     if not cover.is_surjective():
@@ -530,10 +530,6 @@ def class_of(ses: SES) -> ExtClass:
     return ext1_space(ses.c, ses.a).class_of(ses)
 
 
-def realize(cls: ExtClass) -> SES:
-    return cls.realize()
-
-
 # -- functoriality of Ext -------------------------------------------------------
 
 
@@ -668,18 +664,13 @@ def all_conflations(
     catalog: Catalog,
     members: Optional[Iterable[int]] = None,
     cap: int = 2,
-    middle_filter=None,
 ) -> list[ConflationRecord]:
     """Every conflation (up to fixed-end equivalence) over the given members.
 
     Ends run over direct sums of member indecomposables with at most `cap`
     summands each (the zero object included); one record per Ext^1 class,
-    the split class among them.  Middles must decompose in the catalog;
-    middle_filter (an index set or an additive subcategory) keeps only
-    records whose middle lies inside it.
+    the split class among them.  Middles must decompose in the catalog.
     """
-    if middle_filter is not None and hasattr(middle_filter, "members"):
-        middle_filter = set(middle_filter.members)
     member_list = sorted(members) if members is not None else list(range(len(catalog)))
     ends = _multisets(member_list, cap)
     records: list[ConflationRecord] = []
@@ -696,8 +687,6 @@ def all_conflations(
                 else:
                     ses = space.realize(cls)
                     mid = tuple(sorted(catalog.decompose(ses.b).elements()))
-                if middle_filter is not None and not set(mid) <= middle_filter:
-                    continue
                 records.append(ConflationRecord(
                     ses=ses,
                     a_summands=tuple(a_ms),

@@ -485,56 +485,7 @@ def cokernel(phi: Morphism) -> tuple[Module, Morphism, dict[str, Mat]]:
     return c, pr, sect
 
 
-# -- isomorphism and indecomposability ------------------------------------
-
-
-def find_isomorphism(m: Module, n: Module) -> Optional[Morphism]:
-    """Exhaustive search for an invertible element of Hom(m, n).
-
-    Walks all F_p combinations of the Hom basis, so it is exponential in
-    dim Hom; intended for the small modules this package works with.
-    """
-    if m.algebra != n.algebra or m.p != n.p:
-        raise ValueError("different algebras")
-    if m.dims != n.dims:
-        return None
-    if m.is_zero():
-        return zero_morphism(m, n)
-    basis = hom_basis(m, n)
-    if not basis:
-        return None
-    for combo in itertools.product(range(m.p), repeat=len(basis)):
-        if not any(combo):
-            continue
-        phi = morphism_from_coords(combo, basis, m, n)
-        if phi.is_isomorphism():
-            return phi
-    return None
-
-
-def is_isomorphic(m: Module, n: Module) -> bool:
-    return find_isomorphism(m, n) is not None
-
-
-def is_indecomposable(m: Module) -> bool:
-    """Idempotent search in End(m), exhaustive over F_p combinations.
-
-    True when the only idempotents are 0 and the identity.  Exponential
-    in dim End(m); use the catalog-aware split tests for bulk work.
-    """
-    if m.is_zero():
-        raise ValueError("the zero module is neither decomposable nor indecomposable")
-    ident = identity_morphism(m)
-    ends = hom_basis(m, m)
-    for combo in itertools.product(range(m.p), repeat=len(ends)):
-        if not any(combo):
-            continue
-        phi = morphism_from_coords(combo, ends, m, m)
-        if phi == ident:
-            continue
-        if phi @ phi == phi:
-            return False
-    return True
+# -- direct summands ---------------------------------------------------------
 
 
 def split_off_summand(u: Module, m: Module) -> Optional[tuple[Morphism, Morphism]]:
@@ -596,13 +547,6 @@ class Catalog:
             hit = decompose(m, self)
             self._decompose_memo[key] = hit
         return Counter(hit)
-
-    def index_of(self, m: Module) -> int:
-        """Catalog index of the indecomposable isomorphic to m."""
-        dec = self.decompose(m)
-        if sum(dec.values()) != 1:
-            raise ValueError("module is not indecomposable")
-        return next(iter(dec))
 
     def to_json_dict(self) -> dict:
         return {

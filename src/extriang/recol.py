@@ -16,6 +16,7 @@ except where a construction is meaningless without them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .exactfield import Mat
@@ -28,7 +29,6 @@ from .quivrep import (
     cokernel,
     hom_basis,
     identity_morphism,
-    is_isomorphic,
     kernel,
     morphism_coords_many,
     zero_module,
@@ -274,16 +274,19 @@ def build_triangular(base: Algebra) -> TriangularData:
 # -- tabulated functors ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class FunctorData:
-    """A functor between catalogs: tables plus the direct formulas behind them."""
+    """A functor between catalogs: tables plus the direct formula on morphisms.
+
+    Equality and hashing go by identity, so `classify_functor` can keep one
+    classification per functor.
+    """
 
     name: str
     source: ExCat
     target: ExCat
     obj_map: dict[int, Module] = field(repr=False)
     mor_map: dict[tuple[int, int], tuple[Morphism, ...]] = field(repr=False)
-    apply_obj: Callable[[Module], Module] = field(repr=False, default=None)
     apply_mor: Callable[[Morphism], Morphism] = field(repr=False, default=None)
 
     def check_functoriality(self) -> None:
@@ -313,17 +316,13 @@ SIX_NAMES = (
 
 @dataclass
 class RecollementData:
-    """Three extriangulated categories, six tabulated functors, unit/counit tables."""
+    """Three extriangulated categories and six tabulated functors."""
 
     a_cat: ExCat
     b_cat: ExCat
     c_cat: ExCat
     six: dict[str, FunctorData]
-    units_counits: dict[str, dict[int, Morphism]]
     triangular: TriangularData
-
-    def functor(self, name: str) -> FunctorData:
-        return self.six[name]
 
 
 def six_functors(a_cat: ExCat, b_cat: ExCat, c_cat: ExCat, triangular: TriangularData) -> RecollementData:
@@ -361,21 +360,10 @@ def six_functors(a_cat: ExCat, b_cat: ExCat, c_cat: ExCat, triangular: Triangula
             for j in src.indec_indices():
                 mor_map[(i, j)] = tuple(f_mor(phi) for phi in src.catalog.hom(i, j))
         fd = FunctorData(name=name, source=src, target=tgt, obj_map=obj_map,
-                         mor_map=mor_map, apply_obj=f_obj, apply_mor=f_mor)
+                         mor_map=mor_map, apply_mor=f_mor)
         fd.check_functoriality()
         six[name] = fd
-
-    units_counits = {"theta": {}, "vartheta": {}, "upsilon": {}, "nu": {}}
-    for b in b_cat.indec_indices():
-        m = b_cat.catalog.indecs[b]
-        units_counits["theta"][b] = triangular.theta_of(m)
-        units_counits["vartheta"][b] = triangular.vartheta_of(m)
-        units_counits["upsilon"][b] = triangular.upsilon_of(m)
-        units_counits["nu"][b] = triangular.nu_of(m)
-    return RecollementData(
-        a_cat=a_cat, b_cat=b_cat, c_cat=c_cat,
-        six=six, units_counits=units_counits, triangular=triangular,
-    )
+    return RecollementData(a_cat=a_cat, b_cat=b_cat, c_cat=c_cat, six=six, triangular=triangular)
 
 
 # -- the axiom checker -------------------------------------------------------------
@@ -599,21 +587,24 @@ def check_recollement(r: RecollementData) -> RecollementReport:
                                 {"failures": r5_fail} if r5_fail else None))
 
     # consequences: natural isomorphisms and vanishing composites, applying
-    # the formulas to the tabulated values
+    # the formulas to the tabulated values.  A module is isomorphic to the
+    # indecomposable catalog entry k exactly when it decomposes as {k: 1}
+    # (Krull-Schmidt); equal dimension vectors keep the decomposition
+    # inside the catalog's bound.
+    def iso_to_entry(value: Module, catalog: Catalog, k: int) -> bool:
+        return value.dims == catalog.indecs[k].dims and catalog.decompose(value) == {k: 1}
+
     nat_iso_fail = []
     for a in r.a_cat.indec_indices():
-        x = r.a_cat.catalog.indecs[a]
         lx = r.six["i_lower_star"].obj_map[a]
-        if not is_isomorphic(tri.i_upper_star_obj(lx), x):
+        if not iso_to_entry(tri.i_upper_star_obj(lx), r.a_cat.catalog, a):
             nat_iso_fail.append(("i* i_* ~ Id", a))
-        if not is_isomorphic(tri.x_part(lx), x):
+        if not iso_to_entry(tri.x_part(lx), r.a_cat.catalog, a):
             nat_iso_fail.append(("i^! i_* ~ Id", a))
     for c in r.c_cat.indec_indices():
-        z = r.c_cat.catalog.indecs[c]
-        if not is_isomorphic(tri.y_part(r.six["j_lower_shriek"].obj_map[c]), z):
-            nat_iso_fail.append(("j^* j_! ~ Id", c))
-        if not is_isomorphic(tri.y_part(r.six["j_lower_star"].obj_map[c]), z):
-            nat_iso_fail.append(("j^* j_* ~ Id", c))
+        for name, law in (("j_lower_shriek", "j^* j_! ~ Id"), ("j_lower_star", "j^* j_* ~ Id")):
+            if not iso_to_entry(tri.y_part(r.six[name].obj_map[c]), r.c_cat.catalog, c):
+                nat_iso_fail.append((law, c))
     clauses.append(ClauseResult("natural_isomorphisms", not nat_iso_fail,
                                 {"failures": nat_iso_fail} if nat_iso_fail else None))
 
@@ -650,17 +641,18 @@ class Classification:
         }
 
 
-def classify_functor(fd: FunctorData, src: Optional[ExCat] = None, tgt: Optional[ExCat] = None) -> Classification:
+@lru_cache(maxsize=None)
+def classify_functor(fd: FunctorData) -> Classification:
     """Apply the functor to every conflation of its source and grade the images.
 
     The strongest label holding for all conflations wins; a witness
-    conflation is kept for each failed stronger label.
+    conflation is kept for each failed stronger label.  Each functor is
+    classified once.
     """
-    src = src or fd.source
-    tgt = tgt or fd.target
+    tgt = fd.target
     all_left = all_right = True
     left_witness = right_witness = None
-    for rec in src.conflations:
+    for rec in fd.source.conflations:
         f_img = fd.apply_mor(rec.ses.inc)
         g_img = fd.apply_mor(rec.ses.prj)
         if all_left and not is_left_exact_seq(f_img, g_img, tgt):

@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 import pytest
@@ -31,3 +32,8 @@ def golden_torsion_pairs():
 @pytest.fixture(scope="session")
 def golden_catalog_modlambda():
     return (GOLDEN_DIR / "catalog_modlambda.json").read_text()
+
+
+@pytest.fixture(scope="session")
+def golden_readme_commands():
+    return json.loads((GOLDEN_DIR / "readme_commands.json").read_text())

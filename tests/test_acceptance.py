@@ -20,8 +20,8 @@ import pytest
 from extriang.exactfield import Mat
 from extriang.excat import Subcat, is_cluster_tilting, quotient, verify_torsion_pair
 from extriang.homext import ext1_space, five_term_contravariant, five_term_covariant
-from extriang.quivrep import is_isomorphic
 from extriang.recol import classify_all, check_recollement, glue_torsion_pairs, quotient_recollement, restrict_torsion_pair
+from oracles import is_isomorphic
 
 EXPECTED_LAMBDA_DIMS = [
     {"1x": 0, "2x": 0, "1y": 0, "2y": 1},

@@ -64,15 +64,22 @@ def test_prime_outside_exact_range_is_refused():
         Mat.from_rows(p, [[p - 1, p - 1], [p - 1, p - 1]])
 
 
-def test_product_outside_exact_range_is_refused():
+def test_product_past_the_int64_guard_is_exact():
     # p = 2**31 - 1 is admitted, but an inner dimension n with
-    # n * (p-1)**2 >= 2**63 could wrap the int64 sum of products
+    # n * (p-1)**2 >= 2**63 could wrap the int64 sum of products, so such
+    # products sum in slices reduced mod p; Python ints are the reference
     p = 2**31 - 1
     row = Mat.from_rows(p, [[p - 1, p - 1]])
     assert (row @ row.transpose()).tolist() == [[2]]
     row3 = Mat.from_rows(p, [[p - 1] * 3])
-    with pytest.raises(ValueError, match="overflow"):
-        row3 @ row3.transpose()
+    assert (row3 @ row3.transpose()).tolist() == [[3]]
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, p, size=(3, 7)).tolist()
+    b = rng.integers(0, p, size=(7, 4)).tolist()
+    exact = [[sum(a[i][k] * b[k][j] for k in range(7)) % p for j in range(4)] for i in range(3)]
+    assert (Mat.from_rows(p, a) @ Mat.from_rows(p, b)).tolist() == exact
+    empty = Mat.zeros(p, 2, 0) @ Mat.zeros(p, 0, 3)
+    assert empty.tolist() == [[0] * 3] * 2
 
 
 def test_rref_identity_over_f2():

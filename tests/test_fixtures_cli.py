@@ -5,9 +5,12 @@ import os
 import subprocess
 import sys
 
+from extriang import fixtures
 from extriang.cli import main
+from extriang.excat import enumerate_torsion_pairs
 from extriang.fixtures import build_example51
-from extriang.quivrep import dump_algebra_text, is_indecomposable
+from extriang.quivrep import dump_algebra_text
+from oracles import is_indecomposable
 
 
 def run_cli(capsys, *argv):
@@ -26,6 +29,22 @@ def test_bundle_is_deterministic(bundle):
     assert again.mod_a.to_json() == bundle.mod_a.to_json()
     assert again.mod_lambda.to_json() == bundle.mod_lambda.to_json()
     assert again.lambda_names == bundle.lambda_names
+
+
+def test_bundle_builds_only_what_is_read(monkeypatch):
+    enumerated = []
+    real = fixtures.enumerate_indecomposables
+
+    def spy(algebra, *args):
+        enumerated.append(algebra)
+        return real(algebra, *args)
+
+    monkeypatch.setattr(fixtures, "enumerate_indecomposables", spy)
+    bundle = build_example51.__wrapped__(3, 2)
+    assert enumerated == []
+    # torsion pairs of mod A (A the path algebra of A2): the Catalan number C_3
+    assert len(enumerate_torsion_pairs(bundle.full_a)) == 5
+    assert enumerated == [fixtures.A2_ALGEBRA]
 
 
 def test_named_objects_resolve(bundle):
@@ -224,6 +243,21 @@ def test_cli_catalog_one_vertex_at_a_large_prime(capsys, tmp_path):
     code, payload = run_cli_json(capsys, "catalog", str(algebra_file),
                                  "--field", "2147483647", "--bound", "1")
     assert code == 0 and payload["count"] == 1
+
+
+def test_cli_torsion_on_mod_a_leaves_mod_lambda_unbuilt(capsys):
+    # mod Lambda's grids over F_3 at bound 2 are past the ceiling; mod A's are not
+    code, payload = run_cli_json(capsys, "torsion", "enumerate", "--example51", "modA",
+                                 "--field", "3", "--bound", "2")
+    assert code == 0 and len(payload["pairs"]) == 5
+
+
+def test_readme_commands_match_golden(capsys, golden_readme_commands):
+    for entry in golden_readme_commands:
+        code = main(entry["argv"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (entry["exit_code"], entry["stdout"], entry["stderr"]), entry["argv"]
 
 
 def test_cli_catalog_modlambda_matches_golden(capsys, golden_catalog_modlambda):

@@ -3,7 +3,7 @@
 import pytest
 
 from extriang.exactfield import Mat
-from extriang.quivrep import Module, hom_basis, identity_morphism, is_isomorphic
+from extriang.quivrep import Algebra, Arrow, Module, hom_basis, identity_morphism
 from extriang.homext import (
     SES,
     all_conflations,
@@ -22,6 +22,7 @@ from extriang.homext import (
     ext_pull,
     ext_push,
 )
+from oracles import is_isomorphic
 
 
 def idx_of(catalog, dims):
@@ -46,6 +47,28 @@ def test_projective_cover_surjective(bundle):
     for m in bundle.mod_lambda.indecs:
         cover = projective_cover(m)
         assert cover.is_surjective()
+
+
+def test_projective_cover_past_the_int64_guard():
+    # at p = 2**31 - 1 the path products of a (1, 3, 3) module over 1 -> 2 -> 3
+    # have inner dimension 3, past the int64 guard of a single product;
+    # Python ints check that the cover commutes with the arrows
+    p = 2**31 - 1
+    alg = Algebra(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
+    a = Mat.from_rows(p, [[p - 1], [p - 2], [p - 3]])
+    b = Mat.from_rows(p, [[p - 1, p - 2, p - 1], [p - 3, p - 1, p - 2], [p - 2, p - 2, p - 1]])
+    m = Module(alg, p, (1, 3, 3), {"a": a, "b": b})
+    cover = projective_cover(m)
+    assert cover.is_surjective()
+    assert cover.source.dims == (1, 3, 3)
+
+    def exact(x, y):
+        return (x.a.astype(object) @ y.a.astype(object)) % p
+
+    for arrow in alg.arrows:
+        lhs = exact(cover.comps[arrow.tgt], cover.source.action[arrow.name])
+        rhs = exact(m.action[arrow.name], cover.comps[arrow.src])
+        assert (lhs == rhs).all()
 
 
 def test_lift_through_projective_cover(bundle):

@@ -27,8 +27,6 @@ from extriang.quivrep import (
     dump_algebra_text,
     enumerate_indecomposables,
     hom_basis,
-    is_indecomposable,
-    is_isomorphic,
     kernel,
     cokernel,
     morphism_coords,
@@ -39,6 +37,7 @@ from extriang.quivrep import (
     zero_module,
 )
 from extriang.recol import build_triangular
+from oracles import is_indecomposable, is_isomorphic
 
 A2 = Algebra(("1", "2"), (Arrow("a", "1", "2"),))
 D4 = Algebra(("0", "1", "2", "3"),
@@ -134,6 +133,20 @@ def test_is_isomorphic_basics(a2_catalog):
     assert not is_isomorphic(s1, s2)
 
 
+def test_decompose_agrees_with_the_isomorphism_oracle(bundle):
+    # check_recollement reads "isomorphic to catalog entry k" as a
+    # decomposition {k: 1}; the exhaustive Hom walk must agree on every
+    # entry and every sum of two entries of both bundled catalogs
+    for catalog in (bundle.mod_a, bundle.mod_lambda):
+        entries = catalog.indecs
+        modules = list(entries) + [direct_sum([x, y]) for x, y in
+                                   itertools.combinations_with_replacement(entries, 2)]
+        for m in modules:
+            dec = catalog.decompose(m)
+            for k, u in enumerate(entries):
+                assert (dec == {k: 1}) == is_isomorphic(m, u)
+
+
 def test_indecomposability(a2_catalog):
     s2 = a2_catalog.indecs[by_dims(a2_catalog, (0, 1))]
     p1 = a2_catalog.indecs[by_dims(a2_catalog, (1, 1))]
@@ -148,6 +161,11 @@ def test_decompose_examples(a2_catalog):
     p1 = a2_catalog.indecs[p1_idx]
     assert decompose(zero_module(A2, 2), a2_catalog) == {}
     assert decompose(direct_sum([p1, p1]), a2_catalog) == {p1_idx: 2}
+    # the split test's composites have inner dimension 3 here, past the
+    # int64 guard of a single product at p = 2**31 - 1
+    point = enumerate_indecomposables(POINT, 1, 2**31 - 1)
+    s = point.indecs[0]
+    assert point.decompose(direct_sum([s, s, s])) == {0: 3}
 
 
 def test_decompose_catalog_incomplete(a2_catalog):

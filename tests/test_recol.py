@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from extriang.quivrep import hom_basis, is_isomorphic
+from extriang.quivrep import hom_basis
 from extriang.excat import Subcat, enumerate_torsion_pairs, verify_torsion_pair
 from extriang.recol import (
     NotRestrictedFunctorError,
@@ -17,6 +17,7 @@ from extriang.recol import (
     restrict_torsion_pair,
     six_functors,
 )
+from oracles import is_isomorphic
 
 
 def lam(bundle, name):
@@ -95,7 +96,7 @@ def test_corrupted_recollement_is_caught(bundle):
     six["j_lower_shriek"] = swapped_shriek
     corrupted = RecollementData(
         a_cat=r.a_cat, b_cat=r.b_cat, c_cat=r.c_cat,
-        six=six, units_counits=r.units_counits, triangular=r.triangular,
+        six=six, triangular=r.triangular,
     )
     report = check_recollement(corrupted)
     assert not report.ok
@@ -340,6 +341,17 @@ def test_glue_always_valid_on_abelian_recollement(bundle):
             g = glue_torsion_pairs(bundle.full, tp1, tp2)
             assert g.verdict.ok, (sorted(tp1.t.members), sorted(tp2.t.members))
             assert g.recovery["equals_inputs"]
+
+
+def test_glue_classifies_each_functor_once(bundle):
+    # every glue classifies i^! and i^*; the cache keeps one answer per functor
+    outer_pairs = enumerate_torsion_pairs(bundle.full_a)
+    classify_functor.cache_clear()
+    for tp1 in outer_pairs:
+        for tp2 in outer_pairs:
+            glue_torsion_pairs(bundle.full, tp1, tp2)
+    info = classify_functor.cache_info()
+    assert (info.misses, info.hits) == (2, 48)
 
 
 def test_quotient_recollement_gates_by_default(bundle, b_indices):
