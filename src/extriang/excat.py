@@ -103,6 +103,8 @@ class ExCat:
             self.objects = Subcat.add(catalog, members)
         self.cap = cap
         self._conflations: Optional[list[ConflationRecord]] = None
+        # (object, torsion multiset, free multiset) -> witness or None
+        self._witness_memo: dict[tuple, Optional[SES]] = {}
         if not self.is_full():
             bad = self.extension_closure_failure()
             if bad is not None:
@@ -248,31 +250,56 @@ def _bounded_multisets(members: Sequence[int], catalog: Catalog, max_dims: tuple
     return out
 
 
+def _dims_of(catalog: Catalog, ms: Sequence[int]) -> tuple[int, ...]:
+    """Dimension vector of the direct sum of the catalog entries in ms."""
+    out = (0,) * len(catalog.algebra.vertices)
+    for i in ms:
+        out = tuple(a + b for a, b in zip(out, catalog.indecs[i].dims))
+    return out
+
+
+def _witness_from_classes(
+    catalog: Catalog, c_index: int, t_ms: tuple[int, ...], f_ms: tuple[int, ...]
+) -> Optional[SES]:
+    """First extension class of sum(f_ms) by sum(t_ms) whose middle is C, rebased onto C."""
+    c_mod = catalog.indecs[c_index]
+    space = ext1_space(catalog.sum_of(f_ms), catalog.sum_of(t_ms))
+    for cls in space.elements():
+        ses = space.realize(cls)
+        if catalog.decompose(ses.b) != {c_index: 1}:
+            continue
+        # ses.b ~ c_mod splits off itself; with equal dimension
+        # vectors the retraction g is an isomorphism ses.b -> c_mod
+        _, g = split_off_summand(c_mod, ses.b)
+        return SES(ses.a, c_mod, ses.c, g @ ses.inc, ses.prj @ g.inverse())
+    return None
+
+
 def _find_witness(c_index: int, t: Subcat, f: Subcat, e: ExCat) -> Optional[SES]:
     """Canonical conflation T -> C -> F for one host object, if one exists.
 
     Candidates are scanned in a fixed order (torsion part by size then
     lexicographic, then the free part of complementary dimension vector,
-    then extension classes), so the witness is deterministic.
+    then extension classes), so the witness is deterministic.  Each
+    candidate (C, torsion part, free part) is realized at most once per
+    host: its outcome, a failure included, is kept in the host's memo.
+    The memo only skips recomputation, never changes which candidates a
+    query visits or in what order, so witnesses do not depend on the
+    order of earlier queries.
     """
     catalog = e.catalog
-    c_mod = catalog.indecs[c_index]
-    for t_ms in _bounded_multisets(t.sorted_members(), catalog, c_mod.dims):
-        t_mod = catalog.sum_of(t_ms)
-        comp_dims = tuple(c - d for c, d in zip(c_mod.dims, t_mod.dims))
+    c_dims = catalog.indecs[c_index].dims
+    for t_ms in _bounded_multisets(t.sorted_members(), catalog, c_dims):
+        comp_dims = tuple(c - d for c, d in zip(c_dims, _dims_of(catalog, t_ms)))
         for f_ms in _bounded_multisets(f.sorted_members(), catalog, comp_dims):
-            f_mod = catalog.sum_of(f_ms)
-            if tuple(a + b for a, b in zip(t_mod.dims, f_mod.dims)) != c_mod.dims:
+            if _dims_of(catalog, f_ms) != comp_dims:
                 continue
-            space = ext1_space(f_mod, t_mod)
-            for cls in space.elements():
-                ses = space.realize(cls)
-                if catalog.decompose(ses.b) != {c_index: 1}:
-                    continue
-                # ses.b ~ c_mod splits off itself; with equal dimension
-                # vectors the retraction g is an isomorphism ses.b -> c_mod
-                _, g = split_off_summand(c_mod, ses.b)
-                return SES(ses.a, c_mod, ses.c, g @ ses.inc, ses.prj @ g.inverse())
+            key = (c_index, t_ms, f_ms)
+            if key not in e._witness_memo:
+                e._witness_memo[key] = _witness_from_classes(catalog, *key)
+            ses = e._witness_memo[key]
+            if ses is not None:
+                return ses
     return None
 
 

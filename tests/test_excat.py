@@ -1,7 +1,11 @@
 """Inherited conflation structure, torsion pairs, cluster tilting, quotients."""
 
+import itertools
+import random
+
 import pytest
 
+from extriang import excat, homext
 from extriang.quivrep import hom_basis, morphism_from_coords, zero_morphism, identity_morphism
 from extriang.excat import (
     ExCat,
@@ -20,6 +24,7 @@ from extriang.excat import (
     torsion_pairs_to_json,
     verify_torsion_pair,
 )
+from oracles import find_witness_by_scan
 
 
 def a_idx(bundle, name):
@@ -189,6 +194,88 @@ def test_enumerate_contains_degenerate_and_example(bundle, b_indices):
     assert (all_members, ()) in keyed
     assert ((b_indices["P1;0"],),
             tuple(sorted([b_indices["0;P1"], b_indices["S2;0"]]))) in keyed
+
+
+def perp_queries(host, max_size=None):
+    """(T, T^perp) for every member subset T of at most max_size members."""
+    cat = host.catalog
+    members = host.indec_indices()
+    sizes = range(len(members) + 1 if max_size is None else max_size + 1)
+    return [
+        (t, tuple(j for j in members if all(cat.dim_hom(i, j) == 0 for i in t)))
+        for size in sizes
+        for t in itertools.combinations(members, size)
+    ]
+
+
+def fresh_copy(host):
+    """The same host with an empty witness memo."""
+    members = None if host.is_full() else host.objects.members
+    return ExCat(host.catalog, members, cap=host.cap)
+
+
+def scan_hosts(bundle):
+    """(host, queries) for mod A, B_ext and mod Lambda, with every subset."""
+    return [(h, perp_queries(h)) for h in (bundle.full_a, bundle.b_ext, bundle.full_b)]
+
+
+def test_witnesses_agree_with_the_scan_oracle(bundle):
+    rng = random.Random(8)
+    for host, max_size in ((bundle.full_a, None), (bundle.b_ext, None), (bundle.full_b, 2)):
+        cat = host.catalog
+        queries = perp_queries(host, max_size)
+        rng.shuffle(queries)
+        for t_tuple, f_tuple in queries:
+            t, f = Subcat.add(cat, t_tuple), Subcat.add(cat, f_tuple)
+            res = verify_torsion_pair(t, f, host)
+            expected = {c: find_witness_by_scan(c, t, f, host) for c in host.indec_indices()}
+            missing = [c for c, ses in expected.items() if ses is None]
+            if missing:
+                assert not res.ok and res.clause == "conflation_existence"
+                assert res.detail == {"object": missing[0]}
+                continue
+            assert res.ok
+            for c, ses in expected.items():
+                got = res.pair.witness[c]
+                assert (got.a, got.b, got.c, got.inc, got.prj) == (
+                    ses.a, ses.b, ses.c, ses.inc, ses.prj)
+
+
+def test_witnesses_do_not_depend_on_query_order(bundle):
+    rng = random.Random(31)
+    for host, queries in scan_hosts(bundle):
+        shuffled = list(queries)
+        rng.shuffle(shuffled)
+        answers = []
+        for order in (queries, shuffled):
+            e = fresh_copy(host)
+            sub = lambda ms: Subcat.add(e.catalog, ms)
+            answers.append({
+                q: verify_torsion_pair(sub(q[0]), sub(q[1]), e).to_json_dict() for q in order
+            })
+        assert answers[0] == answers[1]
+
+
+def test_torsion_scan_realizes_each_candidate_once(bundle, monkeypatch):
+    # the memo decides only whether a candidate is recomputed, never which
+    # candidates a query visits, so these counts hold in any query order
+    counts = {"realize": 0, "split": 0}
+
+    def spy(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    hosts = [(fresh_copy(h), queries) for h, queries in scan_hosts(bundle)]
+    monkeypatch.setattr(homext.Ext1Space, "realize", spy("realize", homext.Ext1Space.realize))
+    monkeypatch.setattr(excat, "split_off_summand", spy("split", excat.split_off_summand))
+    for e, queries in hosts:
+        for t, f in queries:
+            verify_torsion_pair(Subcat.add(e.catalog, t), Subcat.add(e.catalog, f), e)
+    assert sum(len(q) for _, q in hosts) == 2072
+    assert counts == {"realize": 153, "split": 52}
+    assert [len(e._witness_memo) for e, _ in hosts] == [9, 11, 98]
 
 
 def test_approximations(bundle, b_indices):
