@@ -1,11 +1,15 @@
 """Ext^1 spaces, extension realization, and conflation enumeration.
 
-Ext^1(C, A) is computed from a projective presentation: with K the kernel
-of a projective cover P0 -> C, the long exact sequence identifies
-Ext^1(C, A) with Hom(K, A) modulo morphisms extending to P0.  A class is
-stored as canonical reduced coordinates in the fixed Hom(K, A) basis;
-realization is the pushout of K -> P0 -> C along the cocycle, and reading
-a class off a short exact sequence lifts the cover through its surjection.
+An extension a >-> e ->> c splits at each vertex as a vector space, so
+e_v = a_v (+) c_v and each arrow acts by e_x = [[a_x, phi_x], [0, c_x]]
+for a block phi_x: c_src -> a_tgt.  e satisfies a relation exactly when
+the upper-right corner of the relation's block matrix vanishes; that
+corner is linear in phi, and its solutions are the cocycles Z.  Two such
+extensions are equivalent with the ends fixed exactly through a map
+[[1, h], [0, 1]], which changes phi by the coboundary
+x -> a_x h_src - h_tgt c_x; these make up B, and Ext^1(c, a) = Z / B.
+A class is stored as canonical coordinates in a fixed basis of Z,
+reduced modulo B.
 
 Extension equivalence is always taken with the ends fixed: two sequences
 are equivalent exactly when their reduced coordinates agree.
@@ -17,236 +21,20 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .exactfield import Mat
 from .quivrep import (
-    Algebra,
     Catalog,
     Module,
     Morphism,
-    NotFiniteDimensionalError,
-    _add_kron_eye,
     _commuting_system,
-    _morphism_from_vector,
-    cokernel,
     direct_sum,
     hom_basis,
-    identity_morphism,
-    kernel,
-    morphism_coords,
     morphism_coords_many,
-    morphism_from_coords,
 )
-
-_MAX_PATHS = 200_000
-
-
-# -- projectives --------------------------------------------------------------
-
-
-@dataclass
-class ProjectiveData:
-    """Indecomposable projective at a vertex, with its monomial path basis."""
-
-    module: Module
-    vertex: str
-    basis_paths: tuple[tuple[tuple[str, ...], str], ...]  # (path, target vertex)
-
-
-@lru_cache(maxsize=None)
-def projective_module(algebra: Algebra, p: int, v: str) -> ProjectiveData:
-    """Build P(v) = (kQ/I)e_v from paths out of v.
-
-    Works degree by degree: the relation ideal is graded because every
-    relation must be length homogeneous (all terms of equal length), so the
-    quotient piece in each degree is span(paths)/span(padded relations) and
-    path enumeration stops at the first empty degree.  Raises
-    NotFiniteDimensionalError when no empty degree appears within a safety
-    budget of paths.
-    """
-    for rel in algebra.relations:
-        lengths = {sum(1 for _ in path) for _, path in rel}
-        if len(lengths) != 1:
-            raise NotImplementedError(
-                "projectives need length-homogeneous relations; "
-                f"got mixed term lengths in {rel}"
-            )
-
-    by_name = algebra.arrow_by_name
-    out_arrows: dict[str, list] = {w: [] for w in algebra.vertices}
-    for a in algebra.arrows:
-        out_arrows[a.src].append(a)
-
-    def extend(paths_with_tgt):
-        nxt = []
-        for path, tgt in paths_with_tgt:
-            for a in out_arrows[tgt]:
-                nxt.append(((a.name,) + path, a.tgt))
-        return nxt
-
-    # raw paths from every vertex, per degree (left pads need all sources)
-    raw: dict[str, list[list]] = {u: [[((), u)]] for u in algebra.vertices}
-
-    def raw_upto(u: str, d: int):
-        lst = raw[u]
-        while len(lst) <= d:
-            lst.append(extend(lst[-1]))
-            if sum(len(level) for level in lst) > _MAX_PATHS:
-                raise NotFiniteDimensionalError(
-                    f"path count from {u} exceeded {_MAX_PATHS}; "
-                    "algebra is not (or not recognizably) finite dimensional"
-                )
-        return lst
-
-    basis: list[tuple[tuple[str, ...], str]] = []
-    # reduction data per (degree, target vertex): (paths, index, rref rows, pivots)
-    reduction: dict[tuple[int, str], dict] = {}
-    degree = 0
-    while True:
-        level = raw_upto(v, degree)[degree]
-        if not level and degree > 0:
-            break
-        # relation instances of this exact degree, grouped by target vertex
-        inst_by_tgt: dict[str, list[np.ndarray]] = {w: [] for w in algebra.vertices}
-        paths_by_tgt: dict[str, list[tuple[str, ...]]] = {w: [] for w in algebra.vertices}
-        for path, tgt in level:
-            paths_by_tgt[tgt].append(path)
-        pos = {
-            w: {path: k for k, path in enumerate(paths_by_tgt[w])}
-            for w in algebra.vertices
-        }
-        for rel in algebra.relations:
-            rel_src = algebra.path_source(rel[0][1])
-            rel_tgt = algebra.path_target(rel[0][1])
-            rel_len = len(rel[0][1])
-            for q_len in range(0, degree - rel_len + 1):
-                p_len = degree - rel_len - q_len
-                for q_path, q_tgt in raw_upto(v, q_len)[q_len]:
-                    if q_tgt != rel_src:
-                        continue
-                    for p_path, p_tgt in raw_upto(rel_tgt, p_len)[p_len]:
-                        vec = np.zeros(len(paths_by_tgt[p_tgt]), dtype=np.int64)
-                        ok = True
-                        for coeff, term in rel:
-                            full = p_path + term + q_path
-                            idx = pos[p_tgt].get(full)
-                            if idx is None:
-                                ok = False  # term died inside another relation pad
-                                break
-                            vec[idx] = (vec[idx] + coeff) % p
-                        if ok and vec.any():
-                            inst_by_tgt[p_tgt].append(vec)
-        new_dims = 0
-        for w in algebra.vertices:
-            paths = paths_by_tgt[w]
-            if not paths:
-                continue
-            if inst_by_tgt[w]:
-                mat = Mat(p, np.stack(inst_by_tgt[w]))
-                r, pivots = mat.rref()
-            else:
-                r, pivots = Mat.zeros(p, 0, len(paths)), ()
-            reduction[(degree, w)] = {
-                "paths": paths,
-                "index": pos[w],
-                "rref": r,
-                "pivots": pivots,
-            }
-            pivset = set(pivots)
-            for k, path in enumerate(paths):
-                if k not in pivset:
-                    basis.append((path, w))
-                    new_dims += 1
-        if degree > 0 and new_dims == 0:
-            break
-        degree += 1
-
-    basis_pos = {path: k for k, (path, _) in enumerate(basis)}
-    per_vertex = {w: [k for k, (_, tgt) in enumerate(basis) if tgt == w] for w in algebra.vertices}
-    dims = {w: len(per_vertex[w]) for w in algebra.vertices}
-    local = {w: {k: i for i, k in enumerate(per_vertex[w])} for w in algebra.vertices}
-
-    def reduce_path(path: tuple[str, ...], tgt: str) -> np.ndarray:
-        """Coordinates of a path's class in the basis at its target vertex."""
-        out = np.zeros(dims[tgt], dtype=np.int64)
-        data = reduction.get((len(path), tgt))
-        if data is None:
-            return out  # empty degree: path is zero in the quotient
-        x = np.zeros(len(data["paths"]), dtype=np.int64)
-        x[data["index"][path]] = 1
-        r = data["rref"]
-        for row, pc in enumerate(data["pivots"]):
-            if x[pc]:
-                x = (x - x[pc] * r.a[row]) % p
-        for k, path2 in enumerate(data["paths"]):
-            if x[k]:
-                out[local[tgt][basis_pos[path2]]] = x[k]
-        return out
-
-    action = {}
-    for a in algebra.arrows:
-        r, c = dims[a.tgt], dims[a.src]
-        m = np.zeros((r, c), dtype=np.int64)
-        for col, k in enumerate(per_vertex[a.src]):
-            path, _ = basis[k]
-            m[:, col] = reduce_path((a.name,) + path, a.tgt)
-        action[a.name] = Mat(p, m)
-    module = Module(algebra, p, dims, action)
-    return ProjectiveData(module=module, vertex=v, basis_paths=tuple(basis))
-
-
-def projective_cover(m: Module) -> Morphism:
-    """Surjection from a direct sum of indecomposable projectives onto m.
-
-    One projective summand per basis vector of the top m/rad(m); lifts are
-    standard basis vectors chosen greedily outside the radical.
-    """
-    alg, p = m.algebra, m.p
-    generators: list[tuple[str, np.ndarray]] = []
-    for v in alg.vertices:
-        n = m.dim(v)
-        if n == 0:
-            continue
-        incoming = [m.action[a.name].a for a in alg.arrows if a.tgt == v and m.dim(a.src)]
-        rad = np.hstack(incoming) if incoming else np.zeros((n, 0), dtype=np.int64)
-        span = rad
-        for i in range(n):
-            e = np.zeros((n, 1), dtype=np.int64)
-            e[i, 0] = 1
-            candidate = np.hstack([span, e])
-            if Mat(p, candidate).rank() > Mat(p, span).rank():
-                generators.append((v, e[:, 0]))
-                span = candidate
-    pieces = [projective_module(alg, p, v) for v, _ in generators]
-    p0 = direct_sum([pd.module for pd in pieces], algebra=alg, p=p)
-    comps = {w: np.zeros((m.dim(w), p0.dim(w)), dtype=np.int64) for w in alg.vertices}
-    offsets = {w: 0 for w in alg.vertices}
-    for (v, x), pd in zip(generators, pieces):
-        per_vertex: dict[str, list] = {w: [] for w in alg.vertices}
-        for path, tgt in pd.basis_paths:
-            per_vertex[tgt].append(path)
-        for w in alg.vertices:
-            for j, path in enumerate(per_vertex[w]):
-                vec = Mat(p, x.reshape(-1, 1))
-                for name in reversed(path):
-                    vec = m.action[name] @ vec
-                comps[w][:, offsets[w] + j] = vec.a[:, 0]
-            offsets[w] += len(per_vertex[w])
-    cover = Morphism(p0, m, {w: Mat(p, comps[w]) for w in alg.vertices})
-    if not cover.is_surjective():
-        raise AssertionError("projective cover failed to be surjective")
-    return cover
-
-
-@lru_cache(maxsize=None)
-def presentation(m: Module) -> tuple[Module, Morphism, Morphism]:
-    """(K, incl, cover) with K -> P0 -> m exact, P0 projective."""
-    cover = projective_cover(m)
-    k, incl = kernel(cover)
-    return k, incl, cover
 
 
 # -- short exact sequences -----------------------------------------------------
@@ -318,88 +106,34 @@ def summand_projection(mods: Sequence[Module], k: int, total: Optional[Module] =
     return Morphism(total, mods[k], comps, check=False)
 
 
-@lru_cache(maxsize=None)
-def lift_through_surjection(target_map: Morphism, surjection: Morphism) -> Morphism:
-    """Find lam with surjection @ lam = target_map; source must be projective.
-
-    Solves one linear system over F_p: the commuting squares of lam plus
-    the composition rows (surj_v kron I) vec(lam_v) = vec(target_v).
-    Raises when inconsistent.  Lifts repeat heavily along the five-term
-    maps, so they are memoized by value (a failed lift is not cached).
-    """
-    p0 = target_map.source
-    b = surjection.source
-    if target_map.target != surjection.target:
-        raise ValueError("codomain mismatch")
-    p = p0.p
-    squares, offsets = _commuting_system(p0, b)
-    rows = [squares.a]
-    rhs = [np.zeros(squares.rows, dtype=np.int64)]
-    for v in p0.algebra.vertices:
-        block = np.zeros((target_map.target.dim(v) * p0.dim(v), squares.cols), dtype=np.int64)
-        width = b.dim(v) * p0.dim(v)
-        _add_kron_eye(block[:, offsets[v]:offsets[v] + width], surjection.comps[v].a, p0.dim(v))
-        rows.append(block)
-        rhs.append(target_map.comps[v].a.reshape(-1))
-    x = Mat(p, np.vstack(rows)).solve(Mat(p, np.concatenate(rhs).reshape(-1, 1)))
-    if x is None:
-        raise ValueError("no lift exists (source not projective over this surjection?)")
-    return _morphism_from_vector(x.a[:, 0], p0, b, offsets, check=True)
-
-
-def is_split(ses: SES) -> bool:
-    """A retraction of inc exists iff the sequence splits (linear solve)."""
-    try:
-        lift_through_surjection(identity_morphism(ses.c), ses.prj)
-        return True
-    except ValueError:
-        return False
-
-
-def pushout_ses(ses: SES, h: Morphism) -> SES:
-    """Push a >-> b ->> c forward along h: a -> y, giving y >-> e ->> c."""
-    if h.source != ses.a:
-        raise ValueError("pushout map must start at the subobject")
-    y = h.target
-    alg, p = y.algebra, y.p
-    by = direct_sum([ses.b, y])
-    w_comps = {v: ses.inc.comps[v].vstack(-h.comps[v]) for v in alg.vertices}
-    w = Morphism(ses.a, by, w_comps, check=False)
-    e, proj, sect = cokernel(w)
-    inc = proj @ summand_inclusion([ses.b, y], 1, by)
-    prj_comps = {}
-    for v in alg.vertices:
-        wide = ses.prj.comps[v].hstack(Mat.zeros(p, ses.c.dim(v), y.dim(v)))
-        prj_comps[v] = wide @ sect[v]
-    prj = Morphism(e, ses.c, prj_comps)
-    return SES(y, e, ses.c, inc, prj)
-
-
-def pullback_ses(ses: SES, h: Morphism) -> SES:
-    """Pull a >-> b ->> c back along h: x -> c, giving a >-> d ->> x."""
-    if h.target != ses.c:
-        raise ValueError("pullback map must land in the quotient")
-    x = h.source
-    alg, p = x.algebra, x.p
-    bx = direct_sum([ses.b, x])
-    u_comps = {v: ses.prj.comps[v].hstack(-h.comps[v]) for v in alg.vertices}
-    u = Morphism(bx, ses.c, u_comps, check=False)
-    d, incl = kernel(u)
-    inc_comps = {}
-    prj_comps = {}
-    for v in alg.vertices:
-        lifted = ses.inc.comps[v].vstack(Mat.zeros(p, x.dim(v), ses.a.dim(v)))
-        sol = incl.comps[v].solve(lifted)
-        if sol is None:
-            raise AssertionError("pullback inclusion failed")
-        inc_comps[v] = sol
-        prj_comps[v] = incl.comps[v].a[ses.b.dim(v):, :]
-    inc = Morphism(ses.a, d, inc_comps)
-    prj = Morphism(d, x, {v: Mat(p, prj_comps[v]) for v in alg.vertices})
-    return SES(ses.a, d, x, inc, prj)
-
-
 # -- Ext^1 ---------------------------------------------------------------------
+
+
+def _relation_system(c: Module, a: Module, offsets: Mapping[str, int], total: int) -> Mat:
+    """The relations of the extension [[a, phi], [0, c]] as equations in phi.
+
+    A term x_k...x_1 has upper-right corner
+    sum_i a_{x_k...x_{i+1}} phi_{x_i} c_{x_{i-1}...x_1}, and
+    vec(L phi R) = (L kron R^T) vec(phi) for row-major vec.  Unknowns are
+    laid out as in Ext1Space.  Every Kronecker product and every multiple
+    by a coefficient is reduced mod p at once, so entries stay below
+    (p-1)**2.
+    """
+    alg, p = c.algebra, c.p
+    rows: list[np.ndarray] = []
+    for rel in alg.relations:
+        src, tgt = alg.path_source(rel[0][1]), alg.path_target(rel[0][1])
+        block = np.zeros((a.dim(tgt) * c.dim(src), total), dtype=np.int64)
+        for coeff, path in rel:
+            for i, name in enumerate(path):
+                after, before = path[:i], path[i + 1:]
+                left = a.path_matrix(after).a if after else np.eye(a.dim(tgt), dtype=np.int64)
+                right = c.path_matrix(before).a if before else np.eye(c.dim(src), dtype=np.int64)
+                term = np.kron(left, right.T) % p * (coeff % p) % p
+                cols = slice(offsets[name], offsets[name] + term.shape[1])
+                block[:, cols] = (block[:, cols] + term) % p
+        rows.append(block)
+    return Mat(p, np.vstack(rows)) if rows else Mat.zeros(p, 0, total)
 
 
 @dataclass(frozen=True)
@@ -420,8 +154,9 @@ class ExtClass:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def cocycle(self) -> Morphism:
-        return morphism_from_coords(self.coords, self.space.hom_k_a, self.space.k, self.space.a)
+    def cocycle(self) -> dict[str, Mat]:
+        """The blocks phi_x: c_src -> a_tgt of the class's cocycle, by arrow name."""
+        return self.space.cocycle(self.coords)
 
     def realize(self) -> SES:
         return self.space.realize(self)
@@ -439,7 +174,13 @@ class ExtClass:
 
 
 class Ext1Space:
-    """Ext^1(c, a) = Hom(K, a) / restrictions from P0, with fixed coordinates."""
+    """Ext^1(c, a) = cocycles / coboundaries on the arrows, with fixed coordinates.
+
+    A cocycle's unknowns are the row-major entries of its blocks phi_x,
+    in arrow order; the coboundaries of the unit vertexwise maps h are the
+    columns of the Hom(c, a) commuting-square system, whose rows have the
+    same layout.
+    """
 
     def __init__(self, c: Module, a: Module):
         if c.algebra != a.algebra or c.p != a.p:
@@ -447,14 +188,21 @@ class Ext1Space:
         self.c = c
         self.a = a
         self.p = c.p
-        self.k, self.incl, self.cover = presentation(c)
-        self.presentation_ses = SES(self.k, self.incl.target, c, self.incl, self.cover)
-        self.hom_k_a = hom_basis(self.k, a)
-        restricted = [phi @ self.incl for phi in hom_basis(self.incl.target, a)]
-        # one row of hom_k_a coordinates per restriction
-        coords = morphism_coords_many(restricted, self.hom_k_a).T
-        self._rref, self._pivots = Mat(self.p, coords).rref()
-        self._free = [i for i in range(len(self.hom_k_a)) if i not in self._pivots]
+        self._offsets: dict[str, int] = {}
+        total = 0
+        for x in c.algebra.arrows:
+            self._offsets[x.name] = total
+            total += a.dim(x.tgt) * c.dim(x.src)
+        self._relations = _relation_system(c, a, self._offsets, total)
+        held = set(self._relations.rref()[1])
+        # kernel_basis() is the identity on the free unknowns of the
+        # relations, so a cocycle's entries there are its coordinates in Z
+        self._zfree = [i for i in range(total) if i not in held]
+        self._z = self._relations.kernel_basis()
+        boundaries, _ = _commuting_system(c, a)
+        # one row of Z coordinates per coboundary
+        self._rref, self._pivots = Mat(self.p, boundaries.a[self._zfree].T).rref()
+        self._free = [i for i in range(len(self._zfree)) if i not in self._pivots]
 
     @property
     def dim(self) -> int:
@@ -473,12 +221,12 @@ class Ext1Space:
         return x[self._free] if len(x) else np.zeros(0, dtype=np.int64)
 
     def zero(self) -> ExtClass:
-        return ExtClass(self, tuple([0] * len(self.hom_k_a)))
+        return ExtClass(self, tuple([0] * len(self._zfree)))
 
     def basis(self) -> list[ExtClass]:
         out = []
         for i in self._free:
-            coords = [0] * len(self.hom_k_a)
+            coords = [0] * len(self._zfree)
             coords[i] = 1
             out.append(ExtClass(self, tuple(coords)))
         return out
@@ -487,37 +235,65 @@ class Ext1Space:
         """All p**dim classes, the zero class first."""
         out = []
         for combo in itertools.product(range(self.p), repeat=self.dim):
-            coords = [0] * len(self.hom_k_a)
+            coords = [0] * len(self._zfree)
             for value, i in zip(combo, self._free):
                 coords[i] = value
             out.append(ExtClass(self, tuple(coords)))
         return out
 
-    def class_from_cocycle(self, xi: Morphism) -> ExtClass:
-        if xi.source != self.k or xi.target != self.a:
-            raise ValueError("cocycle endpoints wrong")
-        if not self.hom_k_a:
-            return self.zero()
-        return ExtClass(self, self.reduce(morphism_coords(xi, self.hom_k_a)))
+    def cocycle(self, coords) -> dict[str, Mat]:
+        """Blocks phi_x of the cocycle with the given coordinates in Z."""
+        vec = (self._z @ Mat(self.p, np.array(coords, dtype=np.int64).reshape(-1, 1))).a[:, 0]
+        out = {}
+        for x in self.c.algebra.arrows:
+            r, k = self.a.dim(x.tgt), self.c.dim(x.src)
+            start = self._offsets[x.name]
+            out[x.name] = Mat(self.p, vec[start:start + r * k].reshape(r, k))
+        return out
+
+    def class_from_cocycle(self, phi: Mapping[str, Mat]) -> ExtClass:
+        """Class of the cocycle with blocks phi_x: c_src -> a_tgt, by arrow name."""
+        parts = []
+        for x in self.c.algebra.arrows:
+            if phi[x.name].shape != (self.a.dim(x.tgt), self.c.dim(x.src)):
+                raise ValueError(f"cocycle block at arrow {x.name} has the wrong shape")
+            parts.append(phi[x.name].a.reshape(-1))
+        vec = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        if not (self._relations @ Mat(self.p, vec.reshape(-1, 1))).is_zero():
+            raise ValueError("blocks violate a relation: not a cocycle")
+        return ExtClass(self, self.reduce(vec[self._zfree]))
 
     def realize(self, cls: ExtClass) -> SES:
-        """Short exact sequence with ends (a, c) realizing the class."""
-        return pushout_ses(self.presentation_ses, cls.cocycle())
+        """Short exact sequence a >-> [[a, phi], [0, c]] ->> c realizing the class."""
+        a, c = self.a, self.c
+        phi = cls.cocycle()
+        action = {
+            x.name: Mat(self.p, np.block([
+                [a.action[x.name].a, phi[x.name].a],
+                [np.zeros((c.dim(x.tgt), a.dim(x.src)), dtype=np.int64), c.action[x.name].a],
+            ]))
+            for x in a.algebra.arrows
+        }
+        dims = tuple(da + dc for da, dc in zip(a.dims, c.dims))
+        e = Module(a.algebra, self.p, dims, action, check=True)
+        return SES(a, e, c, summand_inclusion([a, c], 0, e), summand_projection([a, c], 1, e))
 
     def class_of(self, ses: SES) -> ExtClass:
-        """Class of a short exact sequence with ends equal to (a, c)."""
+        """Class of a short exact sequence with ends equal to (a, c).
+
+        With a vertexwise section s of the deflation, e_x s_src - s_tgt c_x
+        lands in the subobject, and pulling it back there gives phi_x.
+        """
         if ses.a != self.a or ses.c != self.c:
             raise ValueError("sequence ends do not match this Ext space")
-        lam = lift_through_surjection(self.cover, ses.prj)
-        composed = lam @ self.incl
-        xi_comps = {}
-        for v in self.k.algebra.vertices:
-            sol = ses.inc.comps[v].solve(composed.comps[v])
-            if sol is None:
-                raise AssertionError("lift did not land in the subobject")
-            xi_comps[v] = sol
-        xi = Morphism(self.k, self.a, xi_comps)
-        return self.class_from_cocycle(xi)
+        alg = self.c.algebra
+        section = {v: ses.prj.comps[v].solve(Mat.identity(self.p, self.c.dim(v))) for v in alg.vertices}
+        phi = {
+            x.name: ses.inc.comps[x.tgt].solve(
+                ses.b.action[x.name] @ section[x.src] - section[x.tgt] @ self.c.action[x.name])
+            for x in alg.arrows
+        }
+        return self.class_from_cocycle(phi)
 
 
 @lru_cache(maxsize=None)
@@ -534,33 +310,23 @@ def class_of(ses: SES) -> ExtClass:
 
 
 def ext_push(cls: ExtClass, g: Morphism, target_space: Optional[Ext1Space] = None) -> ExtClass:
-    """Image of a class under Ext^1(c, a) -> Ext^1(c, a') along g: a -> a'."""
+    """Image of a class under Ext^1(c, a) -> Ext^1(c, a') along g: a -> a',
+    phi_x -> g_tgt phi_x."""
     if g.source != cls.a:
         raise ValueError("map must start at the class's subobject")
     space = target_space or ext1_space(cls.c, g.target)
-    return space.class_from_cocycle(g @ cls.cocycle())
+    phi = cls.cocycle()
+    return space.class_from_cocycle({x.name: g.comps[x.tgt] @ phi[x.name] for x in g.source.algebra.arrows})
 
 
 def ext_pull(cls: ExtClass, h: Morphism, target_space: Optional[Ext1Space] = None) -> ExtClass:
-    """Image of a class under Ext^1(c, a) -> Ext^1(x, a) along h: x -> c.
-
-    Lifts h through the projective covers; the induced map on syzygies
-    composes with the cocycle.
-    """
+    """Image of a class under Ext^1(c, a) -> Ext^1(x, a) along h: x -> c,
+    phi_x -> phi_x h_src."""
     if h.target != cls.c:
         raise ValueError("map must land in the class's quotient")
     space = target_space or ext1_space(h.source, cls.a)
-    src_space = cls.space
-    h0 = lift_through_surjection(h @ space.cover, src_space.cover)
-    composed = h0 @ space.incl
-    h1_comps = {}
-    for v in space.k.algebra.vertices:
-        sol = src_space.incl.comps[v].solve(composed.comps[v])
-        if sol is None:
-            raise AssertionError("syzygy map did not restrict")
-        h1_comps[v] = sol
-    h1 = Morphism(space.k, src_space.k, h1_comps)
-    return space.class_from_cocycle(cls.cocycle() @ h1)
+    phi = cls.cocycle()
+    return space.class_from_cocycle({x.name: phi[x.name] @ h.comps[x.src] for x in h.source.algebra.arrows})
 
 
 # -- five-term exact sequences ---------------------------------------------------

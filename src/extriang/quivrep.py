@@ -42,10 +42,6 @@ class AlgebraFormatError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-class NotFiniteDimensionalError(ValueError):
-    """Path enumeration did not terminate under the relation ideal."""
-
-
 @dataclass(frozen=True)
 class Arrow:
     name: str
@@ -64,10 +60,7 @@ class Algebra:
     """A quiver with relations presenting a finite-dimensional algebra.
 
     Vertices and arrows carry string names.  Every relation's terms must
-    be composable paths sharing one source and one target vertex.  Whether
-    the quotient path algebra is finite dimensional can depend on the
-    prime (a coefficient may vanish mod p), so that check runs when
-    projectives are first built, not here.
+    be composable paths sharing one source and one target vertex.
     """
 
     vertices: tuple[str, ...]

@@ -3,81 +3,38 @@
 import pytest
 
 from extriang.exactfield import Mat
-from extriang.quivrep import Algebra, Arrow, Module, hom_basis, identity_morphism
+from extriang.quivrep import Algebra, Arrow, Module, enumerate_indecomposables, hom_basis, identity_morphism
 from extriang.homext import (
     SES,
+    ExtClass,
     all_conflations,
     class_of,
     ext1_space,
     five_term_contravariant,
     five_term_covariant,
-    is_split,
-    lift_through_surjection,
-    presentation,
-    projective_module,
-    projective_cover,
-    pullback_ses,
-    pushout_ses,
     split_ses,
     ext_pull,
     ext_push,
 )
-from oracles import is_isomorphic
+from oracles import is_isomorphic, is_split, lift_through_surjection, pullback_ses, pushout_ses
+
+
+A2 = Algebra(("1", "2"), (Arrow("a", "1", "2"),))
+A3 = Algebra(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
+D4 = Algebra(("0", "1", "2", "3"),
+             (Arrow("a1", "1", "0"), Arrow("a2", "2", "0"), Arrow("a3", "3", "0")))
+KRONECKER = Algebra(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
+# b.a = c has terms of lengths 2 and 1; the algebra is isomorphic to A3's
+MIXED = Algebra(("1", "2", "3"),
+                (Arrow("a", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "1", "3")),
+                (((1, ("b", "a")), (-1, ("c",))),))
+SQUARE = Algebra(("1", "2", "3", "4"),
+                 (Arrow("a", "1", "2"), Arrow("b", "2", "4"), Arrow("c", "1", "3"), Arrow("d", "3", "4")),
+                 (((1, ("b", "a")), (3, ("d", "c"))),))
 
 
 def idx_of(catalog, dims):
     return next(i for i, m in enumerate(catalog.indecs) if m.dims == dims)
-
-
-def test_projectives_of_a2(bundle):
-    p1 = projective_module(bundle.a_algebra, 2, "1")
-    p2 = projective_module(bundle.a_algebra, 2, "2")
-    assert p1.module.dims_by_vertex == {"1": 1, "2": 1}
-    assert p2.module.dims_by_vertex == {"1": 0, "2": 1}
-
-
-def test_projectives_of_lambda(bundle):
-    # P at the y-source vertex is the projective-injective (1,1,1,1) module
-    pd = projective_module(bundle.lambda_algebra, 2, "1y")
-    assert sum(pd.module.dims) == 4
-    assert all(d == 1 for d in pd.module.dims)
-
-
-def test_projective_cover_surjective(bundle):
-    for m in bundle.mod_lambda.indecs:
-        cover = projective_cover(m)
-        assert cover.is_surjective()
-
-
-def test_projective_cover_past_the_int64_guard():
-    # at p = 2**31 - 1 the path products of a (1, 3, 3) module over 1 -> 2 -> 3
-    # have inner dimension 3, past the int64 guard of a single product;
-    # Python ints check that the cover commutes with the arrows
-    p = 2**31 - 1
-    alg = Algebra(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
-    a = Mat.from_rows(p, [[p - 1], [p - 2], [p - 3]])
-    b = Mat.from_rows(p, [[p - 1, p - 2, p - 1], [p - 3, p - 1, p - 2], [p - 2, p - 2, p - 1]])
-    m = Module(alg, p, (1, 3, 3), {"a": a, "b": b})
-    cover = projective_cover(m)
-    assert cover.is_surjective()
-    assert cover.source.dims == (1, 3, 3)
-
-    def exact(x, y):
-        return (x.a.astype(object) @ y.a.astype(object)) % p
-
-    for arrow in alg.arrows:
-        lhs = exact(cover.comps[arrow.tgt], cover.source.action[arrow.name])
-        rhs = exact(m.action[arrow.name], cover.comps[arrow.src])
-        assert (lhs == rhs).all()
-
-
-def test_lift_through_projective_cover(bundle):
-    for c in bundle.mod_lambda.indecs:
-        cover = projective_cover(c)
-        for phi in hom_basis(cover.source, c):
-            lam = lift_through_surjection(phi, cover)
-            assert lam.source == cover.source and lam.target == cover.source
-            assert cover @ lam == phi
 
 
 def test_lift_of_identity_through_nonsplit_deflation_fails(bundle):
@@ -94,7 +51,6 @@ def test_equal_modules_share_presentation_and_ext_space(bundle):
     a = bundle.mod_lambda.indecs[0]
     twin = Module(m.algebra, m.p, m.dims, dict(m.action))
     assert twin is not m and twin == m
-    assert presentation(twin) is presentation(m)
     space = ext1_space(m, a)
     hits = ext1_space.cache_info().hits
     assert ext1_space(twin, Module(a.algebra, a.p, a.dims, dict(a.action))) is space
@@ -353,3 +309,51 @@ def test_first_map_iso_iff_third_term_zero(bundle):
         ses = rec.ses
         assert ses.inc.is_isomorphism() == ses.c.is_zero()
         assert ses.prj.is_isomorphism() == ses.a.is_zero()
+
+
+@pytest.mark.parametrize("algebra", [A2, A3, D4, KRONECKER], ids=["A2", "A3", "D4", "Kronecker"])
+@pytest.mark.parametrize("p, bound", [(2, 2), (3, 1)])
+def test_euler_form_on_hereditary_algebras(algebra, p, bound):
+    """Ringel's formula, which uses no Ext computation: over a path algebra
+    without relations, dim Hom(m, n) - dim Ext^1(m, n) is the Euler form
+    sum_v m_v n_v - sum_x m_src(x) n_tgt(x)."""
+    catalog = enumerate_indecomposables(algebra, bound, p)
+    for m in catalog.indecs:
+        for n in catalog.indecs:
+            euler = (sum(m.dim(v) * n.dim(v) for v in algebra.vertices)
+                     - sum(m.dim(x.src) * n.dim(x.tgt) for x in algebra.arrows))
+            assert len(hom_basis(m, n)) - ext1_space(m, n).dim == euler
+
+
+@pytest.mark.parametrize("p, bound", [(2, 2), (3, 1)])
+def test_relations_of_mixed_length(p, bound):
+    """c = b.a makes the arrow c redundant, so the algebra is A3 in disguise:
+    its indecomposables have A3's dimension vectors and Ext^1 agrees pair by
+    pair; every class of the mixed algebra survives realize and class_of."""
+    mixed = enumerate_indecomposables(MIXED, bound, p)
+    linear = {m.dims: m for m in enumerate_indecomposables(A3, bound, p).indecs}
+    assert sorted(m.dims for m in mixed.indecs) == sorted(linear)
+    total = 0
+    for c in mixed.indecs:
+        for a in mixed.indecs:
+            space = ext1_space(c, a)
+            assert space.dim == ext1_space(linear[c.dims], linear[a.dims]).dim
+            total += space.dim
+            for cls in space.elements():
+                assert space.class_of(space.realize(cls)) == cls
+    assert len(mixed) == 6 and total == 5
+
+
+def test_ext_round_trip_at_a_large_prime():
+    """At p = 2**31 - 1 the relation b.a + 3 d.c has products near
+    (p-1)**2; Module(check=True) checks the realized relations exactly."""
+    p = 2**31 - 1
+    s1 = Module(SQUARE, p, (1, 0, 0, 0), {})
+    a = Module(SQUARE, p, (0, 1, 1, 1), {"b": Mat.from_rows(p, [[p - 1]]), "d": Mat.from_rows(p, [[p - 2]])})
+    space = ext1_space(s1, a)
+    assert space.dim == 1
+    for basis_cls in space.basis():
+        cls = ExtClass(space, space.reduce([(p - 2) * t for t in basis_cls.coords]))
+        assert not cls.is_zero()
+        ses = space.realize(cls)
+        assert space.class_of(ses) == cls
