@@ -2,8 +2,10 @@
 """Regenerate the golden files under tests/golden/.
 
 The torsion-pair list for the middle extension-closed subcategory is an
-exhaustively computed oracle, the mod Lambda catalog is the output of
-`extriang catalog --example51 modLambda`, and the README commands file
+exhaustively computed oracle, the mod Lambda catalog and the torsion
+pairs of the whole mod Lambda are the outputs of `extriang catalog
+--example51 modLambda` and `extriang torsion enumerate --example51
+modLambda`, and the README commands file
 holds the exit code, stdout and stderr of every command in the README's
 command block; rewriting any of them is an explicit, reviewed act, so
 this script is the only thing that touches the files.
@@ -61,6 +63,9 @@ def main() -> int:
     print(f"wrote {out} ({len(pairs)} pairs)")
     out = GOLDEN / "catalog_modlambda.json"
     out.write_text(run_command(["catalog", "--example51", "modLambda"])["stdout"])
+    print(f"wrote {out}")
+    out = GOLDEN / "torsion_pairs_mod_lambda.json"
+    out.write_text(run_command(["torsion", "enumerate", "--example51", "modLambda"])["stdout"])
     print(f"wrote {out}")
     out = GOLDEN / "readme_commands.json"
     out.write_text(readme_commands_json())

@@ -105,6 +105,10 @@ class ExCat:
         self._conflations: Optional[list[ConflationRecord]] = None
         # (object, torsion multiset, free multiset) -> witness or None
         self._witness_memo: dict[tuple, Optional[SES]] = {}
+        # object -> its witness candidates over all members in scan order,
+        # as (torsion multiset, free multiset, their supports); a query
+        # keeps the rows inside its T and F, which is its own scan order
+        self._witness_candidates: dict[int, list[tuple]] = {}
         if not self.is_full():
             bad = self.extension_closure_failure()
             if bad is not None:
@@ -275,31 +279,53 @@ def _witness_from_classes(
     return None
 
 
+def _witness_candidates(c_index: int, e: ExCat) -> list[tuple]:
+    """The host's witness candidates for one object, built on first use.
+
+    Torsion multiset by size then lexicographic, then the free multiset of
+    complementary dimension vector, both over all host members.
+    """
+    rows = e._witness_candidates.get(c_index)
+    if rows is None:
+        catalog = e.catalog
+        members = e.indec_indices()
+        c_dims = catalog.indecs[c_index].dims
+        rows = []
+        for t_ms in _bounded_multisets(members, catalog, c_dims):
+            comp_dims = tuple(c - d for c, d in zip(c_dims, _dims_of(catalog, t_ms)))
+            for f_ms in _bounded_multisets(members, catalog, comp_dims):
+                if _dims_of(catalog, f_ms) == comp_dims:
+                    rows.append((t_ms, f_ms, frozenset(t_ms), frozenset(f_ms)))
+        e._witness_candidates[c_index] = rows
+    return rows
+
+
 def _find_witness(c_index: int, t: Subcat, f: Subcat, e: ExCat) -> Optional[SES]:
     """Canonical conflation T -> C -> F for one host object, if one exists.
 
     Candidates are scanned in a fixed order (torsion part by size then
     lexicographic, then the free part of complementary dimension vector,
-    then extension classes), so the witness is deterministic.  Each
-    candidate (C, torsion part, free part) is realized at most once per
-    host: its outcome, a failure included, is kept in the host's memo.
-    The memo only skips recomputation, never changes which candidates a
-    query visits or in what order, so witnesses do not depend on the
-    order of earlier queries.
+    then extension classes), so the witness is deterministic.  The host
+    lists its candidates for C once, over all members, and a query keeps
+    those with torsion part in T and free part in F.  That is the query's
+    own scan order: the multisets over a sorted subset of the members are
+    a sublist of those over all members, and sorting by (size, tuple) keeps
+    their relative order.  Each candidate (C, torsion part, free part) is
+    realized at most once per host: its outcome, a failure included, is
+    kept in the host's memo.  Neither the list nor the memo changes which
+    candidates a query visits or in what order, so witnesses do not depend
+    on the order of earlier queries.
     """
-    catalog = e.catalog
-    c_dims = catalog.indecs[c_index].dims
-    for t_ms in _bounded_multisets(t.sorted_members(), catalog, c_dims):
-        comp_dims = tuple(c - d for c, d in zip(c_dims, _dims_of(catalog, t_ms)))
-        for f_ms in _bounded_multisets(f.sorted_members(), catalog, comp_dims):
-            if _dims_of(catalog, f_ms) != comp_dims:
-                continue
-            key = (c_index, t_ms, f_ms)
-            if key not in e._witness_memo:
-                e._witness_memo[key] = _witness_from_classes(catalog, *key)
-            ses = e._witness_memo[key]
-            if ses is not None:
-                return ses
+    t_set, f_set = t.members, f.members
+    for t_ms, f_ms, t_support, f_support in _witness_candidates(c_index, e):
+        if not (t_support <= t_set and f_support <= f_set):
+            continue
+        key = (c_index, t_ms, f_ms)
+        if key not in e._witness_memo:
+            e._witness_memo[key] = _witness_from_classes(e.catalog, *key)
+        ses = e._witness_memo[key]
+        if ses is not None:
+            return ses
     return None
 
 

@@ -35,5 +35,10 @@ def golden_catalog_modlambda():
 
 
 @pytest.fixture(scope="session")
+def golden_torsion_pairs_mod_lambda():
+    return (GOLDEN_DIR / "torsion_pairs_mod_lambda.json").read_text()
+
+
+@pytest.fixture(scope="session")
 def golden_readme_commands():
     return json.loads((GOLDEN_DIR / "readme_commands.json").read_text())

@@ -77,29 +77,43 @@ def is_indecomposable(m: Module) -> bool:
     return True
 
 
+def witness_candidates_by_scan(c_index: int, t: Subcat, f: Subcat, e: ExCat) -> list[tuple]:
+    """(torsion multiset, free multiset) pairs in the torsion witness scan order.
+
+    Torsion part by size then lexicographic over t's members, then the free
+    part over f's members, kept when the two dimension vectors add up to C's.
+    """
+    catalog = e.catalog
+    c_dims = catalog.indecs[c_index].dims
+
+    def dims(ms):
+        return tuple(sum(catalog.indecs[i].dims[v] for i in ms) for v in range(len(c_dims)))
+
+    out = []
+    for t_ms in _bounded_multisets(t.sorted_members(), catalog, c_dims):
+        comp_dims = tuple(c - d for c, d in zip(c_dims, dims(t_ms)))
+        for f_ms in _bounded_multisets(f.sorted_members(), catalog, comp_dims):
+            if dims(f_ms) == comp_dims:
+                out.append((t_ms, f_ms))
+    return out
+
+
 def find_witness_by_scan(c_index: int, t: Subcat, f: Subcat, e: ExCat) -> Optional[SES]:
     """First conflation T -> C -> F in the torsion witness scan order, or None.
 
-    Realizes every candidate class afresh: torsion part by size then
-    lexicographic, then the free part of complementary dimension vector,
-    then extension classes.
+    Realizes every candidate class afresh, candidate by candidate in
+    `witness_candidates_by_scan` order, then extension class by class.
     """
     catalog = e.catalog
     c_mod = catalog.indecs[c_index]
-    for t_ms in _bounded_multisets(t.sorted_members(), catalog, c_mod.dims):
-        t_mod = catalog.sum_of(t_ms)
-        comp_dims = tuple(c - d for c, d in zip(c_mod.dims, t_mod.dims))
-        for f_ms in _bounded_multisets(f.sorted_members(), catalog, comp_dims):
-            f_mod = catalog.sum_of(f_ms)
-            if tuple(a + b for a, b in zip(t_mod.dims, f_mod.dims)) != c_mod.dims:
+    for t_ms, f_ms in witness_candidates_by_scan(c_index, t, f, e):
+        space = ext1_space(catalog.sum_of(f_ms), catalog.sum_of(t_ms))
+        for cls in space.elements():
+            ses = space.realize(cls)
+            if catalog.decompose(ses.b) != {c_index: 1}:
                 continue
-            space = ext1_space(f_mod, t_mod)
-            for cls in space.elements():
-                ses = space.realize(cls)
-                if catalog.decompose(ses.b) != {c_index: 1}:
-                    continue
-                _, g = split_off_summand(c_mod, ses.b)
-                return SES(ses.a, c_mod, ses.c, g @ ses.inc, ses.prj @ g.inverse())
+            _, g = split_off_summand(c_mod, ses.b)
+            return SES(ses.a, c_mod, ses.c, g @ ses.inc, ses.prj @ g.inverse())
     return None
 
 

@@ -24,7 +24,7 @@ from extriang.excat import (
     torsion_pairs_to_json,
     verify_torsion_pair,
 )
-from oracles import find_witness_by_scan
+from oracles import find_witness_by_scan, witness_candidates_by_scan
 
 
 def a_idx(bundle, name):
@@ -276,6 +276,44 @@ def test_torsion_scan_realizes_each_candidate_once(bundle, monkeypatch):
     assert sum(len(q) for _, q in hosts) == 2072
     assert counts == {"realize": 153, "split": 52}
     assert [len(e._witness_memo) for e, _ in hosts] == [9, 11, 98]
+
+
+def test_candidate_table_gives_the_scan_order(bundle):
+    # the host lists each object's candidates once over all members; the rows
+    # a query keeps must be the oracle's scan over T and F, list for list
+    for host, queries in scan_hosts(bundle):
+        cat = host.catalog
+        for t_tuple, f_tuple in queries:
+            t, f = Subcat.add(cat, t_tuple), Subcat.add(cat, f_tuple)
+            for c in host.indec_indices():
+                kept = [(t_ms, f_ms) for t_ms, f_ms, t_support, f_support
+                        in excat._witness_candidates(c, host)
+                        if t_support <= t.members and f_support <= f.members]
+                assert kept == witness_candidates_by_scan(c, t, f, host), (c, t_tuple, f_tuple)
+
+
+def test_candidate_tables_are_built_once_per_object(bundle, monkeypatch):
+    # bounded multisets are enumerated only while a host builds an object's
+    # candidate table, so a second pass over the same queries makes no call
+    calls = []
+    real = excat._bounded_multisets
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    hosts = [(fresh_copy(h), queries) for h, queries in scan_hosts(bundle)]
+    monkeypatch.setattr(excat, "_bounded_multisets", spy)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        for e, queries in hosts:
+            for t, f in queries:
+                verify_torsion_pair(Subcat.add(e.catalog, t), Subcat.add(e.catalog, f), e)
+        counts.append(len(calls))
+    assert counts == [134, 0]
+    assert [sorted(e._witness_candidates) for e, _ in hosts] == \
+        [e.indec_indices() for e, _ in hosts]
 
 
 def test_approximations(bundle, b_indices):

@@ -265,6 +265,12 @@ def test_cli_catalog_modlambda_matches_golden(capsys, golden_catalog_modlambda):
     assert code == 0 and out == golden_catalog_modlambda
 
 
+def test_cli_torsion_enumerate_modlambda_matches_golden(capsys, golden_torsion_pairs_mod_lambda):
+    # every member subset of mod Lambda, with the witness of each object
+    code, out = run_cli(capsys, "torsion", "enumerate", "--example51", "modLambda")
+    assert code == 0 and out == golden_torsion_pairs_mod_lambda
+
+
 def test_subcat_spec_dimension_vector_patterns(bundle):
     sub = bundle.parse_subcat("(1,1,0,0),(0,0,1,1)", bundle.mod_lambda)
     assert sub.members == {bundle.lambda_names["[P1;0]_0"], bundle.lambda_names["[0;P1]_0"]}
