@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
 """Run the benchmark as interleaved parent/change pairs and summarize them.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --first-seed 81 --pairs 10
+    python3 scripts/bench_pairs.py PARENT CHANGE --first-seed 81
 
-PARENT and CHANGE are two source checkouts.  For every seed and workload
-this runs the benchmark command of CHANGE's BENCHMARK.json, with its
-`run_seconds`, once in each checkout, alternating which side goes first,
-with PYTHONDONTWRITEBYTECODE=1 so that neither checkout gains compiled
-bytecode.  It prints every pair, then for each workload and end-to-end
-metric each side's median [Q1, Q3], the pairs the change won (ties count
-for neither side), whether the change's median stays within the metric's
-bound, and whether the gain rule holds: the change wins at least nine
-pairs in ten and its median beats the parent's by more than the parent's
-interquartile range.  Nothing is written into either checkout except the
+PARENT and CHANGE are two source checkouts.  For each of ten seeds from
+--first-seed on and every workload, this runs the benchmark command of
+CHANGE's BENCHMARK.json, with its `run_seconds`, once in each checkout,
+alternating which side goes first, with PYTHONDONTWRITEBYTECODE=1 so that
+neither checkout gains compiled bytecode.  It prints every pair, then for
+each workload and end-to-end metric each side's median [Q1, Q3], the pairs
+the change won (ties count for neither side), the bound check and whether
+the gain rule holds: the change wins at least nine pairs in ten and its
+median beats the parent's by more than the parent's interquartile range.
+The bound check reads EXCEEDED when the change's median is worse than the
+parent's by more than the metric's bound; otherwise `unresolved` when
+either side's interquartile range is wider than the bound (both relative
+to the parent's median), unless every change run beats every parent run;
+and `ok` else.  Nothing is written into either checkout except the
 benchmark's own git-ignored perfbench/out/.
 """
 
@@ -23,6 +27,8 @@ import pathlib
 import statistics
 import subprocess
 import sys
+
+PAIRS = 10  # the fewest pairs the gain rule accepts
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -39,9 +45,19 @@ def summarize(pairs: list[tuple[float, float]], better: str, bound: float) -> di
     parent, change = quartiles([p for p, _ in pairs]), quartiles([c for _, c in pairs])
     won = sum(sign * (c - p) > 0 for p, c in pairs)
     gap = sign * (change[1] - parent[1])  # positive when the change is better
+    allowed = bound * abs(parent[1])
+    spread = max(parent[2] - parent[0], change[2] - change[0])
+    dominates = min(sign * c for _, c in pairs) > max(sign * p for p, _ in pairs)
+    if -gap > allowed:
+        verdict = "EXCEEDED"
+    elif spread > allowed and not dominates:
+        verdict = "unresolved"
+    else:
+        verdict = "ok"
     return {"parent": parent, "change": change, "won": won, "pairs": len(pairs),
-            "within_bound": -gap <= bound * abs(parent[1]),
-            "gain": won >= 0.9 * len(pairs) and gap > parent[2] - parent[0]}
+            "bound": verdict,
+            "gain": len(pairs) >= PAIRS and won >= 0.9 * len(pairs)
+                    and gap > parent[2] - parent[0]}
 
 
 def run_once(checkout: pathlib.Path, bench: dict, workload: str, seed: int) -> dict:
@@ -65,15 +81,12 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=pathlib.Path)
     parser.add_argument("change", type=pathlib.Path)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workload", action="append", help="repeatable; default: every workload")
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    runs = {w: [] for w in workloads}
-    for i in range(args.pairs):
+    runs = {w["name"]: [] for w in bench["workloads"]}
+    for i in range(PAIRS):
         seed = args.first_seed + i
-        for w in workloads:
+        for w in runs:
             sides = [args.parent, args.change] if i % 2 == 0 else [args.change, args.parent]
             got = {side: run_once(side, bench, w, seed) for side in sides}
             pair = (got[args.parent], got[args.change])
@@ -92,7 +105,7 @@ def main(argv=None) -> int:
             print(f"{w} {m['name']}: parent {s['parent'][1]:.4g} [{s['parent'][0]:.4g}, "
                   f"{s['parent'][2]:.4g}] -> change {s['change'][1]:.4g} [{s['change'][0]:.4g}, "
                   f"{s['change'][2]:.4g}]; won {s['won']}/{s['pairs']}; "
-                  f"bound {m['bound']:.0%} {'ok' if s['within_bound'] else 'EXCEEDED'}; "
+                  f"bound {m['bound']:.0%} {s['bound']}; "
                   f"gain rule {'holds' if s['gain'] else 'does not hold'}")
         rounds = [[side["rounds"] for side in pair] for pair in pairs]
         print(f"{w} rounds per run: parent {sorted(r[0] for r in rounds)}, "

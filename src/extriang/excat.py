@@ -108,7 +108,7 @@ class ExCat:
         # object -> its witness candidates over all members in scan order,
         # as (torsion multiset, free multiset, their supports); a query
         # keeps the rows inside its T and F, which is its own scan order
-        self._witness_candidates: dict[int, list[tuple]] = {}
+        self._candidate_table: dict[int, list[tuple]] = {}
         if not self.is_full():
             bad = self.extension_closure_failure()
             if bad is not None:
@@ -285,7 +285,7 @@ def _witness_candidates(c_index: int, e: ExCat) -> list[tuple]:
     Torsion multiset by size then lexicographic, then the free multiset of
     complementary dimension vector, both over all host members.
     """
-    rows = e._witness_candidates.get(c_index)
+    rows = e._candidate_table.get(c_index)
     if rows is None:
         catalog = e.catalog
         members = e.indec_indices()
@@ -296,7 +296,7 @@ def _witness_candidates(c_index: int, e: ExCat) -> list[tuple]:
             for f_ms in _bounded_multisets(members, catalog, comp_dims):
                 if _dims_of(catalog, f_ms) == comp_dims:
                     rows.append((t_ms, f_ms, frozenset(t_ms), frozenset(f_ms)))
-        e._witness_candidates[c_index] = rows
+        e._candidate_table[c_index] = rows
     return rows
 
 

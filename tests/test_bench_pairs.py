@@ -21,7 +21,7 @@ def test_clear_gain_on_a_higher_is_better_metric():
     assert s["won"] == 10 and s["pairs"] == 10
     assert s["parent"] == (102.25, 104.5, 106.75)
     assert s["change"] == (202.25, 204.5, 206.75)
-    assert s["within_bound"] and s["gain"]
+    assert s["bound"] == "ok" and s["gain"]
 
 
 def test_nine_wins_in_ten_suffice_and_ties_count_for_neither():
@@ -31,6 +31,12 @@ def test_nine_wins_in_ten_suffice_and_ties_count_for_neither():
     tied = [(100.0, 150.0)] * 8 + [(100.0, 100.0)] * 2
     assert summarize(tied, "higher", 0.25)["won"] == 8
     assert not summarize(tied, "higher", 0.25)["gain"]
+
+
+def test_fewer_than_ten_pairs_are_no_gain():
+    # one pair has no parent spread, and nine wins of nine are still too few
+    assert not summarize([(100.0, 200.0)], "higher", 0.25)["gain"]
+    assert not summarize([(100.0 + i, 200.0) for i in range(9)], "higher", 0.25)["gain"]
 
 
 def test_a_gap_inside_the_parent_spread_is_no_gain():
@@ -44,8 +50,21 @@ def test_a_gap_inside_the_parent_spread_is_no_gain():
 def test_bound_on_a_lower_is_better_metric():
     # peak memory 10% above the parent's is at the bound; 11% is past it
     at_bound = summarize([(100.0, 110.0)] * 10, "lower", 0.1)
-    assert at_bound["within_bound"] and at_bound["won"] == 0 and not at_bound["gain"]
+    assert at_bound["bound"] == "ok" and at_bound["won"] == 0 and not at_bound["gain"]
     past = summarize([(100.0, 111.0)] * 10, "lower", 0.1)
-    assert not past["within_bound"]
+    assert past["bound"] == "EXCEEDED"
     smaller = summarize([(100.0, 80.0 + i) for i in range(10)], "lower", 0.1)
-    assert smaller["within_bound"] and smaller["won"] == 10 and smaller["gain"]
+    assert smaller["bound"] == "ok" and smaller["won"] == 10 and smaller["gain"]
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # equal medians, but either side's IQR (30 on a median of 100) is wider
+    # than a 25% bound, so the runs cannot show the metric unchanged
+    wide = [70.0, 85.0, 100.0, 115.0, 130.0] * 2
+    assert summarize([(p, 100.0) for p in wide], "lower", 0.25)["bound"] == "unresolved"
+    assert summarize([(100.0, c) for c in wide], "lower", 0.25)["bound"] == "unresolved"
+    # a median past the bound is a regression however wide the spread
+    assert summarize([(p, 130.0) for p in wide], "lower", 0.25)["bound"] == "EXCEEDED"
+    # unless every change run beats every parent run
+    apart = [(p, p - 70.0) for p in wide]
+    assert summarize(apart, "lower", 0.25)["bound"] == "ok"

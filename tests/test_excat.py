@@ -312,7 +312,7 @@ def test_candidate_tables_are_built_once_per_object(bundle, monkeypatch):
                 verify_torsion_pair(Subcat.add(e.catalog, t), Subcat.add(e.catalog, f), e)
         counts.append(len(calls))
     assert counts == [134, 0]
-    assert [sorted(e._witness_candidates) for e, _ in hosts] == \
+    assert [sorted(e._candidate_table) for e, _ in hosts] == \
         [e.indec_indices() for e, _ in hosts]
 
 
