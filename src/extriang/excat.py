@@ -87,6 +87,22 @@ class NotExtensionClosedError(ValueError):
     """A conflation with ends inside the subcategory has a middle outside."""
 
 
+@dataclass(slots=True)
+class WitnessCandidate:
+    """One witness candidate of a host object and, once realized, its outcome.
+
+    The outcome is the rebased witness SES, or None when no extension class
+    of sum(f_ms) by sum(t_ms) has the object as middle.
+    """
+
+    t_ms: tuple[int, ...]
+    f_ms: tuple[int, ...]
+    t_support: frozenset[int]
+    f_support: frozenset[int]
+    realized: bool = False
+    outcome: Optional[SES] = None
+
+
 class ExCat:
     """Extension-closed subcategory with its complete conflation list."""
 
@@ -103,12 +119,9 @@ class ExCat:
             self.objects = Subcat.add(catalog, members)
         self.cap = cap
         self._conflations: Optional[list[ConflationRecord]] = None
-        # (object, torsion multiset, free multiset) -> witness or None
-        self._witness_memo: dict[tuple, Optional[SES]] = {}
-        # object -> its witness candidates over all members in scan order,
-        # as (torsion multiset, free multiset, their supports); a query
-        # keeps the rows inside its T and F, which is its own scan order
-        self._candidate_table: dict[int, list[tuple]] = {}
+        # object -> its witness candidates over all members in scan order;
+        # a query keeps the rows inside its T and F, its own scan order
+        self._candidate_table: dict[int, list[WitnessCandidate]] = {}
         if not self.is_full():
             bad = self.extension_closure_failure()
             if bad is not None:
@@ -209,17 +222,17 @@ class TorsionPair:
     t: Subcat
     f: Subcat
     witness: dict[int, SES]  # catalog index of each host object -> T -> C -> F
+    # the same objects -> (torsion summands, free summands) of the witness;
+    # its ends are these sums, so they are its ends' sorted decompositions
+    parts: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
 
     def to_json_dict(self) -> dict:
         return {
             "t": self.t.sorted_members(),
             "f": self.f.sorted_members(),
             "witness": {
-                str(c): {
-                    "t_part": sorted(self.host.catalog.decompose(s.a).elements()),
-                    "f_part": sorted(self.host.catalog.decompose(s.c).elements()),
-                }
-                for c, s in self.witness.items()
+                str(c): {"t_part": list(t_ms), "f_part": list(f_ms)}
+                for c, (t_ms, f_ms) in self.parts.items()
             },
         }
 
@@ -270,16 +283,17 @@ def _witness_from_classes(
     space = ext1_space(catalog.sum_of(f_ms), catalog.sum_of(t_ms))
     for cls in space.elements():
         ses = space.realize(cls)
-        if catalog.decompose(ses.b) != {c_index: 1}:
-            continue
-        # ses.b ~ c_mod splits off itself; with equal dimension
-        # vectors the retraction g is an isomorphism ses.b -> c_mod
-        _, g = split_off_summand(c_mod, ses.b)
-        return SES(ses.a, c_mod, ses.c, g @ ses.inc, ses.prj @ g.inverse())
+        # t_ms and f_ms add up to C's dimension vector, so C splits off the
+        # middle exactly when the middle is C, and then the retraction g is
+        # an isomorphism ses.b -> c_mod
+        split = split_off_summand(c_mod, ses.b)
+        if split is not None:
+            _, g = split
+            return SES(ses.a, c_mod, ses.c, g @ ses.inc, ses.prj @ g.inverse())
     return None
 
 
-def _witness_candidates(c_index: int, e: ExCat) -> list[tuple]:
+def _witness_candidates(c_index: int, e: ExCat) -> list[WitnessCandidate]:
     """The host's witness candidates for one object, built on first use.
 
     Torsion multiset by size then lexicographic, then the free multiset of
@@ -295,13 +309,13 @@ def _witness_candidates(c_index: int, e: ExCat) -> list[tuple]:
             comp_dims = tuple(c - d for c, d in zip(c_dims, _dims_of(catalog, t_ms)))
             for f_ms in _bounded_multisets(members, catalog, comp_dims):
                 if _dims_of(catalog, f_ms) == comp_dims:
-                    rows.append((t_ms, f_ms, frozenset(t_ms), frozenset(f_ms)))
+                    rows.append(WitnessCandidate(t_ms, f_ms, frozenset(t_ms), frozenset(f_ms)))
         e._candidate_table[c_index] = rows
     return rows
 
 
-def _find_witness(c_index: int, t: Subcat, f: Subcat, e: ExCat) -> Optional[SES]:
-    """Canonical conflation T -> C -> F for one host object, if one exists.
+def _find_witness(c_index: int, t: Subcat, f: Subcat, e: ExCat) -> Optional[WitnessCandidate]:
+    """The candidate row of the canonical conflation T -> C -> F, if one exists.
 
     Candidates are scanned in a fixed order (torsion part by size then
     lexicographic, then the free part of complementary dimension vector,
@@ -310,22 +324,21 @@ def _find_witness(c_index: int, t: Subcat, f: Subcat, e: ExCat) -> Optional[SES]
     those with torsion part in T and free part in F.  That is the query's
     own scan order: the multisets over a sorted subset of the members are
     a sublist of those over all members, and sorting by (size, tuple) keeps
-    their relative order.  Each candidate (C, torsion part, free part) is
-    realized at most once per host: its outcome, a failure included, is
-    kept in the host's memo.  Neither the list nor the memo changes which
-    candidates a query visits or in what order, so witnesses do not depend
-    on the order of earlier queries.
+    their relative order.  Each row is realized at most once per host and
+    keeps its outcome, a failure included; one split test per extension
+    class decides it.  Rows change neither which candidates a query visits
+    nor in what order, so witnesses do not depend on the order of earlier
+    queries.
     """
     t_set, f_set = t.members, f.members
-    for t_ms, f_ms, t_support, f_support in _witness_candidates(c_index, e):
-        if not (t_support <= t_set and f_support <= f_set):
+    for row in _witness_candidates(c_index, e):
+        if not (row.t_support <= t_set and row.f_support <= f_set):
             continue
-        key = (c_index, t_ms, f_ms)
-        if key not in e._witness_memo:
-            e._witness_memo[key] = _witness_from_classes(e.catalog, *key)
-        ses = e._witness_memo[key]
-        if ses is not None:
-            return ses
+        if not row.realized:
+            row.outcome = _witness_from_classes(e.catalog, c_index, row.t_ms, row.f_ms)
+            row.realized = True
+        if row.outcome is not None:
+            return row
     return None
 
 
@@ -346,14 +359,17 @@ def verify_torsion_pair(t: Subcat, f: Subcat, e: ExCat) -> TorsionPairResult:
                     detail={"from": i, "to": j, "dim_hom": e.catalog.dim_hom(i, j)},
                 )
     witness: dict[int, SES] = {}
+    parts: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for c_index in e.indec_indices():
-        ses = _find_witness(c_index, t, f, e)
-        if ses is None:
+        row = _find_witness(c_index, t, f, e)
+        if row is None:
             return TorsionPairResult(
                 ok=False, clause="conflation_existence", detail={"object": c_index},
             )
-        witness[c_index] = ses
-    return TorsionPairResult(ok=True, pair=TorsionPair(host=e, t=t, f=f, witness=witness))
+        witness[c_index] = row.outcome
+        parts[c_index] = (row.t_ms, row.f_ms)
+    return TorsionPairResult(
+        ok=True, pair=TorsionPair(host=e, t=t, f=f, witness=witness, parts=parts))
 
 
 def enumerate_torsion_pairs(e: ExCat) -> list[TorsionPair]:

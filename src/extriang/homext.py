@@ -18,7 +18,6 @@ are equivalent exactly when their reduced coordinates agree.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -461,16 +460,3 @@ def all_conflations(
                     coords=cls.coords,
                 ))
     return records
-
-
-def conflations_to_json(records: Sequence[ConflationRecord], cap: int) -> str:
-    return json.dumps(
-        {
-            "schema": 1,
-            "kind": "conflations",
-            "end_summand_cap": cap,
-            "conflations": [r.to_json_dict() for r in records],
-        },
-        sort_keys=True,
-        indent=2,
-    ) + "\n"

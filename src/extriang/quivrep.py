@@ -19,7 +19,6 @@ at MAX_GRID_CELLS, so it is meant for small bounds over small primes.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -415,14 +414,6 @@ def _flatten_morphism(phi: Morphism) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
-def morphism_from_coords(coords, basis: Sequence[Morphism], source: Module, target: Module) -> Morphism:
-    out = zero_morphism(source, target)
-    for c, b in zip(coords, basis):
-        if c % source.p:
-            out = out + b.scale(int(c))
-    return out
-
-
 # -- kernels, cokernels, images ------------------------------------------
 
 
@@ -557,24 +548,6 @@ class Catalog:
             ],
             "hom_dims": [[self.dim_hom(i, j) for j in range(len(self))] for i in range(len(self))],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "Catalog":
-        obj = json.loads(text)
-        algebra = algebra_from_json_dict(obj["algebra"])
-        p = obj["p"]
-        indecs = []
-        for rec in obj["indecs"]:
-            dims = rec["dims"]
-            action = {}
-            for a in algebra.arrows:
-                r, c = dims.get(a.tgt, 0), dims.get(a.src, 0)
-                action[a.name] = Mat(p, np.array(rec["action"][a.name], dtype=np.int64).reshape(r, c))
-            indecs.append(Module(algebra, p, dims, action))
-        return _with_hom_table(algebra, p, obj["bound"], tuple(indecs))
 
 
 def decompose(m: Module, catalog: Catalog) -> Counter:
@@ -985,11 +958,3 @@ def algebra_to_json_dict(algebra: Algebra) -> dict:
         "arrows": [[a.name, a.src, a.tgt] for a in algebra.arrows],
         "relations": [[[c, list(path)] for c, path in rel] for rel in algebra.relations],
     }
-
-
-def algebra_from_json_dict(obj: dict) -> Algebra:
-    return Algebra(
-        tuple(obj["vertices"]),
-        tuple(Arrow(*a) for a in obj["arrows"]),
-        tuple(tuple((int(c), tuple(path)) for c, path in rel) for rel in obj["relations"]),
-    )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .exactfield import Mat
 from .quivrep import (
@@ -99,10 +99,8 @@ class TriangularData:
         return Module(self.algebra, p, dims, action)
 
     def module_to_triple(self, m: Module) -> Triple:
-        x = self.x_part(m)
-        y = self.y_part(m)
-        f = Morphism(y, x, {v: m.action[self.connecting[v]] for v in self.base.vertices})
-        return Triple(x=x, y=y, f=f)
+        f = self.connecting_morphism(m)
+        return Triple(x=f.target, y=f.source, f=f)
 
     def x_part(self, m: Module) -> Module:
         return Module(
@@ -791,6 +789,11 @@ class RestrictResult:
         }
 
 
+def _maps_into(mods: Iterable[Module], transform: Callable[[Module], Module], target: Subcat) -> bool:
+    """Whether transform sends every module of mods into target."""
+    return all(target.contains_module(transform(m)) for m in mods)
+
+
 def restrict_torsion_pair(r: RecollementData, tp: TorsionPair) -> RestrictResult:
     """Restrict a middle torsion pair to (i*T, i^!F) and (j*T, j*F).
 
@@ -813,18 +816,15 @@ def restrict_torsion_pair(r: RecollementData, tp: TorsionPair) -> RestrictResult
     a_verdict = verify_torsion_pair(a_t, a_f, r.a_cat)
     c_verdict = verify_torsion_pair(c_t, c_f, r.c_cat)
 
-    def scan(mods, transform, target: Subcat) -> bool:
-        return all(target.contains_module(transform(m)) for m in mods)
-
     hypotheses = {
         "i_upper_shriek_exact": classify_functor(r.six["i_upper_shriek"]).label == "exact",
-        "i_lower_star_i_upper_shriek_T_in_T": scan(
+        "i_lower_star_i_upper_shriek_T_in_T": _maps_into(
             t_mods, lambda m: tri.i_lower_star_obj(tri.x_part(m)), tp.t),
-        "i_lower_star_i_upper_star_T_in_T": scan(
+        "i_lower_star_i_upper_star_T_in_T": _maps_into(
             t_mods, lambda m: tri.i_lower_star_obj(tri.i_upper_star_obj(m)), tp.t),
-        "j_lower_shriek_j_upper_star_T_in_T": scan(
+        "j_lower_shriek_j_upper_star_T_in_T": _maps_into(
             t_mods, lambda m: tri.j_lower_shriek_obj(tri.y_part(m)), tp.t),
-        "j_lower_star_j_upper_star_F_in_F": scan(
+        "j_lower_star_j_upper_star_F_in_F": _maps_into(
             f_mods, lambda m: tri.j_lower_star_obj(tri.y_part(m)), tp.f),
     }
     return RestrictResult(
@@ -882,16 +882,13 @@ def quotient_recollement(
     ct = is_cluster_tilting(t, r.b_cat)
     t_mods = [bcat.indecs[b] for b in t.sorted_members()]
 
-    def scan(transform, target: Subcat) -> bool:
-        return all(target.contains_module(transform(m)) for m in t_mods)
-
     hypotheses = {
-        "j_lower_star_j_upper_star_T_in_T": scan(
-            lambda m: tri.j_lower_star_obj(tri.y_part(m)), t),
-        "i_lower_star_i_upper_star_T_in_T": scan(
-            lambda m: tri.i_lower_star_obj(tri.i_upper_star_obj(m)), t),
-        "i_lower_star_i_upper_shriek_T_in_T": scan(
-            lambda m: tri.i_lower_star_obj(tri.x_part(m)), t),
+        "j_lower_star_j_upper_star_T_in_T": _maps_into(
+            t_mods, lambda m: tri.j_lower_star_obj(tri.y_part(m)), t),
+        "i_lower_star_i_upper_star_T_in_T": _maps_into(
+            t_mods, lambda m: tri.i_lower_star_obj(tri.i_upper_star_obj(m)), t),
+        "i_lower_star_i_upper_shriek_T_in_T": _maps_into(
+            t_mods, lambda m: tri.i_lower_star_obj(tri.x_part(m)), t),
         "i_upper_star_exact": classify_functor(r.six["i_upper_star"]).label == "exact",
         "i_upper_shriek_exact": classify_functor(r.six["i_upper_shriek"]).label == "exact",
     }
@@ -912,17 +909,13 @@ def quotient_recollement(
     induced = {
         "i_star_T_cluster_tilting_in_A": is_cluster_tilting(i_star_t, r.a_cat).ok,
         "j_star_T_cluster_tilting_in_C": is_cluster_tilting(j_star_t, r.c_cat).ok,
-        "i_lower_star_kills": all(
-            t.contains_module(tri.i_lower_star_obj(acat.indecs[a]))
-            for a in i_star_t.sorted_members()),
-        "j_lower_shriek_kills": all(
-            t.contains_module(tri.j_lower_shriek_obj(ccat.indecs[c]))
-            for c in j_star_t.sorted_members()),
-        "j_lower_star_kills": all(
-            t.contains_module(tri.j_lower_star_obj(ccat.indecs[c]))
-            for c in j_star_t.sorted_members()),
-        "i_upper_shriek_lands_in_killed": all(
-            i_star_t.contains_module(tri.x_part(m)) for m in t_mods),
+        "i_lower_star_kills": _maps_into(
+            (acat.indecs[a] for a in i_star_t.sorted_members()), tri.i_lower_star_obj, t),
+        "j_lower_shriek_kills": _maps_into(
+            (ccat.indecs[c] for c in j_star_t.sorted_members()), tri.j_lower_shriek_obj, t),
+        "j_lower_star_kills": _maps_into(
+            (ccat.indecs[c] for c in j_star_t.sorted_members()), tri.j_lower_star_obj, t),
+        "i_upper_shriek_lands_in_killed": _maps_into(t_mods, tri.x_part, i_star_t),
     }
 
     # quotient-level adjunction and fully-faithfulness via Hom dimensions

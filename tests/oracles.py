@@ -3,10 +3,12 @@
 The isomorphism and indecomposability oracles walk all p**dim F_p
 combinations of a Hom basis, so they are exponential in dim Hom and meant
 only for the small modules of the tests, where they check the
-catalog-based answers of `quivrep`.  `find_witness_by_scan` searches
-torsion witnesses from scratch on every call, where `excat` keeps each
-candidate's outcome per host.  The short-exact-sequence references
-(`lift_through_surjection`, `is_split`, `pushout_ses`, `pullback_ses`)
+catalog-based answers of `quivrep`.  `find_witness_by_scan` enumerates
+its own candidate multisets and searches torsion witnesses from scratch on
+every call, accepting a class when the whole middle decomposes as C, where
+`excat` lists each object's candidate rows once per host, decides each by
+one split test and keeps its outcome on the row.  The short-exact-sequence
+references (`lift_through_surjection`, `is_split`, `pushout_ses`, `pullback_ses`)
 answer by solving for morphisms and forming pushouts and pullbacks,
 where `homext` reads everything off arrow cocycles.
 """
@@ -14,11 +16,11 @@ where `homext` reads everything off arrow cocycles.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from extriang.excat import ExCat, Subcat, _bounded_multisets
+from extriang.excat import ExCat, Subcat
 from extriang.exactfield import Mat
 from extriang.homext import SES, ext1_space, summand_inclusion
 from extriang.quivrep import (
@@ -32,10 +34,18 @@ from extriang.quivrep import (
     hom_basis,
     identity_morphism,
     kernel,
-    morphism_from_coords,
     split_off_summand,
     zero_morphism,
 )
+
+
+def morphism_from_coords(coords, basis: Sequence[Morphism], source: Module, target: Module) -> Morphism:
+    """The combination of basis morphisms with the given F_p coordinates."""
+    out = zero_morphism(source, target)
+    for c, b in zip(coords, basis):
+        if c % source.p:
+            out = out + b.scale(int(c))
+    return out
 
 
 def find_isomorphism(m: Module, n: Module) -> Optional[Morphism]:
@@ -85,16 +95,31 @@ def witness_candidates_by_scan(c_index: int, t: Subcat, f: Subcat, e: ExCat) -> 
     """
     catalog = e.catalog
     c_dims = catalog.indecs[c_index].dims
+    zero = (0,) * len(c_dims)
 
     def dims(ms):
-        return tuple(sum(catalog.indecs[i].dims[v] for i in ms) for v in range(len(c_dims)))
+        return tuple(map(sum, zip(zero, *(catalog.indecs[i].dims for i in ms))))
+
+    def bounded(members, bound):
+        # dropping a summand keeps a multiset under the bound, so every
+        # summand fits alone, and once no multiset of some size fits, none
+        # of a larger size does
+        def fits(ms):
+            return all(d <= b for d, b in zip(dims(ms), bound))
+
+        members = [i for i in members if fits((i,))]
+        out = []
+        for size in itertools.count():
+            sized = [ms for ms in itertools.combinations_with_replacement(members, size) if fits(ms)]
+            if not sized:
+                return out
+            out += sized
 
     out = []
-    for t_ms in _bounded_multisets(t.sorted_members(), catalog, c_dims):
+    for t_ms in bounded(t.sorted_members(), c_dims):
         comp_dims = tuple(c - d for c, d in zip(c_dims, dims(t_ms)))
-        for f_ms in _bounded_multisets(f.sorted_members(), catalog, comp_dims):
-            if dims(f_ms) == comp_dims:
-                out.append((t_ms, f_ms))
+        out.extend((t_ms, f_ms) for f_ms in bounded(f.sorted_members(), comp_dims)
+                   if dims(f_ms) == comp_dims)
     return out
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from extriang import excat, homext
-from extriang.quivrep import hom_basis, morphism_from_coords, zero_morphism, identity_morphism
+from extriang.quivrep import Catalog, hom_basis, zero_morphism, identity_morphism
 from extriang.excat import (
     ExCat,
     NotExtensionClosedError,
@@ -24,7 +24,7 @@ from extriang.excat import (
     torsion_pairs_to_json,
     verify_torsion_pair,
 )
-from oracles import find_witness_by_scan, witness_candidates_by_scan
+from oracles import find_witness_by_scan, morphism_from_coords, witness_candidates_by_scan
 
 
 def a_idx(bundle, name):
@@ -176,14 +176,30 @@ def test_enumerate_matches_golden(bundle, golden_torsion_pairs):
 
 
 def test_every_witness_is_a_member_conflation(bundle):
-    # SES validity is enforced at construction; membership and the middle
-    # being the witnessed object are checked here for every enumerated pair
+    # SES validity is enforced at construction; membership, the middle
+    # being the witnessed object and the parts the JSON writes are checked
+    # here for every enumerated pair, the parts against decomposed ends
     cat = bundle.mod_lambda
     for pair in enumerate_torsion_pairs(bundle.b_ext):
+        assert sorted(pair.parts) == sorted(pair.witness)
         for c_index, ses in pair.witness.items():
             assert pair.t.contains_module(ses.a)
             assert pair.f.contains_module(ses.c)
             assert cat.decompose(ses.b) == {c_index: 1}
+            assert pair.parts[c_index] == (
+                tuple(sorted(cat.decompose(ses.a).elements())),
+                tuple(sorted(cat.decompose(ses.c).elements())))
+
+
+def test_torsion_pair_json_decomposes_nothing(bundle, monkeypatch):
+    # the witness parts come from the candidate rows, not from the ends
+    pairs = [p for h, _ in scan_hosts(bundle) for p in enumerate_torsion_pairs(h)]
+
+    def refuse(self, m):
+        raise AssertionError("to_json_dict decomposed a module")
+
+    monkeypatch.setattr(Catalog, "decompose", refuse)
+    assert all(p.to_json_dict()["witness"] for p in pairs)
 
 
 def test_enumerate_contains_degenerate_and_example(bundle, b_indices):
@@ -209,7 +225,7 @@ def perp_queries(host, max_size=None):
 
 
 def fresh_copy(host):
-    """The same host with an empty witness memo."""
+    """The same host with no candidate rows built or realized yet."""
     members = None if host.is_full() else host.objects.members
     return ExCat(host.catalog, members, cap=host.cap)
 
@@ -257,8 +273,9 @@ def test_witnesses_do_not_depend_on_query_order(bundle):
 
 
 def test_torsion_scan_realizes_each_candidate_once(bundle, monkeypatch):
-    # the memo decides only whether a candidate is recomputed, never which
-    # candidates a query visits, so these counts hold in any query order
+    # a row's outcome decides only whether it is realized again, never which
+    # candidates a query visits, so these counts hold in any query order;
+    # each realized class gets one split test and no decomposition
     counts = {"realize": 0, "split": 0}
 
     def spy(name, fn):
@@ -274,8 +291,9 @@ def test_torsion_scan_realizes_each_candidate_once(bundle, monkeypatch):
         for t, f in queries:
             verify_torsion_pair(Subcat.add(e.catalog, t), Subcat.add(e.catalog, f), e)
     assert sum(len(q) for _, q in hosts) == 2072
-    assert counts == {"realize": 153, "split": 52}
-    assert [len(e._witness_memo) for e, _ in hosts] == [9, 11, 98]
+    assert counts == {"realize": 153, "split": 153}
+    assert [sum(row.realized for rows in e._candidate_table.values() for row in rows)
+            for e, _ in hosts] == [9, 11, 98]
 
 
 def test_candidate_table_gives_the_scan_order(bundle):
@@ -286,9 +304,8 @@ def test_candidate_table_gives_the_scan_order(bundle):
         for t_tuple, f_tuple in queries:
             t, f = Subcat.add(cat, t_tuple), Subcat.add(cat, f_tuple)
             for c in host.indec_indices():
-                kept = [(t_ms, f_ms) for t_ms, f_ms, t_support, f_support
-                        in excat._witness_candidates(c, host)
-                        if t_support <= t.members and f_support <= f.members]
+                kept = [(row.t_ms, row.f_ms) for row in excat._witness_candidates(c, host)
+                        if row.t_support <= t.members and row.f_support <= f.members]
                 assert kept == witness_candidates_by_scan(c, t, f, host), (c, t_tuple, f_tuple)
 
 

@@ -26,8 +26,8 @@ def run_cli_json(capsys, *argv):
 
 def test_bundle_is_deterministic(bundle):
     again = build_example51.__wrapped__(p=2, bound=2)  # bypass the cache
-    assert again.mod_a.to_json() == bundle.mod_a.to_json()
-    assert again.mod_lambda.to_json() == bundle.mod_lambda.to_json()
+    assert again.mod_a.to_json_dict() == bundle.mod_a.to_json_dict()
+    assert again.mod_lambda.to_json_dict() == bundle.mod_lambda.to_json_dict()
     assert again.lambda_names == bundle.lambda_names
 
 
@@ -276,15 +276,6 @@ def test_subcat_spec_dimension_vector_patterns(bundle):
     assert sub.members == {bundle.lambda_names["[P1;0]_0"], bundle.lambda_names["[0;P1]_0"]}
     sub2 = bundle.parse_subcat("(1,1)", bundle.mod_a)
     assert sub2.members == {bundle.a_names["P1"]}
-
-
-def test_conflation_json_emission(bundle):
-    from extriang.homext import conflations_to_json
-    payload = json.loads(conflations_to_json(bundle.b_ext.conflations[:5], cap=2))
-    assert payload["schema"] == 1
-    assert payload["end_summand_cap"] == 2
-    for rec in payload["conflations"]:
-        assert set(rec) == {"a", "middle", "c", "class", "split"}
 
 
 def test_cli_pretty_renders(capsys):

@@ -31,13 +31,12 @@ from extriang.quivrep import (
     cokernel,
     morphism_coords,
     morphism_coords_many,
-    morphism_from_coords,
     parse_algebra_text,
     split_off_summand,
     zero_module,
 )
 from extriang.recol import build_triangular
-from oracles import is_indecomposable, is_isomorphic
+from oracles import is_indecomposable, is_isomorphic, morphism_from_coords
 
 A2 = Algebra(("1", "2"), (Arrow("a", "1", "2"),))
 D4 = Algebra(("0", "1", "2", "3"),
@@ -499,11 +498,3 @@ def test_text_errors_carry_line_numbers(bad, line):
     with pytest.raises(AlgebraFormatError) as err:
         parse_algebra_text(bad)
     assert err.value.line_no == line
-
-
-def test_catalog_json_round_trip(a2_catalog):
-    from extriang.quivrep import Catalog
-    text = a2_catalog.to_json()
-    again = Catalog.from_json(text)
-    assert again.to_json() == text
-    assert [m.dims for m in again.indecs] == [m.dims for m in a2_catalog.indecs]
