@@ -5,9 +5,10 @@ The torsion-pair list for the middle extension-closed subcategory is an
 exhaustively computed oracle, the mod Lambda catalog and the torsion
 pairs of the whole mod Lambda are the outputs of `extriang catalog
 --example51 modLambda` and `extriang torsion enumerate --example51
-modLambda`, and the README commands file
+modLambda`, the README commands file
 holds the exit code, stdout and stderr of every command in the README's
-command block; rewriting any of them is an explicit, reviewed act, so
+command block, and the full-recollement file holds the same for `check`
+and `classify` on the full recollement; rewriting any of them is an explicit, reviewed act, so
 this script is the only thing that touches the files.
 """
 
@@ -41,6 +42,12 @@ README_COMMANDS = [
     ["quotient-recollement", *CANDIDATE, "--force"],
 ]
 
+# the full recollement, whose witnesses the README commands never show
+FULL_RECOLLEMENT_COMMANDS = [
+    ["recollement", "classify", "--example51", "full"],
+    ["recollement", "check", "--example51", "full"],
+]
+
 
 def run_command(argv: list[str]) -> dict:
     """Exit code, stdout and stderr of one CLI invocation, run in process."""
@@ -50,8 +57,8 @@ def run_command(argv: list[str]) -> dict:
     return {"argv": argv, "exit_code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def readme_commands_json() -> str:
-    return json.dumps([run_command(argv) for argv in README_COMMANDS], indent=2) + "\n"
+def commands_json(commands: list[list[str]]) -> str:
+    return json.dumps([run_command(argv) for argv in commands], indent=2) + "\n"
 
 
 def main() -> int:
@@ -68,8 +75,11 @@ def main() -> int:
     out.write_text(run_command(["torsion", "enumerate", "--example51", "modLambda"])["stdout"])
     print(f"wrote {out}")
     out = GOLDEN / "readme_commands.json"
-    out.write_text(readme_commands_json())
+    out.write_text(commands_json(README_COMMANDS))
     print(f"wrote {out} ({len(README_COMMANDS)} commands)")
+    out = GOLDEN / "recollement_full.json"
+    out.write_text(commands_json(FULL_RECOLLEMENT_COMMANDS))
+    print(f"wrote {out} ({len(FULL_RECOLLEMENT_COMMANDS)} commands)")
     return 0
 
 

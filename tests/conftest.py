@@ -42,3 +42,8 @@ def golden_torsion_pairs_mod_lambda():
 @pytest.fixture(scope="session")
 def golden_readme_commands():
     return json.loads((GOLDEN_DIR / "readme_commands.json").read_text())
+
+
+@pytest.fixture(scope="session")
+def golden_recollement_full():
+    return json.loads((GOLDEN_DIR / "recollement_full.json").read_text())

@@ -260,6 +260,16 @@ def test_readme_commands_match_golden(capsys, golden_readme_commands):
             (entry["exit_code"], entry["stdout"], entry["stderr"]), entry["argv"]
 
 
+def test_full_recollement_commands_match_golden(capsys, golden_recollement_full):
+    # classify and check on the full recollement, witnesses included
+    assert [entry["argv"][1] for entry in golden_recollement_full] == ["classify", "check"]
+    for entry in golden_recollement_full:
+        code = main(entry["argv"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (entry["exit_code"], entry["stdout"], entry["stderr"]), entry["argv"]
+
+
 def test_cli_catalog_modlambda_matches_golden(capsys, golden_catalog_modlambda):
     code, out = run_cli(capsys, "catalog", "--example51", "modLambda")
     assert code == 0 and out == golden_catalog_modlambda
