@@ -142,9 +142,12 @@ class ExCat:
         return self._conflations
 
     def extension_closure_failure(self) -> Optional[ConflationRecord]:
-        """First conflation with member ends whose middle escapes, if any."""
+        """First conflation with member ends whose middle escapes, if any.
+
+        A split middle is the sum of the ends, so only nonsplit records count.
+        """
         for rec in self.conflations:
-            if not self.objects.contains_index_multiset(rec.middle_summands):
+            if not rec.split and not self.objects.contains_index_multiset(rec.middle_summands):
                 return rec
         return None
 

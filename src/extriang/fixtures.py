@@ -25,6 +25,10 @@ A2_ALGEBRA = Algebra(("1", "2"), (Arrow("a", "1", "2"),))
 _A_NAMES = {(0, 1): "S2", (1, 0): "S1", (1, 1): "P1"}
 
 
+class UnknownObjectError(ValueError):
+    """A label, index or dimension-vector pattern that names no catalog object."""
+
+
 class FixtureBundle:
     """The worked example over F_p at one dimension bound.
 
@@ -126,18 +130,22 @@ class FixtureBundle:
         if token in names:
             return names[token]
         if token.startswith("(") and token.endswith(")"):
-            dims = tuple(int(t) for t in token[1:-1].split(","))
+            try:
+                dims = tuple(int(t) for t in token[1:-1].split(","))
+            except ValueError:
+                raise UnknownObjectError(
+                    f"dimension vector {token!r} is not a list of integers") from None
             hits = [i for i, m in enumerate(catalog.indecs) if m.dims == dims]
             if len(hits) == 1:
                 return hits[0]
-            raise KeyError(
+            raise UnknownObjectError(
                 f"dimension vector {token} matches {len(hits)} indecomposables")
         try:
             idx = int(token)
         except ValueError:
-            raise KeyError(f"unknown object label {token!r}") from None
+            raise UnknownObjectError(f"unknown object label {token!r}") from None
         if not 0 <= idx < len(catalog):
-            raise KeyError(f"catalog index {idx} out of range")
+            raise UnknownObjectError(f"catalog index {idx} out of range")
         return idx
 
     def parse_subcat(self, spec: str, catalog: Catalog) -> Subcat:

@@ -18,7 +18,7 @@ are equivalent exactly when their reduced coordinates agree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -396,17 +396,36 @@ def five_term_contravariant(ses: SES, x: Module) -> dict:
 
 @dataclass
 class ConflationRecord:
-    """A conflation with catalog bookkeeping for its three terms."""
+    """A conflation with catalog bookkeeping for its three terms.
 
-    ses: SES
+    The sequence is built from the class the first time `ses` is read: the
+    split sequence for the zero class, the class's realization otherwise.
+    Records whose middle was decomposed keep the realization they built.
+    `from_blocks` marks a nonsplit record whose middle was read off the
+    single-summand records of its nonzero blocks.  Neither takes part in
+    equality.
+    """
+
+    cls: ExtClass
     a_summands: tuple[int, ...]
     c_summands: tuple[int, ...]
     middle_summands: tuple[int, ...]
-    coords: tuple[int, ...]
+    from_blocks: bool = field(default=False, compare=False)
+    _ses: Optional[SES] = field(default=None, repr=False, compare=False)
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        return self.cls.coords
 
     @property
     def split(self) -> bool:
-        return not any(self.coords)
+        return self.cls.is_zero()
+
+    @property
+    def ses(self) -> SES:
+        if self._ses is None:
+            self._ses = split_ses(self.cls.a, self.cls.c) if self.split else self.cls.realize()
+        return self._ses
 
     def to_json_dict(self) -> dict:
         return {
@@ -425,6 +444,38 @@ def _multisets(members: Sequence[int], cap: int):
     return out
 
 
+def _bounds(mods: Sequence[Module]) -> list[dict[str, int]]:
+    """Summand k of direct_sum(mods) spans [out[k][v], out[k + 1][v]) at vertex v."""
+    out = [dict.fromkeys(mods[0].algebra.vertices, 0)]
+    for m in mods:
+        out.append({v: start + m.dim(v) for v, start in out[-1].items()})
+    return out
+
+
+def _block_classes(cls: ExtClass, catalog: Catalog, a_ms, c_ms) -> list[tuple[int, int, ExtClass]]:
+    """(i, j, class) for the nonzero blocks of a class in Ext^1(sum c_i, sum a_j).
+
+    The relations and the coboundaries of a sum of ends act block by
+    block, so block (i, j) of a cocycle is a cocycle of Ext^1(c_i, a_j)
+    and the class is the sum of the block classes.
+    """
+    phi = cls.cocycle()
+    a_mods, c_mods = [catalog.indecs[k] for k in a_ms], [catalog.indecs[k] for k in c_ms]
+    rows, cols = _bounds(a_mods), _bounds(c_mods)
+    out = []
+    for i, c_mod in enumerate(c_mods):
+        for j, a_mod in enumerate(a_mods):
+            block = {
+                x.name: Mat(cls.space.p, phi[x.name].a[rows[j][x.tgt]:rows[j + 1][x.tgt],
+                                                       cols[i][x.src]:cols[i + 1][x.src]])
+                for x in catalog.algebra.arrows
+            }
+            sub = ext1_space(c_mod, a_mod).class_from_cocycle(block)
+            if not sub.is_zero():
+                out.append((i, j, sub))
+    return out
+
+
 def all_conflations(
     catalog: Catalog,
     members: Optional[Iterable[int]] = None,
@@ -435,28 +486,46 @@ def all_conflations(
     Ends run over direct sums of member indecomposables with at most `cap`
     summands each (the zero object included); one record per Ext^1 class,
     the split class among them.  Middles must decompose in the catalog.
+
+    Only some middles are decomposed.  A split middle is the sum of the
+    ends.  When the nonzero blocks (i, j) of a class lie in distinct rows
+    and columns, the sequence is the sum of its blocks' sequences and split
+    pieces, so its middle is the sum of the blocks' middles, read off the
+    single-summand records listed before it, and of the unused summands.
     """
     member_list = sorted(members) if members is not None else list(range(len(catalog)))
     ends = _multisets(member_list, cap)
     records: list[ConflationRecord] = []
+    # middles of the single-summand records, by class
+    base_middles: dict[ExtClass, tuple[int, ...]] = {}
     for c_ms in ends:
         c_mod = catalog.sum_of(c_ms)
         for a_ms in ends:
             a_mod = catalog.sum_of(a_ms)
-            space = ext1_space(c_mod, a_mod)
-            for cls in space.elements():
+            base = len(a_ms) == len(c_ms) == 1
+            for cls in ext1_space(c_mod, a_mod).elements():
+                ses, mid, from_blocks = None, None, False
                 if cls.is_zero():
-                    # canonical representative of the split class
-                    ses = split_ses(a_mod, c_mod)
-                    mid = tuple(sorted(a_ms + c_ms))
-                else:
-                    ses = space.realize(cls)
-                    mid = tuple(sorted(catalog.decompose(ses.b).elements()))
+                    mid = a_ms + c_ms
+                elif not base:
+                    blocks = _block_classes(cls, catalog, a_ms, c_ms)
+                    c_used, a_used = {i for i, _, _ in blocks}, {j for _, j, _ in blocks}
+                    if len(c_used) == len(a_used) == len(blocks):
+                        mid = sum((base_middles[sub] for _, _, sub in blocks), ())
+                        mid += tuple(a for j, a in enumerate(a_ms) if j not in a_used)
+                        mid += tuple(c for i, c in enumerate(c_ms) if i not in c_used)
+                        from_blocks = True
+                if mid is None:
+                    ses = cls.realize()
+                    mid = tuple(catalog.decompose(ses.b).elements())
+                    if base:
+                        base_middles[cls] = mid
                 records.append(ConflationRecord(
-                    ses=ses,
+                    cls=cls,
                     a_summands=tuple(a_ms),
                     c_summands=tuple(c_ms),
-                    middle_summands=mid,
-                    coords=cls.coords,
+                    middle_summands=tuple(sorted(mid)),
+                    from_blocks=from_blocks,
+                    _ses=ses,
                 ))
     return records

@@ -644,13 +644,22 @@ def classify_functor(fd: FunctorData) -> Classification:
     """Apply the functor to every conflation of its source and grade the images.
 
     The strongest label holding for all conflations wins; a witness
-    conflation is kept for each failed stronger label.  Each functor is
-    classified once.
+    conflation is kept for each failed stronger label: the first failure
+    in list order.  Each functor is classified once.
+
+    Split and block records are not graded.  An additive functor keeps a
+    split sequence split, and such images are one-sided exact in every
+    additive subcategory.  A block record is a sum of split pieces and
+    single-summand records listed before it; inflations and deflations add
+    and subcategories are closed under sums and summands, so it fails only
+    where one of those earlier records fails first.
     """
     tgt = fd.target
     all_left = all_right = True
     left_witness = right_witness = None
     for rec in fd.source.conflations:
+        if rec.split or rec.from_blocks:
+            continue
         f_img = fd.apply_mor(rec.ses.inc)
         g_img = fd.apply_mor(rec.ses.prj)
         if all_left and not is_left_exact_seq(f_img, g_img, tgt):

@@ -11,18 +11,23 @@ one split test and keeps its outcome on the row.  The short-exact-sequence
 references (`lift_through_surjection`, `is_split`, `pushout_ses`, `pullback_ses`)
 answer by solving for morphisms and forming pushouts and pullbacks,
 where `homext` reads everything off arrow cocycles.
+`all_conflations_by_scan` builds every sequence of a conflation list and
+decomposes every nonsplit middle, and `classify_functor_by_scan` grades
+every record, split ones included, where `homext` and `recol` read split
+and block records off their ends and earlier records.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Optional, Sequence
 
 import numpy as np
 
-from extriang.excat import ExCat, Subcat
+from extriang.excat import ExCat, Subcat, is_left_exact_seq, is_right_exact_seq
 from extriang.exactfield import Mat
-from extriang.homext import SES, ext1_space, summand_inclusion
+from extriang.homext import SES, ConflationRecord, ext1_space, split_ses, summand_inclusion
 from extriang.quivrep import (
     Module,
     Morphism,
@@ -37,6 +42,7 @@ from extriang.quivrep import (
     split_off_summand,
     zero_morphism,
 )
+from extriang.recol import Classification, FunctorData
 
 
 def morphism_from_coords(coords, basis: Sequence[Morphism], source: Module, target: Module) -> Morphism:
@@ -97,15 +103,17 @@ def witness_candidates_by_scan(c_index: int, t: Subcat, f: Subcat, e: ExCat) -> 
     c_dims = catalog.indecs[c_index].dims
     zero = (0,) * len(c_dims)
 
+    member_dims = [m.dims for m in catalog.indecs]
+
     def dims(ms):
-        return tuple(map(sum, zip(zero, *(catalog.indecs[i].dims for i in ms))))
+        return tuple(map(sum, zip(zero, *map(member_dims.__getitem__, ms))))
 
     def bounded(members, bound):
         # dropping a summand keeps a multiset under the bound, so every
         # summand fits alone, and once no multiset of some size fits, none
         # of a larger size does
         def fits(ms):
-            return all(d <= b for d, b in zip(dims(ms), bound))
+            return all(map(operator.le, dims(ms), bound))
 
         members = [i for i in members if fits((i,))]
         out = []
@@ -116,10 +124,13 @@ def witness_candidates_by_scan(c_index: int, t: Subcat, f: Subcat, e: ExCat) -> 
             out += sized
 
     out = []
+    free_parts = {}  # complementary dimension vector -> the free parts that fill it
     for t_ms in bounded(t.sorted_members(), c_dims):
         comp_dims = tuple(c - d for c, d in zip(c_dims, dims(t_ms)))
-        out.extend((t_ms, f_ms) for f_ms in bounded(f.sorted_members(), comp_dims)
-                   if dims(f_ms) == comp_dims)
+        if comp_dims not in free_parts:
+            free_parts[comp_dims] = [f_ms for f_ms in bounded(f.sorted_members(), comp_dims)
+                                     if dims(f_ms) == comp_dims]
+        out.extend((t_ms, f_ms) for f_ms in free_parts[comp_dims])
     return out
 
 
@@ -218,3 +229,56 @@ def pullback_ses(ses: SES, h: Morphism) -> SES:
     inc = Morphism(ses.a, d, inc_comps)
     prj = Morphism(d, x, {v: Mat(p, prj_comps[v]) for v in alg.vertices})
     return SES(ses.a, d, x, inc, prj)
+
+
+def all_conflations_by_scan(catalog, members=None, cap: int = 2) -> list[ConflationRecord]:
+    """Every conflation over the members, as `homext.all_conflations` lists them.
+
+    Each record carries its sequence: the split sequence of the zero class,
+    the realization of every other class, whose middle is decomposed.
+    """
+    member_list = sorted(members) if members is not None else list(range(len(catalog)))
+    ends = [ms for size in range(cap + 1)
+            for ms in itertools.combinations_with_replacement(member_list, size)]
+    records = []
+    for c_ms in ends:
+        c_mod = catalog.sum_of(c_ms)
+        for a_ms in ends:
+            a_mod = catalog.sum_of(a_ms)
+            space = ext1_space(c_mod, a_mod)
+            for cls in space.elements():
+                if cls.is_zero():
+                    ses = split_ses(a_mod, c_mod)
+                    mid = tuple(sorted(a_ms + c_ms))
+                else:
+                    ses = space.realize(cls)
+                    mid = tuple(sorted(catalog.decompose(ses.b).elements()))
+                records.append(ConflationRecord(cls, a_ms, c_ms, mid, _ses=ses))
+    return records
+
+
+def classify_functor_by_scan(fd: FunctorData, conflations: Sequence[ConflationRecord]) -> Classification:
+    """The functor's label from its image of every conflation, with the first failures."""
+    all_left = all_right = True
+    left_witness = right_witness = None
+    for rec in conflations:
+        f_img = fd.apply_mor(rec.ses.inc)
+        g_img = fd.apply_mor(rec.ses.prj)
+        if all_left and not is_left_exact_seq(f_img, g_img, fd.target):
+            all_left = False
+            left_witness = rec
+        if all_right and not is_right_exact_seq(f_img, g_img, fd.target):
+            all_right = False
+            right_witness = rec
+        if not all_left and not all_right:
+            break
+    if all_left and all_right:
+        label = "exact"
+    elif all_left:
+        label = "left_exact"
+    elif all_right:
+        label = "right_exact"
+    else:
+        label = "neither"
+    return Classification(name=fd.name, label=label,
+                          left_witness=left_witness, right_witness=right_witness)

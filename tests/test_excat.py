@@ -298,15 +298,25 @@ def test_torsion_scan_realizes_each_candidate_once(bundle, monkeypatch):
 
 def test_candidate_table_gives_the_scan_order(bundle):
     # the host lists each object's candidates once over all members; the rows
-    # a query keeps must be the oracle's scan over T and F, list for list
+    # a query keeps must be the oracle's scan over T and F, list for list.
+    # That scan lists the pairs of the scan over all members whose parts lie
+    # in T and F, so one oracle call serves every query keeping the same pairs
     for host, queries in scan_hosts(bundle):
         cat = host.catalog
-        for t_tuple, f_tuple in queries:
-            t, f = Subcat.add(cat, t_tuple), Subcat.add(cat, f_tuple)
-            for c in host.indec_indices():
-                kept = [(row.t_ms, row.f_ms) for row in excat._witness_candidates(c, host)
-                        if row.t_support <= t.members and row.f_support <= f.members]
-                assert kept == witness_candidates_by_scan(c, t, f, host), (c, t_tuple, f_tuple)
+        for c in host.indec_indices():
+            rows = excat._witness_candidates(c, host)
+            full_scan = witness_candidates_by_scan(c, host.objects, host.objects, host)
+            scans = {}
+            for t_tuple, f_tuple in queries:
+                t, f = frozenset(t_tuple), frozenset(f_tuple)
+                kept = [(row.t_ms, row.f_ms) for row in rows
+                        if row.t_support <= t and row.f_support <= f]
+                key = tuple(k for k, (t_ms, f_ms) in enumerate(full_scan)
+                            if t.issuperset(t_ms) and f.issuperset(f_ms))
+                if key not in scans:
+                    scans[key] = witness_candidates_by_scan(
+                        c, Subcat.add(cat, t), Subcat.add(cat, f), host)
+                assert kept == scans[key], (c, t_tuple, f_tuple)
 
 
 def test_candidate_tables_are_built_once_per_object(bundle, monkeypatch):

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from extriang import fixtures
 from extriang.cli import main
 from extriang.excat import enumerate_torsion_pairs
@@ -205,6 +207,19 @@ def test_cli_quotient_recollement(capsys):
 def test_cli_unknown_label(capsys):
     code = main(["torsion", "verify", "--example51", "B", "--t", "NOPE", "--f", "-"])
     assert code == 2
+
+
+@pytest.mark.parametrize("which, token, message", [
+    ("--f", "nonsense", "unknown object label 'nonsense'"),
+    ("--t", "99", "catalog index 99 out of range"),
+    ("--t", "(a,b)", "dimension vector '(a,b)' is not a list of integers"),
+])
+def test_cli_object_label_errors_are_plain(capsys, which, token, message):
+    argv = {"--t": "[P1;0]_0", "--f": "-"}
+    argv[which] = token
+    code = main(["restrict", "--example51", "--t", argv["--t"], "--f", argv["--f"]])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"input error: {message}\n")
 
 
 def test_cli_member_outside_category(capsys):
