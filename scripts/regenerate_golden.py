@@ -5,10 +5,10 @@ The torsion-pair list for the middle extension-closed subcategory is an
 exhaustively computed oracle, the mod Lambda catalog and the torsion
 pairs of the whole mod Lambda are the outputs of `extriang catalog
 --example51 modLambda` and `extriang torsion enumerate --example51
-modLambda`, the README commands file
-holds the exit code, stdout and stderr of every command in the README's
-command block, and the full-recollement file holds the same for `check`
-and `classify` on the full recollement; rewriting any of them is an explicit, reviewed act, so
+modLambda`, the README commands file holds the exit code, stdout and
+stderr of every command in the README's command block, and the
+full-recollement file holds the same for `classify` and `check` on the
+full recollement; rewriting any of them is an explicit, reviewed act, so
 this script is the only thing that touches the files.
 """
 

@@ -25,10 +25,6 @@ A2_ALGEBRA = Algebra(("1", "2"), (Arrow("a", "1", "2"),))
 _A_NAMES = {(0, 1): "S2", (1, 0): "S1", (1, 1): "P1"}
 
 
-class UnknownObjectError(ValueError):
-    """A label, index or dimension-vector pattern that names no catalog object."""
-
-
 class FixtureBundle:
     """The worked example over F_p at one dimension bound.
 
@@ -133,19 +129,19 @@ class FixtureBundle:
             try:
                 dims = tuple(int(t) for t in token[1:-1].split(","))
             except ValueError:
-                raise UnknownObjectError(
+                raise ValueError(
                     f"dimension vector {token!r} is not a list of integers") from None
             hits = [i for i, m in enumerate(catalog.indecs) if m.dims == dims]
             if len(hits) == 1:
                 return hits[0]
-            raise UnknownObjectError(
+            raise ValueError(
                 f"dimension vector {token} matches {len(hits)} indecomposables")
         try:
             idx = int(token)
         except ValueError:
-            raise UnknownObjectError(f"unknown object label {token!r}") from None
+            raise ValueError(f"unknown object label {token!r}") from None
         if not 0 <= idx < len(catalog):
-            raise UnknownObjectError(f"catalog index {idx} out of range")
+            raise ValueError(f"catalog index {idx} out of range")
         return idx
 
     def parse_subcat(self, spec: str, catalog: Catalog) -> Subcat:

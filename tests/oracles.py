@@ -102,7 +102,6 @@ def witness_candidates_by_scan(c_index: int, t: Subcat, f: Subcat, e: ExCat) -> 
     catalog = e.catalog
     c_dims = catalog.indecs[c_index].dims
     zero = (0,) * len(c_dims)
-
     member_dims = [m.dims for m in catalog.indecs]
 
     def dims(ms):
@@ -124,13 +123,10 @@ def witness_candidates_by_scan(c_index: int, t: Subcat, f: Subcat, e: ExCat) -> 
             out += sized
 
     out = []
-    free_parts = {}  # complementary dimension vector -> the free parts that fill it
     for t_ms in bounded(t.sorted_members(), c_dims):
         comp_dims = tuple(c - d for c, d in zip(c_dims, dims(t_ms)))
-        if comp_dims not in free_parts:
-            free_parts[comp_dims] = [f_ms for f_ms in bounded(f.sorted_members(), comp_dims)
-                                     if dims(f_ms) == comp_dims]
-        out.extend((t_ms, f_ms) for f_ms in free_parts[comp_dims])
+        out.extend((t_ms, f_ms) for f_ms in bounded(f.sorted_members(), comp_dims)
+                   if dims(f_ms) == comp_dims)
     return out
 
 

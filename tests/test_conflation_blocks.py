@@ -9,7 +9,7 @@ from extriang.excat import ExCat
 from extriang.fixtures import build_example51
 from extriang.homext import ConflationRecord
 from extriang.quivrep import Catalog
-from extriang.recol import SIX_NAMES, classify_all, classify_functor
+from extriang.recol import SIX_NAMES, classify_functor
 from oracles import all_conflations_by_scan, classify_functor_by_scan
 
 BUNDLED = ("a_ext", "b_ext", "c_ext", "full_a", "full_b", "full_c")
@@ -50,14 +50,6 @@ def test_classifications_agree_with_the_scan_oracle(p, bound, which):
         got = classify_functor(fd)
         assert got == expected, name
         assert got.to_json_dict() == expected.to_json_dict(), name
-
-
-def test_record_equality_ignores_the_built_sequence(bundle):
-    rec = next(r for r in bundle.b_ext.conflations if r.from_blocks)
-    fresh = ConflationRecord(rec.cls, rec.a_summands, rec.c_summands, rec.middle_summands)
-    built = ConflationRecord(rec.cls, rec.a_summands, rec.c_summands, rec.middle_summands,
-                             _ses=rec.cls.realize())
-    assert fresh == built and fresh.ses == built.ses
 
 
 def test_b_ext_list_decomposes_only_what_blocks_do_not_give(bundle, monkeypatch):
@@ -113,4 +105,3 @@ def test_classification_grades_only_records_it_cannot_derive(bundle, monkeypatch
         graded[name] = len(read)
     assert graded == {"i_upper_star": 18, "i_lower_star": 0, "i_upper_shriek": 18,
                       "j_lower_shriek": 0, "j_upper_star": 18, "j_lower_star": 0}
-    assert classify_all(bundle.restricted)["i_upper_star"].label == "right_exact"
