@@ -199,14 +199,20 @@ class Mat:
 
     def kernel_basis(self) -> "Mat":
         """Basis of the right null space, one vector per column."""
-        r, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = np.zeros((self.cols, len(free)), dtype=np.int64)
-        for k, fc in enumerate(free):
-            basis[fc, k] = 1
-            for row, pc in enumerate(pivots):
-                basis[pc, k] = (-int(r.a[row, fc])) % self.p
-        return Mat(self.p, basis)
+        return Mat.echelon_kernel(*self.rref())
+
+    @staticmethod
+    def echelon_kernel(r: "Mat", pivots: Sequence[int]) -> "Mat":
+        """The kernel basis read off a reduced echelon form and its pivots.
+
+        One vector per free column, in order: 1 there, 0 at the other free
+        columns, minus that column of r at the pivots.
+        """
+        free = [c for c in range(r.cols) if c not in pivots]
+        basis = np.zeros((r.cols, len(free)), dtype=np.int64)
+        basis[free, np.arange(len(free))] = 1
+        basis[list(pivots)] = -r.a[:len(pivots)][:, free]
+        return Mat(r.p, basis)
 
     def image_basis(self) -> "Mat":
         """Pivot columns of the original matrix, spanning the column space."""

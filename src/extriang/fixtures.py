@@ -192,7 +192,12 @@ def _lambda_label(bundle_mod_a: Catalog, tri: TriangularData, m: Module) -> str:
     return f"[{xname};{yname}]_{sub}"
 
 
-@lru_cache(maxsize=None)
 def build_example51(p: int = 2, bound: int = 2) -> FixtureBundle:
-    """The worked example's bundle, one per (p, bound); nothing is built yet."""
+    """The worked example's bundle, one per (p, bound) however the call is
+    written; nothing is built yet."""
+    return _bundle(p, bound)
+
+
+@lru_cache(maxsize=None)
+def _bundle(p: int, bound: int) -> FixtureBundle:
     return FixtureBundle(p, bound)

@@ -314,7 +314,7 @@ def zero_morphism(source: Module, target: Module) -> Morphism:
 
 
 def _add_kron_eye(out: np.ndarray, a: np.ndarray, k: int, eye_first: bool = False) -> None:
-    """Add np.kron(a, I_k), or np.kron(I_k, a) when eye_first, into out in place.
+    """Add kron(a, I_k), or kron(I_k, a) when eye_first, into out in place.
 
     out must have the product's shape; it may be a column slice of a
     larger array, since splitting its axes in reshape gives a view.  Only

@@ -11,6 +11,10 @@ one split test and keeps its outcome on the row.  The short-exact-sequence
 references (`lift_through_surjection`, `is_split`, `pushout_ses`, `pullback_ses`)
 answer by solving for morphisms and forming pushouts and pullbacks,
 where `homext` reads everything off arrow cocycles.
+`covariant_maps_by_elements` and `contravariant_maps_by_elements` build
+the five-term maps one basis element at a time, from `hom_basis`, a
+coordinate solve per map and one cocycle push or pull per element, where
+`homext` reads Hom off its Ext spaces and maps whole bases at once.
 `all_conflations_by_scan` builds every sequence of a conflation list and
 decomposes every nonsplit middle, and `classify_functor_by_scan` grades
 every record, split ones included, where `homext` and `recol` read split
@@ -27,7 +31,16 @@ import numpy as np
 
 from extriang.excat import ExCat, Subcat, is_left_exact_seq, is_right_exact_seq
 from extriang.exactfield import Mat
-from extriang.homext import SES, ConflationRecord, ext1_space, split_ses, summand_inclusion
+from extriang.homext import (
+    SES,
+    ConflationRecord,
+    ExtClass,
+    Ext1Space,
+    class_of,
+    ext1_space,
+    split_ses,
+    summand_inclusion,
+)
 from extriang.quivrep import (
     Module,
     Morphism,
@@ -39,6 +52,7 @@ from extriang.quivrep import (
     hom_basis,
     identity_morphism,
     kernel,
+    morphism_coords_many,
     split_off_summand,
     zero_morphism,
 )
@@ -278,3 +292,49 @@ def classify_functor_by_scan(fd: FunctorData, conflations: Sequence[ConflationRe
         label = "neither"
     return Classification(name=fd.name, label=label,
                           left_witness=left_witness, right_witness=right_witness)
+
+
+def push_by_cocycle(cls: ExtClass, g: Morphism, target: Ext1Space) -> ExtClass:
+    """The class of g_tgt phi_x, g: a -> a', from the class's cocycle blocks."""
+    phi = cls.cocycle()
+    return target.class_from_cocycle({x.name: g.comps[x.tgt] @ phi[x.name] for x in g.source.algebra.arrows})
+
+
+def pull_by_cocycle(cls: ExtClass, h: Morphism, target: Ext1Space) -> ExtClass:
+    """The class of phi_x h_src, h: x -> c, from the class's cocycle blocks."""
+    phi = cls.cocycle()
+    return target.class_from_cocycle({x.name: phi[x.name] @ h.comps[x.src] for x in h.source.algebra.arrows})
+
+
+def _map_matrix(images: Sequence, space: Ext1Space) -> Mat:
+    """One column of quotient coordinates per image class."""
+    cols = [space.compress(np.array(cls.coords, dtype=np.int64)) for cls in images]
+    return Mat(space.p, np.stack(cols, axis=1)) if cols else Mat.zeros(space.p, space.dim, 0)
+
+
+def covariant_maps_by_elements(ses: SES, x: Module) -> list[Mat]:
+    """Hom(x,a) -> Hom(x,b) -> Hom(x,c) -> Ext(x,a) -> Ext(x,b), element by element."""
+    p = x.p
+    hom_a, hom_b, hom_c = hom_basis(x, ses.a), hom_basis(x, ses.b), hom_basis(x, ses.c)
+    ext_a, ext_b = ext1_space(x, ses.a), ext1_space(x, ses.b)
+    delta = class_of(ses)
+    return [
+        Mat(p, morphism_coords_many([ses.inc @ f for f in hom_a], hom_b)),
+        Mat(p, morphism_coords_many([ses.prj @ f for f in hom_b], hom_c)),
+        _map_matrix([pull_by_cocycle(delta, f, ext_a) for f in hom_c], ext_a),
+        _map_matrix([push_by_cocycle(e, ses.inc, ext_b) for e in ext_a.basis()], ext_b),
+    ]
+
+
+def contravariant_maps_by_elements(ses: SES, x: Module) -> list[Mat]:
+    """Hom(c,x) -> Hom(b,x) -> Hom(a,x) -> Ext(c,x) -> Ext(b,x), element by element."""
+    p = x.p
+    hom_c, hom_b, hom_a = hom_basis(ses.c, x), hom_basis(ses.b, x), hom_basis(ses.a, x)
+    ext_c, ext_b = ext1_space(ses.c, x), ext1_space(ses.b, x)
+    delta = class_of(ses)
+    return [
+        Mat(p, morphism_coords_many([f @ ses.prj for f in hom_c], hom_b)),
+        Mat(p, morphism_coords_many([f @ ses.inc for f in hom_b], hom_a)),
+        _map_matrix([push_by_cocycle(delta, f, ext_c) for f in hom_a], ext_c),
+        _map_matrix([pull_by_cocycle(e, ses.prj, ext_b) for e in ext_c.basis()], ext_b),
+    ]

@@ -55,7 +55,10 @@ def test_classifications_agree_with_the_scan_oracle(p, bound, which):
 def test_b_ext_list_decomposes_only_what_blocks_do_not_give(bundle, monkeypatch):
     # building B_ext's list builds no split sequence, and decomposes the
     # middles of the single-summand nonsplit records and of the classes
-    # whose nonzero blocks share a row or a column, nothing else
+    # whose nonzero blocks share a row or a column, nothing else; the
+    # bundle's catalog and members are read first, since building them
+    # decomposes mod A's objects for the labels
+    catalog, members = bundle.mod_lambda, bundle.b_ext.objects.members
     split_calls, decompose_calls = [], []
     real_split, real_decompose = homext.split_ses, Catalog.decompose
 
@@ -69,7 +72,7 @@ def test_b_ext_list_decomposes_only_what_blocks_do_not_give(bundle, monkeypatch)
 
     monkeypatch.setattr(homext, "split_ses", split_spy)
     monkeypatch.setattr(Catalog, "decompose", decompose_spy)
-    e = ExCat(bundle.mod_lambda, bundle.b_ext.objects.members, cap=2)
+    e = ExCat(catalog, members, cap=2)
     recs = e.conflations
     nonsplit = [r for r in recs if not r.split]
     base = [r for r in nonsplit if len(r.a_summands) == len(r.c_summands) == 1]

@@ -10,7 +10,7 @@ import pytest
 from extriang import fixtures
 from extriang.cli import main
 from extriang.excat import enumerate_torsion_pairs
-from extriang.fixtures import build_example51
+from extriang.fixtures import FixtureBundle, build_example51
 from extriang.quivrep import dump_algebra_text
 from oracles import is_indecomposable
 
@@ -27,10 +27,17 @@ def run_cli_json(capsys, *argv):
 
 
 def test_bundle_is_deterministic(bundle):
-    again = build_example51.__wrapped__(p=2, bound=2)  # bypass the cache
+    again = FixtureBundle(p=2, bound=2)  # not the cached bundle
     assert again.mod_a.to_json_dict() == bundle.mod_a.to_json_dict()
     assert again.mod_lambda.to_json_dict() == bundle.mod_lambda.to_json_dict()
     assert again.lambda_names == bundle.lambda_names
+
+
+def test_every_call_form_gives_the_one_bundle(bundle):
+    forms = [build_example51(), build_example51(2, 2), build_example51(p=2, bound=2),
+             build_example51(bound=2, p=2), build_example51(2, bound=2)]
+    assert all(b is bundle for b in forms)
+    assert build_example51(3, 1) is build_example51(bound=1, p=3) is not bundle
 
 
 def test_bundle_builds_only_what_is_read(monkeypatch):
@@ -42,7 +49,7 @@ def test_bundle_builds_only_what_is_read(monkeypatch):
         return real(algebra, *args)
 
     monkeypatch.setattr(fixtures, "enumerate_indecomposables", spy)
-    bundle = build_example51.__wrapped__(3, 2)
+    bundle = FixtureBundle(3, 2)
     assert enumerated == []
     # torsion pairs of mod A (A the path algebra of A2): the Catalan number C_3
     assert len(enumerate_torsion_pairs(bundle.full_a)) == 5

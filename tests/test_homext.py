@@ -1,22 +1,49 @@
 """Ext^1 computation, realization, class extraction, conflation enumeration."""
 
+import numpy as np
 import pytest
 
+from extriang import homext, quivrep
 from extriang.exactfield import Mat
-from extriang.quivrep import Algebra, Arrow, Module, enumerate_indecomposables, hom_basis, identity_morphism
+from extriang.fixtures import build_example51
+from extriang.quivrep import (
+    Algebra,
+    Arrow,
+    Module,
+    _flatten_morphism,
+    direct_sum,
+    enumerate_indecomposables,
+    hom_basis,
+    identity_morphism,
+)
 from extriang.homext import (
     SES,
     ExtClass,
+    _kron,
     all_conflations,
     class_of,
+    contravariant_maps,
+    covariant_maps,
     ext1_space,
+    ext_pull_many,
+    ext_push_many,
     five_term_contravariant,
     five_term_covariant,
     split_ses,
     ext_pull,
     ext_push,
 )
-from oracles import is_isomorphic, is_split, lift_through_surjection, pullback_ses, pushout_ses
+from oracles import (
+    contravariant_maps_by_elements,
+    covariant_maps_by_elements,
+    is_isomorphic,
+    is_split,
+    lift_through_surjection,
+    pull_by_cocycle,
+    pullback_ses,
+    push_by_cocycle,
+    pushout_ses,
+)
 
 
 A2 = Algebra(("1", "2"), (Arrow("a", "1", "2"),))
@@ -303,6 +330,50 @@ def test_five_term_sequences_compute_the_class_once(bundle):
     assert class_of.cache_info().misses == after.misses
 
 
+@pytest.mark.parametrize("p, bound", [(2, 2), (3, 1)])
+def test_five_term_maps_agree_with_the_element_oracle(p, bound):
+    """The block products give the matrices the element-by-element route
+    gives: every conflation of mod A against every object, and every fifth
+    conflation of B_ext against every object of mod Lambda."""
+    bundle = build_example51(p, bound)
+    pairs = [(rec, x) for rec in bundle.full_a.conflations for x in bundle.mod_a.indecs]
+    pairs += [(rec, x) for rec in bundle.b_ext.conflations[::5] for x in bundle.mod_lambda.indecs]
+    for rec, x in pairs:
+        assert covariant_maps(rec.ses, x) == covariant_maps_by_elements(rec.ses, x), rec
+        assert contravariant_maps(rec.ses, x) == contravariant_maps_by_elements(rec.ses, x), rec
+    assert any(m.rows and m.cols for rec, x in pairs for m in covariant_maps(rec.ses, x)[2:])
+
+
+def test_ext_spaces_carry_their_hom_bases(bundle):
+    """Hom(c, a) read off the coboundary elimination is hom_basis(c, a)."""
+    ends = [bundle.mod_lambda.sum_of(ms) for ms in ([], [0], [3, 5], [5, 5])]
+    for mods in (bundle.mod_a.indecs, bundle.mod_lambda.indecs, ends):
+        for c in mods:
+            for a in mods:
+                space, basis = ext1_space(c, a), hom_basis(c, a)
+                assert space.hom.cols == len(basis)
+                for k, f in enumerate(basis):
+                    assert np.array_equal(space.hom.a[:, k], _flatten_morphism(f))
+
+
+def test_five_term_pair_on_warm_spaces_builds_nothing(bundle, monkeypatch):
+    rec = next(r for r in bundle.b_ext.conflations if not r.split and len(r.c_summands) == 2)
+    x = bundle.mod_lambda.indecs[-1]
+    expected = five_term_covariant(rec.ses, x), five_term_contravariant(rec.ses, x)
+    calls = []
+
+    def spy(m, n):
+        calls.append((m, n))
+        return hom_basis(m, n)
+
+    monkeypatch.setattr(quivrep, "hom_basis", spy)
+    monkeypatch.setattr(homext, "hom_basis", spy, raising=False)
+    misses = ext1_space.cache_info().misses
+    assert (five_term_covariant(rec.ses, x), five_term_contravariant(rec.ses, x)) == expected
+    assert calls == []
+    assert ext1_space.cache_info().misses == misses
+
+
 def test_first_map_iso_iff_third_term_zero(bundle):
     """inc is an isomorphism exactly when the quotient vanishes, and dually."""
     for rec in bundle.b_ext.conflations:
@@ -357,3 +428,48 @@ def test_ext_round_trip_at_a_large_prime():
         assert not cls.is_zero()
         ses = space.realize(cls)
         assert space.class_of(ses) == cls
+
+
+def test_batched_pushes_and_pulls_at_a_large_prime():
+    """At p = 2**31 - 1, pushes and pulls of several classes at once, with
+    large unreduced Z coordinates and maps with large entries, give the
+    classes the one-class route and the cocycle oracle give."""
+    p = 2**31 - 1
+    rng = np.random.default_rng(7)
+    s1 = Module(SQUARE, p, (1, 0, 0, 0), {})
+    a = Module(SQUARE, p, (0, 1, 1, 1), {"b": Mat.from_rows(p, [[p - 1]]), "d": Mat.from_rows(p, [[p - 2]])})
+    aa, ss = direct_sum([a, a]), direct_sum([s1, s1])
+
+    def combination(basis):
+        out = basis[0].scale(p - 2)
+        for f in basis[1:]:
+            out = out + f.scale(int(rng.integers(1, p)))
+        return out
+
+    g, h = combination(hom_basis(a, aa)), combination(hom_basis(ss, s1))
+    space = ext1_space(s1, a)
+    assert space.dim == 1 and ext1_space(s1, aa).dim == 2 and ext1_space(ss, a).dim == 2
+    coords = rng.integers(0, p, size=(len(space.zero().coords), 4), dtype=np.int64)
+    coords[:, 0] = 0
+    for many, one, oracle, f, target in ((ext_push_many, ext_push, push_by_cocycle, g, ext1_space(s1, aa)),
+                                         (ext_pull_many, ext_pull, pull_by_cocycle, h, ext1_space(ss, a))):
+        images = many(space, coords, f, target)
+        assert images.shape == (len(target.zero().coords), coords.shape[1])
+        assert not images[:, 0].any() and images[:, 1:].any()
+        for k in range(coords.shape[1]):
+            cls = ExtClass(space, space.reduce(coords[:, k]))
+            assert one(cls, f) == oracle(cls, f, target) == ExtClass(target, tuple(images[:, k]))
+
+
+@pytest.mark.parametrize("left_shape, right_shape", [
+    ((0, 0), (0, 0)), ((0, 2), (3, 1)), ((2, 0), (1, 3)), ((2, 3), (0, 2)),
+    ((1, 1), (1, 1)), ((2, 3), (3, 2)), ((3, 1), (2, 4)),
+])
+@pytest.mark.parametrize("p", [2, 2**31 - 1])
+def test_kron_by_broadcasting_matches_np_kron(left_shape, right_shape, p):
+    rng = np.random.default_rng(sum(left_shape) * 10 + sum(right_shape))
+    left = rng.integers(0, p, size=left_shape, dtype=np.int64)
+    right = rng.integers(0, p, size=right_shape, dtype=np.int64)
+    left.flat[:1] = right.flat[:1] = p - 1
+    out = _kron(left, right)
+    assert out.dtype == np.int64 and np.array_equal(out, np.kron(left, right))
