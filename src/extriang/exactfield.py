@@ -210,8 +210,10 @@ class Mat:
         """
         free = [c for c in range(r.cols) if c not in pivots]
         basis = np.zeros((r.cols, len(free)), dtype=np.int64)
-        basis[free, np.arange(len(free))] = 1
-        basis[list(pivots)] = -r.a[:len(pivots)][:, free]
+        for k, fc in enumerate(free):
+            basis[fc, k] = 1
+            for row, pc in enumerate(pivots):
+                basis[pc, k] = (-int(r.a[row, fc])) % r.p
         return Mat(r.p, basis)
 
     def image_basis(self) -> "Mat":
