@@ -19,6 +19,7 @@ from extriang.quivrep import (
 from extriang.homext import (
     SES,
     ExtClass,
+    _exactness,
     _kron,
     all_conflations,
     class_of,
@@ -356,6 +357,28 @@ def test_ext_spaces_carry_their_hom_bases(bundle):
                     assert np.array_equal(space.hom.a[:, k], _flatten_morphism(f))
 
 
+def test_exactness_asks_image_equal_to_kernel():
+    p = 3
+    one, zero = Mat.identity(p, 1), Mat.zeros(p, 1, 1)
+    # 0 -> F -> F -> 0 is exact at both middle terms; F -0-> F -0-> F is not
+    assert _exactness([Mat.zeros(p, 1, 0), one, Mat.zeros(p, 0, 1)]) == [True, True]
+    assert _exactness([zero, zero]) == [False]
+    assert _exactness([one, one]) == [False]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        _exactness([one, Mat.zeros(p, 1, 2)])
+
+
+def test_hom_coordinates_refuse_maps_outside_hom(bundle):
+    cat = bundle.mod_a
+    s2, p1 = cat.indecs[idx_of(cat, (0, 1))], cat.indecs[idx_of(cat, (1, 1))]
+    space = ext1_space(s2, p1)  # the inclusion
+    assert space.hom_coords(space.hom) == Mat.identity(2, 1)
+    space = ext1_space(p1, s2)  # zero: the unit map at vertex 2 does not commute
+    assert space.hom.shape == (1, 0)
+    with pytest.raises(ValueError, match="not in span"):
+        space.hom_coords(Mat.identity(2, 1))
+
+
 def test_five_term_pair_on_warm_spaces_builds_nothing(bundle, monkeypatch):
     rec = next(r for r in bundle.b_ext.conflations if not r.split and len(r.c_summands) == 2)
     x = bundle.mod_lambda.indecs[-1]
@@ -473,3 +496,19 @@ def test_kron_by_broadcasting_matches_np_kron(left_shape, right_shape, p):
     left.flat[:1] = right.flat[:1] = p - 1
     out = _kron(left, right)
     assert out.dtype == np.int64 and np.array_equal(out, np.kron(left, right))
+
+
+def test_non_cocycles_are_refused():
+    """Blocks violating b.a + 3 d.c are no cocycle, alone or in a batch."""
+    p = 5
+    s1 = Module(SQUARE, p, (1, 0, 0, 0), {})
+    a = Module(SQUARE, p, (0, 1, 1, 1), {"b": Mat.from_rows(p, [[p - 1]]), "d": Mat.from_rows(p, [[p - 2]])})
+    space = ext1_space(s1, a)
+    bad = {"a": Mat.from_rows(p, [[1]]), "b": Mat.zeros(p, 1, 0), "c": Mat.from_rows(p, [[0]]),
+           "d": Mat.zeros(p, 1, 0)}
+    with pytest.raises(ValueError, match="not a cocycle"):
+        space.class_from_cocycle(bad)
+    good = space.cocycles(np.ones((len(space.zero().coords), 1), dtype=np.int64))
+    assert space.reduce_cocycles(good).shape == (len(space.zero().coords), 1)
+    with pytest.raises(ValueError, match="not a cocycle"):
+        space.reduce_cocycles(Mat(p, np.hstack([good.a, np.array([[1], [0]])])))
