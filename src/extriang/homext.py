@@ -166,39 +166,34 @@ def _column(coords) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExtClass:
-    """An element of Ext^1(c, a) in canonical reduced coordinates."""
+    """An element of Ext^1(c, a) in canonical reduced coordinates.
 
-    space: "Ext1Space"
+    A class is its ends and coordinates; its space is looked up through
+    ext1_space only when a cocycle or a realization is asked for, so a
+    zero class can be listed without building its space.  The cocycle is
+    expanded once and kept.
+    """
+
+    c: Module
+    a: Module
     coords: tuple[int, ...]
+    _cocycle: Optional[dict[str, Mat]] = field(default=None, repr=False, compare=False)
 
     @property
-    def c(self) -> Module:
-        return self.space.c
-
-    @property
-    def a(self) -> Module:
-        return self.space.a
+    def space(self) -> "Ext1Space":
+        return ext1_space(self.c, self.a)
 
     def is_zero(self) -> bool:
         return not any(self.coords)
 
     def cocycle(self) -> dict[str, Mat]:
         """The blocks phi_x: c_src -> a_tgt of the class's cocycle, by arrow name."""
-        return self.space.cocycle(self.coords)
+        if self._cocycle is None:
+            object.__setattr__(self, "_cocycle", self.space.cocycle(self.coords))
+        return self._cocycle
 
     def realize(self) -> SES:
         return self.space.realize(self)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtClass)
-            and self.space.c == other.space.c
-            and self.space.a == other.space.a
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.space.c, self.space.a, self.coords))
 
 
 class Ext1Space:
@@ -303,10 +298,10 @@ class Ext1Space:
         return tuple(int(t) for t in self.reduce_many(_column(coords))[:, 0])
 
     def zero(self) -> ExtClass:
-        return ExtClass(self, tuple([0] * len(self._zfree)))
+        return ExtClass(self.c, self.a, tuple([0] * len(self._zfree)))
 
     def basis(self) -> list[ExtClass]:
-        return [ExtClass(self, tuple(int(t) for t in col)) for col in self.basis_coords().T]
+        return [ExtClass(self.c, self.a, tuple(int(t) for t in col)) for col in self.basis_coords().T]
 
     def elements(self) -> list[ExtClass]:
         """All p**dim classes, the zero class first."""
@@ -315,7 +310,7 @@ class Ext1Space:
             coords = [0] * len(self._zfree)
             for value, i in zip(combo, self._free):
                 coords[i] = value
-            out.append(ExtClass(self, tuple(coords)))
+            out.append(ExtClass(self.c, self.a, tuple(coords)))
         return out
 
     def cocycle(self, coords) -> dict[str, Mat]:
@@ -335,7 +330,7 @@ class Ext1Space:
                 raise ValueError(f"cocycle block at arrow {x.name} has the wrong shape")
             parts.append(phi[x.name].a.reshape(-1))
         vec = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-        return ExtClass(self, tuple(int(t) for t in self.reduce_cocycles(Mat(self.p, vec.reshape(-1, 1)))[:, 0]))
+        return ExtClass(self.c, self.a, tuple(int(t) for t in self.reduce_cocycles(Mat(self.p, vec.reshape(-1, 1)))[:, 0]))
 
     def realize(self, cls: ExtClass) -> SES:
         """Short exact sequence a >-> [[a, phi], [0, c]] ->> c realizing the class."""
@@ -418,14 +413,14 @@ def ext_push(cls: ExtClass, g: Morphism, target_space: Optional[Ext1Space] = Non
     """Image of one class along g: a -> a' (see ext_push_many)."""
     target = target_space or ext1_space(cls.c, g.target)
     coords = ext_push_many(cls.space, _column(cls.coords), g, target)
-    return ExtClass(target, tuple(int(t) for t in coords[:, 0]))
+    return ExtClass(target.c, target.a, tuple(int(t) for t in coords[:, 0]))
 
 
 def ext_pull(cls: ExtClass, h: Morphism, target_space: Optional[Ext1Space] = None) -> ExtClass:
     """Image of one class along h: x -> c (see ext_pull_many)."""
     target = target_space or ext1_space(h.source, cls.a)
     coords = ext_pull_many(cls.space, _column(cls.coords), h, target)
-    return ExtClass(target, tuple(int(t) for t in coords[:, 0]))
+    return ExtClass(target.c, target.a, tuple(int(t) for t in coords[:, 0]))
 
 
 # -- five-term exact sequences ---------------------------------------------------
@@ -576,8 +571,8 @@ def _block_classes(cls: ExtClass, catalog: Catalog, a_ms, c_ms) -> list[tuple[in
     for i, c_mod in enumerate(c_mods):
         for j, a_mod in enumerate(a_mods):
             block = {
-                x.name: Mat(cls.space.p, phi[x.name].a[rows[j][x.tgt]:rows[j + 1][x.tgt],
-                                                       cols[i][x.src]:cols[i + 1][x.src]])
+                x.name: Mat(catalog.p, phi[x.name].a[rows[j][x.tgt]:rows[j + 1][x.tgt],
+                                                     cols[i][x.src]:cols[i + 1][x.src]])
                 for x in catalog.algebra.arrows
             }
             sub = ext1_space(c_mod, a_mod).class_from_cocycle(block)
@@ -602,6 +597,10 @@ def all_conflations(
     and columns, the sequence is the sum of its blocks' sequences and split
     pieces, so its middle is the sum of the blocks' middles, read off the
     single-summand records listed before it, and of the unused summands.
+
+    Ext^1 and its cocycles Z are sums over the blocks, so a pair of ends
+    whose blocks Ext^1(c_i, a_j) all vanish has only the zero class, with
+    as many coordinates as the blocks' Z together; its space is not built.
     """
     member_list = sorted(members) if members is not None else list(range(len(catalog)))
     ends = _multisets(member_list, cap)
@@ -610,10 +609,18 @@ def all_conflations(
     base_middles: dict[ExtClass, tuple[int, ...]] = {}
     # one module per end, so records and Ext lookups with equal ends share it
     sums = [catalog.sum_of(ms) for ms in ends]
+    # the blocks of every pair of ends: Ext^1(c_i, a_j) by (i, j)
+    singles = {(i, j): ext1_space(catalog.indecs[i], catalog.indecs[j])
+               for i in member_list for j in member_list}
     for c_ms, c_mod in zip(ends, sums):
         for a_ms, a_mod in zip(ends, sums):
             base = len(a_ms) == len(c_ms) == 1
-            for cls in ext1_space(c_mod, a_mod).elements():
+            blocks = [singles[i, j] for i in c_ms for j in a_ms]
+            if any(space.dim for space in blocks):
+                classes = ext1_space(c_mod, a_mod).elements()
+            else:
+                classes = [ExtClass(c_mod, a_mod, (0,) * sum(len(space._zfree) for space in blocks))]
+            for cls in classes:
                 ses, mid, from_blocks = None, None, False
                 if cls.is_zero():
                     mid = a_ms + c_ms

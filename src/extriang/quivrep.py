@@ -6,12 +6,12 @@ Paths compose right to left: the path written "b.a" means apply a, then b,
 so its matrix is M_b @ M_a.
 
 The enumeration of indecomposables is exhaustive over dimension vectors:
-for each vector it labels the whole grid of arrow-matrix tuples with their
-base-change orbits by array operations (two representations with the same
-dimension vector are isomorphic exactly when a product of GL(d_v) actions
-carries one to the other), takes one representative per relation-satisfying
-orbit, and keeps it unless its orbit holds a direct sum of indecomposables
-found at smaller dimension vectors.
+for each vector it labels the relation-satisfying arrow-matrix tuples with
+their base-change orbits by array operations (two representations with the
+same dimension vector are isomorphic exactly when a product of GL(d_v)
+actions carries one to the other), takes one representative per orbit,
+and keeps it unless its orbit holds a direct sum of indecomposables found
+at smaller dimension vectors.
 The grid has p**(sum of matrix sizes) cells per dimension vector, capped
 at MAX_GRID_CELLS, so it is meant for small bounds over small primes.
 """
@@ -510,6 +510,7 @@ class Catalog:
 
     def __post_init__(self):
         self._decompose_memo: dict = {}
+        self._tops: Optional[list[Optional[tuple[str, Mat, Mat]]]] = None
 
     def __len__(self):
         return len(self.indecs)
@@ -550,16 +551,114 @@ class Catalog:
         }
 
 
+def _power(x: Mat, e: int) -> Mat:
+    """x**e by repeated squaring."""
+    out = Mat.identity(x.p, x.rows)
+    while e:
+        if e & 1:
+            out = out @ x
+        e >>= 1
+        if e:
+            x = x @ x
+    return out
+
+
+def _top(u: Module, ends: Sequence[Morphism]) -> Optional[tuple[str, Mat, Mat]]:
+    """(v, v0, phi) with top(x) = phi x_v v0 on End(u), or None when
+    End(u)/rad is larger than F_p.
+
+    ends is a basis of End(u), which is local since u is indecomposable:
+    x = t + r with t a scalar and r in the radical, nilpotent at every
+    vertex.  When End(u)/rad = F_p, x**q = t**q + r**q = t for a power
+    q = p**s >= max dim u, since the Frobenius fixes F_p; a basis element
+    whose power is not a scalar shows a larger residue field, since the
+    Frobenius fixes nothing else.  The x - top(x) span the radical, a
+    nilpotent ideal, so they all kill some vector v0 != 0 at some vertex
+    v, and there x_v v0 = top(x) v0.  phi is a functional with phi v0 = 1.
+    """
+    p = u.p
+    q = p
+    while q < max(u.dims):
+        q *= p
+    live = [v for v in u.algebra.vertices if u.dim(v)]
+    tops = []
+    for x in ends:
+        powers = [_power(x.comps[v], q) for v in live]
+        t = int(powers[0].a[0, 0])
+        if any(power != Mat.identity(p, power.rows).scale(t) for power in powers):
+            return None
+        tops.append(t)
+    for v in live:
+        d = u.dim(v)
+        radical = Mat(p, np.vstack([(x.comps[v] - Mat.identity(p, d).scale(t)).a for x, t in zip(ends, tops)]))
+        killed = radical.kernel_basis()
+        if killed.cols:
+            v0 = Mat(p, killed.a[:, :1])
+            k = int(np.flatnonzero(v0.a[:, 0])[0])
+            phi = np.zeros((1, d), dtype=np.int64)
+            phi[0, k] = pow(int(v0.a[k, 0]), p - 2, p)
+            return v, v0, Mat(p, phi)
+    raise AssertionError("the radical of a local ring kills no vector")
+
+
+def _multiplicity(u: Module, m: Module, top: tuple[str, Mat, Mat]) -> int:
+    """How often u is a summand of m: the rank of (h, g) -> phi g_v h_v v0
+    on Hom(u, m) x Hom(m, u), whose matrix is rows phi g_v times columns h_v v0."""
+    into = hom_basis(u, m)
+    back = hom_basis(m, u) if into else []
+    if not back:
+        return 0
+    v, v0, phi = top
+    cols = Mat(m.p, np.hstack([(h.comps[v] @ v0).a for h in into]))
+    rows = Mat(m.p, np.vstack([(phi @ g.comps[v]).a for g in back]))
+    return (rows @ cols).rank()
+
+
 def decompose(m: Module, catalog: Catalog) -> Counter:
     """Krull-Schmidt multiset of catalog indices with direct_sum ~ m.
 
-    Splits one summand at a time: find a catalog entry u with a section
-    h: u -> m and a map g: m -> u such that g @ h is invertible, pass to
-    the kernel of g, repeat.  Raises CatalogIncompleteError when a nonzero
-    remainder has no catalog summand.
+    The multiplicity of a catalog entry u in m is the rank of the pairing
+    Hom(u, m) x Hom(m, u) -> End(u)/rad = F_p, (h, g) -> top(g h): a
+    composite through an indecomposable summand other than u lies in the
+    radical of the local ring End(u), and on the copies of u the pairing
+    is the sum of top(g_k) top(h_k) (Auslander-Reiten-Smalo, Representation
+    Theory of Artin Algebras, on local endomorphism rings).  Entries are
+    tried in catalog order while they fit the dimensions not yet
+    accounted for.  When one that fits has a residue field larger than
+    F_p, the whole module goes to _decompose_by_splits instead.  Raises
+    CatalogIncompleteError when dimensions are left over.
     """
     if m.algebra != catalog.algebra or m.p != catalog.p:
         raise ValueError("module not over the catalog's algebra")
+    if catalog._tops is None:
+        catalog._tops = [_top(u, catalog.hom(i, i)) for i, u in enumerate(catalog.indecs)]
+    result: Counter = Counter()
+    left = m.dims
+    for idx, u in enumerate(catalog.indecs):
+        if not any(left):
+            break
+        if any(du > dl for du, dl in zip(u.dims, left)):
+            continue
+        top = catalog._tops[idx]
+        if top is None:
+            return _decompose_by_splits(m, catalog)
+        k = _multiplicity(u, m, top)
+        if k:
+            result[idx] = k
+            left = tuple(dl - k * du for dl, du in zip(left, u.dims))
+    if any(left):
+        raise CatalogIncompleteError(
+            f"indecomposable summand of dims {dict(zip(m.algebra.vertices, left))} not in catalog"
+        )
+    return result
+
+
+def _decompose_by_splits(m: Module, catalog: Catalog) -> Counter:
+    """decompose by splitting one summand at a time: find a catalog entry u
+    with a section h: u -> m and a map g: m -> u such that g @ h is
+    invertible, pass to the kernel of g, repeat.  Needs only End(u) local,
+    so it serves entries whose residue field is larger than F_p.
+    """
     result: Counter = Counter()
     current = m
     while not current.is_zero():
@@ -580,8 +679,10 @@ def decompose(m: Module, catalog: Catalog) -> Counter:
 # -- exhaustive enumeration -------------------------------------------------
 
 # The orbit search holds int32 and bool arrays with one cell per
-# arrow-matrix tuple of a dimension vector, about 50 bytes per cell in
-# all; enumerate_indecomposables refuses a larger grid before building any.
+# arrow-matrix tuple of a dimension vector, about 17 bytes per cell in all
+# when every tuple satisfies the relations; otherwise about 12 bytes plus 4
+# per GL(d_v) generator for each tuple that does, and 1 for each that does not.
+# enumerate_indecomposables refuses a larger grid before building any.
 MAX_GRID_CELLS = 2 ** 20
 
 # Matrices are decoded and relation values formed this many cells at a
@@ -711,27 +812,46 @@ def _relation_mask(algebra: Algebra, p: int, shapes: list[tuple[int, int]]) -> n
     return valid
 
 
+def _positions(cells: np.ndarray, grid, maps: Sequence[np.ndarray], touching: Sequence[int]) -> np.ndarray:
+    """For each cell, the position among cells of its image when grid axis k
+    is moved by the index map maps[k], for k in touching."""
+    moved = cells.copy()
+    for k in touching:
+        stride = int(np.prod(grid[k + 1:], dtype=np.int64))
+        digit = cells // stride % grid[k]
+        moved += (maps[k][digit] - digit) * np.int32(stride)
+    return np.searchsorted(cells, moved).astype(np.int32)
+
+
 def _orbit_labels(algebra: Algebra, p: int, dv: tuple[int, ...]):
-    """Orbit labels on the grid of arrow-matrix tuples at this dimension vector.
+    """Orbit labels on the relation-satisfying arrow-matrix tuples at this
+    dimension vector.
 
     The tuples form a grid with one axis per arrow, indexed by matrix
     index, so flat indices order tuples lexicographically (a quiver
-    without arrows has a grid of one cell, its only tuple).  Every cell's
-    label starts as its flat index and drops to the least label among its
-    images under the GL(d_v) generators, with pointer jumping, until
-    nothing changes; each label is then the least flat index of its orbit.
-    Returns the grid shape, the arrow shapes, and the flat relation mask
-    and labels.
+    without arrows has a grid of one cell, its only tuple).  Base change
+    keeps the relations, so the orbits of relation-satisfying cells stay
+    among them, and only those cells are labelled, by their position among
+    them.  Every label starts as its own position and drops to the least
+    label among its images under the GL(d_v) generators, with pointer
+    jumping, until nothing changes; each label is then the position of the
+    least flat index of its orbit.  Returns the grid shape, the arrow
+    shapes, the ascending flat indices of the relation-satisfying cells
+    and their labels.
     """
     arrows = algebra.arrows
     at = algebra.vertex_index
     shapes = [(dv[at[a.tgt]], dv[at[a.src]]) for a in arrows]
     grid = tuple(p ** (r * c) for r, c in shapes)
     valid = _relation_mask(algebra, p, shapes)
+    cells = np.flatnonzero(valid).astype(np.int32)
+    # with every cell valid, positions are flat indices
+    dense = len(cells) == valid.size
 
     # A generator g at v moves the matrix index of each arrow at v
-    # (M -> g M at its target, M -> M g^-1 at its source).  np.ix_ keeps
-    # these per-arrow maps as an open mesh, never a full-grid index array.
+    # (M -> g M at its target, M -> M g^-1 at its source).  On a dense grid
+    # np.ix_ keeps these per-arrow maps as an open mesh; otherwise each
+    # move is kept as one int32 position per cell.
     moves = []
     for v, i in at.items():
         touching = [k for k, a in enumerate(arrows) if v in (a.src, a.tgt) and grid[k] > 1]
@@ -744,27 +864,25 @@ def _orbit_labels(algebra: Algebra, p: int, dv: tuple[int, ...]):
                 left = g if arrows[k].tgt == v else np.eye(r, dtype=np.int64)
                 right = g_inv if arrows[k].src == v else np.eye(c, dtype=np.int64)
                 maps[k] = _moved_codes(p, r, c, left, right)
-            moves.append(np.ix_(*maps))
+            moves.append(np.ix_(*maps) if dense else _positions(cells, grid, maps, touching))
 
-    label = np.arange(valid.size, dtype=np.int32).reshape(grid)
-    flat = label.reshape(-1)
+    label = np.arange(len(cells), dtype=np.int32)
     changed = bool(moves)
     while changed:
         changed = False
         for move in moves:
-            moved = label[move]
+            moved = label.reshape(grid)[move].reshape(-1) if dense else label[move]
             if (moved < label).any():
                 np.minimum(label, moved, out=label)
                 changed = True
-        flat[:] = flat[flat]
-    return grid, shapes, valid.reshape(-1), flat
+        label = label[label]
+    return grid, shapes, cells, label
 
 
-def _self_labelled(valid: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """The relation-satisfying cells that are their own label, ascending:
-    the lexicographically first tuple of each orbit."""
-    candidates = np.flatnonzero(valid)
-    return candidates[label[candidates] == candidates]
+def _self_labelled(label: np.ndarray) -> np.ndarray:
+    """The positions that are their own label, ascending: the lexicographically
+    first tuple of each orbit."""
+    return np.flatnonzero(label == np.arange(len(label)))
 
 
 def _matrices_at(p: int, grid, shapes, cells: np.ndarray) -> list[np.ndarray]:
@@ -791,8 +909,8 @@ def _orbit_representatives(algebra: Algebra, p: int, dv: tuple[int, ...]):
     """One arrow-matrix tuple per isomorphism class at this dimension
     vector: the lexicographically first tuple of each relation-satisfying
     orbit, in ascending order."""
-    grid, shapes, valid, label = _orbit_labels(algebra, p, dv)
-    reps = _self_labelled(valid, label)
+    grid, shapes, cells, label = _orbit_labels(algebra, p, dv)
+    reps = cells[_self_labelled(label)]
     return _actions(algebra, p, _matrices_at(p, grid, shapes, reps), len(reps))
 
 
@@ -866,12 +984,12 @@ def enumerate_indecomposables(algebra: Algebra, bound: int, p: int = DEFAULT_PRI
     # form _direct_sums takes and returns
     classes: dict[tuple[int, ...], tuple[list[np.ndarray], np.ndarray]] = {}
     for dv in dim_vectors:
-        grid, shapes, valid, label = _orbit_labels(algebra, p, dv)
+        grid, shapes, cells, label = _orbit_labels(algebra, p, dv)
         sums, least = _direct_sums(found, classes, dv, shapes)
-        decomposable = np.zeros(label.size, dtype=bool)
-        decomposable[label[_cells_at(p, grid, sums, len(least))]] = True
-        reps = _self_labelled(valid, label)
-        reps = reps[~decomposable[reps]]
+        decomposable = np.zeros(len(cells), dtype=bool)
+        decomposable[label[np.searchsorted(cells, _cells_at(p, grid, sums, len(least)))]] = True
+        own = _self_labelled(label)
+        reps = cells[own[~decomposable[own]]]
         new = _matrices_at(p, grid, shapes, reps)
         classes[dv] = ([np.concatenate(pair) for pair in zip(sums, new)],
                        np.concatenate([least, np.arange(len(found), len(found) + len(reps))]))

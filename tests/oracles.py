@@ -40,6 +40,7 @@ from extriang.homext import (
     ext1_space,
     split_ses,
     summand_inclusion,
+    summand_projection,
 )
 from extriang.quivrep import (
     Module,
@@ -241,11 +242,33 @@ def pullback_ses(ses: SES, h: Morphism) -> SES:
     return SES(ses.a, d, x, inc, prj)
 
 
+def _reads_off_blocks(cls: ExtClass, a_ms, c_ms, catalog) -> bool:
+    """Whether a nonsplit class on two or more summands has its nonzero
+    blocks in distinct rows and columns, block (i, j) being the class
+    pushed along the projection onto a_j and pulled along the inclusion of c_i."""
+    if len(a_ms) == len(c_ms) == 1:
+        return False
+    a_mods, c_mods = [catalog.indecs[k] for k in a_ms], [catalog.indecs[k] for k in c_ms]
+    rows, cols, count = set(), set(), 0
+    for j, a_j in enumerate(a_mods):
+        pushed = push_by_cocycle(cls, summand_projection(a_mods, j, cls.a), ext1_space(cls.c, a_j))
+        for i, c_i in enumerate(c_mods):
+            block = pull_by_cocycle(pushed, summand_inclusion(c_mods, i, cls.c), ext1_space(c_i, a_j))
+            if not block.is_zero():
+                rows.add(i)
+                cols.add(j)
+                count += 1
+    return len(rows) == len(cols) == count
+
+
 def all_conflations_by_scan(catalog, members=None, cap: int = 2) -> list[ConflationRecord]:
     """Every conflation over the members, as `homext.all_conflations` lists them.
 
     Each record carries its sequence: the split sequence of the zero class,
-    the realization of every other class, whose middle is decomposed.
+    the realization of every other class, whose middle is decomposed.  A
+    nonsplit record is marked `from_blocks` when its blocks, read by
+    pushing and pulling along the summand maps, lie in distinct rows and
+    columns.
     """
     member_list = sorted(members) if members is not None else list(range(len(catalog)))
     ends = [ms for size in range(cap + 1)
@@ -263,7 +286,9 @@ def all_conflations_by_scan(catalog, members=None, cap: int = 2) -> list[Conflat
                 else:
                     ses = space.realize(cls)
                     mid = tuple(sorted(catalog.decompose(ses.b).elements()))
-                records.append(ConflationRecord(cls, a_ms, c_ms, mid, _ses=ses))
+                records.append(ConflationRecord(
+                    cls, a_ms, c_ms, mid, _ses=ses,
+                    from_blocks=not cls.is_zero() and _reads_off_blocks(cls, a_ms, c_ms, catalog)))
     return records
 
 

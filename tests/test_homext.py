@@ -447,7 +447,7 @@ def test_ext_round_trip_at_a_large_prime():
     space = ext1_space(s1, a)
     assert space.dim == 1
     for basis_cls in space.basis():
-        cls = ExtClass(space, space.reduce([(p - 2) * t for t in basis_cls.coords]))
+        cls = ExtClass(space.c, space.a, space.reduce([(p - 2) * t for t in basis_cls.coords]))
         assert not cls.is_zero()
         ses = space.realize(cls)
         assert space.class_of(ses) == cls
@@ -480,8 +480,8 @@ def test_batched_pushes_and_pulls_at_a_large_prime():
         assert images.shape == (len(target.zero().coords), coords.shape[1])
         assert not images[:, 0].any() and images[:, 1:].any()
         for k in range(coords.shape[1]):
-            cls = ExtClass(space, space.reduce(coords[:, k]))
-            assert one(cls, f) == oracle(cls, f, target) == ExtClass(target, tuple(images[:, k]))
+            cls = ExtClass(space.c, space.a, space.reduce(coords[:, k]))
+            assert one(cls, f) == oracle(cls, f, target) == ExtClass(target.c, target.a, tuple(images[:, k]))
 
 
 @pytest.mark.parametrize("left_shape, right_shape", [

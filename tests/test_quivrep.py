@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ D4 = Algebra(("0", "1", "2", "3"),
 KRONECKER = Algebra(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
 A3_LINEAR = Algebra(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
 A3_SINK = Algebra(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "3", "2")))
+A4 = Algebra(("1", "2", "3", "4"), (Arrow("a", "1", "2"), Arrow("b", "3", "2"), Arrow("c", "3", "4")))
 A3_ZERO = Algebra(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")), (((1, ("b", "a")),),))
 LAMBDA = build_triangular(A2).algebra
 DUAL_NUMBERS = Algebra(("1",), (Arrow("x", "1", "1"),), (((1, ("x", "x")),),))
@@ -176,6 +178,72 @@ def test_decompose_catalog_incomplete(a2_catalog):
     p1 = next(m for m in tiny.indecs if m.dims == (1, 1))
     with pytest.raises(CatalogIncompleteError):
         decompose(p1, partial)
+
+
+def _base_changed(m, rng):
+    """m under a random base change at every vertex: an isomorphic module."""
+    g = {}
+    for v in m.algebra.vertices:
+        g[v] = Mat(m.p, rng.integers(0, m.p, size=(m.dim(v), m.dim(v))))
+        while not g[v].is_invertible():
+            g[v] = Mat(m.p, rng.integers(0, m.p, size=(m.dim(v), m.dim(v))))
+    return Module(m.algebra, m.p, m.dims,
+                  {a.name: g[a.tgt] @ m.action[a.name] @ g[a.src].inverse() for a in m.algebra.arrows})
+
+
+def _modules_to_decompose(catalog, rng, sums):
+    """(expected multiset, module): each entry, then seeded random sums of
+    one to three entries, all under a random base change."""
+    picks = [[i] for i in range(len(catalog))]
+    picks += [sorted(rng.integers(0, len(catalog), size=rng.integers(1, 4)).tolist()) for _ in range(sums)]
+    return [(Counter(ps), _base_changed(catalog.sum_of(ps), rng)) for ps in picks]
+
+
+@pytest.mark.parametrize("algebra, p, bound", [
+    (A2, 2, 2), (A2, 3, 1), (A2, 5, 1), (LAMBDA, 2, 2), (LAMBDA, 3, 1), (LAMBDA, 5, 1),
+    (A3_LINEAR, 3, 2), (A4, 2, 2), (D4, 2, 2), (KRONECKER, 2, 2), (KRONECKER, 3, 2),
+], ids=["A-2-2", "A-3-1", "A-5-1", "Lambda-2-2", "Lambda-3-1", "Lambda-5-1",
+        "A3", "A4", "D4", "Kronecker-2", "Kronecker-3"])
+def test_decompose_by_rank_agrees_with_the_split_loop(algebra, p, bound, monkeypatch):
+    # Kronecker modules at (2, 2) include points of degree two over F_p,
+    # whose End/rad is F_{p^2}: only those decompositions take the split loop
+    catalog = enumerate_indecomposables(algebra, bound, p)
+    splits = quivrep._decompose_by_splits
+    fallbacks = []
+
+    def spy(m, cat):
+        fallbacks.append(m)
+        return splits(m, cat)
+
+    monkeypatch.setattr(quivrep, "_decompose_by_splits", spy)
+    for expected, m in _modules_to_decompose(catalog, np.random.default_rng(100 * p + bound), 30):
+        assert decompose(m, catalog) == splits(m, catalog) == expected
+    assert bool(fallbacks) == (algebra is KRONECKER)
+
+
+def test_catalog_incomplete_message_is_the_split_loops():
+    # D4 has one indecomposable past bound 1, at (2, 1, 1, 1)
+    small, full = enumerate_indecomposables(D4, 1, 2), enumerate_indecomposables(D4, 2, 2)
+    m = _base_changed(direct_sum([small.indecs[0], full.indecs[-1], small.indecs[5]]), np.random.default_rng(4))
+    messages = []
+    for route in (decompose, quivrep._decompose_by_splits):
+        with pytest.raises(CatalogIncompleteError) as err:
+            route(m, small)
+        messages.append(str(err.value))
+    assert messages == ["indecomposable summand of dims {'0': 2, '1': 1, '2': 1, '3': 1} not in catalog"] * 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_decompose_by_rank_at_a_large_prime():
+    # A2's grid at (1, 1) has p cells past the ceiling here, so the
+    # catalog is built by hand; the top of an endomorphism is read off its
+    # p-th power, and every product stays exact
+    p = 2**31 - 1
+    entries = (Module(A2, p, (1, 0), {}), Module(A2, p, (0, 1), {}),
+               Module(A2, p, (1, 1), {"a": Mat.identity(p, 1)}))
+    catalog = _with_hom_table(A2, p, 1, entries)
+    for expected, m in _modules_to_decompose(catalog, np.random.default_rng(31), 12):
+        assert decompose(m, catalog) == quivrep._decompose_by_splits(m, catalog) == expected
 
 
 @given(st.data())
@@ -374,8 +442,10 @@ def test_enumeration_runs_no_split_test(monkeypatch):
     monkeypatch.setattr(quivrep, "split_off_summand", spy)
     catalog = enumerate_indecomposables(LAMBDA, 2, 2)
     assert len(catalog) == 11 and calls == []
-    # the spy is live: decomposing a sum goes through it
-    catalog.decompose(catalog.sum_of([0, 1]))
+    # decomposing reads multiplicities off ranks, with no split test either
+    assert catalog.decompose(catalog.sum_of([0, 1])) == {0: 1, 1: 1} and calls == []
+    # the spy is live: the split loop goes through it
+    quivrep._decompose_by_splits(catalog.sum_of([0, 1]), catalog)
     assert calls
 
 
