@@ -16,8 +16,10 @@ The bound check reads EXCEEDED when the change's median is worse than the
 parent's by more than the metric's bound; otherwise `unresolved` when
 either side's interquartile range is wider than the bound (both relative
 to the parent's median), unless every change run beats every parent run;
-and `ok` else.  Nothing is written into either checkout except the
-benchmark's own git-ignored perfbench/out/.
+and `ok` else.  Each workload's line of failures gives each side's failed
+and attempted operations summed over the pairs, flagged FAILED MORE when
+the change failed a larger share of its operations.  Nothing is written
+into either checkout except the benchmark's own git-ignored perfbench/out/.
 """
 
 import argparse
@@ -58,6 +60,15 @@ def summarize(pairs: list[tuple[float, float]], better: str, bound: float) -> di
             "bound": verdict,
             "gain": len(pairs) >= PAIRS and won >= 0.9 * len(pairs)
                     and gap > parent[2] - parent[0]}
+
+
+def failures(pairs: list[tuple[dict, dict]]) -> dict:
+    """Each side's (failed, attempted) over all pairs of runs, and whether
+    the change failed a larger share than the parent."""
+    parent, change = ((sum(run[side]["failed"] for run in pairs),
+                       sum(run[side]["attempted"] for run in pairs)) for side in (0, 1))
+    shares = [failed / attempted if attempted else 0.0 for failed, attempted in (parent, change)]
+    return {"parent": parent, "change": change, "more": shares[1] > shares[0]}
 
 
 def run_once(checkout: pathlib.Path, bench: dict, workload: str, seed: int) -> dict:
@@ -107,6 +118,9 @@ def main(argv=None) -> int:
                   f"{s['change'][2]:.4g}]; won {s['won']}/{s['pairs']}; "
                   f"bound {m['bound']:.0%} {s['bound']}; "
                   f"gain rule {'holds' if s['gain'] else 'does not hold'}")
+        f = failures(pairs)
+        print(f"{w} failed operations: parent {f['parent'][0]}/{f['parent'][1]} -> "
+              f"change {f['change'][0]}/{f['change'][1]}" + ("; FAILED MORE" if f["more"] else ""))
         rounds = [[side["rounds"] for side in pair] for pair in pairs]
         print(f"{w} rounds per run: parent {sorted(r[0] for r in rounds)}, "
               f"change {sorted(r[1] for r in rounds)}")

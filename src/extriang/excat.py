@@ -16,17 +16,15 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .exactfield import Mat
 from .quivrep import (
     Catalog,
     Module,
     Morphism,
+    dim_hom,
     hom_basis,
-    identity_morphism,
     kernel,
     cokernel,
-    morphism_coords,
-    morphism_coords_many,
+    span_rank,
     split_off_summand,
 )
 from .homext import (
@@ -528,53 +526,38 @@ class QuotientCat:
         }
 
 
-def factoring_ideal_coords(i_mod: Module, j_mod: Module, through: Subcat) -> Optional[Mat]:
-    """Span of composites i -> T -> j over members T, as Hom-basis rows."""
-    basis = hom_basis(i_mod, j_mod)
-    if not basis:
-        return None
+def factoring_ideal_rank(i_mod: Module, j_mod: Module, through: Subcat) -> int:
+    """Dimension of the span of the composites i -> T -> j over members T."""
     catalog = through.catalog
     composites = []
     for k in through.sorted_members():
         t_mod = catalog.indecs[k]
         back = hom_basis(t_mod, j_mod)
         composites.extend(g @ f for f in hom_basis(i_mod, t_mod) for g in back)
-    return Mat(i_mod.p, morphism_coords_many(composites, basis).T)
+    return span_rank(composites)
 
 
 def quotient_hom_dim(i_mod: Module, j_mod: Module, through: Subcat) -> int:
     """dim Hom(i, j) minus the dimension of the factoring ideal."""
-    basis_dim = len(hom_basis(i_mod, j_mod))
-    ideal = factoring_ideal_coords(i_mod, j_mod, through)
-    return basis_dim - (ideal.rank() if ideal is not None else 0)
+    dim = dim_hom(i_mod, j_mod)
+    return dim - factoring_ideal_rank(i_mod, j_mod, through) if dim else 0
 
 
 def quotient(e: ExCat, t: Subcat) -> QuotientCat:
-    """Quotient Hom spaces for every member pair; survivors keep a nonzero identity."""
+    """Quotient Hom spaces for every member pair; survivors keep a nonzero End.
+
+    The maps of End(i) through t form a two-sided ideal, which holds the
+    identity exactly when it is all of End(i): i survives exactly when its
+    quotient End is nonzero.
+    """
     if not t <= e.objects:
         raise ValueError("killed subcategory must lie inside")
     catalog = e.catalog
     members = e.indec_indices()
     qhom: dict[tuple[int, int], int] = {}
-    survivors = []
     for i in members:
         for j in members:
-            ideal = factoring_ideal_coords(catalog.indecs[i], catalog.indecs[j], t)
-            rank = 0 if ideal is None else ideal.rank()
-            qhom[(i, j)] = catalog.dim_hom(i, j) - rank
-        ident_survives = _identity_survives(catalog, i, t)
-        if ident_survives:
-            survivors.append(i)
-    return QuotientCat(host=e, killed=t, qindecs=tuple(survivors), qhom=qhom)
-
-
-def _identity_survives(catalog: Catalog, i: int, t: Subcat) -> bool:
-    m = catalog.indecs[i]
-    ideal = factoring_ideal_coords(m, m, t)
-    if ideal is None:
-        return False  # zero Hom space cannot carry an identity
-    ident_coords = morphism_coords(identity_morphism(m), catalog.hom(i, i))
-    if ideal.rows == 0:
-        return True
-    stacked = ideal.vstack(Mat(m.p, ident_coords.reshape(1, -1)))
-    return stacked.rank() > ideal.rank()
+            dim = catalog.dim_hom(i, j)
+            qhom[(i, j)] = dim - factoring_ideal_rank(catalog.indecs[i], catalog.indecs[j], t) if dim else 0
+    survivors = tuple(i for i in members if qhom[(i, i)] > 0)
+    return QuotientCat(host=e, killed=t, qindecs=survivors, qhom=qhom)

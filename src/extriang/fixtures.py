@@ -150,7 +150,7 @@ class FixtureBundle:
         Commas inside a (d1,d2,...) dimension-vector pattern do not split.
         """
         spec = spec.strip()
-        if spec in ("-", "", "0"):
+        if spec in ("-", ""):
             return Subcat.zero(catalog)
         tokens = []
         depth = 0

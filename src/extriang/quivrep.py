@@ -370,43 +370,37 @@ def _morphism_from_vector(vec: np.ndarray, m: Module, n: Module, offsets: Mappin
     return Morphism(m, n, comps, check=check)
 
 
+def _hom_system(m: Module, n: Module) -> Optional[tuple[Mat, dict[str, int]]]:
+    """_commuting_system(m, n), or None when no vertex has both dimensions nonzero."""
+    if m.algebra != n.algebra or m.p != n.p:
+        raise ValueError("hom_basis endpoints over different algebras")
+    return _commuting_system(m, n) if any(dm * dn for dm, dn in zip(m.dims, n.dims)) else None
+
+
 def hom_basis(m: Module, n: Module) -> list[Morphism]:
     """Basis of Hom(m, n), the solution space of all commuting squares.
 
     The basis is canonical (reduced-echelon kernel in a fixed ordering).
     """
-    if m.algebra != n.algebra or m.p != n.p:
-        raise ValueError("hom_basis endpoints over different algebras")
-    if not any(dm * dn for dm, dn in zip(m.dims, n.dims)):
+    found = _hom_system(m, n)
+    if found is None:
         return []
-    system, offsets = _commuting_system(m, n)
+    system, offsets = found
     kernel = system.kernel_basis()
     return [_morphism_from_vector(kernel.a[:, k], m, n, offsets) for k in range(kernel.cols)]
 
 
-def morphism_coords_many(phis: Sequence[Morphism], basis: Sequence[Morphism]) -> np.ndarray:
-    """Coordinates of each phi in a Hom basis, one column per phi.
+def dim_hom(m: Module, n: Module) -> int:
+    """dim Hom(m, n): the unknowns of the commuting system minus its rank."""
+    found = _hom_system(m, n)
+    return 0 if found is None else found[0].cols - found[0].rank()
 
-    One elimination of the basis against all right-hand sides at once
-    (exact; raises if some phi is not in the span).
-    """
-    if not basis:
-        if all(phi.is_zero() for phi in phis):
-            return np.zeros((0, len(phis)), dtype=np.int64)
-        raise ValueError("morphism not in span of empty basis")
+
+def span_rank(phis: Sequence[Morphism]) -> int:
+    """Dimension of the span of morphisms that share a source and a target."""
     if not phis:
-        return np.zeros((len(basis), 0), dtype=np.int64)
-    p = basis[0].source.p
-    system = Mat(p, np.stack([_flatten_morphism(b) for b in basis], axis=1))
-    x = system.solve(Mat(p, np.stack([_flatten_morphism(phi) for phi in phis], axis=1)))
-    if x is None:
-        raise ValueError("morphism not in span of basis")
-    return x.a
-
-
-def morphism_coords(phi: Morphism, basis: Sequence[Morphism]) -> np.ndarray:
-    """Coordinates of phi in a Hom basis (exact; raises if not in span)."""
-    return morphism_coords_many([phi], basis)[:, 0]
+        return 0
+    return Mat(phis[0].source.p, np.stack([_flatten_morphism(phi) for phi in phis], axis=1)).rank()
 
 
 def _flatten_morphism(phi: Morphism) -> np.ndarray:
@@ -807,7 +801,7 @@ def _relation_mask(algebra: Algebra, p: int, shapes: list[tuple[int, int]]) -> n
                 term = views[arrow_pos[path[0]]]
                 for name in path[1:]:
                     term = term @ views[arrow_pos[name]] % p
-                total = total + coeff * term
+                total = total + coeff % p * term
             valid[(slice(None),) * first + (slice(lo, hi),)] &= ~np.any(total % p, axis=(-2, -1))
     return valid
 

@@ -19,6 +19,11 @@ coordinate solve per map and one cocycle push or pull per element, where
 decomposes every nonsplit middle, and `classify_functor_by_scan` grades
 every record, split ones included, where `homext` and `recol` read split
 and block records off their ends and earlier records.
+`morphism_coords_many` solves for the coordinates of maps in a Hom basis,
+and `quotient_by_identity_test` ranks each factoring ideal in those
+coordinates and keeps an object when its identity lies outside the
+ideal, where `excat.quotient` reads span ranks and keeps an object when
+its quotient End is nonzero.
 """
 
 from __future__ import annotations
@@ -47,17 +52,42 @@ from extriang.quivrep import (
     Morphism,
     _add_kron_eye,
     _commuting_system,
+    _flatten_morphism,
     _morphism_from_vector,
     cokernel,
     direct_sum,
     hom_basis,
     identity_morphism,
     kernel,
-    morphism_coords_many,
     split_off_summand,
     zero_morphism,
 )
 from extriang.recol import Classification, FunctorData
+
+
+def morphism_coords_many(phis: Sequence[Morphism], basis: Sequence[Morphism]) -> np.ndarray:
+    """Coordinates of each phi in a Hom basis, one column per phi.
+
+    One elimination of the basis against all right-hand sides at once
+    (exact; raises if some phi is not in the span).
+    """
+    if not basis:
+        if all(phi.is_zero() for phi in phis):
+            return np.zeros((0, len(phis)), dtype=np.int64)
+        raise ValueError("morphism not in span of empty basis")
+    if not phis:
+        return np.zeros((len(basis), 0), dtype=np.int64)
+    p = basis[0].source.p
+    system = Mat(p, np.stack([_flatten_morphism(b) for b in basis], axis=1))
+    x = system.solve(Mat(p, np.stack([_flatten_morphism(phi) for phi in phis], axis=1)))
+    if x is None:
+        raise ValueError("morphism not in span of basis")
+    return x.a
+
+
+def morphism_coords(phi: Morphism, basis: Sequence[Morphism]) -> np.ndarray:
+    """Coordinates of phi in a Hom basis (exact; raises if not in span)."""
+    return morphism_coords_many([phi], basis)[:, 0]
 
 
 def morphism_from_coords(coords, basis: Sequence[Morphism], source: Module, target: Module) -> Morphism:
@@ -67,6 +97,38 @@ def morphism_from_coords(coords, basis: Sequence[Morphism], source: Module, targ
         if c % source.p:
             out = out + b.scale(int(c))
     return out
+
+
+def factoring_ideal_coords(i_mod: Module, j_mod: Module, through: Subcat) -> Optional[Mat]:
+    """Span of composites i -> T -> j over members T, as Hom-basis rows."""
+    basis = hom_basis(i_mod, j_mod)
+    if not basis:
+        return None
+    catalog = through.catalog
+    composites = []
+    for k in through.sorted_members():
+        t_mod = catalog.indecs[k]
+        back = hom_basis(t_mod, j_mod)
+        composites.extend(g @ f for f in hom_basis(i_mod, t_mod) for g in back)
+    return Mat(i_mod.p, morphism_coords_many(composites, basis).T)
+
+
+def quotient_by_identity_test(e: ExCat, t: Subcat) -> tuple[dict, tuple[int, ...]]:
+    """(qhom, qindecs) of e modulo t; i survives when its identity is outside the ideal."""
+    catalog = e.catalog
+    members = e.indec_indices()
+    qhom = {}
+    for i, j in itertools.product(members, repeat=2):
+        ideal = factoring_ideal_coords(catalog.indecs[i], catalog.indecs[j], t)
+        qhom[(i, j)] = catalog.dim_hom(i, j) - (0 if ideal is None else ideal.rank())
+    survivors = []
+    for i in members:
+        m = catalog.indecs[i]
+        ideal = factoring_ideal_coords(m, m, t)
+        ident = Mat(m.p, morphism_coords(identity_morphism(m), catalog.hom(i, i)).reshape(1, -1))
+        if ideal.rows == 0 or ideal.vstack(ident).rank() > ideal.rank():
+            survivors.append(i)
+    return qhom, tuple(survivors)
 
 
 def find_isomorphism(m: Module, n: Module) -> Optional[Morphism]:

@@ -68,3 +68,22 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     # unless every change run beats every parent run
     apart = [(p, p - 70.0) for p in wide]
     assert summarize(apart, "lower", 0.25)["bound"] == "ok"
+
+
+def run(failed: int, attempted: int) -> dict:
+    return {"failed": failed, "attempted": attempted}
+
+
+def test_failed_operations_are_summed_per_side():
+    pairs = [(run(0, 10), run(1, 12)), (run(2, 10), run(0, 8))]
+    f = bench_pairs.failures(pairs)
+    assert f["parent"] == (2, 20) and f["change"] == (1, 20)
+    assert not f["more"]
+
+
+def test_a_larger_failed_share_is_flagged():
+    # the same count of failures over fewer attempts is a larger share
+    assert bench_pairs.failures([(run(1, 20), run(1, 10))])["more"]
+    assert not bench_pairs.failures([(run(1, 10), run(2, 20))])["more"]
+    assert not bench_pairs.failures([(run(0, 10), run(0, 0))])["more"]
+    assert bench_pairs.failures([(run(0, 0), run(1, 5))])["more"]

@@ -12,7 +12,7 @@ from extriang.excat import (
     NotExtensionClosedError,
     Subcat,
     enumerate_torsion_pairs,
-    factoring_ideal_coords,
+    factoring_ideal_rank,
     find_approximations,
     is_cluster_tilting,
     is_deflation,
@@ -423,6 +423,5 @@ def test_quotient_dimension_formula(bundle, b_indices):
     q = quotient(bundle.b_ext, candidate)
     for i in bundle.b_ext.indec_indices():
         for j in bundle.b_ext.indec_indices():
-            ideal = factoring_ideal_coords(cat.indecs[i], cat.indecs[j], candidate)
-            ideal_rank = ideal.rank() if ideal is not None else 0
+            ideal_rank = factoring_ideal_rank(cat.indecs[i], cat.indecs[j], candidate)
             assert q.qdim(i, j) + ideal_rank == cat.dim_hom(i, j)

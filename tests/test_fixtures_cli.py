@@ -9,7 +9,7 @@ import pytest
 
 from extriang import fixtures
 from extriang.cli import main
-from extriang.excat import enumerate_torsion_pairs
+from extriang.excat import Subcat, enumerate_torsion_pairs
 from extriang.fixtures import FixtureBundle, build_example51
 from extriang.quivrep import dump_algebra_text
 from oracles import is_indecomposable
@@ -308,6 +308,38 @@ def test_subcat_spec_dimension_vector_patterns(bundle):
     assert sub.members == {bundle.lambda_names["[P1;0]_0"], bundle.lambda_names["[0;P1]_0"]}
     sub2 = bundle.parse_subcat("(1,1)", bundle.mod_a)
     assert sub2.members == {bundle.a_names["P1"]}
+
+
+def test_index_zero_is_an_object_not_the_zero_subcategory(bundle):
+    cat = bundle.mod_lambda
+    assert bundle.parse_subcat("0", cat) == bundle.parse_subcat("0,0", cat) == Subcat.add(cat, [0])
+    assert bundle.parse_subcat("-", cat) == bundle.parse_subcat("", cat) == Subcat.zero(cat)
+
+
+def _square_file(tmp_path, coeff: int) -> str:
+    """The commutative square with relation coeff*(b.a - d.c)."""
+    path = tmp_path / f"square{coeff}.alg"
+    path.write_text("vertex 1\nvertex 2\nvertex 3\nvertex 4\narrow a 1 2\narrow b 2 4\n"
+                    f"arrow c 1 3\narrow d 3 4\nrelation {coeff}*b.a + -{coeff}*d.c\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_relation_coefficients_are_read_mod_p(capsys, tmp_path, p):
+    # coefficients whose products with a matrix entry pass int64, and ones past it
+    for coeff in (6000000000000000000, 6000000000000000001, 10**19, 10**19 + 1):
+        code, got = run_cli_json(capsys, "catalog", _square_file(tmp_path, coeff),
+                                 "--field", str(p), "--bound", "1")
+        code_reduced, want = run_cli_json(capsys, "catalog", _square_file(tmp_path, coeff % p),
+                                          "--field", str(p), "--bound", "1")
+        assert code == code_reduced == 0
+        assert {k: v for k, v in got.items() if k != "algebra"} == \
+            {k: v for k, v in want.items() if k != "algebra"}, coeff
+    # 6000000000000000001 is 0 mod 7: the square then has no relation at all
+    _, killed = run_cli_json(capsys, "catalog", _square_file(tmp_path, 6000000000000000001),
+                             "--field", "7", "--bound", "1")
+    _, free = run_cli_json(capsys, "catalog", _square_file(tmp_path, 0), "--field", "7", "--bound", "1")
+    assert killed["count"] == free["count"] == 22
 
 
 def test_cli_pretty_renders(capsys):

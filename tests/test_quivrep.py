@@ -30,14 +30,19 @@ from extriang.quivrep import (
     hom_basis,
     kernel,
     cokernel,
-    morphism_coords,
-    morphism_coords_many,
     parse_algebra_text,
+    span_rank,
     split_off_summand,
     zero_module,
 )
 from extriang.recol import build_triangular
-from oracles import is_indecomposable, is_isomorphic, morphism_from_coords
+from oracles import (
+    is_indecomposable,
+    is_isomorphic,
+    morphism_coords,
+    morphism_coords_many,
+    morphism_from_coords,
+)
 
 A2 = Algebra(("1", "2"), (Arrow("a", "1", "2"),))
 D4 = Algebra(("0", "1", "2", "3"),
@@ -513,6 +518,9 @@ def test_batched_coords_agree_with_the_basis(a2_catalog):
             assert morphism_from_coords(coords[:, k], basis, m, n) == phi
             assert np.array_equal(morphism_coords(phi, basis), coords[:, k])
         assert morphism_coords_many([], basis).shape == (len(basis), 0)
+        # span_rank reads the same rank without solving for coordinates
+        for part in (images, images[len(basis):], images[:1], images[1:2] * 2):
+            assert span_rank(part) == Mat(cat.p, morphism_coords_many(part, basis)).rank()
     with pytest.raises(ValueError):
         morphism_coords_many(ends[1:], ends[:1])
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 
 from extriang.quivrep import hom_basis
 from extriang.excat import Subcat, enumerate_torsion_pairs, verify_torsion_pair
+from extriang.fixtures import build_example51
 from extriang.recol import (
     NotRestrictedFunctorError,
     RecollementData,
@@ -74,7 +75,8 @@ def test_restricted_functor_image_guard(bundle):
 
 
 def test_check_recollement_passes(bundle):
-    for r in (bundle.restricted, bundle.full):
+    small = build_example51(3, 1)
+    for r in (bundle.restricted, bundle.full, small.restricted, small.full):
         report = check_recollement(r)
         assert report.ok, report.to_json_dict()
 
@@ -85,12 +87,10 @@ def test_corrupted_recollement_is_caught(bundle):
     swapped_star = dataclasses.replace(
         six["j_lower_star"],
         obj_map=six["j_lower_shriek"].obj_map,
-        mor_map=six["j_lower_shriek"].mor_map,
     )
     swapped_shriek = dataclasses.replace(
         six["j_lower_shriek"],
         obj_map=six["j_lower_star"].obj_map,
-        mor_map=six["j_lower_star"].mor_map,
     )
     six["j_lower_star"] = swapped_star
     six["j_lower_shriek"] = swapped_shriek
