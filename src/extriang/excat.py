@@ -2,11 +2,12 @@
 
 An ExCat wraps a catalog together with a set of member indecomposables whose
 additive closure is extension closed in the ambient module category; its
-conflations are all short exact sequences with every term decomposing among
-the members (ends capped at a configurable summand count, reported in JSON
-output).  Inflations, deflations, one-sided exact sequences, torsion pairs,
-approximations, rigidity, cluster tilting, and additive quotients are all
-decided by finite linear algebra over the catalog.
+conflations are the short exact sequences with every term decomposing among
+the members.  Inflations, deflations, one-sided exact sequences, torsion
+pairs, approximations, rigidity, cluster tilting, and additive quotients are
+all decided by finite linear algebra over the catalog.  Only exactness
+classification reads a conflation list, whose ends are capped at a
+configurable summand count (reported in JSON output).
 """
 
 from __future__ import annotations
@@ -16,8 +17,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
+from .exactfield import Mat
 from .quivrep import (
     Catalog,
+    CatalogIncompleteError,
     Module,
     Morphism,
     dim_hom,
@@ -102,7 +107,12 @@ class WitnessCandidate:
 
 
 class ExCat:
-    """Extension-closed subcategory with its complete conflation list."""
+    """Extension-closed subcategory, closure checked on construction.
+
+    `conflations` lists the conflations whose ends have at most `cap`
+    summands.  It is built on first use, and only exactness classification
+    reads it.
+    """
 
     def __init__(
         self,
@@ -142,12 +152,37 @@ class ExCat:
     def extension_closure_failure(self) -> Optional[ConflationRecord]:
         """First conflation with member ends whose middle escapes, if any.
 
-        A split middle is the sum of the ends, so only nonsplit records count.
+        A split middle is the sum of the ends, so only nonsplit records
+        count.  The records with two indecomposable ends come first.  When
+        none of them escapes and each has an indecomposable middle,
+        X = add(members) is closed under all extensions:
+
+        1. a*C lies in X for a member a and C in X, by induction on the
+           summands of C.  Write C = c + C'.  If the class vanishes on c,
+           then c splits off the middle E, and E = c + E' with E' in a*C'.
+           Otherwise the pullback along c -> C gives F >-> E ->> C', where
+           F, the middle of a nonsplit extension of c by a, is in X and
+           indecomposable, hence a member.  Either way C' has fewer
+           summands.
+        2. A*C lies in X for A, C in X, by induction on the summands of A.
+           Write A = A1 + a.  The pushout along A ->> a gives
+           a >-> E/A1 ->> C, so E/A1 is in X by 1, and A1 >-> E ->> E/A1
+           has fewer summands on the left.
+
+        A decomposable F stops step 1, and no proof that two
+        indecomposable ends suffice then is known here, so the check
+        falls back on the conflation list capped at `cap` summands.
         """
-        for rec in self.conflations:
-            if not rec.split and not self.objects.contains_index_multiset(rec.middle_summands):
-                return rec
-        return None
+        single = [rec for rec in all_conflations(self.catalog, members=self.objects.members, cap=1)
+                  if not rec.split]
+        bad = self._first_escape(single)
+        if bad is None and any(len(rec.middle_summands) > 1 for rec in single):
+            bad = self._first_escape(self.conflations)
+        return bad
+
+    def _first_escape(self, records: Iterable[ConflationRecord]) -> Optional[ConflationRecord]:
+        return next((rec for rec in records if not rec.split
+                     and not self.objects.contains_index_multiset(rec.middle_summands)), None)
 
     def contains(self, m: Module) -> bool:
         if self.is_full():
@@ -416,41 +451,49 @@ def torsion_pairs_to_json(pairs: Sequence[TorsionPair], e: ExCat) -> str:
 # -- approximations and cluster tilting ----------------------------------------
 
 
-def find_approximations(c_index: int, t: Subcat, e: ExCat) -> tuple[Optional[SES], Optional[SES]]:
-    """(left, right) approximation conflations of one object through t.
+def _in_add(m: Module, t: Subcat) -> bool:
+    """Whether m lies in add(t); a summand missing from the catalog lies outside."""
+    try:
+        return t.contains_module(m)
+    except CatalogIncompleteError:
+        return False
 
-    left: C -> T1 -> T2, right: T3 -> T4 -> C, both searched exhaustively
-    over the subcategory's conflation list (first match in list order).
+
+def _universal_map(c_index: int, t: Subcat, into: bool) -> Morphism:
+    """The map onto C from the sum of t's members (into) or from C into that
+    sum, one copy of a member k per basis map of Hom(k, C), or of Hom(C, k)."""
+    catalog = t.catalog
+    c_mod = catalog.indecs[c_index]
+    maps = [(k, phi) for k in t.sorted_members()
+            for phi in (catalog.hom(k, c_index) if into else catalog.hom(c_index, k))]
+    other = catalog.sum_of(k for k, _ in maps)
+    comps = {}
+    for v in catalog.algebra.vertices:
+        empty = np.zeros((c_mod.dim(v), 0) if into else (0, c_mod.dim(v)), dtype=np.int64)
+        comps[v] = Mat(catalog.p, np.concatenate(
+            [empty, *(phi.comps[v].a for _, phi in maps)], axis=1 if into else 0))
+    source, target = (other, c_mod) if into else (c_mod, other)
+    return Morphism(source, target, comps, check=False)
+
+
+def approximation_sides(c_index: int, t: Subcat) -> tuple[bool, bool]:
+    """(left, right): whether C has conflations C >-> T1 ->> T2 and
+    T3 >-> T4 ->> C with every T_i in add(t).
+
+    The universal map u from the members of t onto C, one copy of k per
+    basis map of Hom(k, C), is a right add(t)-approximation.  The right side
+    holds exactly when u is surjective with kernel in add(t).  Every right
+    approximation is a right minimal one plus a zero map from a summand in
+    add(t), so this asks whether some deflation that is a right
+    approximation has its kernel in add(t).  For a rigid t every deflation
+    g with kernel in add(t) is such an approximation, because
+    Ext^1(T, ker g) = 0.  The left side is the dual, with the map from C
+    into the members and its cokernel.
     """
-    if not t <= e.objects:
-        raise ValueError("approximating subcategory must lie inside")
-    left = right = None
-    for rec in e.conflations:
-        if left is None and rec.a_summands == (c_index,):
-            if t.contains_index_multiset(rec.middle_summands) and t.contains_index_multiset(rec.c_summands):
-                left = rec.ses
-        if right is None and rec.c_summands == (c_index,):
-            if t.contains_index_multiset(rec.middle_summands) and t.contains_index_multiset(rec.a_summands):
-                right = rec.ses
-        if left is not None and right is not None:
-            break
-    return left, right
-
-
-def is_projective_object(i: int, e: ExCat) -> bool:
-    """No extensions out of i: every deflation onto it splits."""
-    return all(
-        ext1_space(e.catalog.indecs[i], e.catalog.indecs[j]).dim == 0
-        for j in e.indec_indices()
-    )
-
-
-def is_injective_object(i: int, e: ExCat) -> bool:
-    """No extensions into i: every inflation out of it splits."""
-    return all(
-        ext1_space(e.catalog.indecs[j], e.catalog.indecs[i]).dim == 0
-        for j in e.indec_indices()
-    )
+    right = _universal_map(c_index, t, into=True)
+    left = _universal_map(c_index, t, into=False)
+    return (left.is_injective() and _in_add(cokernel(left)[0], t),
+            right.is_surjective() and _in_add(kernel(right)[0], t))
 
 
 def is_rigid(t: Subcat, e: ExCat) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -470,7 +513,6 @@ class ClusterTiltingReport:
     rigid: bool
     rigid_witness: Optional[tuple[int, int]]
     approx_failures: list[dict]
-    approximations: dict[int, tuple[Optional[SES], Optional[SES]]] = field(repr=False, default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -485,20 +527,17 @@ def is_cluster_tilting(t: Subcat, e: ExCat) -> ClusterTiltingReport:
     """Rigid plus two-sided approximation conflations for every object."""
     rigid, rigid_witness = is_rigid(t, e)
     failures = []
-    approximations = {}
     for c_index in e.indec_indices():
-        left, right = find_approximations(c_index, t, e)
-        approximations[c_index] = (left, right)
-        if left is None:
+        left, right = approximation_sides(c_index, t)
+        if not left:
             failures.append({"object": c_index, "side": "left"})
-        if right is None:
+        if not right:
             failures.append({"object": c_index, "side": "right"})
     return ClusterTiltingReport(
         ok=rigid and not failures,
         rigid=rigid,
         rigid_witness=rigid_witness,
         approx_failures=failures,
-        approximations=approximations,
     )
 
 
@@ -526,15 +565,18 @@ class QuotientCat:
         }
 
 
+def _composites_rank(pairs: Iterable[tuple[Sequence[Morphism], Sequence[Morphism]]]) -> int:
+    """Dimension of the span of the composites g f over pairs of bases
+    (Hom(i, T), Hom(T, j)), one pair per object T."""
+    return span_rank([g @ f for into, back in pairs for f in into for g in back])
+
+
 def factoring_ideal_rank(i_mod: Module, j_mod: Module, through: Subcat) -> int:
     """Dimension of the span of the composites i -> T -> j over members T."""
     catalog = through.catalog
-    composites = []
-    for k in through.sorted_members():
-        t_mod = catalog.indecs[k]
-        back = hom_basis(t_mod, j_mod)
-        composites.extend(g @ f for f in hom_basis(i_mod, t_mod) for g in back)
-    return span_rank(composites)
+    return _composites_rank(
+        (hom_basis(i_mod, catalog.indecs[k]), hom_basis(catalog.indecs[k], j_mod))
+        for k in through.sorted_members())
 
 
 def quotient_hom_dim(i_mod: Module, j_mod: Module, through: Subcat) -> int:
@@ -558,6 +600,7 @@ def quotient(e: ExCat, t: Subcat) -> QuotientCat:
     for i in members:
         for j in members:
             dim = catalog.dim_hom(i, j)
-            qhom[(i, j)] = dim - factoring_ideal_rank(catalog.indecs[i], catalog.indecs[j], t) if dim else 0
+            qhom[(i, j)] = dim - _composites_rank(
+                (catalog.hom(i, k), catalog.hom(k, j)) for k in t.sorted_members()) if dim else 0
     survivors = tuple(i for i in members if qhom[(i, i)] > 0)
     return QuotientCat(host=e, killed=t, qindecs=survivors, qhom=qhom)

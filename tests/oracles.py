@@ -24,6 +24,11 @@ and `quotient_by_identity_test` ranks each factoring ideal in those
 coordinates and keeps an object when its identity lies outside the
 ideal, where `excat.quotient` reads span ranks and keeps an object when
 its quotient End is nonzero.
+`find_approximations` searches a host's conflation list for approximation
+conflations, where `excat.approximation_sides` tests the universal maps
+built from the catalog's Hom bases.  `is_projective_object` and
+`is_injective_object` test the vanishing of Ext^1 from or into an object,
+one Ext space per member.
 """
 
 from __future__ import annotations
@@ -425,3 +430,41 @@ def contravariant_maps_by_elements(ses: SES, x: Module) -> list[Mat]:
         _map_matrix([push_by_cocycle(delta, f, ext_c) for f in hom_a], ext_c),
         _map_matrix([pull_by_cocycle(e, ses.prj, ext_b) for e in ext_c.basis()], ext_b),
     ]
+
+
+def find_approximations(c_index: int, t: Subcat, e: ExCat) -> tuple[Optional[SES], Optional[SES]]:
+    """(left, right) approximation conflations of one object through t.
+
+    left: C -> T1 -> T2, right: T3 -> T4 -> C, both searched exhaustively
+    over the host's conflation list (first match in list order), so only
+    ends of at most `e.cap` summands are seen.
+    """
+    if not t <= e.objects:
+        raise ValueError("approximating subcategory must lie inside")
+    left = right = None
+    for rec in e.conflations:
+        if left is None and rec.a_summands == (c_index,):
+            if t.contains_index_multiset(rec.middle_summands) and t.contains_index_multiset(rec.c_summands):
+                left = rec.ses
+        if right is None and rec.c_summands == (c_index,):
+            if t.contains_index_multiset(rec.middle_summands) and t.contains_index_multiset(rec.a_summands):
+                right = rec.ses
+        if left is not None and right is not None:
+            break
+    return left, right
+
+
+def is_projective_object(i: int, e: ExCat) -> bool:
+    """No extensions out of i: every deflation onto it splits."""
+    return all(
+        ext1_space(e.catalog.indecs[i], e.catalog.indecs[j]).dim == 0
+        for j in e.indec_indices()
+    )
+
+
+def is_injective_object(i: int, e: ExCat) -> bool:
+    """No extensions into i: every inflation out of it splits."""
+    return all(
+        ext1_space(e.catalog.indecs[j], e.catalog.indecs[i]).dim == 0
+        for j in e.indec_indices()
+    )

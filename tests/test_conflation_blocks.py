@@ -6,7 +6,6 @@ from functools import lru_cache
 import pytest
 
 from extriang import homext, quivrep
-from extriang.excat import ExCat
 from extriang.fixtures import build_example51
 from extriang.homext import ConflationRecord, _multisets, ext1_space
 from extriang.quivrep import Catalog, _decompose_by_splits, decompose
@@ -118,8 +117,7 @@ def test_b_ext_list_decomposes_only_what_blocks_do_not_give(bundle, monkeypatch)
     monkeypatch.setattr(homext, "ext1_space", lru_cache(maxsize=None)(build))
     monkeypatch.setattr(catalog, "_decompose_memo", {})
     monkeypatch.setattr(quivrep, "split_off_summand", split_test_spy)
-    e = ExCat(catalog, members, cap=2)
-    recs = e.conflations
+    recs = homext.all_conflations(catalog, members, cap=2)
     nonsplit = [r for r in recs if not r.split]
     base = [r for r in nonsplit if len(r.a_summands) == len(r.c_summands) == 1]
     by_blocks = [r for r in nonsplit if r.from_blocks]

@@ -13,7 +13,6 @@ from extriang.excat import (
     Subcat,
     enumerate_torsion_pairs,
     factoring_ideal_rank,
-    find_approximations,
     is_cluster_tilting,
     is_deflation,
     is_inflation,
@@ -24,7 +23,12 @@ from extriang.excat import (
     torsion_pairs_to_json,
     verify_torsion_pair,
 )
-from oracles import find_witness_by_scan, morphism_from_coords, witness_candidates_by_scan
+from oracles import (
+    find_approximations,
+    find_witness_by_scan,
+    morphism_from_coords,
+    witness_candidates_by_scan,
+)
 
 
 def a_idx(bundle, name):

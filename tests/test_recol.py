@@ -273,7 +273,7 @@ def test_projective_injective_preservation(bundle, b_indices):
     injectives to injectives, and i_* preserves projectives because i^! is
     exact.  All checked objectwise over both recollements.
     """
-    from extriang.excat import is_injective_object, is_projective_object
+    from oracles import is_injective_object, is_projective_object
 
     for r in (bundle.restricted, bundle.full):
         tri = r.triangular
