@@ -477,8 +477,8 @@ def _universal_map(c_index: int, t: Subcat, into: bool) -> Morphism:
 
 
 def approximation_sides(c_index: int, t: Subcat) -> tuple[bool, bool]:
-    """(left, right): whether C has conflations C >-> T1 ->> T2 and
-    T3 >-> T4 ->> C with every T_i in add(t).
+    """(left, right): whether C has an approximation conflation
+    C >-> T1 ->> T2, and one T3 >-> T4 ->> C, with every T_i in add(t).
 
     The universal map u from the members of t onto C, one copy of k per
     basis map of Hom(k, C), is a right add(t)-approximation.  The right side
