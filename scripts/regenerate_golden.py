@@ -8,7 +8,9 @@ pairs of the whole mod Lambda are the outputs of `extriang catalog
 modLambda`, the README commands file holds the exit code, stdout and
 stderr of every command in the README's command block, and the
 full-recollement file holds the same for `classify` and `check` on the
-full recollement; rewriting any of them is an explicit, reviewed act, so
+full recollement, and the Dynkin-catalog file holds the same for the
+file-based `catalog` on the A4 and D4 algebras under tests/algebras;
+rewriting any of them is an explicit, reviewed act, so
 this script is the only thing that touches the files.
 """
 
@@ -22,7 +24,8 @@ from extriang.cli import main as cli_main
 from extriang.excat import enumerate_torsion_pairs, torsion_pairs_to_json
 from extriang.fixtures import build_example51
 
-GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 B_PAIR = ["--t", "[P1;0]_0", "--f", "[0;P1]_0,[S2;0]_0"]
 CANDIDATE = ["--t", "[P1;P1]_1,[0;P1]_0,[S2;0]_0"]
@@ -46,6 +49,13 @@ README_COMMANDS = [
 FULL_RECOLLEMENT_COMMANDS = [
     ["recollement", "classify", "--example51", "full"],
     ["recollement", "check", "--example51", "full"],
+]
+
+# file-based catalogs beyond the bundled algebras; paths are relative to
+# the repository root, where they are run
+DYNKIN_CATALOG_COMMANDS = [
+    ["catalog", "tests/algebras/a4_alternating.alg", "--bound", "2"],
+    ["catalog", "tests/algebras/d4_source.alg", "--bound", "2"],
 ]
 
 
@@ -80,6 +90,10 @@ def main() -> int:
     out = GOLDEN / "recollement_full.json"
     out.write_text(commands_json(FULL_RECOLLEMENT_COMMANDS))
     print(f"wrote {out} ({len(FULL_RECOLLEMENT_COMMANDS)} commands)")
+    out = GOLDEN / "catalog_dynkin.json"
+    with contextlib.chdir(ROOT):
+        out.write_text(commands_json(DYNKIN_CATALOG_COMMANDS))
+    print(f"wrote {out} ({len(DYNKIN_CATALOG_COMMANDS)} commands)")
     return 0
 
 

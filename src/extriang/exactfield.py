@@ -249,7 +249,3 @@ class Mat:
         if x is None or self @ x != ident:
             raise ValueError("matrix is singular")
         return x
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
-

@@ -294,9 +294,6 @@ class Ext1Space:
 
     # -- one class ----------------------------------------------------------
 
-    def reduce(self, coords) -> tuple[int, ...]:
-        return tuple(int(t) for t in self.reduce_many(_column(coords))[:, 0])
-
     def zero(self) -> ExtClass:
         return ExtClass(self.c, self.a, tuple([0] * len(self._zfree)))
 
@@ -407,20 +404,6 @@ def ext_pull_many(space: Ext1Space, coords: np.ndarray, h: Morphism,
         (target._offsets[i], space._offsets[i], h.comps[x.src].a.T, space.a.dim(x.tgt), True)
         for i, x in enumerate(space.c.algebra.arrows)])
     return target.reduce_cocycles(pull @ space.cocycles(coords))
-
-
-def ext_push(cls: ExtClass, g: Morphism, target_space: Optional[Ext1Space] = None) -> ExtClass:
-    """Image of one class along g: a -> a' (see ext_push_many)."""
-    target = target_space or ext1_space(cls.c, g.target)
-    coords = ext_push_many(cls.space, _column(cls.coords), g, target)
-    return ExtClass(target.c, target.a, tuple(int(t) for t in coords[:, 0]))
-
-
-def ext_pull(cls: ExtClass, h: Morphism, target_space: Optional[Ext1Space] = None) -> ExtClass:
-    """Image of one class along h: x -> c (see ext_pull_many)."""
-    target = target_space or ext1_space(h.source, cls.a)
-    coords = ext_pull_many(cls.space, _column(cls.coords), h, target)
-    return ExtClass(target.c, target.a, tuple(int(t) for t in coords[:, 0]))
 
 
 # -- five-term exact sequences ---------------------------------------------------

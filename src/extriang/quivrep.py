@@ -6,14 +6,10 @@ Paths compose right to left: the path written "b.a" means apply a, then b,
 so its matrix is M_b @ M_a.
 
 The enumeration of indecomposables is exhaustive over dimension vectors:
-for each vector it labels the relation-satisfying arrow-matrix tuples with
-their base-change orbits by array operations (two representations with the
-same dimension vector are isomorphic exactly when a product of GL(d_v)
-actions carries one to the other), takes one representative per orbit,
-and keeps it unless its orbit holds a direct sum of indecomposables found
-at smaller dimension vectors.
-The grid has p**(sum of matrix sizes) cells per dimension vector, capped
-at MAX_GRID_CELLS, so it is meant for small bounds over small primes.
+where one may live, it labels the relation-satisfying arrow-matrix tuples
+with their base-change orbits by array operations and keeps the orbits no
+direct sum of smaller indecomposables lies in.  The grid has p**(sum of
+matrix sizes) cells per dimension vector, capped at MAX_GRID_CELLS.
 """
 
 from __future__ import annotations
@@ -899,43 +895,53 @@ def _actions(algebra: Algebra, p: int, stacks: list[np.ndarray], count: int) -> 
     return [{a.name: Mat(p, s[j]) for a, s in zip(algebra.arrows, stacks)} for j in range(count)]
 
 
-def _orbit_representatives(algebra: Algebra, p: int, dv: tuple[int, ...]):
-    """One arrow-matrix tuple per isomorphism class at this dimension
-    vector: the lexicographically first tuple of each relation-satisfying
-    orbit, in ascending order."""
-    grid, shapes, cells, label = _orbit_labels(algebra, p, dv)
-    reps = cells[_self_labelled(label)]
-    return _actions(algebra, p, _matrices_at(p, grid, shapes, reps), len(reps))
+def _may_hold_indecomposable(algebra: Algebra, dv: tuple[int, ...]) -> bool:
+    """False when dv is not a simple's and its support is disconnected or
+    some d_v exceeds the dimensions at the other ends of v's arrows."""
+    if sum(dv) <= 1:
+        return True
+    at = algebra.vertex_index
+    room = [0] * len(dv)
+    linked = {i: {i} for i, d in enumerate(dv) if d}
+    for a in algebra.arrows:
+        s, t = at[a.src], at[a.tgt]
+        room[s] += dv[t]
+        room[t] += dv[s]
+        if dv[s] and dv[t] and linked[s] is not linked[t]:
+            merged = linked[s] | linked[t]
+            for i in merged:
+                linked[i] = merged
+    return len(next(iter(linked.values()))) == len(linked) and all(dv[i] <= room[i] for i in linked)
 
 
-def _direct_sums(found: Sequence[Module], classes: Mapping, dv: tuple[int, ...], shapes):
-    """Every decomposable isomorphism class at dv as a block-diagonal sum:
-    per arrow the sums' matrices stacked, and each sum's least summand index.
-
-    classes maps each dimension vector below dv to its isomorphism classes
-    in the same form, over the indecomposables in found.  By Krull-Schmidt
-    a decomposable class at dv is found[i] + Y for exactly one i, its least
-    summand index, and one class Y at dv - dims(found[i]) whose least index
-    is at least i, so each class is built once, with found[i] first.
-    """
-    parts = [[np.zeros((0, r, c), dtype=np.int64)] for r, c in shapes]
-    least = [np.zeros(0, dtype=np.int64)]
+def _sums_at(found: Sequence[Module], classes: Mapping, dv: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every decomposable class at dv as the ascending tuple of its
+    summands' indices in found: found[i] + Y for its least index i and each
+    class Y at dv - dims(found[i]) in classes whose least index is >= i."""
+    sums = []
     for i, top in enumerate(found):
-        rest = classes.get(tuple(d - e for d, e in zip(dv, top.dims)))
-        if rest is None:
-            continue
-        stacks, first = rest
-        keep = first >= i
-        n = int(np.count_nonzero(keep))
-        for k, a in enumerate(top.algebra.arrows):
-            block = top.action[a.name].a
-            r, c = block.shape
-            out = np.zeros((n,) + shapes[k], dtype=np.int64)
-            out[:, :r, :c] = block
-            out[:, r:, c:] = stacks[k][keep]
-            parts[k].append(out)
-        least.append(np.full(n, i, dtype=np.int64))
-    return [np.concatenate(ps) for ps in parts], np.concatenate(least)
+        rest = classes.get(tuple(d - e for d, e in zip(dv, top.dims)), ())
+        sums += [(i,) + ms for ms in rest if ms[0] >= i]
+    return sums
+
+
+def _strike_out(algebra: Algebra, p: int, found: Sequence[Module], sums: Sequence[tuple[int, ...]],
+                orbits) -> np.ndarray:
+    """The self-labelled cells, ascending, whose orbit (from _orbit_labels)
+    holds none of the sums, built block-diagonally in index order."""
+    grid, shapes, cells, label = orbits
+    stacks = [np.zeros((len(sums), r, c), dtype=np.int64) for r, c in shapes]
+    for j, ms in enumerate(sums):
+        for k, a in enumerate(algebra.arrows):
+            ro = co = 0
+            for i in ms:
+                block = found[i].action[a.name].a
+                stacks[k][j, ro:ro + block.shape[0], co:co + block.shape[1]] = block
+                ro, co = ro + block.shape[0], co + block.shape[1]
+    decomposable = np.zeros(len(cells), dtype=bool)
+    decomposable[label[np.searchsorted(cells, _cells_at(p, grid, stacks, len(sums)))]] = True
+    own = _self_labelled(label)
+    return cells[own[~decomposable[own]]]
 
 
 def _with_hom_table(algebra: Algebra, p: int, bound: int, indecs: tuple[Module, ...]) -> Catalog:
@@ -949,18 +955,27 @@ def _with_hom_table(algebra: Algebra, p: int, bound: int, indecs: tuple[Module, 
 def enumerate_indecomposables(algebra: Algebra, bound: int, p: int = DEFAULT_PRIME) -> Catalog:
     """All indecomposables with every vertex dimension <= bound.
 
-    Exhaustive and exact: at each dimension vector d, array operations over
-    the grid of all p**(total matrix entries) arrow-matrix tuples label
-    every tuple with its base-change orbit, and each relation-satisfying
-    orbit gives one representative.  Every proper summand sorts earlier in
-    the layered dimension vector order, so the indecomposables found so far
-    contain one of each class below d; by Krull-Schmidt a decomposable
-    orbit at d holds exactly one of the block-diagonal sums of two or more
-    of them that _direct_sums builds.  The orbits of those sums are struck
-    out and the rest kept, so no Hom space is computed before the catalog's
-    Hom table.  Before any grid is built, raises
-    ValueError when some dimension vector has more than MAX_GRID_CELLS
-    tuples.
+    Exhaustive and exact.  Every proper summand sorts earlier in the
+    layered order of _dim_vectors, so at each d the indecomposables found
+    so far hold one of each class below d, and by Krull-Schmidt the
+    decomposable classes at d are the multisets _sums_at lists, one each.
+
+    Where _may_hold_indecomposable(d) is false no grid is built (the support
+    lemma; Auslander-Reiten-Smalo; Assem-Simson-Skowronski I.4).  A
+    disconnected support splits along its components.  If d_v exceeds the
+    dimensions at the other ends of v's arrows, the common kernel K of the
+    arrows leaving v is larger than the sum I of the images of the arrows
+    entering v; any x in K outside I spans a copy of S_v, and a hyperplane
+    at v holding I but not x, with everything at the other vertices, is a
+    complement.  The relations take no part.
+
+    Otherwise _orbit_labels gives one orbit per isomorphism class.  When
+    there are as many orbits as multisets, no orbit is left for an
+    indecomposable and nothing more is built; only when there are more
+    does _strike_out build the sums and keep the least tuple of each orbit
+    none of them lies in.  No Hom space is computed before the catalog's
+    Hom table.  Before any grid is built, raises ValueError when some
+    dimension vector has more than MAX_GRID_CELLS tuples.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -974,19 +989,21 @@ def enumerate_indecomposables(algebra: Algebra, bound: int, p: int = DEFAULT_PRI
             f"tuples, more than the {MAX_GRID_CELLS} an exhaustive enumeration may hold; "
             "lower the bound or the prime")
     found: list[Module] = []
-    # every isomorphism class at each dimension vector done so far, in the
-    # form _direct_sums takes and returns
-    classes: dict[tuple[int, ...], tuple[list[np.ndarray], np.ndarray]] = {}
+    # every isomorphism class at each dimension vector done so far, as the
+    # ascending tuple of its summands' indices in found
+    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for dv in dim_vectors:
-        grid, shapes, cells, label = _orbit_labels(algebra, p, dv)
-        sums, least = _direct_sums(found, classes, dv, shapes)
-        decomposable = np.zeros(len(cells), dtype=bool)
-        decomposable[label[np.searchsorted(cells, _cells_at(p, grid, sums, len(least)))]] = True
-        own = _self_labelled(label)
-        reps = cells[own[~decomposable[own]]]
+        sums = _sums_at(found, classes, dv)
+        classes[dv] = sums
+        if not _may_hold_indecomposable(algebra, dv):
+            continue
+        orbits = _orbit_labels(algebra, p, dv)
+        grid, shapes, _, label = orbits
+        if len(_self_labelled(label)) == len(sums):
+            continue
+        reps = _strike_out(algebra, p, found, sums, orbits)
         new = _matrices_at(p, grid, shapes, reps)
-        classes[dv] = ([np.concatenate(pair) for pair in zip(sums, new)],
-                       np.concatenate([least, np.arange(len(found), len(found) + len(reps))]))
+        classes[dv] = sums + [(i,) for i in range(len(found), len(found) + len(reps))]
         found += [Module(algebra, p, dv, action, check=False) for action in _actions(algebra, p, new, len(reps))]
     return _with_hom_table(algebra, p, bound, tuple(found))
 
@@ -1053,15 +1070,6 @@ def parse_algebra_text(text: str) -> Algebra:
         return Algebra(tuple(vertices), tuple(arrows), tuple(relations))
     except ValueError as exc:
         raise AlgebraFormatError(0, str(exc)) from exc
-
-
-def dump_algebra_text(algebra: Algebra) -> str:
-    lines = [f"vertex {v}" for v in algebra.vertices]
-    lines += [f"arrow {a.name} {a.src} {a.tgt}" for a in algebra.arrows]
-    for rel in algebra.relations:
-        terms = " + ".join(f"{coeff}*{'.'.join(path)}" for coeff, path in rel)
-        lines.append(f"relation {terms}")
-    return "\n".join(lines) + "\n"
 
 
 def algebra_to_json_dict(algebra: Algebra) -> dict:

@@ -287,19 +287,23 @@ class FunctorData:
     apply_mor: Callable[[Morphism], Morphism] = field(repr=False)
 
     def check_functoriality(self) -> None:
-        """F(id) = id and F(psi o phi) = F(psi) o F(phi) over hom bases."""
+        """F(id) = id and F(psi o phi) = F(psi) o F(phi) over hom bases.
+
+        F is applied once to each identity, each basis map and each
+        composite of two basis maps."""
         cat = self.source.catalog
-        for i in self.source.indec_indices():
+        members = self.source.indec_indices()
+        for i in members:
             fid = self.apply_mor(identity_morphism(cat.indecs[i]))
             if fid != identity_morphism(self.obj_map[i]):
                 raise AssertionError(f"{self.name} breaks identities at {i}")
-        members = self.source.indec_indices()
+        images = {(i, j): [self.apply_mor(phi) for phi in cat.hom(i, j)] for i in members for j in members}
         for i in members:
             for j in members:
-                for phi in cat.hom(i, j):
+                for phi, f_phi in zip(cat.hom(i, j), images[(i, j)]):
                     for k in members:
-                        for psi in cat.hom(j, k):
-                            if self.apply_mor(psi @ phi) != self.apply_mor(psi) @ self.apply_mor(phi):
+                        for psi, f_psi in zip(cat.hom(j, k), images[(j, k)]):
+                            if self.apply_mor(psi @ phi) != f_psi @ f_phi:
                                 raise AssertionError(
                                     f"{self.name} breaks composition on ({i},{j},{k})"
                                 )

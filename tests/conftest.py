@@ -47,3 +47,8 @@ def golden_readme_commands():
 @pytest.fixture(scope="session")
 def golden_recollement_full():
     return json.loads((GOLDEN_DIR / "recollement_full.json").read_text())
+
+
+@pytest.fixture(scope="session")
+def golden_catalog_dynkin():
+    return json.loads((GOLDEN_DIR / "catalog_dynkin.json").read_text())

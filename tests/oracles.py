@@ -29,6 +29,9 @@ conflations, where `excat.approximation_sides` tests the universal maps
 built from the catalog's Hom bases.  `is_projective_object` and
 `is_injective_object` test the vanishing of Ext^1 from or into an object,
 one Ext space per member.
+`ext_push`, `ext_pull` and `reduce_class` are the one-class forms of
+`homext`'s batched pushes, pulls and reductions, and `dump_algebra_text`
+writes the text format `quivrep.parse_algebra_text` reads.
 """
 
 from __future__ import annotations
@@ -46,13 +49,17 @@ from extriang.homext import (
     ConflationRecord,
     ExtClass,
     Ext1Space,
+    _column,
     class_of,
     ext1_space,
+    ext_pull_many,
+    ext_push_many,
     split_ses,
     summand_inclusion,
     summand_projection,
 )
 from extriang.quivrep import (
+    Algebra,
     Module,
     Morphism,
     _add_kron_eye,
@@ -396,6 +403,34 @@ def pull_by_cocycle(cls: ExtClass, h: Morphism, target: Ext1Space) -> ExtClass:
     """The class of phi_x h_src, h: x -> c, from the class's cocycle blocks."""
     phi = cls.cocycle()
     return target.class_from_cocycle({x.name: phi[x.name] @ h.comps[x.src] for x in h.source.algebra.arrows})
+
+
+def ext_push(cls: ExtClass, g: Morphism, target_space: Optional[Ext1Space] = None) -> ExtClass:
+    """Image of one class along g: a -> a' (see homext.ext_push_many)."""
+    target = target_space or ext1_space(cls.c, g.target)
+    coords = ext_push_many(cls.space, _column(cls.coords), g, target)
+    return ExtClass(target.c, target.a, tuple(int(t) for t in coords[:, 0]))
+
+
+def ext_pull(cls: ExtClass, h: Morphism, target_space: Optional[Ext1Space] = None) -> ExtClass:
+    """Image of one class along h: x -> c (see homext.ext_pull_many)."""
+    target = target_space or ext1_space(h.source, cls.a)
+    coords = ext_pull_many(cls.space, _column(cls.coords), h, target)
+    return ExtClass(target.c, target.a, tuple(int(t) for t in coords[:, 0]))
+
+
+def reduce_class(space: Ext1Space, coords) -> ExtClass:
+    """The class of one column of Z coordinates, in canonical reduced coordinates."""
+    return ExtClass(space.c, space.a, tuple(int(t) for t in space.reduce_many(_column(coords))[:, 0]))
+
+
+def dump_algebra_text(algebra: Algebra) -> str:
+    lines = [f"vertex {v}" for v in algebra.vertices]
+    lines += [f"arrow {a.name} {a.src} {a.tgt}" for a in algebra.arrows]
+    for rel in algebra.relations:
+        terms = " + ".join(f"{coeff}*{'.'.join(path)}" for coeff, path in rel)
+        lines.append(f"relation {terms}")
+    return "\n".join(lines) + "\n"
 
 
 def _map_matrix(images: Sequence, space: Ext1Space) -> Mat:

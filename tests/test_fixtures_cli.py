@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -11,8 +12,7 @@ from extriang import fixtures
 from extriang.cli import main
 from extriang.excat import Subcat, enumerate_torsion_pairs
 from extriang.fixtures import FixtureBundle, build_example51
-from extriang.quivrep import dump_algebra_text
-from oracles import is_indecomposable
+from oracles import dump_algebra_text, is_indecomposable
 
 
 def run_cli(capsys, *argv):
@@ -286,6 +286,17 @@ def test_full_recollement_commands_match_golden(capsys, golden_recollement_full)
     # classify and check on the full recollement, witnesses included
     assert [entry["argv"][1] for entry in golden_recollement_full] == ["classify", "check"]
     for entry in golden_recollement_full:
+        code = main(entry["argv"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (entry["exit_code"], entry["stdout"], entry["stderr"]), entry["argv"]
+
+
+def test_file_catalogs_match_golden(capsys, monkeypatch, golden_catalog_dynkin):
+    # A4 and D4 from algebra files; their paths are relative to the repository root
+    monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
+    assert [json.loads(entry["stdout"])["count"] for entry in golden_catalog_dynkin] == [10, 12]
+    for entry in golden_catalog_dynkin:
         code = main(entry["argv"])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == \

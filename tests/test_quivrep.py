@@ -1,6 +1,7 @@
 """Algebras, modules, Hom spaces, isomorphism, decomposition, enumeration."""
 
 import dataclasses
+import functools
 import itertools
 from collections import Counter
 
@@ -20,12 +21,10 @@ from extriang.quivrep import (
     _add_kron_eye,
     _dim_vectors,
     _gl_generators,
-    _orbit_representatives,
     _primitive_root,
     _with_hom_table,
     decompose,
     direct_sum,
-    dump_algebra_text,
     enumerate_indecomposables,
     hom_basis,
     kernel,
@@ -37,6 +36,7 @@ from extriang.quivrep import (
 )
 from extriang.recol import build_triangular
 from oracles import (
+    dump_algebra_text,
     is_indecomposable,
     is_isomorphic,
     morphism_coords,
@@ -51,11 +51,18 @@ KRONECKER = Algebra(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
 A3_LINEAR = Algebra(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
 A3_SINK = Algebra(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "3", "2")))
 A4 = Algebra(("1", "2", "3", "4"), (Arrow("a", "1", "2"), Arrow("b", "3", "2"), Arrow("c", "3", "4")))
+A4_LINEAR = Algebra(("1", "2", "3", "4"), (Arrow("a", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "3", "4")))
+D4_SOURCE = Algebra(("0", "1", "2", "3"),
+                    (Arrow("a1", "0", "1"), Arrow("a2", "0", "2"), Arrow("a3", "0", "3")))
+D4_MIXED = Algebra(("0", "1", "2", "3"),
+                   (Arrow("a1", "1", "0"), Arrow("a2", "0", "2"), Arrow("a3", "0", "3")))
 A3_ZERO = Algebra(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")), (((1, ("b", "a")),),))
 LAMBDA = build_triangular(A2).algebra
 DUAL_NUMBERS = Algebra(("1",), (Arrow("x", "1", "1"),), (((1, ("x", "x")),),))
 POINT = Algebra(("1",), ())
 TWO_POINTS = Algebra(("1", "2"), ())
+# two copies of A2 side by side: a support can be disconnected with room at every vertex
+TWO_ARROWS = Algebra(("1", "2", "3", "4"), (Arrow("a", "1", "2"), Arrow("b", "3", "4")))
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +197,7 @@ def _base_changed(m, rng):
     g = {}
     for v in m.algebra.vertices:
         g[v] = Mat(m.p, rng.integers(0, m.p, size=(m.dim(v), m.dim(v))))
-        while not g[v].is_invertible():
+        while g[v].rank() < m.dim(v):
             g[v] = Mat(m.p, rng.integers(0, m.p, size=(m.dim(v), m.dim(v))))
     return Module(m.algebra, m.p, m.dims,
                   {a.name: g[a.tgt] @ m.action[a.name] @ g[a.src].inverse() for a in m.algebra.arrows})
@@ -311,6 +318,15 @@ def test_kronecker_regulars_count():
     assert len(enumerate_indecomposables(KRONECKER, 1, 3)) == 6
 
 
+def _orbit_representatives(algebra, p, dv):
+    """One arrow-matrix tuple per isomorphism class at this dimension
+    vector: the lexicographically first tuple of each relation-satisfying
+    orbit, in ascending order."""
+    grid, shapes, cells, label = quivrep._orbit_labels(algebra, p, dv)
+    reps = cells[quivrep._self_labelled(label)]
+    return quivrep._actions(algebra, p, quivrep._matrices_at(p, grid, shapes, reps), len(reps))
+
+
 def _bfs_orbit_representatives(algebra, p, dv):
     """Reference orbit search: scan matrix tuples one at a time in
     lexicographic order, keep each relation-satisfying tuple not seen yet,
@@ -414,6 +430,7 @@ def test_gl_generator_inverses_are_inverse(p):
             assert np.array_equal(g_inv.astype(object) @ g.astype(object) % p, eye)
 
 
+@functools.lru_cache(maxsize=None)
 def _split_test_enumeration(algebra, bound, p):
     """Reference enumeration: keep each orbit representative from which no
     earlier indecomposable splits off (a Hom computation per pair)."""
@@ -426,15 +443,72 @@ def _split_test_enumeration(algebra, bound, p):
     return _with_hom_table(algebra, p, bound, tuple(found))
 
 
-@pytest.mark.parametrize("algebra, p, bound", [
-    (A2, 3, 2), (A3_LINEAR, 2, 2), (A3_SINK, 2, 2), (KRONECKER, 2, 2), (KRONECKER, 3, 2),
+# the catalog-sweep benchmark's shapes among them: A3 over F_3, and A4 and D4
+# over F_2 with a sink, a source and an alternating or mixed orientation
+ORACLE_CASES = pytest.mark.parametrize("algebra, p, bound", [
+    (A2, 3, 2), (A3_LINEAR, 2, 2), (A3_SINK, 2, 2), (A3_LINEAR, 3, 2), (A3_SINK, 3, 2),
+    (A4_LINEAR, 2, 2), (A4, 2, 2), (D4, 2, 2), (D4_SOURCE, 2, 2), (D4_MIXED, 2, 2),
+    (KRONECKER, 2, 2), (KRONECKER, 3, 2),
     (A3_ZERO, 3, 2), (DUAL_NUMBERS, 2, 3), (DUAL_NUMBERS, 3, 3), (LAMBDA, 2, 2), (LAMBDA, 3, 1),
-    (POINT, 2, 3), (TWO_POINTS, 3, 2),
-], ids=["A2", "A3-linear", "A3-sink", "Kronecker-2", "Kronecker-3", "A3-zero-relation",
-        "dual-numbers-2", "dual-numbers-3", "Lambda-2-2", "Lambda-3-1", "point", "two-points"])
+    (POINT, 2, 3), (TWO_POINTS, 3, 2), (TWO_ARROWS, 2, 2),
+], ids=["A2", "A3-linear", "A3-sink", "A3-linear-3", "A3-sink-3",
+        "A4-linear", "A4-alternating", "D4-sink", "D4-source", "D4-mixed", "Kronecker-2", "Kronecker-3",
+        "A3-zero-relation", "dual-numbers-2", "dual-numbers-3", "Lambda-2-2", "Lambda-3-1",
+        "point", "two-points", "two-arrows"])
+
+
+@ORACLE_CASES
 def test_enumeration_matches_the_split_test_oracle(algebra, p, bound):
     expected = _split_test_enumeration(algebra, bound, p).to_json_dict()
     assert enumerate_indecomposables(algebra, bound, p).to_json_dict() == expected
+
+
+@ORACLE_CASES
+def test_the_support_lemma_skips_only_where_the_oracle_finds_nothing(algebra, p, bound):
+    found = {m.dims for m in _split_test_enumeration(algebra, bound, p).indecs}
+    for dv in _dim_vectors(len(algebra.vertices), bound):
+        if not quivrep._may_hold_indecomposable(algebra, dv):
+            assert dv not in found, dv
+
+
+def test_the_support_lemma_reads_support_and_arrow_room():
+    may = quivrep._may_hold_indecomposable
+    # simples always; a disconnected support never
+    assert may(TWO_POINTS, (1, 0)) and not may(TWO_POINTS, (1, 1)) and not may(POINT, (2,))
+    assert may(A3_LINEAR, (1, 1, 1)) and not may(A3_LINEAR, (1, 0, 1))
+    assert may(TWO_ARROWS, (1, 1, 0, 0)) and not may(TWO_ARROWS, (1, 1, 1, 1))
+    # D4 with a sink centre: 2 at the centre fits 1 + 1 + 1 around it, 2 at a leaf does not fit 1
+    assert may(D4, (2, 1, 1, 1)) and not may(D4, (1, 2, 1, 1)) and not may(D4, (2, 1, 0, 0))
+    # the Kronecker quiver gives each end twice the room; a loop gives room at its own vertex
+    assert may(KRONECKER, (2, 1)) and not may(KRONECKER, (3, 1))
+    assert may(DUAL_NUMBERS, (3,))
+
+
+@pytest.mark.parametrize("algebra, p, bound, dim_vectors, searches, strike_outs", [
+    (LAMBDA, 2, 2, 80, 48, 11), (LAMBDA, 3, 1, 15, 13, 11), (A2, 2, 2, 8, 4, 3),
+], ids=["Lambda-2-2", "Lambda-3-1", "modA-2-2"])
+def test_enumeration_searches_orbits_only_where_an_indecomposable_is_left(
+        monkeypatch, algebra, p, bound, dim_vectors, searches, strike_outs):
+    labelled, struck = [], []
+    orbit_labels, strike_out = quivrep._orbit_labels, quivrep._strike_out
+
+    def label_spy(alg, p, dv):
+        labelled.append(dv)
+        return orbit_labels(alg, p, dv)
+
+    def strike_spy(alg, p, found, sums, orbits):
+        struck.append(orbits)
+        return strike_out(alg, p, found, sums, orbits)
+
+    monkeypatch.setattr(quivrep, "_orbit_labels", label_spy)
+    monkeypatch.setattr(quivrep, "_strike_out", strike_spy)
+    catalog = enumerate_indecomposables(algebra, bound, p)
+    dvs = _dim_vectors(len(algebra.vertices), bound)
+    assert (len(dvs), len(labelled), len(struck)) == (dim_vectors, searches, strike_outs)
+    assert labelled == [dv for dv in dvs if quivrep._may_hold_indecomposable(algebra, dv)]
+    # these catalogs have one indecomposable per dimension vector, and a
+    # strike-out runs only where one is left
+    assert len(catalog) == len({m.dims for m in catalog.indecs}) == strike_outs
 
 
 def test_enumeration_runs_no_split_test(monkeypatch):

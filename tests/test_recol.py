@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from extriang.quivrep import hom_basis
+from extriang.quivrep import hom_basis, identity_morphism
 from extriang.excat import Subcat, enumerate_torsion_pairs, verify_torsion_pair
 from extriang.fixtures import build_example51
 from extriang.recol import (
@@ -66,6 +66,37 @@ def test_six_functor_tables_cover_catalogs(bundle):
     for name, fd in bundle.restricted.six.items():
         assert set(fd.obj_map) == set(fd.source.indec_indices())
         fd.check_functoriality()
+
+
+@pytest.mark.parametrize("which", ["restricted", "full"])
+def test_functoriality_applies_each_functor_once_per_map(bundle, which):
+    for fd in getattr(bundle, which).six.values():
+        cat, members = fd.source.catalog, fd.source.indec_indices()
+        calls = []
+
+        def spy(phi, apply_mor=fd.apply_mor):
+            calls.append(phi)
+            return apply_mor(phi)
+
+        dataclasses.replace(fd, apply_mor=spy).check_functoriality()
+        basis = sum(cat.dim_hom(i, j) for i in members for j in members)
+        composites = sum(cat.dim_hom(i, j) * cat.dim_hom(j, k) for i in members for j in members for k in members)
+        # one call per identity, per basis map and per composite of two basis maps
+        assert len(calls) == len(members) + basis + composites, fd.name
+
+
+def test_functoriality_check_catches_a_broken_composite():
+    # doubling every map but the identities keeps F(id) = id and breaks
+    # F(psi phi) = F(psi) F(phi) over F_3, where 2 != 4, wherever a composite
+    # of two basis maps of mod Lambda survives j^*
+    fd = build_example51(3, 1).full.six["j_upper_star"]
+
+    def doubled(phi):
+        image = fd.apply_mor(phi)
+        return image if phi == identity_morphism(phi.source) else image.scale(2)
+
+    with pytest.raises(AssertionError, match="breaks composition"):
+        dataclasses.replace(fd, apply_mor=doubled).check_functoriality()
 
 
 def test_restricted_functor_image_guard(bundle):
