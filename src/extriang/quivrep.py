@@ -15,6 +15,7 @@ matrix sizes) cells per dimension vector, capped at MAX_GRID_CELLS.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -490,26 +491,37 @@ def split_off_summand(u: Module, m: Module) -> Optional[tuple[Morphism, Morphism
 
 @dataclass
 class Catalog:
-    """Ordered list of pairwise non-isomorphic indecomposables with Hom data."""
+    """Ordered list of pairwise non-isomorphic indecomposables.  Hom bases of
+    pairs, End-ring tops of entries and decompositions are found on first use."""
 
     algebra: Algebra
     p: int
     bound: int
     indecs: tuple[Module, ...]
-    hom_table: dict[tuple[int, int], tuple[Morphism, ...]] = field(repr=False)
 
     def __post_init__(self):
+        self._homs: dict[tuple[int, int], tuple[Morphism, ...]] = {}
+        self._tops: dict[int, Optional[tuple[str, Mat, Mat]]] = {}
         self._decompose_memo: dict = {}
-        self._tops: Optional[list[Optional[tuple[str, Mat, Mat]]]] = None
 
     def __len__(self):
         return len(self.indecs)
 
     def hom(self, i: int, j: int) -> tuple[Morphism, ...]:
-        return self.hom_table[(i, j)]
+        """hom_basis(indecs[i], indecs[j]), solved once per pair."""
+        basis = self._homs.get((i, j))
+        if basis is None:
+            basis = self._homs[(i, j)] = tuple(hom_basis(self.indecs[i], self.indecs[j]))
+        return basis
 
     def dim_hom(self, i: int, j: int) -> int:
-        return len(self.hom_table[(i, j)])
+        return len(self.hom(i, j))
+
+    def top(self, i: int) -> Optional[tuple[str, Mat, Mat]]:
+        """_top of entry i on its End basis, found once per entry."""
+        if i not in self._tops:
+            self._tops[i] = _top(self.indecs[i], self.hom(i, i))
+        return self._tops[i]
 
     def sum_of(self, indices: Iterable[int]) -> Module:
         mods = [self.indecs[i] for i in indices]
@@ -620,8 +632,6 @@ def decompose(m: Module, catalog: Catalog) -> Counter:
     """
     if m.algebra != catalog.algebra or m.p != catalog.p:
         raise ValueError("module not over the catalog's algebra")
-    if catalog._tops is None:
-        catalog._tops = [_top(u, catalog.hom(i, i)) for i, u in enumerate(catalog.indecs)]
     result: Counter = Counter()
     left = m.dims
     for idx, u in enumerate(catalog.indecs):
@@ -629,7 +639,7 @@ def decompose(m: Module, catalog: Catalog) -> Counter:
             break
         if any(du > dl for du, dl in zip(u.dims, left)):
             continue
-        top = catalog._tops[idx]
+        top = catalog.top(idx)
         if top is None:
             return _decompose_by_splits(m, catalog)
         k = _multiplicity(u, m, top)
@@ -674,6 +684,9 @@ def _decompose_by_splits(m: Module, catalog: Catalog) -> Counter:
 # per GL(d_v) generator for each tuple that does, and 1 for each that does not.
 # enumerate_indecomposables refuses a larger grid before building any.
 MAX_GRID_CELLS = 2 ** 20
+
+# the most digits Python writes out an int with by default; a larger grid size is written p**e
+_PRINTABLE_DIGITS = 4300
 
 # Matrices are decoded and relation values formed this many cells at a
 # time, so temporaries stay small whatever the grid size.
@@ -731,12 +744,6 @@ def _dim_vectors(n: int, bound: int):
     vecs = [t for t in itertools.product(range(bound + 1), repeat=n) if any(t)]
     vecs.sort(key=lambda t: (max(t), sum(t), t))
     return vecs
-
-
-def _grid_cells(algebra: Algebra, p: int, dv: tuple[int, ...]) -> int:
-    """Number of arrow-matrix tuples at dv: p**(sum over arrows of d_src * d_tgt)."""
-    at = algebra.vertex_index
-    return p ** sum(dv[at[a.src]] * dv[at[a.tgt]] for a in algebra.arrows)
 
 
 def _base_p_weights(p: int, n: int) -> np.ndarray:
@@ -944,14 +951,6 @@ def _strike_out(algebra: Algebra, p: int, found: Sequence[Module], sums: Sequenc
     return cells[own[~decomposable[own]]]
 
 
-def _with_hom_table(algebra: Algebra, p: int, bound: int, indecs: tuple[Module, ...]) -> Catalog:
-    table = {}
-    for i, mi in enumerate(indecs):
-        for j, mj in enumerate(indecs):
-            table[(i, j)] = tuple(hom_basis(mi, mj))
-    return Catalog(algebra=algebra, p=p, bound=bound, indecs=indecs, hom_table=table)
-
-
 def enumerate_indecomposables(algebra: Algebra, bound: int, p: int = DEFAULT_PRIME) -> Catalog:
     """All indecomposables with every vertex dimension <= bound.
 
@@ -973,21 +972,28 @@ def enumerate_indecomposables(algebra: Algebra, bound: int, p: int = DEFAULT_PRI
     there are as many orbits as multisets, no orbit is left for an
     indecomposable and nothing more is built; only when there are more
     does _strike_out build the sums and keep the least tuple of each orbit
-    none of them lies in.  No Hom space is computed before the catalog's
-    Hom table.  Before any grid is built, raises ValueError when some
-    dimension vector has more than MAX_GRID_CELLS tuples.
+    none of them lies in.  No Hom space is computed: the catalog solves
+    each one the first time it is asked for.  Before any dimension vector
+    is listed, raises ValueError when some dimension vector has more than
+    MAX_GRID_CELLS tuples.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     _check_prime(p)
-    dim_vectors = _dim_vectors(len(algebra.vertices), bound)
-    widest = max(dim_vectors, key=lambda dv: _grid_cells(algebra, p, dv), default=())
-    cells = _grid_cells(algebra, p, widest)
-    if cells > MAX_GRID_CELLS:
+    # The grid at d has p**e cells, e = sum over arrows of d_src * d_tgt, which
+    # grows in every d_v with each term at most bound**2: the first widest d in
+    # _dim_vectors' order is bound where an arrow touches and 0 elsewhere.
+    touched = {v for a in algebra.arrows for v in (a.src, a.tgt)}
+    widest = tuple(bound if v in touched else 0 for v in algebra.vertices)
+    e = bound * bound * len(algebra.arrows)
+    # p**e >= 2**e > MAX_GRID_CELLS from this e on, so p**e is formed only below it
+    if e >= MAX_GRID_CELLS.bit_length() or p ** e > MAX_GRID_CELLS:
+        cells = p ** e if e * math.log10(p) < _PRINTABLE_DIGITS else f"{p}**{e}"
         raise ValueError(
             f"dimension vector {dict(zip(algebra.vertices, widest))} has {cells} arrow-matrix "
             f"tuples, more than the {MAX_GRID_CELLS} an exhaustive enumeration may hold; "
             "lower the bound or the prime")
+    dim_vectors = _dim_vectors(len(algebra.vertices), bound)
     found: list[Module] = []
     # every isomorphism class at each dimension vector done so far, as the
     # ascending tuple of its summands' indices in found
@@ -1005,7 +1011,7 @@ def enumerate_indecomposables(algebra: Algebra, bound: int, p: int = DEFAULT_PRI
         new = _matrices_at(p, grid, shapes, reps)
         classes[dv] = sums + [(i,) for i in range(len(found), len(found) + len(reps))]
         found += [Module(algebra, p, dv, action, check=False) for action in _actions(algebra, p, new, len(reps))]
-    return _with_hom_table(algebra, p, bound, tuple(found))
+    return Catalog(algebra, p, bound, tuple(found))
 
 
 # -- text format -------------------------------------------------------------

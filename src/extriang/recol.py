@@ -393,6 +393,46 @@ class RecollementReport:
         return {"pass": self.ok, "clauses": [c.to_json_dict() for c in self.clauses]}
 
 
+def _adjunction_dim_failures(r: RecollementData, a_indices, b_indices, c_indices,
+                             dim_a: Callable, dim_b: Callable, dim_c: Callable) -> list[tuple]:
+    """The adjunctions i^* -| i_* -| i^! and j_! -| j^* -| j_* in Hom-dimension
+    form over the given objects of A, B and C, with the functor values read
+    from r.six's tables and dim_a, dim_b, dim_c the Hom dimensions of the
+    three categories, each a function of two modules.  Returns the failures
+    as (adjunction, left object, right object).
+    """
+    i_up, i_low, i_shk, j_shk, j_up, j_low = (r.six[name].obj_map for name in (
+        "i_upper_star", "i_lower_star", "i_upper_shriek", "j_lower_shriek", "j_upper_star", "j_lower_star"))
+    fail = []
+    for a in a_indices:
+        x = r.a_cat.catalog.indecs[a]
+        for b in b_indices:
+            m = r.b_cat.catalog.indecs[b]
+            if dim_a(i_up[b], x) != dim_b(m, i_low[a]):
+                fail.append(("i* -| i_*", b, a))
+            if dim_b(i_low[a], m) != dim_a(x, i_shk[b]):
+                fail.append(("i_* -| i^!", a, b))
+    for c in c_indices:
+        z = r.c_cat.catalog.indecs[c]
+        for b in b_indices:
+            m = r.b_cat.catalog.indecs[b]
+            if dim_b(j_shk[c], m) != dim_c(z, j_up[b]):
+                fail.append(("j_! -| j^*", c, b))
+            if dim_b(m, j_low[c]) != dim_c(j_up[b], z):
+                fail.append(("j^* -| j_*", b, c))
+    return fail
+
+
+def _hom_dims_kept(fd: FunctorData, indices, dim_source: Callable, dim_target: Callable):
+    """(i, j, kept) for every pair of the given source objects, kept when
+    dim_target of the functor's tabulated values equals dim_source of the
+    objects themselves (each a function of two modules)."""
+    mods = fd.source.catalog.indecs
+    for i in indices:
+        for j in indices:
+            yield i, j, dim_source(mods[i], mods[j]) == dim_target(fd.obj_map[i], fd.obj_map[j])
+
+
 def _adjunction_triangle_clause(r: RecollementData) -> list[ClauseResult]:
     tri = r.triangular
     results = []
@@ -449,29 +489,9 @@ def _adjunction_triangle_clause(r: RecollementData) -> list[ClauseResult]:
 
     # hom-dimension form of the adjunctions over all object pairs, read off
     # the tabulated functor values so corrupted tables are caught
-    dim_fail = []
-    i_up = r.six["i_upper_star"].obj_map
-    i_low = r.six["i_lower_star"].obj_map
-    i_shk = r.six["i_upper_shriek"].obj_map
-    j_shk = r.six["j_lower_shriek"].obj_map
-    j_up = r.six["j_upper_star"].obj_map
-    j_low = r.six["j_lower_star"].obj_map
-    for a in r.a_cat.indec_indices():
-        x = r.a_cat.catalog.indecs[a]
-        for b in r.b_cat.indec_indices():
-            m = r.b_cat.catalog.indecs[b]
-            if dim_hom(i_up[b], x) != dim_hom(m, i_low[a]):
-                dim_fail.append(("i* -| i_*", b, a))
-            if dim_hom(i_low[a], m) != dim_hom(x, i_shk[b]):
-                dim_fail.append(("i_* -| i^!", a, b))
-    for c in r.c_cat.indec_indices():
-        z = r.c_cat.catalog.indecs[c]
-        for b in r.b_cat.indec_indices():
-            m = r.b_cat.catalog.indecs[b]
-            if dim_hom(j_shk[c], m) != dim_hom(z, j_up[b]):
-                dim_fail.append(("j_! -| j^*", c, b))
-            if dim_hom(m, j_low[c]) != dim_hom(j_up[b], z):
-                dim_fail.append(("j^* -| j_*", b, c))
+    dim_fail = _adjunction_dim_failures(
+        r, r.a_cat.indec_indices(), r.b_cat.indec_indices(), r.c_cat.indec_indices(),
+        dim_hom, dim_hom, dim_hom)
     results.append(ClauseResult("R1_hom_dimensions", not dim_fail,
                                 {"failures": dim_fail[:5]} if dim_fail else None))
 
@@ -529,13 +549,11 @@ def check_recollement(r: RecollementData) -> RecollementReport:
     for name in ("i_lower_star", "j_lower_shriek", "j_lower_star"):
         fd = r.six[name]
         src = fd.source
-        for i in src.indec_indices():
-            for j in src.indec_indices():
-                dim = src.catalog.dim_hom(i, j)
-                if dim_hom(fd.obj_map[i], fd.obj_map[j]) != dim:
-                    ff_fail.append((name, i, j, "dimension"))
-                elif span_rank([fd.apply_mor(phi) for phi in src.catalog.hom(i, j)]) < dim:
-                    ff_fail.append((name, i, j, "not bijective"))
+        for i, j, kept in _hom_dims_kept(fd, src.indec_indices(), dim_hom, dim_hom):
+            if not kept:
+                ff_fail.append((name, i, j, "dimension"))
+            elif span_rank([fd.apply_mor(phi) for phi in src.catalog.hom(i, j)]) < src.catalog.dim_hom(i, j):
+                ff_fail.append((name, i, j, "not bijective"))
     clauses.append(ClauseResult("R3_fully_faithful", not ff_fail,
                                 {"failures": ff_fail[:5]} if ff_fail else None))
 
@@ -796,6 +814,19 @@ def _maps_into(mods: Iterable[Module], transform: Callable[[Module], Module], ta
     return all(target.contains_module(transform(m)) for m in mods)
 
 
+def _closure_hypotheses(tri: TriangularData, names: Iterable[str], mods: list[Module], target: Subcat,
+                        side: str) -> dict[str, bool]:
+    """For each composite endofunctor of B named, in order, whether it sends
+    every module of mods into target, keyed "<name>_<side>_in_<side>"."""
+    composites = {
+        "i_lower_star_i_upper_shriek": lambda m: tri.i_lower_star_obj(tri.x_part(m)),
+        "i_lower_star_i_upper_star": lambda m: tri.i_lower_star_obj(tri.i_upper_star_obj(m)),
+        "j_lower_shriek_j_upper_star": lambda m: tri.j_lower_shriek_obj(tri.y_part(m)),
+        "j_lower_star_j_upper_star": lambda m: tri.j_lower_star_obj(tri.y_part(m)),
+    }
+    return {f"{name}_{side}_in_{side}": _maps_into(mods, composites[name], target) for name in names}
+
+
 def restrict_torsion_pair(r: RecollementData, tp: TorsionPair) -> RestrictResult:
     """Restrict a middle torsion pair to (i*T, i^!F) and (j*T, j*F).
 
@@ -820,14 +851,9 @@ def restrict_torsion_pair(r: RecollementData, tp: TorsionPair) -> RestrictResult
 
     hypotheses = {
         "i_upper_shriek_exact": classify_functor(r.six["i_upper_shriek"]).label == "exact",
-        "i_lower_star_i_upper_shriek_T_in_T": _maps_into(
-            t_mods, lambda m: tri.i_lower_star_obj(tri.x_part(m)), tp.t),
-        "i_lower_star_i_upper_star_T_in_T": _maps_into(
-            t_mods, lambda m: tri.i_lower_star_obj(tri.i_upper_star_obj(m)), tp.t),
-        "j_lower_shriek_j_upper_star_T_in_T": _maps_into(
-            t_mods, lambda m: tri.j_lower_shriek_obj(tri.y_part(m)), tp.t),
-        "j_lower_star_j_upper_star_F_in_F": _maps_into(
-            f_mods, lambda m: tri.j_lower_star_obj(tri.y_part(m)), tp.f),
+        **_closure_hypotheses(tri, ("i_lower_star_i_upper_shriek", "i_lower_star_i_upper_star",
+                                    "j_lower_shriek_j_upper_star"), t_mods, tp.t, "T"),
+        **_closure_hypotheses(tri, ("j_lower_star_j_upper_star",), f_mods, tp.f, "F"),
     }
     return RestrictResult(
         a_pair=(a_t, a_f), c_pair=(c_t, c_f),
@@ -885,12 +911,8 @@ def quotient_recollement(
     t_mods = [bcat.indecs[b] for b in t.sorted_members()]
 
     hypotheses = {
-        "j_lower_star_j_upper_star_T_in_T": _maps_into(
-            t_mods, lambda m: tri.j_lower_star_obj(tri.y_part(m)), t),
-        "i_lower_star_i_upper_star_T_in_T": _maps_into(
-            t_mods, lambda m: tri.i_lower_star_obj(tri.i_upper_star_obj(m)), t),
-        "i_lower_star_i_upper_shriek_T_in_T": _maps_into(
-            t_mods, lambda m: tri.i_lower_star_obj(tri.x_part(m)), t),
+        **_closure_hypotheses(tri, ("j_lower_star_j_upper_star", "i_lower_star_i_upper_star",
+                                    "i_lower_star_i_upper_shriek"), t_mods, t, "T"),
         "i_upper_star_exact": classify_functor(r.six["i_upper_star"]).label == "exact",
         "i_upper_shriek_exact": classify_functor(r.six["i_upper_shriek"]).label == "exact",
     }
@@ -921,50 +943,17 @@ def quotient_recollement(
     }
 
     # quotient-level adjunction and fully-faithfulness via Hom dimensions
-    adj_fail = []
-    for a in aq.qindecs:
-        x = acat.indecs[a]
-        for b in bq.qindecs:
-            m = bcat.indecs[b]
-            lhs = quotient_hom_dim(tri.i_lower_star_obj(x), m, t)
-            rhs = quotient_hom_dim(x, tri.x_part(m), i_star_t)
-            if lhs != rhs:
-                adj_fail.append(("i_bar_* -| i_bar^!", a, b))
-            lhs = quotient_hom_dim(tri.i_upper_star_obj(m), x, i_star_t)
-            rhs = quotient_hom_dim(m, tri.i_lower_star_obj(x), t)
-            if lhs != rhs:
-                adj_fail.append(("i_bar^* -| i_bar_*", b, a))
-    for c in cq.qindecs:
-        z = ccat.indecs[c]
-        for b in bq.qindecs:
-            m = bcat.indecs[b]
-            lhs = quotient_hom_dim(tri.j_lower_shriek_obj(z), m, t)
-            rhs = quotient_hom_dim(z, tri.y_part(m), j_star_t)
-            if lhs != rhs:
-                adj_fail.append(("j_bar_! -| j_bar^*", c, b))
-            lhs = quotient_hom_dim(m, tri.j_lower_star_obj(z), t)
-            rhs = quotient_hom_dim(tri.y_part(m), z, j_star_t)
-            if lhs != rhs:
-                adj_fail.append(("j_bar^* -| j_bar_*", b, c))
-    induced["quotient_adjunction_dims"] = not adj_fail
+    def quotient_dims(killed: Subcat) -> Callable[[Module, Module], int]:
+        return lambda u, v: quotient_hom_dim(u, v, killed)
 
-    ff_fail = []
-    for a1 in aq.qindecs:
-        for a2 in aq.qindecs:
-            x1, x2 = acat.indecs[a1], acat.indecs[a2]
-            if quotient_hom_dim(x1, x2, i_star_t) != quotient_hom_dim(
-                    tri.i_lower_star_obj(x1), tri.i_lower_star_obj(x2), t):
-                ff_fail.append(("i_bar_*", a1, a2))
-    for c1 in cq.qindecs:
-        for c2 in cq.qindecs:
-            z1, z2 = ccat.indecs[c1], ccat.indecs[c2]
-            if quotient_hom_dim(z1, z2, j_star_t) != quotient_hom_dim(
-                    tri.j_lower_shriek_obj(z1), tri.j_lower_shriek_obj(z2), t):
-                ff_fail.append(("j_bar_!", c1, c2))
-            if quotient_hom_dim(z1, z2, j_star_t) != quotient_hom_dim(
-                    tri.j_lower_star_obj(z1), tri.j_lower_star_obj(z2), t):
-                ff_fail.append(("j_bar_*", c1, c2))
-    induced["quotient_fully_faithful"] = not ff_fail
+    induced["quotient_adjunction_dims"] = not _adjunction_dim_failures(
+        r, aq.qindecs, bq.qindecs, cq.qindecs, *(quotient_dims(k) for k in (i_star_t, t, j_star_t)))
+    induced["quotient_fully_faithful"] = all(
+        kept
+        for name, killed, survivors in (("i_lower_star", i_star_t, aq.qindecs),
+                                        ("j_lower_shriek", j_star_t, cq.qindecs),
+                                        ("j_lower_star", j_star_t, cq.qindecs))
+        for _, _, kept in _hom_dims_kept(r.six[name], survivors, quotient_dims(killed), quotient_dims(t)))
 
     # Im i_bar_* = Ker j_bar^* on surviving classes
     im_bar = set()

@@ -5,10 +5,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
-from extriang import fixtures
+from extriang import cli, fixtures, quivrep
 from extriang.cli import main
 from extriang.excat import Subcat, enumerate_torsion_pairs
 from extriang.fixtures import FixtureBundle, build_example51
@@ -257,6 +258,51 @@ def test_cli_refuses_a_tuple_grid_beyond_the_ceiling(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "{'1': 1, '2': 1} has 2147483647 arrow-matrix tuples" in captured.err
+
+
+def test_cli_refuses_a_huge_bound_at_once(capsys, tmp_path):
+    algebra_file = tmp_path / "a2.alg"
+    algebra_file.write_text("vertex 1\nvertex 2\narrow a 1 2\n")
+    start = time.perf_counter()
+    code = main(["catalog", str(algebra_file), "--bound", "1000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and elapsed < 1
+    # 2**1000000 has too many digits for Python to write out
+    assert "{'1': 1000, '2': 1000} has 2**1000000 arrow-matrix tuples" in captured.err
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("vertex 0\nvertex 1\nvertex 2\narrow a 1 2\n", "{'0': 0, '1': 5, '2': 5} has 33554432"),
+    ("vertex 1\nvertex 2\nvertex 3\narrow a 1 2\narrow b 1 2\n",
+     "{'1': 5, '2': 5, '3': 0} has 1125899906842624"),
+], ids=["A2-isolated-first", "Kronecker-isolated-last"])
+def test_cli_refusal_names_the_first_widest_vector(capsys, tmp_path, text, expected):
+    # the vector the search over every dimension vector named; an isolated
+    # vertex stays at 0 however large the bound
+    algebra_file = tmp_path / "iso.alg"
+    algebra_file.write_text(text)
+    code = main(["catalog", str(algebra_file), "--bound", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and f"dimension vector {expected} arrow-matrix tuples" in captured.err
+
+
+def test_catalog_command_solves_each_hom_basis_once(capsys, monkeypatch):
+    calls = []
+    real = quivrep.hom_basis
+
+    def spy(m, n):
+        calls.append((m, n))
+        return real(m, n)
+
+    monkeypatch.setattr(quivrep, "hom_basis", spy)
+    monkeypatch.setattr(cli, "build_example51", FixtureBundle)  # not the cached bundle
+    code, payload = run_cli_json(capsys, "catalog", "--example51", "modLambda")
+    assert code == 0 and payload["count"] == 11
+    # hom_dims reads one basis per pair of mod Lambda's indecomposables; the
+    # other calls decompose mod A objects for the labels
+    on_lambda = [(m, n) for m, n in calls if len(m.dims) == 4]
+    assert len(on_lambda) == len(set(on_lambda)) == 121
 
 
 def test_cli_catalog_one_vertex_at_a_large_prime(capsys, tmp_path):

@@ -16,13 +16,13 @@ from extriang.quivrep import (
     Algebra,
     AlgebraFormatError,
     Arrow,
+    Catalog,
     CatalogIncompleteError,
     Module,
     _add_kron_eye,
     _dim_vectors,
     _gl_generators,
     _primitive_root,
-    _with_hom_table,
     decompose,
     direct_sum,
     enumerate_indecomposables,
@@ -125,6 +125,45 @@ def test_hom_dimensions_match_ar_quiver(a2_catalog):
         assert a2_catalog.dim_hom(i, i) >= 1  # contains the identity
 
 
+def spy_hom_basis(monkeypatch) -> list:
+    """The (m, n) of every hom_basis call from now on, the catalog's included."""
+    calls = []
+    real = quivrep.hom_basis
+
+    def spy(m, n):
+        calls.append((m, n))
+        return real(m, n)
+
+    monkeypatch.setattr(quivrep, "hom_basis", spy)
+    return calls
+
+
+def test_catalog_solves_each_hom_basis_once_on_first_use(monkeypatch):
+    calls = spy_hom_basis(monkeypatch)
+    cat = enumerate_indecomposables(D4, 2, 2)
+    assert calls == []
+    pairs = list(itertools.product(range(len(cat)), repeat=2))
+    for _ in range(2):
+        bases = {(i, j): cat.hom(i, j) for i, j in pairs}
+        assert all(cat.dim_hom(i, j) == len(bases[(i, j)]) for i, j in pairs)
+        for i in range(len(cat)):
+            cat.top(i)
+    assert sorted(calls, key=lambda c: (cat.indecs.index(c[0]), cat.indecs.index(c[1]))) == \
+        [(cat.indecs[i], cat.indecs[j]) for i, j in pairs]
+    # the bases are the canonical ones, whenever they are solved
+    monkeypatch.undo()
+    assert all(bases[(i, j)] == tuple(hom_basis(cat.indecs[i], cat.indecs[j])) for i, j in pairs)
+
+
+def test_decompose_solves_end_only_for_the_entries_it_reaches(monkeypatch):
+    cat = enumerate_indecomposables(A2, 2, 2)
+    s2 = cat.indecs[by_dims(cat, (0, 1))]
+    calls = spy_hom_basis(monkeypatch)
+    assert cat.decompose(direct_sum([s2, s2])) == {by_dims(cat, (0, 1)): 2}
+    # only S2 fits in dimensions (0, 2): End(S2) for its top, then Hom(S2, m) and Hom(m, S2)
+    assert [(m, n) for m, n in calls if m in cat.indecs and n in cat.indecs] == [(s2, s2)]
+
+
 def test_hom_p1_to_s2_by_exhaustion(a2_catalog):
     # brute force over all (phi_1, phi_2) in F_2 x F_2 with the commuting square
     p1 = a2_catalog.indecs[by_dims(a2_catalog, (1, 1))]
@@ -184,8 +223,7 @@ def test_decompose_examples(a2_catalog):
 def test_decompose_catalog_incomplete(a2_catalog):
     tiny = enumerate_indecomposables(A2, 1, 2)
     # restrict the catalog artificially to the two simples
-    from extriang.quivrep import Catalog, _with_hom_table
-    partial = _with_hom_table(A2, 2, 1, tuple(
+    partial = Catalog(A2, 2, 1, tuple(
         m for m in tiny.indecs if m.dims != (1, 1)))
     p1 = next(m for m in tiny.indecs if m.dims == (1, 1))
     with pytest.raises(CatalogIncompleteError):
@@ -253,7 +291,7 @@ def test_decompose_by_rank_at_a_large_prime():
     p = 2**31 - 1
     entries = (Module(A2, p, (1, 0), {}), Module(A2, p, (0, 1), {}),
                Module(A2, p, (1, 1), {"a": Mat.identity(p, 1)}))
-    catalog = _with_hom_table(A2, p, 1, entries)
+    catalog = Catalog(A2, p, 1, entries)
     for expected, m in _modules_to_decompose(catalog, np.random.default_rng(31), 12):
         assert decompose(m, catalog) == quivrep._decompose_by_splits(m, catalog) == expected
 
@@ -440,7 +478,7 @@ def _split_test_enumeration(algebra, bound, p):
             m = Module(algebra, p, dv, action, check=False)
             if not any(split_off_summand(u, m) is not None for u in found):
                 found.append(m)
-    return _with_hom_table(algebra, p, bound, tuple(found))
+    return Catalog(algebra, p, bound, tuple(found))
 
 
 # the catalog-sweep benchmark's shapes among them: A3 over F_3, and A4 and D4

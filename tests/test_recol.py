@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from extriang.quivrep import hom_basis, identity_morphism
+from extriang.quivrep import hom_basis, identity_morphism, zero_module
 from extriang.excat import Subcat, enumerate_torsion_pairs, verify_torsion_pair
 from extriang.fixtures import build_example51
 from extriang.recol import (
@@ -411,6 +411,20 @@ def test_quotient_recollement_forced_construction(bundle, b_indices):
     assert res.induced_checks["quotient_fully_faithful"]
     assert res.induced_checks["image_equals_kernel"]
     assert res.induced_checks["j_star_T_cluster_tilting_in_C"]
+
+
+def test_quotient_level_checks_read_the_tabulated_functor_values(bundle, b_indices):
+    # as R1 and R3 do: i_* tabulated as 0 at P1 breaks the quotient adjunction
+    # and the full faithfulness of i_bar_*
+    r = bundle.restricted
+    candidate = Subcat.add(bundle.mod_lambda, [b_indices["P1;P1"], b_indices["0;P1"], b_indices["S2;0"]])
+    fd = r.six["i_lower_star"]
+    zero = zero_module(bundle.lambda_algebra, bundle.p)
+    corrupt = dataclasses.replace(fd, obj_map={**fd.obj_map, bundle.a_names["P1"]: zero})
+    res = quotient_recollement(dataclasses.replace(r, six={**r.six, "i_lower_star": corrupt}), candidate,
+                               require_cluster_tilting=False)
+    assert not res.induced_checks["quotient_adjunction_dims"]
+    assert not res.induced_checks["quotient_fully_faithful"]
 
 
 def test_quotient_recollement_total_kill(bundle):
