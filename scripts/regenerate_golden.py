@@ -9,7 +9,9 @@ modLambda`, the README commands file holds the exit code, stdout and
 stderr of every command in the README's command block, and the
 full-recollement file holds the same for `classify` and `check` on the
 full recollement, and the Dynkin-catalog file holds the same for the
-file-based `catalog` on the A4 and D4 algebras under tests/algebras;
+file-based `catalog` on the A4 and D4 algebras under tests/algebras, and
+the isolated-vertex file holds the same for the file-based `catalog` on
+A2 beside a vertex no arrow touches;
 rewriting any of them is an explicit, reviewed act, so
 this script is the only thing that touches the files.
 """
@@ -58,6 +60,12 @@ DYNKIN_CATALOG_COMMANDS = [
     ["catalog", "tests/algebras/d4_source.alg", "--bound", "2"],
 ]
 
+# a vertex no arrow touches holds only its simple, which enumeration lists
+# apart from the vectors of the other vertices
+ISOLATED_CATALOG_COMMANDS = [
+    ["catalog", "tests/algebras/a2_isolated.alg", "--bound", "2"],
+]
+
 
 def run_command(argv: list[str]) -> dict:
     """Exit code, stdout and stderr of one CLI invocation, run in process."""
@@ -94,6 +102,10 @@ def main() -> int:
     with contextlib.chdir(ROOT):
         out.write_text(commands_json(DYNKIN_CATALOG_COMMANDS))
     print(f"wrote {out} ({len(DYNKIN_CATALOG_COMMANDS)} commands)")
+    out = GOLDEN / "catalog_isolated.json"
+    with contextlib.chdir(ROOT):
+        out.write_text(commands_json(ISOLATED_CATALOG_COMMANDS))
+    print(f"wrote {out} ({len(ISOLATED_CATALOG_COMMANDS)} commands)")
     return 0
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -482,24 +482,28 @@ def five_term_contravariant(ses: SES, x: Module) -> dict:
 # -- conflation enumeration -------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ConflationRecord:
     """A conflation with catalog bookkeeping for its three terms.
 
     The sequence is built from the class the first time `ses` is read: the
     split sequence for the zero class, the class's realization otherwise.
+    A middle left unknown is found the first time `middle_summands` is
+    read, by `_middle_of(record)`; so a middle outside the catalog raises
+    CatalogIncompleteError when it is read, not when the list is built.
     Records whose middle was decomposed keep the realization they built.
-    `from_blocks` marks a nonsplit record whose middle was read off the
-    single-summand records of its nonzero blocks.  Neither takes part in
-    equality.
+    `from_blocks` marks a nonsplit record whose middle is read off the
+    single-summand records of its nonzero blocks.  Equality compares the
+    class, the ends and the middle, which it reads.
     """
 
     cls: ExtClass
     a_summands: tuple[int, ...]
     c_summands: tuple[int, ...]
-    middle_summands: tuple[int, ...]
-    from_blocks: bool = field(default=False, compare=False)
-    _ses: Optional[SES] = field(default=None, repr=False, compare=False)
+    _middle: Optional[tuple[int, ...]] = None
+    from_blocks: bool = False
+    _ses: Optional[SES] = field(default=None, repr=False)
+    _middle_of: Optional[Callable[["ConflationRecord"], Iterable[int]]] = field(default=None, repr=False)
 
     @property
     def coords(self) -> tuple[int, ...]:
@@ -514,6 +518,18 @@ class ConflationRecord:
         if self._ses is None:
             self._ses = split_ses(self.cls.a, self.cls.c) if self.split else self.cls.realize()
         return self._ses
+
+    @property
+    def middle_summands(self) -> tuple[int, ...]:
+        if self._middle is None:
+            self._middle = tuple(sorted(self._middle_of(self)))
+        return self._middle
+
+    def __eq__(self, other):
+        if not isinstance(other, ConflationRecord):
+            return NotImplemented
+        return ((self.cls, self.a_summands, self.c_summands, self.middle_summands)
+                == (other.cls, other.a_summands, other.c_summands, other.middle_summands))
 
     def to_json_dict(self) -> dict:
         return {
@@ -575,11 +591,14 @@ def all_conflations(
     summands each (the zero object included); one record per Ext^1 class,
     the split class among them.  Middles must decompose in the catalog.
 
-    Only some middles are decomposed.  A split middle is the sum of the
-    ends.  When the nonzero blocks (i, j) of a class lie in distinct rows
-    and columns, the sequence is the sum of its blocks' sequences and split
-    pieces, so its middle is the sum of the blocks' middles, read off the
-    single-summand records listed before it, and of the unused summands.
+    Only the middles of the single-summand nonsplit records are decomposed
+    here.  A split middle is the sum of the ends.  When the nonzero blocks
+    (i, j) of a class lie in distinct rows and columns, the sequence is the
+    sum of its blocks' sequences and split pieces, so its middle is the sum
+    of the blocks' middles, read off the single-summand records, and of the
+    unused summands; it is added up when it is read.  Every other class
+    keeps only its class: its sequence is realized when `ses` is read and
+    its middle decomposed when `middle_summands` is.
 
     Ext^1 and its cocycles Z are sums over the blocks, so a pair of ends
     whose blocks Ext^1(c_i, a_j) all vanish has only the zero class, with
@@ -590,6 +609,13 @@ def all_conflations(
     records: list[ConflationRecord] = []
     # middles of the single-summand records, by class
     base_middles: dict[ExtClass, tuple[int, ...]] = {}
+
+    def decomposed(rec: ConflationRecord) -> Iterable[int]:
+        return catalog.decompose(rec.ses.b).elements()
+
+    def summed_blocks(blocks, unused: tuple[int, ...]) -> Callable[[ConflationRecord], tuple[int, ...]]:
+        return lambda rec: sum((base_middles[sub] for _, _, sub in blocks), unused)
+
     # one module per end, so records and Ext lookups with equal ends share it
     sums = [catalog.sum_of(ms) for ms in ends]
     # the blocks of every pair of ends: Ext^1(c_i, a_j) by (i, j)
@@ -604,28 +630,17 @@ def all_conflations(
             else:
                 classes = [ExtClass(c_mod, a_mod, (0,) * sum(len(space._zfree) for space in blocks))]
             for cls in classes:
-                ses, mid, from_blocks = None, None, False
+                rec = ConflationRecord(cls, tuple(a_ms), tuple(c_ms), _middle_of=decomposed)
                 if cls.is_zero():
-                    mid = a_ms + c_ms
-                elif not base:
+                    rec._middle = tuple(sorted(a_ms + c_ms))
+                elif base:
+                    base_middles[cls] = rec.middle_summands
+                else:
                     blocks = _block_classes(cls, catalog, a_ms, c_ms)
                     c_used, a_used = {i for i, _, _ in blocks}, {j for _, j, _ in blocks}
                     if len(c_used) == len(a_used) == len(blocks):
-                        mid = sum((base_middles[sub] for _, _, sub in blocks), ())
-                        mid += tuple(a for j, a in enumerate(a_ms) if j not in a_used)
-                        mid += tuple(c for i, c in enumerate(c_ms) if i not in c_used)
-                        from_blocks = True
-                if mid is None:
-                    ses = cls.realize()
-                    mid = tuple(catalog.decompose(ses.b).elements())
-                    if base:
-                        base_middles[cls] = mid
-                records.append(ConflationRecord(
-                    cls=cls,
-                    a_summands=tuple(a_ms),
-                    c_summands=tuple(c_ms),
-                    middle_summands=tuple(sorted(mid)),
-                    from_blocks=from_blocks,
-                    _ses=ses,
-                ))
+                        unused = tuple(a for j, a in enumerate(a_ms) if j not in a_used)
+                        unused += tuple(c for i, c in enumerate(c_ms) if i not in c_used)
+                        rec.from_blocks, rec._middle_of = True, summed_blocks(blocks, unused)
+                records.append(rec)
     return records

@@ -19,7 +19,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -735,13 +735,16 @@ def _gl_generators(d: int, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return gens
 
 
-def _dim_vectors(n: int, bound: int):
-    """All nonzero vectors in [0, bound]^n, layered so larger bounds append.
+def _dim_vectors(n: int, bound: int, isolated: Collection[int] = ()):
+    """All nonzero vectors in [0, bound]^n, layered so larger bounds append;
+    of those nonzero at an index in `isolated`, only the unit vector there.
 
     Order: by max entry, then total, then lexicographic.  A proper direct
     summand always sorts strictly earlier, which the enumeration relies on.
     """
-    vecs = [t for t in itertools.product(range(bound + 1), repeat=n) if any(t)]
+    ranges = [range(1) if i in isolated else range(bound + 1) for i in range(n)]
+    vecs = [t for t in itertools.product(*ranges) if any(t)]
+    vecs += [tuple(int(i == v) for i in range(n)) for v in isolated]
     vecs.sort(key=lambda t: (max(t), sum(t), t))
     return vecs
 
@@ -993,7 +996,10 @@ def enumerate_indecomposables(algebra: Algebra, bound: int, p: int = DEFAULT_PRI
             f"dimension vector {dict(zip(algebra.vertices, widest))} has {cells} arrow-matrix "
             f"tuples, more than the {MAX_GRID_CELLS} an exhaustive enumeration may hold; "
             "lower the bound or the prime")
-    dim_vectors = _dim_vectors(len(algebra.vertices), bound)
+    # a module's space at a vertex no arrow touches is a summand, a sum of
+    # that vertex's simples, so no other vector nonzero there is listed
+    isolated = [i for i, v in enumerate(algebra.vertices) if v not in touched]
+    dim_vectors = _dim_vectors(len(algebra.vertices), bound, isolated)
     found: list[Module] = []
     # every isomorphism class at each dimension vector done so far, as the
     # ascending tuple of its summands' indices in found

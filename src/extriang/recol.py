@@ -650,6 +650,14 @@ class Classification:
         }
 
 
+def _graded(verdicts: dict, test: Callable[[Morphism, Morphism, ExCat], bool],
+            image: tuple[Morphism, Morphism], target: ExCat) -> bool:
+    """test(*image, target), run once per distinct image and kept in verdicts."""
+    if image not in verdicts:
+        verdicts[image] = test(*image, target)
+    return verdicts[image]
+
+
 @lru_cache(maxsize=None)
 def classify_functor(fd: FunctorData) -> Classification:
     """Apply the functor to every conflation of its source and grade the images.
@@ -664,19 +672,26 @@ def classify_functor(fd: FunctorData) -> Classification:
     single-summand records listed before it; inflations and deflations add
     and subcategories are closed under sums and summands, so it fails only
     where one of those earlier records fails first.
+
+    Both tests depend on the image pair (F(inc), F(prj)) alone, so each
+    side tests each distinct image once.  The records are still graded in
+    list order, so the first failure is the same.  No middle is read, so
+    none is decomposed.
     """
     tgt = fd.target
     all_left = all_right = True
     left_witness = right_witness = None
+    # image pair -> its verdict, one dict per side
+    left_exact: dict[tuple[Morphism, Morphism], bool] = {}
+    right_exact: dict[tuple[Morphism, Morphism], bool] = {}
     for rec in fd.source.conflations:
         if rec.split or rec.from_blocks:
             continue
-        f_img = fd.apply_mor(rec.ses.inc)
-        g_img = fd.apply_mor(rec.ses.prj)
-        if all_left and not is_left_exact_seq(f_img, g_img, tgt):
+        image = (fd.apply_mor(rec.ses.inc), fd.apply_mor(rec.ses.prj))
+        if all_left and not _graded(left_exact, is_left_exact_seq, image, tgt):
             all_left = False
             left_witness = rec
-        if all_right and not is_right_exact_seq(f_img, g_img, tgt):
+        if all_right and not _graded(right_exact, is_right_exact_seq, image, tgt):
             all_right = False
             right_witness = rec
         if not all_left and not all_right:

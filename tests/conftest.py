@@ -52,3 +52,8 @@ def golden_recollement_full():
 @pytest.fixture(scope="session")
 def golden_catalog_dynkin():
     return json.loads((GOLDEN_DIR / "catalog_dynkin.json").read_text())
+
+
+@pytest.fixture(scope="session")
+def golden_catalog_isolated():
+    return json.loads((GOLDEN_DIR / "catalog_isolated.json").read_text())

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from extriang import homext, quivrep
+from extriang import homext, quivrep, recol
 from extriang.fixtures import build_example51
 from extriang.homext import ConflationRecord, _multisets, ext1_space
 from extriang.quivrep import Catalog, _decompose_by_splits, decompose
@@ -38,6 +38,24 @@ def test_conflations_agree_with_the_scan_oracle(p, bound):
         assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in expected], name
         assert [r.from_blocks for r in got] == [r.from_blocks for r in expected], name
         assert [r.ses for r in got] == [r.ses for r in expected], name
+
+
+@pytest.mark.parametrize("p, bound", SETTINGS + [(5, 1)])
+def test_lazy_middles_agree_with_the_scan_oracle(p, bound):
+    # a list built afresh leaves every nonsplit middle but the
+    # single-summand records' unread; read, each record's JSON is the
+    # oracle's, which decomposed every middle when it listed it
+    bundle = build_example51(p, bound)
+    for name in BUNDLED:
+        e = getattr(bundle, name)
+        got = homext.all_conflations(e.catalog, None if e.is_full() else e.objects.members, e.cap)
+        expected = scanned(p, bound, name)
+        # by identity: comparing records reads their middles
+        unread = [id(r) for r in got if r._middle is None]
+        assert unread == [id(r) for r in got if not r.split and len(r.a_summands) + len(r.c_summands) > 2], name
+        assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in expected], name
+        assert [r.from_blocks for r in got] == [r.from_blocks for r in expected], name
+        assert got == expected, name
 
 
 @pytest.mark.parametrize("p, bound", SETTINGS)
@@ -86,10 +104,11 @@ def test_classifications_agree_with_the_scan_oracle(p, bound, which):
 
 def test_b_ext_list_decomposes_only_what_blocks_do_not_give(bundle, monkeypatch):
     # building B_ext's list builds no split sequence, and decomposes the
-    # middles of the single-summand nonsplit records and of the classes
-    # whose nonzero blocks share a row or a column, nothing else; the
-    # bundle's catalog and members are read first, since building them
-    # decomposes mod A's objects for the labels
+    # middles of the single-summand nonsplit records, nothing else; reading
+    # the other middles decomposes those of the classes whose nonzero blocks
+    # share a row or a column, and adds up the block records'; the bundle's
+    # catalog and members are read first, since building them decomposes
+    # mod A's objects for the labels
     catalog, members = bundle.mod_lambda, bundle.b_ext.objects.members
     split_calls, decompose_calls, built, split_tests = [], [], [], []
     real_split, real_decompose = homext.split_ses, Catalog.decompose
@@ -124,10 +143,15 @@ def test_b_ext_list_decomposes_only_what_blocks_do_not_give(bundle, monkeypatch)
     assert (len(recs), len(nonsplit), len(base), len(by_blocks)) == (280, 55, 1, 37)
     assert not any(r.from_blocks for r in base)
     assert split_calls == []
-    assert len(decompose_calls) == len(nonsplit) - len(by_blocks) == 18
+    assert len(decompose_calls) == len(base) == 1
     # of the 225 pairs of ends, only those with a nonzero block build their
     # space, and the decompositions run no split test
     assert len(built) == 40 and split_tests == []
+    assert all(r._middle is None for r in nonsplit if r is not base[0])
+    middles = [r.middle_summands for r in recs]
+    assert len(decompose_calls) == len(nonsplit) - len(by_blocks) == 18 and split_calls == []
+    assert middles == [r.middle_summands for r in recs]  # read once, then kept
+    assert len(decompose_calls) == 18 and split_tests == []
     # a split sequence is built when it is read, once
     rec = recs[0]
     assert rec.split and rec.ses is rec.ses and len(split_calls) == 1
@@ -155,3 +179,34 @@ def test_classification_grades_only_records_it_cannot_derive(bundle, monkeypatch
         graded[name] = len(read)
     assert graded == {"i_upper_star": 18, "i_lower_star": 0, "i_upper_shriek": 18,
                       "j_lower_shriek": 0, "j_upper_star": 18, "j_lower_star": 0}
+
+
+def test_classification_tests_each_distinct_image_once(bundle, monkeypatch):
+    # the restricted recollement grades 18 records each for i^*, i^! and
+    # j^*, with 8, 5 and 3 distinct images: 16 right tests, and 1 + 5 + 3
+    # left ones, since i^*'s first image fails the left test (54 and 37 when
+    # each record was tested); and grading reads no middle
+    tests = {"left": [], "right": []}
+    real_left, real_right = recol.is_left_exact_seq, recol.is_right_exact_seq
+
+    def left_spy(f, g, e):
+        tests["left"].append((f, g))
+        return real_left(f, g, e)
+
+    def right_spy(f, g, e):
+        tests["right"].append((f, g))
+        return real_right(f, g, e)
+
+    def middle_spy(rec):
+        raise AssertionError("grading read a middle")
+
+    monkeypatch.setattr(recol, "is_left_exact_seq", left_spy)
+    monkeypatch.setattr(recol, "is_right_exact_seq", right_spy)
+    monkeypatch.setattr(recol, "classify_functor", classify_functor.__wrapped__)  # grade afresh
+    for fd in bundle.restricted.six.values():
+        fd.source.conflations  # listing reads the single-summand middles
+    monkeypatch.setattr(ConflationRecord, "middle_summands", property(middle_spy))
+    labels = {name: c.label for name, c in recol.classify_all(bundle.restricted).items()}
+    assert (len(tests["left"]), len(tests["right"])) == (9, 16)
+    assert all(len(set(images)) == len(images) for images in tests.values())
+    assert labels == {name: classify_functor(bundle.restricted.six[name]).label for name in SIX_NAMES}

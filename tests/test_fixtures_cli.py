@@ -272,6 +272,20 @@ def test_cli_refuses_a_huge_bound_at_once(capsys, tmp_path):
     assert "{'1': 1000, '2': 1000} has 2**1000000 arrow-matrix tuples" in captured.err
 
 
+def test_cli_catalog_of_isolated_vertices_at_a_huge_bound(capsys, tmp_path):
+    # a vertex no arrow touches holds only its simple, so no vector with
+    # more than one nonzero entry is listed: not the 1001**3 of them
+    algebra_file = tmp_path / "points.alg"
+    algebra_file.write_text("vertex 1\nvertex 2\nvertex 3\n")
+    start = time.perf_counter()
+    code, payload = run_cli_json(capsys, "catalog", str(algebra_file), "--bound", "1000")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and elapsed < 2
+    assert payload["count"] == 3
+    assert [m["dims"] for m in payload["indecs"]] == [
+        {"1": 0, "2": 0, "3": 1}, {"1": 0, "2": 1, "3": 0}, {"1": 1, "2": 0, "3": 0}]
+
+
 @pytest.mark.parametrize("text, expected", [
     ("vertex 0\nvertex 1\nvertex 2\narrow a 1 2\n", "{'0': 0, '1': 5, '2': 5} has 33554432"),
     ("vertex 1\nvertex 2\nvertex 3\narrow a 1 2\narrow b 1 2\n",
@@ -347,6 +361,17 @@ def test_file_catalogs_match_golden(capsys, monkeypatch, golden_catalog_dynkin):
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == \
             (entry["exit_code"], entry["stdout"], entry["stderr"]), entry["argv"]
+
+
+def test_isolated_vertex_catalog_matches_golden(capsys, monkeypatch, golden_catalog_isolated):
+    # A2 beside a vertex no arrow touches: the golden file was written by
+    # the enumeration that listed every dimension vector
+    monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
+    (entry,) = golden_catalog_isolated
+    assert json.loads(entry["stdout"])["count"] == 4
+    code = main(entry["argv"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (entry["exit_code"], entry["stdout"], entry["stderr"])
 
 
 def test_cli_catalog_modlambda_matches_golden(capsys, golden_catalog_modlambda):

@@ -509,6 +509,17 @@ def test_the_support_lemma_skips_only_where_the_oracle_finds_nothing(algebra, p,
             assert dv not in found, dv
 
 
+@pytest.mark.parametrize("n, isolated", [(3, [1]), (3, [0, 2]), (3, [0, 1, 2]), (4, [3])])
+def test_dim_vectors_at_isolated_vertices_are_their_units(n, isolated):
+    # the full listing, in its order, less the vectors nonzero at an isolated
+    # vertex other than its unit vector
+    for bound in (1, 2, 3):
+        def kept(t):
+            return sum(t) == 1 or not any(t[i] for i in isolated)
+        expected = [t for t in _dim_vectors(n, bound) if kept(t)]
+        assert _dim_vectors(n, bound, isolated) == expected, bound
+
+
 def test_the_support_lemma_reads_support_and_arrow_room():
     may = quivrep._may_hold_indecomposable
     # simples always; a disconnected support never
