@@ -49,13 +49,24 @@ class Mat:
     Entries live in a read-only int64 numpy array of shape (rows, cols),
     already reduced mod p.  Shapes with zero rows or columns are legal
     and behave correctly under all operations.
+
+    `Mat(p, array)` checks p and the array and reduces its entries; float
+    and complex entries are refused rather than truncated.  Inside this
+    module, `Mat._wrap(p, a)` wraps a result without those steps.  Its
+    precondition: p is the modulus of an operand, so it was checked, and a
+    is a 2-d int64 array with every entry in [0, p) that nothing else
+    writes to.
     """
 
     __slots__ = ("p", "a", "_hash")
 
     def __init__(self, p: int, array):
         _check_prime(p)
-        a = np.asarray(array, dtype=np.int64)
+        a = np.asarray(array)
+        if a.dtype.kind in "fc" and a.size:
+            raise ValueError(f"entries must be integers, got dtype {a.dtype}")
+        if a.dtype != np.int64:
+            a = np.asarray(array, dtype=np.int64)
         if a.ndim != 2:
             raise ValueError(f"need a 2-d array, got shape {a.shape}")
         a = np.mod(a, p)
@@ -63,6 +74,17 @@ class Mat:
         self.p = p
         self.a = a
         self._hash = None
+
+    @staticmethod
+    def _wrap(p: int, a: np.ndarray) -> "Mat":
+        """A Mat around a result of this module's own operations; see the
+        class docstring for what a must satisfy."""
+        m = object.__new__(Mat)
+        a.setflags(write=False)
+        m.p = p
+        m.a = a
+        m._hash = None
+        return m
 
     # -- constructors -------------------------------------------------
 
@@ -99,7 +121,7 @@ class Mat:
             isinstance(other, Mat)
             and self.p == other.p
             and self.a.shape == other.a.shape
-            and np.array_equal(self.a, other.a)
+            and bool((self.a == other.a).all())
         )
 
     def __hash__(self):
@@ -124,42 +146,44 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._need_same_field(other)
-        return Mat(self.p, self.a + other.a)
+        return Mat._wrap(self.p, np.mod(self.a + other.a, self.p))
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._need_same_field(other)
-        return Mat(self.p, self.a - other.a)
+        return Mat._wrap(self.p, np.mod(self.a - other.a, self.p))
 
     def __neg__(self) -> "Mat":
-        return Mat(self.p, -self.a)
+        return Mat._wrap(self.p, np.mod(-self.a, self.p))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._need_same_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         p = self.p
+        if not (self.rows and self.cols and other.cols):
+            return Mat._wrap(p, np.zeros((self.rows, other.cols), dtype=np.int64))
         if self.cols * (p - 1) ** 2 < _INT64_LIMIT:
-            return Mat(p, self.a @ other.a)
+            return Mat._wrap(p, np.mod(self.a @ other.a, p))
         # sum slices of inner terms whose products stay inside int64
         step = (_INT64_LIMIT - 1) // (p - 1) ** 2
         out = np.zeros((self.rows, other.cols), dtype=np.int64)
         for k in range(0, self.cols, step):
             out = (out + (self.a[:, k:k + step] @ other.a[k:k + step]) % p) % p
-        return Mat(p, out)
+        return Mat._wrap(p, out)
 
     def scale(self, c: int) -> "Mat":
         return Mat(self.p, self.a * (c % self.p))
 
     def transpose(self) -> "Mat":
-        return Mat(self.p, self.a.T)
+        return Mat._wrap(self.p, self.a.T)
 
     def hstack(self, other: "Mat") -> "Mat":
         self._need_same_field(other)
-        return Mat(self.p, np.hstack([self.a, other.a]))
+        return Mat._wrap(self.p, np.hstack([self.a, other.a]))
 
     def vstack(self, other: "Mat") -> "Mat":
         self._need_same_field(other)
-        return Mat(self.p, np.vstack([self.a, other.a]))
+        return Mat._wrap(self.p, np.vstack([self.a, other.a]))
 
     # -- elimination ----------------------------------------------------
 
@@ -192,10 +216,10 @@ class Mat:
                 a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
             pivots.append(c)
             r += 1
-        return Mat(p, a), tuple(pivots)
+        return Mat._wrap(p, a), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self.rref()[1]) if self.a.size else 0
 
     def kernel_basis(self) -> "Mat":
         """Basis of the right null space, one vector per column."""
@@ -214,7 +238,7 @@ class Mat:
             basis[fc, k] = 1
             for row, pc in enumerate(pivots):
                 basis[pc, k] = (-int(r.a[row, fc])) % r.p
-        return Mat(r.p, basis)
+        return Mat._wrap(r.p, basis)
 
     def image_basis(self) -> "Mat":
         """Pivot columns of the original matrix, spanning the column space."""

@@ -382,11 +382,13 @@ def ext_push_many(space: Ext1Space, coords: np.ndarray, g: Morphism,
 
     The classes are the columns of Z coordinates of `space`; so are their
     images, reduced, of the target space.  One product, one relation check
-    and one reduction serve all columns.
+    and one reduction serve all columns; no columns need no map.
     """
     if g.source is not space.a and g.source != space.a:
         raise ValueError("map must start at the class's subobject")
     target = target_space or ext1_space(space.c, g.target)
+    if not coords.shape[1]:
+        return np.zeros((len(target._zfree), 0), dtype=np.int64)
     push = _kron_map(space.p, target._z.rows, space._z.rows, [
         (target._offsets[i], space._offsets[i], g.comps[x.tgt].a, space.c.dim(x.src), False)
         for i, x in enumerate(space.c.algebra.arrows)])
@@ -400,6 +402,8 @@ def ext_pull_many(space: Ext1Space, coords: np.ndarray, h: Morphism,
     if h.target is not space.c and h.target != space.c:
         raise ValueError("map must land in the class's quotient")
     target = target_space or ext1_space(h.source, space.a)
+    if not coords.shape[1]:
+        return np.zeros((len(target._zfree), 0), dtype=np.int64)
     pull = _kron_map(space.p, target._z.rows, space._z.rows, [
         (target._offsets[i], space._offsets[i], h.comps[x.src].a.T, space.a.dim(x.tgt), True)
         for i, x in enumerate(space.c.algebra.arrows)])
@@ -411,48 +415,64 @@ def ext_pull_many(space: Ext1Space, coords: np.ndarray, h: Morphism,
 
 def covariant_maps(ses: SES, x: Module) -> list[Mat]:
     """The maps Hom(x,a) -> Hom(x,b) -> Hom(x,c) -> Ext(x,a) -> Ext(x,b) as
-    matrices in the spaces' bases, each computed on a whole basis at once."""
+    matrices in the spaces' bases, each computed on a whole basis at once.
+
+    A map out of a zero space is the empty matrix, built without a product;
+    the sequence's class is read all the same."""
     ext_a, ext_b, ext_c = ext1_space(x, ses.a), ext1_space(x, ses.b), ext1_space(x, ses.c)
     alg, p = x.algebra, x.p
+    cls = class_of(ses)
 
     def after(g: Morphism, src: Ext1Space, tgt: Ext1Space) -> Mat:
         # f -> g f on Hom(x, -), vertex by vertex
+        if not src.hom.cols:
+            return Mat.zeros(p, tgt.hom.cols, 0)
         return tgt.hom_coords(_kron_map(p, tgt.hom.rows, src.hom.rows, [
             (tgt._hom_offsets[i], src._hom_offsets[i], g.comps[v].a, x.dims[i], False)
             for i, v in enumerate(alg.vertices)]) @ src.hom)
 
     # the connecting map pulls the class along each f: x -> c, phi_y f_src
-    phi = class_of(ses).cocycle()
-    pull = _kron_map(p, ext_a._z.rows, ext_c.hom.rows, [
-        (ext_a._offsets[i], ext_c._hom_offsets[alg.vertex_index[y.src]], phi[y.name].a, x.dim(y.src), False)
-        for i, y in enumerate(alg.arrows)])
-    m3 = ext_a.reduce_cocycles(pull @ ext_c.hom)
+    if ext_c.hom.cols:
+        phi = cls.cocycle()
+        pull = _kron_map(p, ext_a._z.rows, ext_c.hom.rows, [
+            (ext_a._offsets[i], ext_c._hom_offsets[alg.vertex_index[y.src]], phi[y.name].a, x.dim(y.src), False)
+            for i, y in enumerate(alg.arrows)])
+        m3 = Mat(p, ext_a.compress(ext_a.reduce_cocycles(pull @ ext_c.hom)))
+    else:
+        m3 = Mat.zeros(p, ext_a.dim, 0)
     m4 = ext_push_many(ext_a, ext_a.basis_coords(), ses.inc, ext_b)
     return [after(ses.inc, ext_a, ext_b), after(ses.prj, ext_b, ext_c),
-            Mat(p, ext_a.compress(m3)), Mat(p, ext_b.compress(m4))]
+            m3, Mat(p, ext_b.compress(m4))]
 
 
 def contravariant_maps(ses: SES, x: Module) -> list[Mat]:
     """The maps Hom(c,x) -> Hom(b,x) -> Hom(a,x) -> Ext(c,x) -> Ext(b,x) as
-    matrices in the spaces' bases, each computed on a whole basis at once."""
+    matrices in the spaces' bases, each computed on a whole basis at once;
+    maps out of a zero space as in covariant_maps."""
     ext_a, ext_b, ext_c = ext1_space(ses.a, x), ext1_space(ses.b, x), ext1_space(ses.c, x)
     alg, p = x.algebra, x.p
+    cls = class_of(ses)
 
     def before(h: Morphism, src: Ext1Space, tgt: Ext1Space) -> Mat:
         # f -> f h on Hom(-, x), vertex by vertex
+        if not src.hom.cols:
+            return Mat.zeros(p, tgt.hom.cols, 0)
         return tgt.hom_coords(_kron_map(p, tgt.hom.rows, src.hom.rows, [
             (tgt._hom_offsets[i], src._hom_offsets[i], h.comps[v].a.T, x.dims[i], True)
             for i, v in enumerate(alg.vertices)]) @ src.hom)
 
     # the connecting map pushes the class along each f: a -> x, f_tgt phi_y
-    phi = class_of(ses).cocycle()
-    push = _kron_map(p, ext_c._z.rows, ext_a.hom.rows, [
-        (ext_c._offsets[i], ext_a._hom_offsets[alg.vertex_index[y.tgt]], phi[y.name].a.T, x.dim(y.tgt), True)
-        for i, y in enumerate(alg.arrows)])
-    m3 = ext_c.reduce_cocycles(push @ ext_a.hom)
+    if ext_a.hom.cols:
+        phi = cls.cocycle()
+        push = _kron_map(p, ext_c._z.rows, ext_a.hom.rows, [
+            (ext_c._offsets[i], ext_a._hom_offsets[alg.vertex_index[y.tgt]], phi[y.name].a.T, x.dim(y.tgt), True)
+            for i, y in enumerate(alg.arrows)])
+        m3 = Mat(p, ext_c.compress(ext_c.reduce_cocycles(push @ ext_a.hom)))
+    else:
+        m3 = Mat.zeros(p, ext_c.dim, 0)
     m4 = ext_pull_many(ext_c, ext_c.basis_coords(), ses.prj, ext_b)
     return [before(ses.prj, ext_c, ext_b), before(ses.inc, ext_b, ext_a),
-            Mat(p, ext_c.compress(m3)), Mat(p, ext_b.compress(m4))]
+            m3, Mat(p, ext_b.compress(m4))]
 
 
 def _exactness(maps: Sequence[Mat]) -> list[bool]:

@@ -188,3 +188,89 @@ def test_solve_exactness(p, data):
     for k in range(ker.cols):
         v = Mat(p, ker.a[:, k].reshape(-1, 1))
         assert (m @ v).is_zero()
+
+
+def test_float_and_complex_entries_are_refused():
+    # int() of 2.9 and -0.5 used to give [[2, 0]]: a silent wrong matrix
+    for bad in ([[2.9, -0.5]], [[1.0]], np.array([[2.0]]), np.array([[1 + 0j]])):
+        with pytest.raises(ValueError, match="must be integers"):
+            Mat(3, bad)
+    # integer arrays, bool arrays and lists of Python ints are reduced as before
+    assert Mat(3, [[5, -1]]).tolist() == [[2, 2]]
+    assert Mat(3, np.array([[7, -7]], dtype=np.int8)).tolist() == [[1, 2]]
+    assert Mat(3, np.array([[True, False]])).tolist() == [[1, 0]]
+    assert Mat(3, [[]]).shape == (1, 0)
+    with pytest.raises(OverflowError):
+        Mat(3, [[2**64]])
+
+
+def mats(p, rows, cols):
+    return st.lists(
+        st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows,
+    ).map(lambda entries: Mat.from_rows(p, entries, cols))
+
+
+def assert_canonical(m, p):
+    """A read-only int64 array of residues, equal to and hashing as the
+    matrix rebuilt from its entries by the checked constructor."""
+    assert isinstance(m, Mat) and m.p == p
+    assert m.a.dtype == np.int64 and m.a.ndim == 2
+    assert not m.a.flags.writeable
+    assert ((m.a >= 0) & (m.a < p)).all()
+    twin = Mat.from_rows(p, m.tolist(), m.cols)
+    assert m == twin and twin == m and hash(m) == hash(twin)
+
+
+def results_of(a, b, d, rhs):
+    """Every kind of result: a and b of one shape, d composable after a, rhs
+    with a's rows."""
+    out = [a + b, a - b, -a, a @ d, a.transpose(), a.hstack(b), a.vstack(b),
+           a.rref()[0], a.kernel_basis(), a.image_basis()]
+    x = a.solve(rhs)
+    if x is not None:
+        assert a @ x == rhs
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 5])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_results_are_reduced_read_only_and_canonical(p, data):
+    rows, inner, cols = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, b = data.draw(mats(p, rows, inner)), data.draw(mats(p, rows, inner))
+    d = data.draw(mats(p, inner, cols))
+    rhs = data.draw(mats(p, rows, data.draw(st.integers(0, 2))))
+    for m in results_of(a, b, d, rhs):
+        assert_canonical(m, p)
+    assert a.rank() == len(a.rref()[1]) == a.image_basis().cols
+    naive = [[sum(int(a.a[i, k]) * int(d.a[k, j]) for k in range(inner)) % p for j in range(cols)]
+             for i in range(rows)]
+    assert (a @ d).tolist() == naive
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_transpose_view_hashes_as_its_entries(p):
+    m = Mat.from_rows(p, [[1, 2 % p, 3 % p], [4 % p, 0, 1]])
+    t = m.transpose()
+    assert t.a.flags.f_contiguous and not t.a.flags.c_contiguous
+    assert_canonical(t, p)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)], ids=["0xn", "nx0", "0x0"])
+@pytest.mark.parametrize("p", [2, 5])
+def test_empty_shapes(p, shape):
+    rows, cols = shape
+    m = Mat.zeros(p, rows, cols)
+    r, pivots = m.rref()
+    assert r == m and pivots == () and m.rank() == 0
+    assert m @ Mat.zeros(p, cols, 2) == Mat.zeros(p, rows, 2)
+    assert Mat.zeros(p, 2, rows) @ m == Mat.zeros(p, 2, cols)
+    x = m.solve(Mat.zeros(p, rows, 1))
+    assert x == Mat.zeros(p, cols, 1)
+    if rows:
+        assert m.solve(Mat.from_rows(p, [[1]] * rows)) is None
+    for result in (r, x, m @ Mat.zeros(p, cols, 2), Mat.zeros(p, 2, rows) @ m,
+                   *results_of(m, m, Mat.zeros(p, cols, 1), Mat.zeros(p, rows, 1))):
+        assert_canonical(result, p)
