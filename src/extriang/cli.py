@@ -18,6 +18,7 @@ from .excat import (
     enumerate_torsion_pairs,
     is_cluster_tilting,
     quotient,
+    torsion_pairs_document,
     verify_torsion_pair,
 )
 from .fixtures import FixtureBundle, build_example51
@@ -115,17 +116,8 @@ def cmd_torsion(args) -> int:
     bundle = _bundle(args)
     e = _excat_by_name(bundle, args.category)
     if args.action == "enumerate":
-        pairs = enumerate_torsion_pairs(e)
-        payload = {
-            "schema": 1,
-            "kind": "torsion_pairs",
-            "category": args.category,
-            "members": e.indec_indices(),
-            "end_summand_cap": e.cap,
-            "scan": "perpendicular-maximal free classes only",
-            "labels": _labels_for(bundle, e.catalog),
-            "pairs": [p.to_json_dict() for p in pairs],
-        }
+        payload = torsion_pairs_document(enumerate_torsion_pairs(e), e)
+        payload.update(category=args.category, labels=_labels_for(bundle, e.catalog))
         _emit(payload, args.pretty)
         return 0
     t = bundle.parse_subcat(args.t, e.catalog)

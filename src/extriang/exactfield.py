@@ -144,12 +144,17 @@ class Mat:
         if self.p != other.p:
             raise ValueError("mixed moduli")
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _need_same_shape(self, other: "Mat", op: str):
         self._need_same_field(other)
+        if self.a.shape != other.a.shape:
+            raise ValueError(f"shape mismatch {self.shape} {op} {other.shape}")
+
+    def __add__(self, other: "Mat") -> "Mat":
+        self._need_same_shape(other, "+")
         return Mat._wrap(self.p, np.mod(self.a + other.a, self.p))
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._need_same_field(other)
+        self._need_same_shape(other, "-")
         return Mat._wrap(self.p, np.mod(self.a - other.a, self.p))
 
     def __neg__(self) -> "Mat":

@@ -5,8 +5,10 @@ additive closure is extension closed in the ambient module category; its
 conflations are the short exact sequences with every term decomposing among
 the members.  Inflations, deflations, one-sided exact sequences, torsion
 pairs, approximations, rigidity, cluster tilting, and additive quotients are
-all decided by finite linear algebra over the catalog.  Only exactness
-classification reads a conflation list, whose ends are capped at a
+all decided by finite linear algebra over the catalog.  Two questions read
+conflation lists: the extension-closure check on construction reads the
+list with indecomposable ends and may fall back on the full one, and
+exactness classification reads the full one, whose ends are capped at a
 configurable summand count (reported in JSON output).
 """
 
@@ -110,8 +112,9 @@ class ExCat:
     """Extension-closed subcategory, closure checked on construction.
 
     `conflations` lists the conflations whose ends have at most `cap`
-    summands.  It is built on first use, and only exactness classification
-    reads it.
+    summands.  It is built on first use.  Exactness classification reads
+    it, and so does `extension_closure_failure` when a conflation with
+    indecomposable ends has a decomposable middle.
     """
 
     def __init__(
@@ -433,19 +436,19 @@ def enumerate_torsion_pairs(e: ExCat) -> list[TorsionPair]:
     return out
 
 
+def torsion_pairs_document(pairs: Sequence[TorsionPair], e: ExCat) -> dict:
+    return {
+        "schema": 1,
+        "kind": "torsion_pairs",
+        "members": e.indec_indices(),
+        "end_summand_cap": e.cap,
+        "scan": "perpendicular-maximal free classes only",
+        "pairs": [p.to_json_dict() for p in pairs],
+    }
+
+
 def torsion_pairs_to_json(pairs: Sequence[TorsionPair], e: ExCat) -> str:
-    return json.dumps(
-        {
-            "schema": 1,
-            "kind": "torsion_pairs",
-            "members": e.indec_indices(),
-            "end_summand_cap": e.cap,
-            "scan": "perpendicular-maximal free classes only",
-            "pairs": [p.to_json_dict() for p in pairs],
-        },
-        sort_keys=True,
-        indent=2,
-    ) + "\n"
+    return json.dumps(torsion_pairs_document(pairs, e), sort_keys=True, indent=2) + "\n"
 
 
 # -- approximations and cluster tilting ----------------------------------------

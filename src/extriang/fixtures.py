@@ -32,8 +32,6 @@ class FixtureBundle:
     pieces it reads, so a question about mod A never enumerates mod Lambda.
     """
 
-    a_algebra = A2_ALGEBRA
-
     def __init__(self, p: int = 2, bound: int = 2):
         self.p = p
         self.bound = bound
@@ -180,12 +178,12 @@ def _a_label(catalog: Catalog, m: Module) -> str:
 
 
 def _lambda_label(bundle_mod_a: Catalog, tri: TriangularData, m: Module) -> str:
-    t = tri.module_to_triple(m)
-    xname = _a_label(bundle_mod_a, t.x)
-    yname = _a_label(bundle_mod_a, t.y)
-    if t.f.is_zero():
+    f = tri.connecting_morphism(m)
+    xname = _a_label(bundle_mod_a, f.target)
+    yname = _a_label(bundle_mod_a, f.source)
+    if f.is_zero():
         sub = "0"
-    elif t.f.is_isomorphism():
+    elif f.is_isomorphism():
         sub = "1"
     else:
         sub = "f"

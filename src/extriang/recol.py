@@ -1,23 +1,25 @@
 """Six-functor recollements for triangular matrix algebras.
 
-A module over the one-arrow-per-vertex doubling of an algebra is the same
-thing as a triple (X, Y, f: Y -> X); the six functors between the outer
-module categories and the middle one are the usual ones
+A module over T_2(A), the one-arrow-per-vertex doubling of an algebra A,
+is a triple [X;Y]_f with f: Y -> X (Auslander-Reiten-Smalo, III.2):
+`TriangularData.glue` builds it from its layers, and `x_part`, `y_part`
+and `connecting_morphism` read them back.  The six functors
 
     i*[X;Y]_f = coker f      i_*X = [X;0]      i^![X;Y]_f = X
     j_!Y = [Y;Y]_1           j^*[X;Y]_f = Y    j_*Y = [0;Y]
 
-tabulated over catalogs so that every recollement axiom reduces to finite
-linear algebra.  Hypothesis flags (functor exactness, closure scans) are
-computed and reported next to every verdict rather than silently gating it,
-except where a construction is meaningless without them.
+are tabulated over catalogs so that every recollement axiom reduces to
+finite linear algebra.  Hypothesis flags (functor exactness, closure
+scans) are computed and reported next to every verdict rather than
+silently gating it, except where a construction is meaningless without
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .exactfield import Mat
 from .quivrep import (
@@ -32,7 +34,6 @@ from .quivrep import (
     kernel,
     span_rank,
     zero_module,
-    zero_morphism,
 )
 from .homext import ConflationRecord
 from .excat import (
@@ -55,22 +56,10 @@ class NotRestrictedFunctorError(ValueError):
     """A functor value escapes the designated target subcategory."""
 
 
-@dataclass(frozen=True)
-class Triple:
-    """A module over the doubled algebra in (X, Y, f: Y -> X) form."""
-
-    x: Module
-    y: Module
-    f: Morphism
-
-    def __post_init__(self):
-        if self.f.source != self.y or self.f.target != self.x:
-            raise ValueError("connecting map must run Y -> X")
-
-
 @dataclass
 class TriangularData:
-    """The doubled algebra with its vertex/arrow naming and adapters."""
+    """T_2(A) with its vertex and arrow naming.  Five of the six functors
+    only place or read a layer; i^* is the cokernel of the connecting map."""
 
     base: Algebra
     algebra: Algebra
@@ -83,40 +72,31 @@ class TriangularData:
     def __post_init__(self):
         self._coker_cache: dict = {}
 
-    # -- adapters -------------------------------------------------------
+    # -- gluing and reading layers --------------------------------------
 
-    def triple_to_module(self, t: Triple) -> Module:
-        p = t.x.p
-        dims = {}
-        action = {}
-        for v in self.base.vertices:
-            dims[self.x_vertex[v]] = t.x.dim(v)
-            dims[self.y_vertex[v]] = t.y.dim(v)
-            action[self.connecting[v]] = t.f.comps[v]
+    def glue(self, x: Module, y: Module, f_comps: Mapping[str, Mat]) -> Module:
+        """[X;Y]_f from its layers and f's components by base vertex, a
+        missing one zero; the module check refuses an f that does not run
+        Y -> X or does not commute with the arrows."""
+        dims = {self.x_vertex[v]: x.dim(v) for v in self.base.vertices}
+        dims.update({self.y_vertex[v]: y.dim(v) for v in self.base.vertices})
+        action = {self.connecting[v]: m for v, m in f_comps.items()}
         for a in self.base.arrows:
-            action[self.x_arrow[a.name]] = t.x.action[a.name]
-            action[self.y_arrow[a.name]] = t.y.action[a.name]
-        return Module(self.algebra, p, dims, action)
+            action[self.x_arrow[a.name]] = x.action[a.name]
+            action[self.y_arrow[a.name]] = y.action[a.name]
+        return Module(self.algebra, x.p, dims, action)
 
-    def module_to_triple(self, m: Module) -> Triple:
-        f = self.connecting_morphism(m)
-        return Triple(x=f.target, y=f.source, f=f)
+    def _layer(self, m: Module, vertex: dict[str, str], arrow: dict[str, str]) -> Module:
+        return Module(self.base, m.p, {v: m.dim(vertex[v]) for v in self.base.vertices},
+                      {a.name: m.action[arrow[a.name]] for a in self.base.arrows}, check=False)
 
     def x_part(self, m: Module) -> Module:
-        return Module(
-            self.base, m.p,
-            {v: m.dim(self.x_vertex[v]) for v in self.base.vertices},
-            {a.name: m.action[self.x_arrow[a.name]] for a in self.base.arrows},
-            check=False,
-        )
+        """i^![X;Y]_f = X."""
+        return self._layer(m, self.x_vertex, self.x_arrow)
 
     def y_part(self, m: Module) -> Module:
-        return Module(
-            self.base, m.p,
-            {v: m.dim(self.y_vertex[v]) for v in self.base.vertices},
-            {a.name: m.action[self.y_arrow[a.name]] for a in self.base.arrows},
-            check=False,
-        )
+        """j^*[X;Y]_f = Y."""
+        return self._layer(m, self.y_vertex, self.y_arrow)
 
     def connecting_morphism(self, m: Module) -> Morphism:
         return Morphism(
@@ -131,6 +111,16 @@ class TriangularData:
             hit = cokernel(self.connecting_morphism(m))
             self._coker_cache[key] = hit
         return hit
+
+    def _read_mor(self, phi: Morphism, vertex: dict[str, str], part: Callable[[Module], Module]) -> Morphism:
+        """phi's components at one layer, as a map between those layers."""
+        return Morphism(part(phi.source), part(phi.target),
+                        {v: phi.comps[vertex[v]] for v in self.base.vertices})
+
+    def _place_mor(self, phi: Morphism, obj: Callable[[Module], Module], *vertices: dict[str, str]) -> Morphism:
+        """phi's components at each given layer, as a map obj(source) -> obj(target)."""
+        comps = {vertex[v]: phi.comps[v] for vertex in vertices for v in self.base.vertices}
+        return Morphism(obj(phi.source), obj(phi.target), comps)
 
     # -- the six functors as direct formulas ------------------------------
 
@@ -147,51 +137,28 @@ class TriangularData:
         return Morphism(self.i_upper_star_obj(phi.source), cok_t, comps)
 
     def i_lower_star_obj(self, x: Module) -> Module:
-        f = zero_morphism(zero_module(self.base, x.p), x)
-        return self.triple_to_module(Triple(x=x, y=f.source, f=f))
+        return self.glue(x, zero_module(self.base, x.p), {})
 
     def i_lower_star_mor(self, phi: Morphism) -> Morphism:
-        src = self.i_lower_star_obj(phi.source)
-        tgt = self.i_lower_star_obj(phi.target)
-        comps = {self.x_vertex[v]: phi.comps[v] for v in self.base.vertices}
-        return Morphism(src, tgt, comps)
-
-    def i_upper_shriek_obj(self, m: Module) -> Module:
-        return self.x_part(m)
+        return self._place_mor(phi, self.i_lower_star_obj, self.x_vertex)
 
     def i_upper_shriek_mor(self, phi: Morphism) -> Morphism:
-        return Morphism(
-            self.x_part(phi.source), self.x_part(phi.target),
-            {v: phi.comps[self.x_vertex[v]] for v in self.base.vertices},
-        )
+        return self._read_mor(phi, self.x_vertex, self.x_part)
 
     def j_lower_shriek_obj(self, y: Module) -> Module:
-        f = identity_morphism(y)
-        return self.triple_to_module(Triple(x=y, y=y, f=f))
+        return self.glue(y, y, identity_morphism(y).comps)
 
     def j_lower_shriek_mor(self, phi: Morphism) -> Morphism:
-        comps = {}
-        for v in self.base.vertices:
-            comps[self.x_vertex[v]] = phi.comps[v]
-            comps[self.y_vertex[v]] = phi.comps[v]
-        return Morphism(self.j_lower_shriek_obj(phi.source), self.j_lower_shriek_obj(phi.target), comps)
-
-    def j_upper_star_obj(self, m: Module) -> Module:
-        return self.y_part(m)
+        return self._place_mor(phi, self.j_lower_shriek_obj, self.x_vertex, self.y_vertex)
 
     def j_upper_star_mor(self, phi: Morphism) -> Morphism:
-        return Morphism(
-            self.y_part(phi.source), self.y_part(phi.target),
-            {v: phi.comps[self.y_vertex[v]] for v in self.base.vertices},
-        )
+        return self._read_mor(phi, self.y_vertex, self.y_part)
 
     def j_lower_star_obj(self, y: Module) -> Module:
-        f = zero_morphism(y, zero_module(self.base, y.p))
-        return self.triple_to_module(Triple(x=f.target, y=y, f=f))
+        return self.glue(zero_module(self.base, y.p), y, {})
 
     def j_lower_star_mor(self, phi: Morphism) -> Morphism:
-        comps = {self.y_vertex[v]: phi.comps[v] for v in self.base.vertices}
-        return Morphism(self.j_lower_star_obj(phi.source), self.j_lower_star_obj(phi.target), comps)
+        return self._place_mor(phi, self.j_lower_star_obj, self.y_vertex)
 
     # -- unit and counit morphisms per middle-category object ---------------
 
@@ -340,9 +307,9 @@ def six_functors(a_cat: ExCat, b_cat: ExCat, c_cat: ExCat, triangular: Triangula
     specs = {
         "i_upper_star": (b_cat, a_cat, triangular.i_upper_star_obj, triangular.i_upper_star_mor),
         "i_lower_star": (a_cat, b_cat, triangular.i_lower_star_obj, triangular.i_lower_star_mor),
-        "i_upper_shriek": (b_cat, a_cat, triangular.i_upper_shriek_obj, triangular.i_upper_shriek_mor),
+        "i_upper_shriek": (b_cat, a_cat, triangular.x_part, triangular.i_upper_shriek_mor),
         "j_lower_shriek": (c_cat, b_cat, triangular.j_lower_shriek_obj, triangular.j_lower_shriek_mor),
-        "j_upper_star": (b_cat, c_cat, triangular.j_upper_star_obj, triangular.j_upper_star_mor),
+        "j_upper_star": (b_cat, c_cat, triangular.y_part, triangular.j_upper_star_mor),
         "j_lower_star": (c_cat, b_cat, triangular.j_lower_star_obj, triangular.j_lower_star_mor),
     }
     six: dict[str, FunctorData] = {}

@@ -155,6 +155,14 @@ def test_dimension_mismatch_raises():
         Mat.identity(2, 2).solve(Mat.zeros(2, 3, 1))
 
 
+def test_sum_and_difference_refuse_mismatched_shapes():
+    # numpy would broadcast these to a 2x2 and a 1x3 matrix
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Mat(2, [[1, 1]]) + Mat(2, [[1], [0]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Mat(3, [[1, 2, 0]]) - Mat(3, [[1]])
+
+
 @pytest.mark.parametrize("p", [2, 5])
 @given(data=st.data())
 @settings(max_examples=120, deadline=None)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from extriang import excat, homext
+from extriang.fixtures import A2_ALGEBRA
 from extriang.quivrep import Catalog, hom_basis, zero_morphism, identity_morphism
 from extriang.excat import (
     ExCat,
@@ -128,7 +129,7 @@ def test_both_sided_exactness_characterizes_conflations(bundle):
 def test_projective_to_zero_is_right_not_left_exact(bundle):
     from extriang.quivrep import zero_module
     p1 = bundle.mod_a.indecs[a_idx(bundle, "P1")]
-    z = zero_module(bundle.a_algebra, 2)
+    z = zero_module(A2_ALGEBRA, 2)
     f = zero_morphism(p1, z)
     g = zero_morphism(z, z)
     assert is_right_exact_seq(f, g, bundle.a_ext)
@@ -138,7 +139,7 @@ def test_projective_to_zero_is_right_not_left_exact(bundle):
 def test_zero_to_identity_is_left_exact(bundle):
     from extriang.quivrep import zero_module
     p1 = bundle.mod_a.indecs[a_idx(bundle, "P1")]
-    z = zero_module(bundle.a_algebra, 2)
+    z = zero_module(A2_ALGEBRA, 2)
     assert is_left_exact_seq(zero_morphism(z, p1), identity_morphism(p1), bundle.a_ext)
 
 

