@@ -29,8 +29,8 @@ from .quivrep import (
     Catalog,
     Module,
     Morphism,
-    _add_kron_eye,
     _commuting_system,
+    _kron_map,
     direct_sum,
 )
 
@@ -107,57 +107,27 @@ def summand_projection(mods: Sequence[Module], k: int, total: Optional[Module] =
 # -- Ext^1 ---------------------------------------------------------------------
 
 
-def _kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The Kronecker product of left and right by one broadcast product, entries
-    multiplied as given."""
-    (r1, c1), (r2, c2) = left.shape, right.shape
-    return (left[:, None, :, None] * right[None, :, None, :]).reshape(r1 * r2, c1 * c2)
-
-
 def _relation_system(c: Module, a: Module, offsets: Mapping[str, int], total: int) -> Mat:
-    """The relations of the extension [[a, phi], [0, c]] as equations in phi.
+    """The relations of the extension [[a, phi], [0, c]] as equations in phi,
+    built by one _kron_map.
 
     A term x_k...x_1 has upper-right corner
-    sum_i a_{x_k...x_{i+1}} phi_{x_i} c_{x_{i-1}...x_1}, and
-    vec(L phi R) = (L kron R^T) vec(phi) for row-major vec.  Unknowns are
-    laid out as in Ext1Space.  Every Kronecker product and every multiple
-    by a coefficient is reduced mod p at once, so entries stay below
-    (p-1)**2.
+    sum_i a_{x_k...x_{i+1}} phi_{x_i} c_{x_{i-1}...x_1}, one map term per
+    i with the coefficient folded into the left factor.  Each relation
+    gives a.dim(tgt) * c.dim(src) rows; unknowns are as in Ext1Space.
     """
     alg, p = c.algebra, c.p
-    rows: list[np.ndarray] = []
+    row, terms = 0, []
     for rel in alg.relations:
         src, tgt = alg.path_source(rel[0][1]), alg.path_target(rel[0][1])
-        block = np.zeros((a.dim(tgt) * c.dim(src), total), dtype=np.int64)
         for coeff, path in rel:
             for i, name in enumerate(path):
                 after, before = path[:i], path[i + 1:]
                 left = a.path_matrix(after).a if after else np.eye(a.dim(tgt), dtype=np.int64)
-                right = c.path_matrix(before).a if before else np.eye(c.dim(src), dtype=np.int64)
-                term = _kron(left, right.T) % p * (coeff % p) % p
-                cols = slice(offsets[name], offsets[name] + term.shape[1])
-                block[:, cols] = (block[:, cols] + term) % p
-        rows.append(block)
-    return Mat(p, np.vstack(rows)) if rows else Mat.zeros(p, 0, total)
-
-
-def _kron_map(p: int, rows: int, cols: int, blocks) -> Mat:
-    """The rows x cols matrix with kron(m, I_k), or kron(I_k, m) when
-    eye_first, at each (row, col, m, k, eye_first) of blocks, else zero.
-
-    With row-major vec, vec(G F) = (G kron I) vec(F) and
-    vec(F H) = (I kron H^T) vec(F), so one such matrix maps the blocks of
-    many vectors, one per column, by a single product.
-    """
-    out = np.zeros((rows, cols), dtype=np.int64)
-    for r, c, m, k, eye_first in blocks:
-        # one copy is most blocks here, and a plain slice is far cheaper
-        # than _add_kron_eye's broadcast assignment
-        if k == 1:
-            out[r:r + m.shape[0], c:c + m.shape[1]] = m
-        elif k and m.size:
-            _add_kron_eye(out[r:r + m.shape[0] * k, c:c + m.shape[1] * k], m, k, eye_first)
-    return Mat(p, out)
+                right = c.path_matrix(before).a if before else c.dim(src)
+                terms.append((row, offsets[name], coeff % p * left % p, right))
+        row += a.dim(tgt) * c.dim(src)
+    return _kron_map(p, row, total, terms)
 
 
 def _column(coords) -> np.ndarray:
@@ -200,12 +170,14 @@ class Ext1Space:
     """Ext^1(c, a) = cocycles / coboundaries on the arrows, with fixed coordinates.
 
     A cocycle's unknowns are the row-major entries of its blocks phi_x,
-    in arrow order; the coboundaries of the unit vertexwise maps h are the
-    columns of the Hom(c, a) commuting-square system, whose rows have the
-    same layout.  A cocycle is zero exactly when its coordinates in Z are,
-    so the rows of that system at Z's coordinates have Hom(c, a) as their
-    kernel: one elimination gives the coboundaries in Z and Hom(c, a), in
-    the basis hom_basis(c, a) gives.
+    in arrow order, subject to _relation_system; the coboundaries of the
+    unit vertexwise maps h are the columns of the Hom(c, a)
+    commuting-square system, whose rows have the same layout.  A cocycle
+    is zero exactly when its coordinates in Z are, so the rows of that
+    system at Z's coordinates have Hom(c, a) as their kernel: one
+    elimination gives the coboundaries in Z and Hom(c, a), in the basis
+    hom_basis(c, a) gives.  Both systems, like the push, pull and
+    five-term maps between spaces, are built by _kron_map.
 
     Batched forms work on many classes at once, one per column: Z
     coordinates (`cocycles`, `reduce_many`), cocycle vectors
@@ -390,7 +362,7 @@ def ext_push_many(space: Ext1Space, coords: np.ndarray, g: Morphism,
     if not coords.shape[1]:
         return np.zeros((len(target._zfree), 0), dtype=np.int64)
     push = _kron_map(space.p, target._z.rows, space._z.rows, [
-        (target._offsets[i], space._offsets[i], g.comps[x.tgt].a, space.c.dim(x.src), False)
+        (target._offsets[i], space._offsets[i], g.comps[x.tgt].a, space.c.dim(x.src))
         for i, x in enumerate(space.c.algebra.arrows)])
     return target.reduce_cocycles(push @ space.cocycles(coords))
 
@@ -405,7 +377,7 @@ def ext_pull_many(space: Ext1Space, coords: np.ndarray, h: Morphism,
     if not coords.shape[1]:
         return np.zeros((len(target._zfree), 0), dtype=np.int64)
     pull = _kron_map(space.p, target._z.rows, space._z.rows, [
-        (target._offsets[i], space._offsets[i], h.comps[x.src].a.T, space.a.dim(x.tgt), True)
+        (target._offsets[i], space._offsets[i], space.a.dim(x.tgt), h.comps[x.src].a)
         for i, x in enumerate(space.c.algebra.arrows)])
     return target.reduce_cocycles(pull @ space.cocycles(coords))
 
@@ -428,14 +400,14 @@ def covariant_maps(ses: SES, x: Module) -> list[Mat]:
         if not src.hom.cols:
             return Mat.zeros(p, tgt.hom.cols, 0)
         return tgt.hom_coords(_kron_map(p, tgt.hom.rows, src.hom.rows, [
-            (tgt._hom_offsets[i], src._hom_offsets[i], g.comps[v].a, x.dims[i], False)
+            (tgt._hom_offsets[i], src._hom_offsets[i], g.comps[v].a, x.dims[i])
             for i, v in enumerate(alg.vertices)]) @ src.hom)
 
     # the connecting map pulls the class along each f: x -> c, phi_y f_src
     if ext_c.hom.cols:
         phi = cls.cocycle()
         pull = _kron_map(p, ext_a._z.rows, ext_c.hom.rows, [
-            (ext_a._offsets[i], ext_c._hom_offsets[alg.vertex_index[y.src]], phi[y.name].a, x.dim(y.src), False)
+            (ext_a._offsets[i], ext_c._hom_offsets[alg.vertex_index[y.src]], phi[y.name].a, x.dim(y.src))
             for i, y in enumerate(alg.arrows)])
         m3 = Mat(p, ext_a.compress(ext_a.reduce_cocycles(pull @ ext_c.hom)))
     else:
@@ -458,14 +430,14 @@ def contravariant_maps(ses: SES, x: Module) -> list[Mat]:
         if not src.hom.cols:
             return Mat.zeros(p, tgt.hom.cols, 0)
         return tgt.hom_coords(_kron_map(p, tgt.hom.rows, src.hom.rows, [
-            (tgt._hom_offsets[i], src._hom_offsets[i], h.comps[v].a.T, x.dims[i], True)
+            (tgt._hom_offsets[i], src._hom_offsets[i], x.dims[i], h.comps[v].a)
             for i, v in enumerate(alg.vertices)]) @ src.hom)
 
     # the connecting map pushes the class along each f: a -> x, f_tgt phi_y
     if ext_a.hom.cols:
         phi = cls.cocycle()
         push = _kron_map(p, ext_c._z.rows, ext_a.hom.rows, [
-            (ext_c._offsets[i], ext_a._hom_offsets[alg.vertex_index[y.tgt]], phi[y.name].a.T, x.dim(y.tgt), True)
+            (ext_c._offsets[i], ext_a._hom_offsets[alg.vertex_index[y.tgt]], x.dim(y.tgt), phi[y.name].a)
             for i, y in enumerate(alg.arrows)])
         m3 = Mat(p, ext_c.compress(ext_c.reduce_cocycles(push @ ext_a.hom)))
     else:

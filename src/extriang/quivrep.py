@@ -81,6 +81,8 @@ class Algebra:
         for rel in self.relations:
             if not rel:
                 raise ValueError("empty relation")
+            for name in (n for _, path in rel for n in path if n not in self.arrow_by_name):
+                raise ValueError(f"relation names unknown arrow {name!r}")
             endpoints = {(self.path_source(path), self.path_target(path)) for _, path in rel}
             if len(endpoints) != 1:
                 raise ValueError(f"relation terms do not share source/target: {rel}")
@@ -310,51 +312,56 @@ def zero_morphism(source: Module, target: Module) -> Morphism:
 # -- Hom spaces ----------------------------------------------------------
 
 
-def _add_kron_eye(out: np.ndarray, a: np.ndarray, k: int, eye_first: bool = False) -> None:
-    """Add kron(a, I_k), or kron(I_k, a) when eye_first, into out in place.
+def _kron_map(p: int, rows: int, cols: int, terms) -> Mat:
+    """The rows x cols matrix over F_p that adds, at each (r, c, left, right)
+    of terms, the matrix of X -> left X right at block (r, c).
 
-    out must have the product's shape; it may be a column slice of a
-    larger array, since splitting its axes in reshape gives a view.  Only
-    the k diagonal copies of a are touched, by one broadcast assignment.
+    An int k on either side stands for I_k.  With row-major vec,
+    vec(L X R) = (L kron R^T) vec(X).  An identity factor writes only its
+    k diagonal copies of the other, by one broadcast assignment; two real
+    factors give their full product, each entry below p**2 and reduced
+    mod p before it is added.
     """
-    r, c = a.shape
-    diag = np.arange(k)
-    if eye_first:
-        out.reshape(k, r, k, c)[diag, :, diag, :] += a
-    else:
-        out.reshape(r, k, c, k)[:, diag, :, diag] += a
+    out = np.zeros((rows, cols), dtype=np.int64)
+    for r, c, left, right in terms:
+        if isinstance(left, np.ndarray) and isinstance(right, np.ndarray):
+            (r1, c1), (c2, r2) = left.shape, right.shape
+            out[r:r + r1 * r2, c:c + c1 * c2] += (
+                left[:, None, :, None] * right.T[None, :, None, :] % p).reshape(r1 * r2, c1 * c2)
+            continue
+        # I_k kron R^T or L kron I_k, with m the factor that is not I_k
+        eye_left = isinstance(right, np.ndarray)
+        m, k = (right.T, left) if eye_left else (left, right)
+        # one copy, as in most terms, is a plain slice add, far cheaper
+        if k == 1:
+            out[r:r + m.shape[0], c:c + m.shape[1]] += m
+        elif k and m.size:
+            block, diag = out[r:r + m.shape[0] * k, c:c + m.shape[1] * k], np.arange(k)
+            if eye_left:
+                block.reshape(k, m.shape[0], k, m.shape[1])[diag, :, diag, :] += m
+            else:
+                block.reshape(m.shape[0], k, m.shape[1], k)[:, diag, :, diag] += m
+    return Mat(p, out)
 
 
 def _commuting_system(m: Module, n: Module) -> tuple[Mat, dict[str, int]]:
-    """The commuting squares N_a phi_src - phi_tgt M_a = 0 as one system.
+    """The commuting squares N_a phi_src - phi_tgt M_a = 0 as one system,
+    built by one _kron_map.
 
     Unknowns are the row-major entries of each vertex component of
     phi: m -> n, in vertex order; offsets[v] is where the component at v
-    starts among them.
+    starts among them.  Each arrow gives n.dim(tgt) * m.dim(src) rows.
     """
     alg = m.algebra
-    sizes = {v: n.dim(v) * m.dim(v) for v in alg.vertices}
-    offsets = {}
-    total = 0
+    offsets, total, row, terms = {}, 0, 0, []
     for v in alg.vertices:
         offsets[v] = total
-        total += sizes[v]
-    rows: list[np.ndarray] = []
+        total += n.dim(v) * m.dim(v)
     for a in alg.arrows:
-        nr = n.dim(a.tgt) * m.dim(a.src)
-        if nr == 0:
-            continue
-        block = np.zeros((nr, total), dtype=np.int64)
-        s, t = offsets[a.src], offsets[a.tgt]
-        if sizes[a.src]:
-            # vec(N_a @ phi_src) = (N_a kron I) vec(phi_src)
-            _add_kron_eye(block[:, s:s + sizes[a.src]], n.action[a.name].a, m.dim(a.src))
-        if sizes[a.tgt]:
-            # vec(phi_tgt @ M_a) = (I kron M_a^T) vec(phi_tgt)
-            _add_kron_eye(block[:, t:t + sizes[a.tgt]], -m.action[a.name].a.T, n.dim(a.tgt), eye_first=True)
-        rows.append(block)
-    system = np.vstack(rows) if rows else np.zeros((0, total), dtype=np.int64)
-    return Mat(m.p, system), offsets
+        terms += [(row, offsets[a.src], n.action[a.name].a, m.dim(a.src)),
+                  (row, offsets[a.tgt], n.dim(a.tgt), -m.action[a.name].a)]
+        row += n.dim(a.tgt) * m.dim(a.src)
+    return _kron_map(m.p, row, total, terms), offsets
 
 
 def _morphism_from_vector(vec: np.ndarray, m: Module, n: Module, offsets: Mapping[str, int],
@@ -1035,6 +1042,7 @@ def parse_algebra_text(text: str) -> Algebra:
     vertices: list[str] = []
     arrows: list[Arrow] = []
     relations: list[Relation] = []
+    relation_lines: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -1076,8 +1084,14 @@ def parse_algebra_text(text: str) -> Algebra:
             if expect_term:
                 raise AlgebraFormatError(line_no, "relation ends with an operator")
             relations.append(tuple(terms))
+            relation_lines.append(line_no)
         else:
             raise AlgebraFormatError(line_no, f"unknown directive {kind!r}")
+    # an arrow may be declared after a relation that names it
+    known = {a.name for a in arrows}
+    for line_no, rel in zip(relation_lines, relations):
+        for name in (n for _, path in rel for n in path if n not in known):
+            raise AlgebraFormatError(line_no, f"relation names unknown arrow {name!r}")
     try:
         return Algebra(tuple(vertices), tuple(arrows), tuple(relations))
     except ValueError as exc:

@@ -62,7 +62,6 @@ from extriang.quivrep import (
     Algebra,
     Module,
     Morphism,
-    _add_kron_eye,
     _commuting_system,
     _flatten_morphism,
     _morphism_from_vector,
@@ -255,7 +254,7 @@ def lift_through_surjection(target_map: Morphism, surjection: Morphism) -> Morph
     for v in p0.algebra.vertices:
         block = np.zeros((target_map.target.dim(v) * p0.dim(v), squares.cols), dtype=np.int64)
         width = b.dim(v) * p0.dim(v)
-        _add_kron_eye(block[:, offsets[v]:offsets[v] + width], surjection.comps[v].a, p0.dim(v))
+        block[:, offsets[v]:offsets[v] + width] = np.kron(surjection.comps[v].a, np.eye(p0.dim(v), dtype=np.int64))
         rows.append(block)
         rhs.append(target_map.comps[v].a.reshape(-1))
     x = Mat(p, np.vstack(rows)).solve(Mat(p, np.concatenate(rhs).reshape(-1, 1)))

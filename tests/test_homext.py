@@ -23,7 +23,7 @@ from extriang.homext import (
     SES,
     ExtClass,
     _exactness,
-    _kron,
+    _kron_map,
     all_conflations,
     class_of,
     contravariant_maps,
@@ -367,6 +367,15 @@ def test_maps_out_of_a_zero_space_skip_the_kronecker_route(bundle, monkeypatch):
     only for each map whose source is nonzero: 10,318 where every map used
     to build one (24,640).  The class of every conflation is still read by
     both variances against every object."""
+    recs, objects = bundle.b_ext.conflations, bundle.mod_lambda.indecs
+    # Ext spaces built inside the loop would count their relation systems,
+    # so every one the loop reads is built first
+    for rec in recs:
+        ses = rec.ses
+        ext1_space(ses.c, ses.a)
+        for x in objects:
+            for c, a in ((x, ses.a), (x, ses.b), (x, ses.c), (ses.a, x), (ses.b, x), (ses.c, x)):
+                ext1_space(c, a)
     kron_maps, reads = [], []
     real_kron_map, real_class_of = homext._kron_map, homext.class_of
 
@@ -381,7 +390,6 @@ def test_maps_out_of_a_zero_space_skip_the_kronecker_route(bundle, monkeypatch):
     monkeypatch.setattr(homext, "_kron_map", kron_map_spy)
     monkeypatch.setattr(homext, "class_of", class_of_spy)
     dim_hom = functools.lru_cache(maxsize=None)(quivrep.dim_hom)
-    recs, objects = bundle.b_ext.conflations, bundle.mod_lambda.indecs
     nonzero_sources = 0
     for rec in recs:
         ses = rec.ses
@@ -543,12 +551,36 @@ def test_batched_pushes_and_pulls_at_a_large_prime():
 ])
 @pytest.mark.parametrize("p", [2, 2**31 - 1])
 def test_kron_by_broadcasting_matches_np_kron(left_shape, right_shape, p):
+    """X -> left X right.T is kron(left, right), each copy reduced before
+    it is added: three copies of (p-1)**2 would overflow int64 otherwise."""
     rng = np.random.default_rng(sum(left_shape) * 10 + sum(right_shape))
     left = rng.integers(0, p, size=left_shape, dtype=np.int64)
     right = rng.integers(0, p, size=right_shape, dtype=np.int64)
     left.flat[:1] = right.flat[:1] = p - 1
-    out = _kron(left, right)
-    assert out.dtype == np.int64 and np.array_equal(out, np.kron(left, right))
+    (r1, c1), (r2, c2) = left_shape, right_shape
+    assert _kron_map(p, r1 * r2, c1 * c2, [(0, 0, left, right.T)]) == Mat(p, np.kron(left, right))
+    thrice = _kron_map(p, r1 * r2, c1 * c2, [(0, 0, left, right.T)] * 3)
+    assert thrice == Mat(p, 3 * (np.kron(left, right) % p))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("relations", [(), (((1, ("c", "b", "a")),),)], ids=["free", "cba"])
+def test_a_relation_through_a_path_of_three_arrows(relations, p):
+    """Linear A4, 1 -> 2 -> 3 -> 4 by a, b, c.  The corner of c.b.a has the
+    term c phi_b a, a factor on each side; c.b.a = 0 kills exactly the
+    extensions whose middle is the whole interval M1234."""
+    a4 = Algebra(("1", "2", "3", "4"), (Arrow("a", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "3", "4")),
+                 relations)
+
+    def interval(lo, hi):
+        inside = [x.name for x in a4.arrows if lo <= int(x.src) and int(x.tgt) <= hi]
+        return Module(a4, p, tuple(int(lo <= v <= hi) for v in range(1, 5)),
+                      {name: Mat.from_rows(p, [[1]]) for name in inside})
+
+    whole = int(not relations)
+    for (c, a), dim in {((1, 2), (3, 4)): whole, ((1, 1), (2, 4)): whole, ((1, 3), (4, 4)): whole,
+                        ((1, 1), (2, 2)): 1}.items():
+        assert ext1_space(interval(*c), interval(*a)).dim == dim, (c, a)
 
 
 def test_non_cocycles_are_refused():

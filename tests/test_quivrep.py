@@ -19,9 +19,9 @@ from extriang.quivrep import (
     Catalog,
     CatalogIncompleteError,
     Module,
-    _add_kron_eye,
     _dim_vectors,
     _gl_generators,
+    _kron_map,
     _primitive_root,
     decompose,
     direct_sum,
@@ -84,6 +84,8 @@ def test_algebra_validation():
     with pytest.raises(ValueError):
         Algebra(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "2", "1")),
                 (((1, ("a",)), (1, ("b",))),))
+    with pytest.raises(ValueError, match="unknown arrow 'z'"):
+        Algebra(("1", "2"), (Arrow("a", "1", "2"),), (((1, ("z", "a")),),))
 
 
 def test_algebra_lookups_take_no_part_in_identity():
@@ -613,19 +615,19 @@ def test_every_hom_basis_element_commutes(a2_catalog):
     (1, 4, 1), (3, 1, 2), (2, 3, 4), (4, 4, 3),
 ])
 def test_kron_free_blocks_match_np_kron(rows, cols, k):
+    """X -> a X and X -> X b with I_k on the other side, alone and added
+    at one block of a wider matrix, give np.kron's blocks."""
+    p = 7
     rng = np.random.default_rng(rows * 100 + cols * 10 + k)
     a = rng.integers(-3, 4, size=(rows, cols), dtype=np.int64)
-    out = np.zeros((rows * k, cols * k), dtype=np.int64)
-    _add_kron_eye(out, a, k)
-    assert np.array_equal(out, np.kron(a, np.eye(k, dtype=np.int64)))
-    out = np.zeros((cols * k, rows * k), dtype=np.int64)
-    _add_kron_eye(out, a.T, k, eye_first=True)
-    assert np.array_equal(out, np.kron(np.eye(k, dtype=np.int64), a.T))
-    # a column slice of a wider array is written in place and adds to it
-    wide = np.ones((rows * k, cols * k + 5), dtype=np.int64)
-    _add_kron_eye(wide[:, 2:2 + cols * k], a, k)
-    assert np.array_equal(wide[:, 2:2 + cols * k], 1 + np.kron(a, np.eye(k, dtype=np.int64)))
-    assert (wide[:, :2] == 1).all() and (wide[:, 2 + cols * k:] == 1).all()
+    b = rng.integers(-3, 4, size=(cols, rows), dtype=np.int64)
+    eye = np.eye(k, dtype=np.int64)
+    for terms, block in (([(1, 2, a, k)], np.kron(a, eye)),
+                         ([(1, 2, k, b)], np.kron(eye, b.T)),
+                         ([(1, 2, a, k), (1, 2, k, b)], np.kron(a, eye) + np.kron(eye, b.T))):
+        expected = np.zeros((rows * k + 1, cols * k + 5), dtype=np.int64)
+        expected[1:, 2:2 + cols * k] = block
+        assert _kron_map(p, rows * k + 1, cols * k + 5, terms) == Mat(p, expected)
 
 
 def test_batched_coords_agree_with_the_basis(a2_catalog):
@@ -695,6 +697,7 @@ def test_text_comments_and_blanks():
     ("vertex 1\nvertex 2\narrow a 1\n", 3),
     ("vertex 1\nvertex 2\narrow a 1 2\nrelation 1*a +\n", 4),
     ("vertex 1\nvertex 2\narrow a 1 2\nrelation a\n", 4),
+    ("vertex 1\nvertex 2\nrelation 1*z.a\narrow a 1 2\n", 3),
 ])
 def test_text_errors_carry_line_numbers(bad, line):
     with pytest.raises(AlgebraFormatError) as err:
