@@ -11,7 +11,9 @@ full-recollement file holds the same for `classify` and `check` on the
 full recollement, and the Dynkin-catalog file holds the same for the
 file-based `catalog` on the A4 and D4 algebras under tests/algebras, and
 the isolated-vertex file holds the same for the file-based `catalog` on
-A2 beside a vertex no arrow touches;
+A2 beside a vertex no arrow touches, and the F_3 recollement file holds
+the same for `recollement check` and `classify` on both recollements and
+the README's `glue` and `restrict` over F_3 at bound 1;
 rewriting any of them is an explicit, reviewed act, so
 this script is the only thing that touches the files.
 """
@@ -66,6 +68,18 @@ ISOLATED_CATALOG_COMMANDS = [
     ["catalog", "tests/algebras/a2_isolated.alg", "--bound", "2"],
 ]
 
+# the recollement commands over F_3 at bound 1, where the six tables are
+# smaller but the field is not F_2
+F3_BOUND1 = ["--field", "3", "--bound", "1"]
+RECOLLEMENT_F3B1_COMMANDS = [
+    ["recollement", "check", "--example51", "restricted", *F3_BOUND1],
+    ["recollement", "classify", "--example51", "restricted", *F3_BOUND1],
+    ["recollement", "check", "--example51", "full", *F3_BOUND1],
+    ["recollement", "classify", "--example51", "full", *F3_BOUND1],
+    ["glue", "--example51", "--t1", "P1", "--f1", "S2", "--t2", "P1", "--f2", "-", *F3_BOUND1],
+    ["restrict", "--example51", *B_PAIR, *F3_BOUND1],
+]
+
 
 def run_command(argv: list[str]) -> dict:
     """Exit code, stdout and stderr of one CLI invocation, run in process."""
@@ -106,6 +120,9 @@ def main() -> int:
     with contextlib.chdir(ROOT):
         out.write_text(commands_json(ISOLATED_CATALOG_COMMANDS))
     print(f"wrote {out} ({len(ISOLATED_CATALOG_COMMANDS)} commands)")
+    out = GOLDEN / "recollement_f3b1.json"
+    out.write_text(commands_json(RECOLLEMENT_F3B1_COMMANDS))
+    print(f"wrote {out} ({len(RECOLLEMENT_F3B1_COMMANDS)} commands)")
     return 0
 
 

@@ -245,14 +245,6 @@ class Mat:
                 basis[pc, k] = (-int(r.a[row, fc])) % r.p
         return Mat._wrap(r.p, basis)
 
-    def image_basis(self) -> "Mat":
-        """Pivot columns of the original matrix, spanning the column space."""
-        _, pivots = self.rref()
-        cols = [self.a[:, c] for c in pivots]
-        if not cols:
-            return Mat.zeros(self.p, self.rows, 0)
-        return Mat(self.p, np.stack(cols, axis=1))
-
     def solve(self, b: "Mat") -> Optional["Mat"]:
         """One solution x of self @ x = b, or None when there is none.
 

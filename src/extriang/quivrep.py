@@ -444,22 +444,13 @@ def cokernel(phi: Morphism) -> tuple[Module, Morphism, dict[str, Mat]]:
     proj: dict[str, Mat] = {}
     sect: dict[str, Mat] = {}
     for v in alg.vertices:
-        n = tgt.dim(v)
-        image = phi.comps[v].image_basis()  # n x r
-        r, pivots = image.transpose().rref()
-        pivset = set(pivots)
-        free = [j for j in range(n) if j not in pivset]
-        pi = np.zeros((len(free), n), dtype=np.int64)
-        for k, j in enumerate(free):
-            pi[k, j] = 1
-        for row, pc in enumerate(pivots):
-            for k, j in enumerate(free):
-                pi[k, pc] = (-int(r.a[row, j])) % p
-        sigma = np.zeros((n, len(free)), dtype=np.int64)
-        for k, j in enumerate(free):
-            sigma[j, k] = 1
-        proj[v] = Mat(p, pi)
-        sect[v] = Mat(p, sigma)
+        # the rows of the reduced transpose span the image; the projection
+        # kills them and keeps the free coordinates, which the section
+        # puts back
+        r, pivots = phi.comps[v].transpose().rref()
+        free = [j for j in range(tgt.dim(v)) if j not in pivots]
+        proj[v] = Mat.echelon_kernel(r, pivots).transpose()
+        sect[v] = Mat(p, np.eye(tgt.dim(v), dtype=np.int64)[:, free])
     dims = {v: proj[v].rows for v in alg.vertices}
     action = {a.name: proj[a.tgt] @ tgt.action[a.name] @ sect[a.src] for a in alg.arrows}
     c = Module(alg, p, dims, action, check=False)

@@ -9,10 +9,15 @@ and `connecting_morphism` read them back.  The six functors
     j_!Y = [Y;Y]_1           j^*[X;Y]_f = Y    j_*Y = [0;Y]
 
 are tabulated over catalogs so that every recollement axiom reduces to
-finite linear algebra.  Hypothesis flags (functor exactness, closure
-scans) are computed and reported next to every verdict rather than
-silently gating it, except where a construction is meaningless without
-them.
+finite linear algebra.  The four adjunctions i* -| i_* -| i^! and
+j_! -| j^* -| j_* are stated once, in `ADJUNCTIONS`, and R1 (triangle
+identities, naturality, Hom dimensions) is one loop over that table that
+applies every functor through its tabulated `FunctorData`.  Gluing,
+restriction and the quotient recollement read the classes of functor
+values off the same tables (`FunctorData.image`).  Hypothesis flags
+(functor exactness, closure scans) are computed and reported next to
+every verdict rather than silently gating it, except where a
+construction is meaningless without them.
 """
 
 from __future__ import annotations
@@ -196,6 +201,11 @@ class TriangularData:
         comps = {self.x_vertex[v]: proj.comps[v] for v in self.base.vertices}
         return Morphism(m, tgt, comps)
 
+    def epsilon_of(self, x: Module) -> Morphism:
+        """i^* i_* x -> x: the connecting map of [X;0] is zero, so its
+        cokernel projection is invertible and this is the inverse."""
+        return self._coker_data(self.i_lower_star_obj(x))[1].inverse()
+
 
 def build_triangular(base: Algebra) -> TriangularData:
     """Doubled quiver of the upper triangular matrix algebra over `base`.
@@ -241,7 +251,8 @@ def build_triangular(base: Algebra) -> TriangularData:
 
 @dataclass(eq=False)
 class FunctorData:
-    """A functor between catalogs: its object table plus the direct formula on morphisms.
+    """A functor between catalogs: its object table plus the direct formulas
+    on any object and any morphism.
 
     Equality and hashing go by identity, so `classify_functor` can keep one
     classification per functor.
@@ -251,7 +262,16 @@ class FunctorData:
     source: ExCat
     target: ExCat
     obj_map: dict[int, Module] = field(repr=False)
+    apply_obj: Callable[[Module], Module] = field(repr=False)
     apply_mor: Callable[[Morphism], Morphism] = field(repr=False)
+
+    def image(self, indices: Iterable[int]) -> frozenset[int]:
+        """The target catalog's classes among the tabulated values at the
+        given source objects.  For an additive G, G∘F's classes at indices
+        are G.image(F.image(indices))."""
+        decompose = self.target.catalog.decompose
+        return frozenset(k for i in indices if not self.obj_map[i].is_zero()
+                         for k in decompose(self.obj_map[i]))
 
     def check_functoriality(self) -> None:
         """F(id) = id and F(psi o phi) = F(psi) o F(phi) over hom bases.
@@ -276,9 +296,21 @@ class FunctorData:
                                 )
 
 
-SIX_NAMES = (
-    "i_upper_star", "i_lower_star", "i_upper_shriek",
-    "j_lower_shriek", "j_upper_star", "j_lower_star",
+# each functor's name and the symbol its failure labels use
+SYMBOLS = {
+    "i_upper_star": "i*", "i_lower_star": "i_*", "i_upper_shriek": "i^!",
+    "j_lower_shriek": "j_!", "j_upper_star": "j^*", "j_lower_star": "j_*",
+}
+SIX_NAMES = tuple(SYMBOLS)
+
+# The four adjunctions L -| R: the two functors, the sides (a, b or c) of
+# their sources, and the unit Id => RL and counit LR => Id, each named by
+# its TriangularData `<name>_of` method or "id" where it is the identity.
+ADJUNCTIONS = (
+    ("i_upper_star", "i_lower_star", "b", "a", "nu", "epsilon"),
+    ("i_lower_star", "i_upper_shriek", "a", "b", "id", "theta"),
+    ("j_lower_shriek", "j_upper_star", "c", "b", "id", "upsilon"),
+    ("j_upper_star", "j_lower_star", "b", "c", "vartheta", "id"),
 )
 
 
@@ -291,6 +323,10 @@ class RecollementData:
     c_cat: ExCat
     six: dict[str, FunctorData]
     triangular: TriangularData
+
+    def side(self, name: str) -> ExCat:
+        """The category on side a, b or c."""
+        return getattr(self, f"{name}_cat")
 
 
 def six_functors(a_cat: ExCat, b_cat: ExCat, c_cat: ExCat, triangular: TriangularData) -> RecollementData:
@@ -323,7 +359,7 @@ def six_functors(a_cat: ExCat, b_cat: ExCat, c_cat: ExCat, triangular: Triangula
                     "outside the target subcategory"
                 )
             obj_map[i] = value
-        fd = FunctorData(name=name, source=src, target=tgt, obj_map=obj_map, apply_mor=f_mor)
+        fd = FunctorData(name=name, source=src, target=tgt, obj_map=obj_map, apply_obj=f_obj, apply_mor=f_mor)
         fd.check_functoriality()
         six[name] = fd
     return RecollementData(a_cat=a_cat, b_cat=b_cat, c_cat=c_cat, six=six, triangular=triangular)
@@ -360,33 +396,22 @@ class RecollementReport:
         return {"pass": self.ok, "clauses": [c.to_json_dict() for c in self.clauses]}
 
 
-def _adjunction_dim_failures(r: RecollementData, a_indices, b_indices, c_indices,
-                             dim_a: Callable, dim_b: Callable, dim_c: Callable) -> list[tuple]:
-    """The adjunctions i^* -| i_* -| i^! and j_! -| j^* -| j_* in Hom-dimension
-    form over the given objects of A, B and C, with the functor values read
-    from r.six's tables and dim_a, dim_b, dim_c the Hom dimensions of the
-    three categories, each a function of two modules.  Returns the failures
-    as (adjunction, left object, right object).
+def _adjunction_dim_failures(r: RecollementData, objects: Mapping[str, Iterable[int]],
+                             dims: Mapping[str, Callable[[Module, Module], int]]) -> list[tuple]:
+    """Each adjunction L -| R in Hom-dimension form, dim Hom(Lx, y) =
+    dim Hom(x, Ry) for x and y among the given objects of their sides,
+    with the functor values read from r.six's tables and dims[side] the
+    Hom dimension of that side.  Returns the failures as
+    (adjunction, x, y).
     """
-    i_up, i_low, i_shk, j_shk, j_up, j_low = (r.six[name].obj_map for name in (
-        "i_upper_star", "i_lower_star", "i_upper_shriek", "j_lower_shriek", "j_upper_star", "j_lower_star"))
     fail = []
-    for a in a_indices:
-        x = r.a_cat.catalog.indecs[a]
-        for b in b_indices:
-            m = r.b_cat.catalog.indecs[b]
-            if dim_a(i_up[b], x) != dim_b(m, i_low[a]):
-                fail.append(("i* -| i_*", b, a))
-            if dim_b(i_low[a], m) != dim_a(x, i_shk[b]):
-                fail.append(("i_* -| i^!", a, b))
-    for c in c_indices:
-        z = r.c_cat.catalog.indecs[c]
-        for b in b_indices:
-            m = r.b_cat.catalog.indecs[b]
-            if dim_b(j_shk[c], m) != dim_c(z, j_up[b]):
-                fail.append(("j_! -| j^*", c, b))
-            if dim_b(m, j_low[c]) != dim_c(j_up[b], z):
-                fail.append(("j^* -| j_*", b, c))
+    for left, right, l_side, r_side, _, _ in ADJUNCTIONS:
+        lf, rf = r.six[left].obj_map, r.six[right].obj_map
+        l_mods, r_mods = r.side(l_side).catalog.indecs, r.side(r_side).catalog.indecs
+        for x in objects[l_side]:
+            for y in objects[r_side]:
+                if dims[r_side](lf[x], r_mods[y]) != dims[l_side](l_mods[x], rf[y]):
+                    fail.append((f"{SYMBOLS[left]} -| {SYMBOLS[right]}", x, y))
     return fail
 
 
@@ -400,91 +425,53 @@ def _hom_dims_kept(fd: FunctorData, indices, dim_source: Callable, dim_target: C
             yield i, j, dim_source(mods[i], mods[j]) == dim_target(fd.obj_map[i], fd.obj_map[j])
 
 
-def _adjunction_triangle_clause(r: RecollementData) -> list[ClauseResult]:
-    tri = r.triangular
-    results = []
+def _unnatural(cat: ExCat, name: str, alpha: Callable[[Module], Morphism],
+               f: Callable[[Morphism], Morphism], g: Callable[[Morphism], Morphism]) -> list[tuple]:
+    """(name, i, j) for each Hom basis map phi: i -> j of cat where
+    alpha_j o F(phi) != G(phi) o alpha_i, alpha being a transformation F => G."""
+    mods = cat.catalog.indecs
+    at = {i: alpha(mods[i]) for i in cat.indec_indices()}
+    return [(name, i, j) for i in at for j in at for phi in cat.catalog.hom(i, j)
+            if at[j] @ f(phi) != g(phi) @ at[i]]
 
-    def eps_i_star(x: Module) -> Morphism:
-        # counit i* i_* X -> X; the connecting map of [X;0] is zero, so the
-        # cokernel projection is invertible vertexwise
-        m = tri.i_lower_star_obj(x)
-        _, proj, _ = tri._coker_data(m)
-        return proj.inverse()
 
-    failures = []
+def _clause(name: str, failures: list, shown: Optional[int] = None) -> ClauseResult:
+    return ClauseResult(name, not failures, {"failures": failures[:shown]} if failures else None)
 
-    def check(label: str, ok: bool):
-        if not ok:
-            failures.append(label)
 
-    # (i*, i_*): unit nu, counit eps_i_star
-    for b in r.b_cat.indec_indices():
-        m = r.b_cat.catalog.indecs[b]
-        lhs = eps_i_star(tri.i_upper_star_obj(m)) @ tri.i_upper_star_mor(tri.nu_of(m))
-        check(f"(i*,i_*) id on i* at {b}", lhs == identity_morphism(tri.i_upper_star_obj(m)))
-    for a in r.a_cat.indec_indices():
-        x = r.a_cat.catalog.indecs[a]
-        lx = tri.i_lower_star_obj(x)
-        lhs = tri.i_lower_star_mor(eps_i_star(x)) @ tri.nu_of(lx)
-        check(f"(i*,i_*) id on i_* at {a}", lhs == identity_morphism(lx))
-    # (i_*, i^!): unit identity, counit theta
-    for a in r.a_cat.indec_indices():
-        x = r.a_cat.catalog.indecs[a]
-        lx = tri.i_lower_star_obj(x)
-        check(f"(i_*,i^!) id on i_* at {a}", tri.theta_of(lx) @ tri.i_lower_star_mor(identity_morphism(x)) == identity_morphism(lx))
-    for b in r.b_cat.indec_indices():
-        m = r.b_cat.catalog.indecs[b]
-        check(f"(i_*,i^!) id on i^! at {b}", tri.i_upper_shriek_mor(tri.theta_of(m)) == identity_morphism(tri.x_part(m)))
-    # (j_!, j^*): unit identity, counit upsilon
-    for c in r.c_cat.indec_indices():
-        z = r.c_cat.catalog.indecs[c]
-        lz = tri.j_lower_shriek_obj(z)
-        check(f"(j_!,j^*) id on j_! at {c}", tri.upsilon_of(lz) @ tri.j_lower_shriek_mor(identity_morphism(z)) == identity_morphism(lz))
-    for b in r.b_cat.indec_indices():
-        m = r.b_cat.catalog.indecs[b]
-        check(f"(j_!,j^*) id on j^* at {b}", tri.j_upper_star_mor(tri.upsilon_of(m)) == identity_morphism(tri.y_part(m)))
-    # (j^*, j_*): unit vartheta, counit identity
-    for b in r.b_cat.indec_indices():
-        m = r.b_cat.catalog.indecs[b]
-        check(f"(j^*,j_*) id on j^* at {b}", tri.j_upper_star_mor(tri.vartheta_of(m)) == identity_morphism(tri.y_part(m)))
-    for c in r.c_cat.indec_indices():
-        z = r.c_cat.catalog.indecs[c]
-        sz = tri.j_lower_star_obj(z)
-        check(f"(j^*,j_*) id on j_* at {c}", tri.j_lower_star_mor(identity_morphism(z)) @ tri.vartheta_of(sz) == identity_morphism(sz))
-    results.append(ClauseResult("R1_triangle_identities", not failures,
-                                {"failures": failures} if failures else None))
+def _adjunction_clauses(r: RecollementData) -> list[ClauseResult]:
+    """R1 over ADJUNCTIONS: for each L -| R with unit eta and counit eps,
+    the triangle identities eps_L o L(eta) = id on L and R(eps) o eta_R = id
+    on R at every object, eta and eps natural over the Hom bases of their
+    sides, and the Hom-dimension form.  Every functor is applied through
+    r.six, so a corrupted table is caught."""
+    def same(phi: Morphism) -> Morphism:
+        return phi
 
-    # hom-dimension form of the adjunctions over all object pairs, read off
-    # the tabulated functor values so corrupted tables are caught
-    dim_fail = _adjunction_dim_failures(
-        r, r.a_cat.indec_indices(), r.b_cat.indec_indices(), r.c_cat.indec_indices(),
-        dim_hom, dim_hom, dim_hom)
-    results.append(ClauseResult("R1_hom_dimensions", not dim_fail,
-                                {"failures": dim_fail[:5]} if dim_fail else None))
-
-    # naturality of the four unit/counit families over B hom bases
-    nat_fail = []
-    tables = {
-        "theta": (lambda m: tri.i_lower_star_mor(tri.i_upper_shriek_mor(m)), tri.theta_of, True),
-        "vartheta": (lambda m: tri.j_lower_star_mor(tri.j_upper_star_mor(m)), tri.vartheta_of, False),
-        "upsilon": (lambda m: tri.j_lower_shriek_mor(tri.j_upper_star_mor(m)), tri.upsilon_of, True),
-        "nu": (lambda m: tri.i_lower_star_mor(tri.i_upper_star_mor(m)), tri.nu_of, False),
-    }
-    for name, (composite_mor, nat, towards) in tables.items():
-        for i in r.b_cat.indec_indices():
-            for j in r.b_cat.indec_indices():
-                for phi in r.b_cat.catalog.hom(i, j):
-                    mi = r.b_cat.catalog.indecs[i]
-                    mj = r.b_cat.catalog.indecs[j]
-                    if towards:  # natural transformation F => Id
-                        ok = phi @ nat(mi) == nat(mj) @ composite_mor(phi)
-                    else:  # Id => F
-                        ok = nat(mj) @ phi == composite_mor(phi) @ nat(mi)
-                    if not ok:
-                        nat_fail.append((name, i, j))
-    results.append(ClauseResult("R1_naturality", not nat_fail,
-                                {"failures": nat_fail[:5]} if nat_fail else None))
-    return results
+    triangle, natural = [], []
+    for left, right, l_side, r_side, unit, counit in ADJUNCTIONS:
+        lf, rf = r.six[left], r.six[right]
+        eta, eps = (identity_morphism if t == "id" else getattr(r.triangular, f"{t}_of")
+                    for t in (unit, counit))
+        pair = f"({SYMBOLS[left]},{SYMBOLS[right]})"
+        l_cat, r_cat = r.side(l_side), r.side(r_side)
+        for x in l_cat.indec_indices():
+            x_mod = l_cat.catalog.indecs[x]
+            lx = lf.apply_obj(x_mod)
+            if eps(lx) @ lf.apply_mor(eta(x_mod)) != identity_morphism(lx):
+                triangle.append(f"{pair} id on {SYMBOLS[left]} at {x}")
+        for y in r_cat.indec_indices():
+            y_mod = r_cat.catalog.indecs[y]
+            ry = rf.apply_obj(y_mod)
+            if rf.apply_mor(eps(y_mod)) @ eta(ry) != identity_morphism(ry):
+                triangle.append(f"{pair} id on {SYMBOLS[right]} at {y}")
+        natural += _unnatural(l_cat, unit, eta, same, lambda phi: rf.apply_mor(lf.apply_mor(phi)))
+        natural += _unnatural(r_cat, counit, eps, lambda phi: lf.apply_mor(rf.apply_mor(phi)), same)
+    dims = _adjunction_dim_failures(r, {s: r.side(s).indec_indices() for s in "abc"},
+                                    dict.fromkeys("abc", dim_hom))
+    return [_clause("R1_triangle_identities", triangle),
+            _clause("R1_hom_dimensions", dims, 5),
+            _clause("R1_naturality", natural, 5)]
 
 
 def check_recollement(r: RecollementData) -> RecollementReport:
@@ -494,14 +481,10 @@ def check_recollement(r: RecollementData) -> RecollementReport:
     witnesses instead of raising.
     """
     tri = r.triangular
-    clauses: list[ClauseResult] = []
-    clauses.extend(_adjunction_triangle_clause(r))
+    clauses = _adjunction_clauses(r)
 
     # R2: Im i_* = Ker j^* on indecomposables, from the tabulated values
-    image = set()
-    for a in r.a_cat.indec_indices():
-        dec = r.b_cat.catalog.decompose(r.six["i_lower_star"].obj_map[a])
-        image.update(dec)
+    image = r.six["i_lower_star"].image(r.a_cat.indec_indices())
     kernel_set = {
         b for b in r.b_cat.indec_indices()
         if r.six["j_upper_star"].obj_map[b].is_zero()
@@ -521,12 +504,10 @@ def check_recollement(r: RecollementData) -> RecollementReport:
                 ff_fail.append((name, i, j, "dimension"))
             elif span_rank([fd.apply_mor(phi) for phi in src.catalog.hom(i, j)]) < src.catalog.dim_hom(i, j):
                 ff_fail.append((name, i, j, "not bijective"))
-    clauses.append(ClauseResult("R3_fully_faithful", not ff_fail,
-                                {"failures": ff_fail[:5]} if ff_fail else None))
+    clauses.append(_clause("R3_fully_faithful", ff_fail, 5))
 
     # R4: left exact four-term sequence per object
     r4_fail = []
-    im_i_star = image
     for b in r.b_cat.indec_indices():
         m = r.b_cat.catalog.indecs[b]
         theta = tri.theta_of(m)
@@ -540,10 +521,9 @@ def check_recollement(r: RecollementData) -> RecollementReport:
         tail, _, _ = cokernel(induced)
         if not tail.is_zero():
             dec = r.b_cat.catalog.decompose(tail)
-            if not set(dec) <= im_i_star:
+            if not set(dec) <= image:
                 r4_fail.append((b, "fourth term outside Im i_*"))
-    clauses.append(ClauseResult("R4_left_exact_sequence", not r4_fail,
-                                {"failures": r4_fail} if r4_fail else None))
+    clauses.append(_clause("R4_left_exact_sequence", r4_fail))
 
     # R5: right exact four-term sequence per object
     r5_fail = []
@@ -557,10 +537,9 @@ def check_recollement(r: RecollementData) -> RecollementReport:
         head, _ = kernel(upsilon)
         if not head.is_zero():
             dec = r.b_cat.catalog.decompose(head)
-            if not set(dec) <= im_i_star:
+            if not set(dec) <= image:
                 r5_fail.append((b, "first term outside Im i_*"))
-    clauses.append(ClauseResult("R5_right_exact_sequence", not r5_fail,
-                                {"failures": r5_fail} if r5_fail else None))
+    clauses.append(_clause("R5_right_exact_sequence", r5_fail))
 
     # consequences: natural isomorphisms and vanishing composites, applying
     # the formulas to the tabulated values.  A module is isomorphic to the
@@ -581,8 +560,7 @@ def check_recollement(r: RecollementData) -> RecollementReport:
         for name, law in (("j_lower_shriek", "j^* j_! ~ Id"), ("j_lower_star", "j^* j_* ~ Id")):
             if not iso_to_entry(tri.y_part(r.six[name].obj_map[c]), r.c_cat.catalog, c):
                 nat_iso_fail.append((law, c))
-    clauses.append(ClauseResult("natural_isomorphisms", not nat_iso_fail,
-                                {"failures": nat_iso_fail} if nat_iso_fail else None))
+    clauses.append(_clause("natural_isomorphisms", nat_iso_fail))
 
     vanish_fail = []
     for c in r.c_cat.indec_indices():
@@ -590,8 +568,7 @@ def check_recollement(r: RecollementData) -> RecollementReport:
             vanish_fail.append(("i* j_!", c))
         if not tri.x_part(r.six["j_lower_star"].obj_map[c]).is_zero():
             vanish_fail.append(("i^! j_*", c))
-    clauses.append(ClauseResult("vanishing_compositions", not vanish_fail,
-                                {"failures": vanish_fail} if vanish_fail else None))
+    clauses.append(_clause("vanishing_compositions", vanish_fail))
 
     return RecollementReport(clauses=clauses)
 
@@ -682,12 +659,10 @@ def classify_all(r: RecollementData) -> dict[str, Classification]:
 # -- gluing (outer pairs -> middle pair) --------------------------------------------
 
 
-def _closure_indices(values, catalog: Catalog) -> frozenset[int]:
-    out: set[int] = set()
-    for m in values:
-        if not m.is_zero():
-            out.update(catalog.decompose(m))
-    return frozenset(out)
+def _outer_classes(r: RecollementData, t: Iterable[int], f: Iterable[int]) -> tuple[frozenset[int], ...]:
+    """(i*T, i^!F, j^*T, j^*F): the outer classes of the given middle objects."""
+    return (r.six["i_upper_star"].image(t), r.six["i_upper_shriek"].image(f),
+            r.six["j_upper_star"].image(t), r.six["j_upper_star"].image(f))
 
 
 @dataclass
@@ -720,18 +695,15 @@ def glue_torsion_pairs(r: RecollementData, tp1: TorsionPair, tp2: TorsionPair) -
     computed objectwise on indecomposables.  The exactness hypothesis on
     i^! and i* is reported but never gates the verdict.
     """
-    tri = r.triangular
     bcat = r.b_cat.catalog
+    inputs = (tp1.t.members, tp1.f.members, tp2.t.members, tp2.f.members)
     t_members = set()
     f_members = set()
     for b in r.b_cat.indec_indices():
-        m = bcat.indecs[b]
-        istar = tri.i_upper_star_obj(m)
-        ishriek = tri.x_part(m)
-        jstar = tri.y_part(m)
-        if tp1.t.contains_module(istar) and tp2.t.contains_module(jstar):
+        i_t, i_f, j_t, j_f = (c <= m for c, m in zip(_outer_classes(r, [b], [b]), inputs))
+        if i_t and j_t:
             t_members.add(b)
-        if tp1.f.contains_module(ishriek) and tp2.f.contains_module(jstar):
+        if i_f and j_f:
             f_members.add(b)
     t_sub = Subcat.add(bcat, t_members)
     f_sub = Subcat.add(bcat, f_members)
@@ -740,22 +712,10 @@ def glue_torsion_pairs(r: RecollementData, tp1: TorsionPair, tp2: TorsionPair) -
     cls_shriek = classify_functor(r.six["i_upper_shriek"])
     cls_star = classify_functor(r.six["i_upper_star"])
 
-    acat = r.a_cat.catalog
-    ccat = r.c_cat.catalog
-    rec_t1 = _closure_indices((tri.i_upper_star_obj(bcat.indecs[b]) for b in t_members), acat)
-    rec_f1 = _closure_indices((tri.x_part(bcat.indecs[b]) for b in f_members), acat)
-    rec_t2 = _closure_indices((tri.y_part(bcat.indecs[b]) for b in t_members), ccat)
-    rec_f2 = _closure_indices((tri.y_part(bcat.indecs[b]) for b in f_members), ccat)
-    recovery = {
-        "i_upper_star_T": sorted(rec_t1),
-        "i_upper_shriek_F": sorted(rec_f1),
-        "j_upper_star_T": sorted(rec_t2),
-        "j_upper_star_F": sorted(rec_f2),
-        "equals_inputs": (
-            rec_t1 == tp1.t.members and rec_f1 == tp1.f.members
-            and rec_t2 == tp2.t.members and rec_f2 == tp2.f.members
-        ),
-    }
+    recovered = _outer_classes(r, t_members, f_members)
+    keys = ("i_upper_star_T", "i_upper_shriek_F", "j_upper_star_T", "j_upper_star_F")
+    recovery = {key: sorted(classes) for key, classes in zip(keys, recovered)}
+    recovery["equals_inputs"] = recovered == inputs
     return GlueResult(
         t=t_sub, f=f_sub, verdict=verdict,
         i_upper_shriek_exact=cls_shriek.label == "exact",
@@ -791,22 +751,14 @@ class RestrictResult:
         }
 
 
-def _maps_into(mods: Iterable[Module], transform: Callable[[Module], Module], target: Subcat) -> bool:
-    """Whether transform sends every module of mods into target."""
-    return all(target.contains_module(transform(m)) for m in mods)
-
-
-def _closure_hypotheses(tri: TriangularData, names: Iterable[str], mods: list[Module], target: Subcat,
+def _closure_hypotheses(r: RecollementData, composites: Iterable[tuple[str, str]], target: Subcat,
                         side: str) -> dict[str, bool]:
-    """For each composite endofunctor of B named, in order, whether it sends
-    every module of mods into target, keyed "<name>_<side>_in_<side>"."""
-    composites = {
-        "i_lower_star_i_upper_shriek": lambda m: tri.i_lower_star_obj(tri.x_part(m)),
-        "i_lower_star_i_upper_star": lambda m: tri.i_lower_star_obj(tri.i_upper_star_obj(m)),
-        "j_lower_shriek_j_upper_star": lambda m: tri.j_lower_shriek_obj(tri.y_part(m)),
-        "j_lower_star_j_upper_star": lambda m: tri.j_lower_star_obj(tri.y_part(m)),
+    """For each composite endofunctor outer∘inner of B, in order, whether it
+    sends target into itself, keyed "<outer>_<inner>_<side>_in_<side>"."""
+    return {
+        f"{outer}_{inner}_{side}_in_{side}": r.six[outer].image(r.six[inner].image(target.members)) <= target.members
+        for outer, inner in composites
     }
-    return {f"{name}_{side}_in_{side}": _maps_into(mods, composites[name], target) for name in names}
 
 
 def restrict_torsion_pair(r: RecollementData, tp: TorsionPair) -> RestrictResult:
@@ -816,26 +768,20 @@ def restrict_torsion_pair(r: RecollementData, tp: TorsionPair) -> RestrictResult
     finite membership scans reported next to the verdicts; both candidate
     pairs are verified regardless.
     """
-    tri = r.triangular
-    bcat = r.b_cat.catalog
     acat = r.a_cat.catalog
     ccat = r.c_cat.catalog
-    t_mods = [bcat.indecs[b] for b in tp.t.sorted_members()]
-    f_mods = [bcat.indecs[b] for b in tp.f.sorted_members()]
-
-    a_t = Subcat(acat, _closure_indices((tri.i_upper_star_obj(m) for m in t_mods), acat))
-    a_f = Subcat(acat, _closure_indices((tri.x_part(m) for m in f_mods), acat))
-    c_t = Subcat(ccat, _closure_indices((tri.y_part(m) for m in t_mods), ccat))
-    c_f = Subcat(ccat, _closure_indices((tri.y_part(m) for m in f_mods), ccat))
+    i_t, i_f, j_t, j_f = _outer_classes(r, tp.t.members, tp.f.members)
+    a_t, a_f = Subcat(acat, i_t), Subcat(acat, i_f)
+    c_t, c_f = Subcat(ccat, j_t), Subcat(ccat, j_f)
 
     a_verdict = verify_torsion_pair(a_t, a_f, r.a_cat)
     c_verdict = verify_torsion_pair(c_t, c_f, r.c_cat)
 
     hypotheses = {
         "i_upper_shriek_exact": classify_functor(r.six["i_upper_shriek"]).label == "exact",
-        **_closure_hypotheses(tri, ("i_lower_star_i_upper_shriek", "i_lower_star_i_upper_star",
-                                    "j_lower_shriek_j_upper_star"), t_mods, tp.t, "T"),
-        **_closure_hypotheses(tri, ("j_lower_star_j_upper_star",), f_mods, tp.f, "F"),
+        **_closure_hypotheses(r, (("i_lower_star", "i_upper_shriek"), ("i_lower_star", "i_upper_star"),
+                                  ("j_lower_shriek", "j_upper_star")), tp.t, "T"),
+        **_closure_hypotheses(r, (("j_lower_star", "j_upper_star"),), tp.f, "F"),
     }
     return RestrictResult(
         a_pair=(a_t, a_f), c_pair=(c_t, c_f),
@@ -885,18 +831,14 @@ def quotient_recollement(
     Passing False forces the construction anyway so that quotient-level
     phenomena can be inspected when the sufficient conditions fail.
     """
-    tri = r.triangular
-    bcat = r.b_cat.catalog
-    acat = r.a_cat.catalog
-    ccat = r.c_cat.catalog
+    six = r.six
     ct = is_cluster_tilting(t, r.b_cat)
-    t_mods = [bcat.indecs[b] for b in t.sorted_members()]
 
     hypotheses = {
-        **_closure_hypotheses(tri, ("j_lower_star_j_upper_star", "i_lower_star_i_upper_star",
-                                    "i_lower_star_i_upper_shriek"), t_mods, t, "T"),
-        "i_upper_star_exact": classify_functor(r.six["i_upper_star"]).label == "exact",
-        "i_upper_shriek_exact": classify_functor(r.six["i_upper_shriek"]).label == "exact",
+        **_closure_hypotheses(r, (("j_lower_star", "j_upper_star"), ("i_lower_star", "i_upper_star"),
+                                  ("i_lower_star", "i_upper_shriek")), t, "T"),
+        "i_upper_star_exact": classify_functor(six["i_upper_star"]).label == "exact",
+        "i_upper_shriek_exact": classify_functor(six["i_upper_shriek"]).label == "exact",
     }
     gate = ct.ok and hypotheses["j_lower_star_j_upper_star_T_in_T"] and \
         hypotheses["i_lower_star_i_upper_star_T_in_T"]
@@ -904,10 +846,8 @@ def quotient_recollement(
         return QuotientRecollementResult(
             cluster_tilting=ct, hypotheses=hypotheses, constructed=False)
 
-    i_star_t = Subcat(acat, _closure_indices(
-        (tri.i_upper_star_obj(m) for m in t_mods), acat))
-    j_star_t = Subcat(ccat, _closure_indices(
-        (tri.y_part(m) for m in t_mods), ccat))
+    i_star_t = Subcat(r.a_cat.catalog, six["i_upper_star"].image(t.members))
+    j_star_t = Subcat(r.c_cat.catalog, six["j_upper_star"].image(t.members))
     aq = quotient(r.a_cat, i_star_t)
     bq = quotient(r.b_cat, t)
     cq = quotient(r.c_cat, j_star_t)
@@ -915,13 +855,10 @@ def quotient_recollement(
     induced = {
         "i_star_T_cluster_tilting_in_A": is_cluster_tilting(i_star_t, r.a_cat).ok,
         "j_star_T_cluster_tilting_in_C": is_cluster_tilting(j_star_t, r.c_cat).ok,
-        "i_lower_star_kills": _maps_into(
-            (acat.indecs[a] for a in i_star_t.sorted_members()), tri.i_lower_star_obj, t),
-        "j_lower_shriek_kills": _maps_into(
-            (ccat.indecs[c] for c in j_star_t.sorted_members()), tri.j_lower_shriek_obj, t),
-        "j_lower_star_kills": _maps_into(
-            (ccat.indecs[c] for c in j_star_t.sorted_members()), tri.j_lower_star_obj, t),
-        "i_upper_shriek_lands_in_killed": _maps_into(t_mods, tri.x_part, i_star_t),
+        "i_lower_star_kills": six["i_lower_star"].image(i_star_t.members) <= t.members,
+        "j_lower_shriek_kills": six["j_lower_shriek"].image(j_star_t.members) <= t.members,
+        "j_lower_star_kills": six["j_lower_star"].image(j_star_t.members) <= t.members,
+        "i_upper_shriek_lands_in_killed": six["i_upper_shriek"].image(t.members) <= i_star_t.members,
     }
 
     # quotient-level adjunction and fully-faithfulness via Hom dimensions
@@ -929,25 +866,19 @@ def quotient_recollement(
         return lambda u, v: quotient_hom_dim(u, v, killed)
 
     induced["quotient_adjunction_dims"] = not _adjunction_dim_failures(
-        r, aq.qindecs, bq.qindecs, cq.qindecs, *(quotient_dims(k) for k in (i_star_t, t, j_star_t)))
+        r, {"a": aq.qindecs, "b": bq.qindecs, "c": cq.qindecs},
+        {"a": quotient_dims(i_star_t), "b": quotient_dims(t), "c": quotient_dims(j_star_t)})
     induced["quotient_fully_faithful"] = all(
         kept
         for name, killed, survivors in (("i_lower_star", i_star_t, aq.qindecs),
                                         ("j_lower_shriek", j_star_t, cq.qindecs),
                                         ("j_lower_star", j_star_t, cq.qindecs))
-        for _, _, kept in _hom_dims_kept(r.six[name], survivors, quotient_dims(killed), quotient_dims(t)))
+        for _, _, kept in _hom_dims_kept(six[name], survivors, quotient_dims(killed), quotient_dims(t)))
 
     # Im i_bar_* = Ker j_bar^* on surviving classes
-    im_bar = set()
-    for a in aq.qindecs:
-        value = tri.i_lower_star_obj(acat.indecs[a])
-        dec = bcat.decompose(value)
-        im_bar.update(i for i in dec if i in bq.qindecs)
-    ker_bar = {
-        b for b in bq.qindecs
-        if quotient_hom_dim(
-            tri.y_part(bcat.indecs[b]), tri.y_part(bcat.indecs[b]), j_star_t) == 0
-    }
+    im_bar = six["i_lower_star"].image(aq.qindecs) & set(bq.qindecs)
+    j_up = six["j_upper_star"].obj_map
+    ker_bar = {b for b in bq.qindecs if quotient_hom_dim(j_up[b], j_up[b], j_star_t) == 0}
     induced["image_equals_kernel"] = im_bar == ker_bar
 
     return QuotientRecollementResult(

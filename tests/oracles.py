@@ -29,6 +29,10 @@ conflations, where `excat.approximation_sides` tests the universal maps
 built from the catalog's Hom bases.  `is_projective_object` and
 `is_injective_object` test the vanishing of Ext^1 from or into an object,
 one Ext space per member.
+`glue_by_formulas`, `restrict_by_formulas` and
+`quotient_recollement_by_formulas` apply the `TriangularData` object
+formulas to every module and decompose each value (`closure_indices`),
+where `recol` reads the classes off the tabulated functors.
 `ext_push`, `ext_pull` and `reduce_class` are the one-class forms of
 `homext`'s batched pushes, pulls and reductions, and `dump_algebra_text`
 writes the text format `quivrep.parse_algebra_text` reads.
@@ -42,7 +46,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from extriang.excat import ExCat, Subcat, is_left_exact_seq, is_right_exact_seq
+from extriang.excat import (
+    ExCat,
+    Subcat,
+    is_cluster_tilting,
+    is_left_exact_seq,
+    is_right_exact_seq,
+    quotient,
+    quotient_hom_dim,
+    verify_torsion_pair,
+)
 from extriang.exactfield import Mat
 from extriang.homext import (
     SES,
@@ -73,7 +86,17 @@ from extriang.quivrep import (
     split_off_summand,
     zero_morphism,
 )
-from extriang.recol import Classification, FunctorData
+from extriang.recol import (
+    Classification,
+    FunctorData,
+    GlueResult,
+    QuotientRecollementResult,
+    RecollementData,
+    RestrictResult,
+    _adjunction_dim_failures,
+    _hom_dims_kept,
+    classify_functor,
+)
 
 
 def morphism_coords_many(phis: Sequence[Morphism], basis: Sequence[Morphism]) -> np.ndarray:
@@ -390,6 +413,136 @@ def classify_functor_by_scan(fd: FunctorData, conflations: Sequence[ConflationRe
         label = "neither"
     return Classification(name=fd.name, label=label,
                           left_witness=left_witness, right_witness=right_witness)
+
+
+def closure_indices(values, catalog) -> frozenset[int]:
+    """The catalog classes of the summands of the given modules."""
+    out: set[int] = set()
+    for m in values:
+        if not m.is_zero():
+            out.update(catalog.decompose(m))
+    return frozenset(out)
+
+
+def glue_by_formulas(r: RecollementData, tp1, tp2) -> GlueResult:
+    """`recol.glue_torsion_pairs`, each functor value computed by its formula."""
+    tri = r.triangular
+    bcat = r.b_cat.catalog
+    t_members, f_members = set(), set()
+    for b in r.b_cat.indec_indices():
+        m = bcat.indecs[b]
+        jstar = tri.y_part(m)
+        if tp1.t.contains_module(tri.i_upper_star_obj(m)) and tp2.t.contains_module(jstar):
+            t_members.add(b)
+        if tp1.f.contains_module(tri.x_part(m)) and tp2.f.contains_module(jstar):
+            f_members.add(b)
+    t_sub, f_sub = Subcat.add(bcat, t_members), Subcat.add(bcat, f_members)
+    acat, ccat = r.a_cat.catalog, r.c_cat.catalog
+    rec_t1 = closure_indices((tri.i_upper_star_obj(bcat.indecs[b]) for b in t_members), acat)
+    rec_f1 = closure_indices((tri.x_part(bcat.indecs[b]) for b in f_members), acat)
+    rec_t2 = closure_indices((tri.y_part(bcat.indecs[b]) for b in t_members), ccat)
+    rec_f2 = closure_indices((tri.y_part(bcat.indecs[b]) for b in f_members), ccat)
+    recovery = {
+        "i_upper_star_T": sorted(rec_t1),
+        "i_upper_shriek_F": sorted(rec_f1),
+        "j_upper_star_T": sorted(rec_t2),
+        "j_upper_star_F": sorted(rec_f2),
+        "equals_inputs": (rec_t1 == tp1.t.members and rec_f1 == tp1.f.members
+                          and rec_t2 == tp2.t.members and rec_f2 == tp2.f.members),
+    }
+    return GlueResult(
+        t=t_sub, f=f_sub, verdict=verify_torsion_pair(t_sub, f_sub, r.b_cat),
+        i_upper_shriek_exact=classify_functor(r.six["i_upper_shriek"]).label == "exact",
+        i_upper_star_exact=classify_functor(r.six["i_upper_star"]).label == "exact",
+        recovery=recovery,
+    )
+
+
+def _closure_by_formulas(tri, names, mods, target: Subcat, side: str) -> dict:
+    composites = {
+        "i_lower_star_i_upper_shriek": lambda m: tri.i_lower_star_obj(tri.x_part(m)),
+        "i_lower_star_i_upper_star": lambda m: tri.i_lower_star_obj(tri.i_upper_star_obj(m)),
+        "j_lower_shriek_j_upper_star": lambda m: tri.j_lower_shriek_obj(tri.y_part(m)),
+        "j_lower_star_j_upper_star": lambda m: tri.j_lower_star_obj(tri.y_part(m)),
+    }
+    return {f"{name}_{side}_in_{side}": all(target.contains_module(composites[name](m)) for m in mods)
+            for name in names}
+
+
+def restrict_by_formulas(r: RecollementData, tp) -> RestrictResult:
+    """`recol.restrict_torsion_pair`, each functor value computed by its formula."""
+    tri = r.triangular
+    bcat, acat, ccat = r.b_cat.catalog, r.a_cat.catalog, r.c_cat.catalog
+    t_mods = [bcat.indecs[b] for b in tp.t.sorted_members()]
+    f_mods = [bcat.indecs[b] for b in tp.f.sorted_members()]
+    a_t = Subcat(acat, closure_indices((tri.i_upper_star_obj(m) for m in t_mods), acat))
+    a_f = Subcat(acat, closure_indices((tri.x_part(m) for m in f_mods), acat))
+    c_t = Subcat(ccat, closure_indices((tri.y_part(m) for m in t_mods), ccat))
+    c_f = Subcat(ccat, closure_indices((tri.y_part(m) for m in f_mods), ccat))
+    hypotheses = {
+        "i_upper_shriek_exact": classify_functor(r.six["i_upper_shriek"]).label == "exact",
+        **_closure_by_formulas(tri, ("i_lower_star_i_upper_shriek", "i_lower_star_i_upper_star",
+                                     "j_lower_shriek_j_upper_star"), t_mods, tp.t, "T"),
+        **_closure_by_formulas(tri, ("j_lower_star_j_upper_star",), f_mods, tp.f, "F"),
+    }
+    return RestrictResult(
+        a_pair=(a_t, a_f), c_pair=(c_t, c_f),
+        a_verdict=verify_torsion_pair(a_t, a_f, r.a_cat), c_verdict=verify_torsion_pair(c_t, c_f, r.c_cat),
+        hypotheses=hypotheses,
+    )
+
+
+def quotient_recollement_by_formulas(r: RecollementData, t: Subcat) -> QuotientRecollementResult:
+    """`recol.quotient_recollement` forced, each functor value computed by its
+    formula; the quotient Hom dimensions read the tables, as there."""
+    tri = r.triangular
+    bcat, acat, ccat = r.b_cat.catalog, r.a_cat.catalog, r.c_cat.catalog
+    t_mods = [bcat.indecs[b] for b in t.sorted_members()]
+    hypotheses = {
+        **_closure_by_formulas(tri, ("j_lower_star_j_upper_star", "i_lower_star_i_upper_star",
+                                     "i_lower_star_i_upper_shriek"), t_mods, t, "T"),
+        "i_upper_star_exact": classify_functor(r.six["i_upper_star"]).label == "exact",
+        "i_upper_shriek_exact": classify_functor(r.six["i_upper_shriek"]).label == "exact",
+    }
+    i_star_t = Subcat(acat, closure_indices((tri.i_upper_star_obj(m) for m in t_mods), acat))
+    j_star_t = Subcat(ccat, closure_indices((tri.y_part(m) for m in t_mods), ccat))
+    aq, bq, cq = quotient(r.a_cat, i_star_t), quotient(r.b_cat, t), quotient(r.c_cat, j_star_t)
+
+    def maps_into(mods, transform, target: Subcat) -> bool:
+        return all(target.contains_module(transform(m)) for m in mods)
+
+    killed_a = [acat.indecs[a] for a in i_star_t.sorted_members()]
+    killed_c = [ccat.indecs[c] for c in j_star_t.sorted_members()]
+    induced = {
+        "i_star_T_cluster_tilting_in_A": is_cluster_tilting(i_star_t, r.a_cat).ok,
+        "j_star_T_cluster_tilting_in_C": is_cluster_tilting(j_star_t, r.c_cat).ok,
+        "i_lower_star_kills": maps_into(killed_a, tri.i_lower_star_obj, t),
+        "j_lower_shriek_kills": maps_into(killed_c, tri.j_lower_shriek_obj, t),
+        "j_lower_star_kills": maps_into(killed_c, tri.j_lower_star_obj, t),
+        "i_upper_shriek_lands_in_killed": maps_into(t_mods, tri.x_part, i_star_t),
+    }
+
+    def dims(killed: Subcat):
+        return lambda u, v: quotient_hom_dim(u, v, killed)
+
+    induced["quotient_adjunction_dims"] = not _adjunction_dim_failures(
+        r, {"a": aq.qindecs, "b": bq.qindecs, "c": cq.qindecs},
+        {"a": dims(i_star_t), "b": dims(t), "c": dims(j_star_t)})
+    induced["quotient_fully_faithful"] = all(
+        kept
+        for name, killed, survivors in (("i_lower_star", i_star_t, aq.qindecs),
+                                        ("j_lower_shriek", j_star_t, cq.qindecs),
+                                        ("j_lower_star", j_star_t, cq.qindecs))
+        for _, _, kept in _hom_dims_kept(r.six[name], survivors, dims(killed), dims(t)))
+    im_bar = {i for a in aq.qindecs for i in bcat.decompose(tri.i_lower_star_obj(acat.indecs[a]))
+              if i in bq.qindecs}
+    ker_bar = {b for b in bq.qindecs
+               if quotient_hom_dim(tri.y_part(bcat.indecs[b]), tri.y_part(bcat.indecs[b]), j_star_t) == 0}
+    induced["image_equals_kernel"] = im_bar == ker_bar
+    return QuotientRecollementResult(
+        cluster_tilting=is_cluster_tilting(t, r.b_cat), hypotheses=hypotheses, constructed=True,
+        a_quotient=aq, b_quotient=bq, c_quotient=cq, induced_checks=induced,
+    )
 
 
 def push_by_cocycle(cls: ExtClass, g: Morphism, target: Ext1Space) -> ExtClass:

@@ -132,7 +132,6 @@ def test_solve_inconsistent():
 def test_kernel_image_rank_examples():
     ident = Mat.identity(3, 4)
     assert ident.kernel_basis().cols == 0
-    assert ident.image_basis().cols == 4
     assert ident.rank() == 4
 
     z = Mat.zeros(2, 3, 4)
@@ -234,7 +233,7 @@ def results_of(a, b, d, rhs):
     """Every kind of result: a and b of one shape, d composable after a, rhs
     with a's rows."""
     out = [a + b, a - b, -a, a @ d, a.transpose(), a.hstack(b), a.vstack(b),
-           a.rref()[0], a.kernel_basis(), a.image_basis()]
+           a.rref()[0], a.kernel_basis()]
     x = a.solve(rhs)
     if x is not None:
         assert a @ x == rhs
@@ -252,7 +251,7 @@ def test_results_are_reduced_read_only_and_canonical(p, data):
     rhs = data.draw(mats(p, rows, data.draw(st.integers(0, 2))))
     for m in results_of(a, b, d, rhs):
         assert_canonical(m, p)
-    assert a.rank() == len(a.rref()[1]) == a.image_basis().cols
+    assert a.rank() == len(a.rref()[1])
     naive = [[sum(int(a.a[i, k]) * int(d.a[k, j]) for k in range(inner)) % p for j in range(cols)]
              for i in range(rows)]
     assert (a @ d).tolist() == naive

@@ -1,11 +1,20 @@
 """Triangular doubling, six functors, recollement axioms, gluing, restriction."""
 
 import dataclasses
+import itertools
 
 import pytest
 
 from extriang.exactfield import Mat
-from extriang.quivrep import Algebra, Arrow, enumerate_indecomposables, hom_basis, identity_morphism, zero_module
+from extriang.quivrep import (
+    Algebra,
+    Arrow,
+    enumerate_indecomposables,
+    hom_basis,
+    identity_morphism,
+    zero_module,
+    zero_morphism,
+)
 from extriang.excat import ExCat, Subcat, enumerate_torsion_pairs, verify_torsion_pair
 from extriang.fixtures import build_example51
 from extriang.recol import (
@@ -20,7 +29,12 @@ from extriang.recol import (
     restrict_torsion_pair,
     six_functors,
 )
-from oracles import is_isomorphic
+from oracles import (
+    glue_by_formulas,
+    is_isomorphic,
+    quotient_recollement_by_formulas,
+    restrict_by_formulas,
+)
 
 A3_LINEAR = Algebra(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
 
@@ -165,6 +179,57 @@ def test_corrupted_recollement_is_caught(bundle):
     assert failing & {"R1_hom_dimensions", "R2_image_equals_kernel", "vanishing_compositions"}
     witnessed = next(c for c in report.clauses if not c.ok)
     assert witnessed.detail  # a named witness comes along
+    # each Hom-dimension failure is (adjunction, left object, right object)
+    dims = report.clause("R1_hom_dimensions").detail["failures"]
+    assert {f[0] for f in dims} == {"j_! -| j^*", "j^* -| j_*"} and all(len(f) == 3 for f in dims)
+
+
+@pytest.mark.parametrize("which", ["restricted", "full"])
+def test_outer_functors_zero_on_maps_break_r1(bundle, which):
+    # i* and j^* are applied to maps only inside the triangle identities
+    # and the naturality squares, so a table whose maps are all zero must
+    # fail both, named by adjunction and object
+    r = getattr(bundle, which)
+    members = r.b_cat.indec_indices()
+    for name, pairs, transformations in (
+        ("i_upper_star", ("(i*,i_*)",), {"nu", "epsilon"}),
+        ("j_upper_star", ("(j_!,j^*)", "(j^*,j_*)"), {"id", "upsilon", "vartheta"}),
+    ):
+        fd = r.six[name]
+
+        def zero_mor(phi, fd=fd):
+            image = fd.apply_mor(phi)
+            return zero_morphism(image.source, image.target)
+
+        corrupt = dataclasses.replace(fd, apply_mor=zero_mor)
+        report = check_recollement(dataclasses.replace(r, six={**r.six, name: corrupt}))
+        symbol = "i*" if name == "i_upper_star" else "j^*"
+        nonzero = [b for b in members if not fd.obj_map[b].is_zero()]
+        triangle = report.clause("R1_triangle_identities")
+        assert not triangle.ok
+        assert triangle.detail["failures"] == [f"{pair} id on {symbol} at {b}" for pair in pairs for b in nonzero]
+        naturality = report.clause("R1_naturality")
+        assert not naturality.ok
+        assert {f[0] for f in naturality.detail["failures"]} <= transformations
+        assert report.clause("R1_hom_dimensions").ok
+
+
+@pytest.mark.parametrize("which", ["restricted", "full"])
+def test_tabulated_classes_agree_with_the_formula_oracle(which):
+    """Glue, restrict and the forced quotient recollement read functor
+    classes off the tables; the oracle decomposes every formula value."""
+    small = build_example51(3, 1)
+    r = getattr(small, which)
+    for tp1 in enumerate_torsion_pairs(r.a_cat):
+        for tp2 in enumerate_torsion_pairs(r.c_cat):
+            assert glue_torsion_pairs(r, tp1, tp2).to_json_dict() == glue_by_formulas(r, tp1, tp2).to_json_dict()
+    for tp in enumerate_torsion_pairs(r.b_cat):
+        assert restrict_torsion_pair(r, tp).to_json_dict() == restrict_by_formulas(r, tp).to_json_dict()
+    members = r.b_cat.indec_indices()
+    for t in [*itertools.combinations(members, 1), *itertools.combinations(members, 2)]:
+        sub = Subcat.add(r.b_cat.catalog, t)
+        assert quotient_recollement(r, sub, require_cluster_tilting=False).to_json_dict() == \
+            quotient_recollement_by_formulas(r, sub).to_json_dict(), t
 
 
 def test_classification_restricted(bundle, b_indices):
