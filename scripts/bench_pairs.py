@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run the benchmark as interleaved parent/change pairs and summarize them.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --first-seed 81
+    python3 scripts/bench_pairs.py PARENT CHANGE --first-seed 81 [--workload NAME ...]
 
 PARENT and CHANGE are two source checkouts.  For each of ten seeds from
---first-seed on and every workload, this runs the benchmark command of
+--first-seed on and every workload (or each one named by a repeated
+--workload option, in BENCHMARK.json order), this runs the benchmark command of
 CHANGE's BENCHMARK.json, with its `run_seconds`, once in each checkout,
 alternating which side goes first, with PYTHONDONTWRITEBYTECODE=1 so that
 neither checkout gains compiled bytecode.  It prints every pair, then for
@@ -92,9 +93,15 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=pathlib.Path)
     parser.add_argument("change", type=pathlib.Path)
     parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--workload", action="append", metavar="NAME",
+                        help="run only this workload; repeat for more (default: all)")
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    runs = {w["name"]: [] for w in bench["workloads"]}
+    names = [w["name"] for w in bench["workloads"]]
+    unknown = sorted(set(args.workload or ()) - set(names))
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; BENCHMARK.json has {', '.join(names)}")
+    runs = {name: [] for name in names if not args.workload or name in args.workload}
     for i in range(PAIRS):
         seed = args.first_seed + i
         for w in runs:

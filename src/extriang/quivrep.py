@@ -9,7 +9,12 @@ The enumeration of indecomposables is exhaustive over dimension vectors:
 where one may live, it labels the relation-satisfying arrow-matrix tuples
 with their base-change orbits by array operations and keeps the orbits no
 direct sum of smaller indecomposables lies in.  The grid has p**(sum of
-matrix sizes) cells per dimension vector, capped at MAX_GRID_CELLS.
+matrix sizes) cells per dimension vector, capped at MAX_GRID_CELLS.  Each
+relation term is evaluated over its own arrows' axes, and the two sides
+of a relation are compared row by row as base-p codes, so only boolean
+arrays span the grid.  Each generator's index map on an arrow's matrices
+is built once per enumeration, and each arrow's digits of the valid cells
+once per grid.
 """
 
 from __future__ import annotations
@@ -679,8 +684,9 @@ def _decompose_by_splits(m: Module, catalog: Catalog) -> Counter:
 # The orbit search holds int32 and bool arrays with one cell per
 # arrow-matrix tuple of a dimension vector, about 17 bytes per cell in all
 # when every tuple satisfies the relations; otherwise about 12 bytes plus 4
-# per GL(d_v) generator for each tuple that does, and 1 for each that does not.
-# enumerate_indecomposables refuses a larger grid before building any.
+# per GL(d_v) generator and 4 per arrow (its int32 digit) for each tuple
+# that does, and 1 for each that does not.  enumerate_indecomposables
+# refuses a larger grid before building any.
 MAX_GRID_CELLS = 2 ** 20
 
 # the most digits Python writes out an int with by default; a larger grid size is written p**e
@@ -780,10 +786,16 @@ def _moved_codes(p: int, rows: int, cols: int, left: np.ndarray, right: np.ndarr
 def _relation_mask(algebra: Algebra, p: int, shapes: list[tuple[int, int]]) -> np.ndarray:
     """Whether each tuple satisfies every relation, on the tuple grid.
 
-    Grid axis k indexes the matrices of arrow k.  A relation's path
-    products broadcast the matrices of its arrows over their own axes,
-    one slice of its first arrow's axis at a time.  A relation whose
-    source or target has dimension 0 has empty values, which never fail.
+    Grid axis k indexes the matrices of arrow k.  Each term's path product
+    broadcasts the matrices of its arrows over their own axes only.  The
+    terms touching a relation's first axis are summed one slice of that
+    axis at a time; the others are summed once, negated.  The two sums
+    agree mod p exactly when every row of one has the base-p code of the
+    same row of the other, so the grid is narrowed by one boolean
+    comparison per row of the relation value.  A row code is below
+    p**d_src, which the grid ceiling keeps small, where the code of a
+    whole value matrix could pass 2**63.  A relation whose source or
+    target has dimension 0 has empty values, which never fail.
     """
     grid = tuple(p ** (r * c) for r, c in shapes)
     valid = np.ones(grid, dtype=bool)
@@ -793,35 +805,50 @@ def _relation_mask(algebra: Algebra, p: int, shapes: list[tuple[int, int]]) -> n
         lead = (1,) * k + (hi - lo,) + (1,) * (len(grid) - 1 - k)
         return _matrices(p, *shapes[k], np.arange(lo, hi)).reshape(lead + shapes[k])
 
+    def row_codes(views: Mapping[int, np.ndarray], terms, rows: int, cols: int) -> np.ndarray:
+        # the code of each row of the terms' sum, over the union of their axes
+        total = np.zeros((1,) * len(grid) + (rows, cols), dtype=np.int64)
+        for coeff, path in terms:
+            term = views[arrow_pos[path[0]]]
+            for name in path[1:]:
+                term = term @ views[arrow_pos[name]] % p
+            total = total + coeff % p * term
+        return total % p @ _base_p_weights(p, cols)
+
     for rel in algebra.relations:
-        first, *others = sorted({arrow_pos[name] for _, path in rel for name in path})
+        rows, cols = shapes[arrow_pos[rel[0][1][0]]][0], shapes[arrow_pos[rel[0][1][-1]]][1]
+        if not rows or not cols:
+            continue
+        axes = [{arrow_pos[name] for name in path} for _, path in rel]
+        first = min(set().union(*axes))
+        moving = [term for term, own in zip(rel, axes) if first in own]
+        fixed = [(-coeff, path) for (coeff, path), own in zip(rel, axes) if first not in own]
+        others = set().union(*axes) - {first}
         views = {k: axis_view(k, 0, grid[k]) for k in others}
-        step = max(1, _CHUNK_CELLS // int(np.prod([grid[k] for k in others])))
+        fixed_codes = row_codes(views, fixed, rows, cols)
+        wide = set().union(*(own for own in axes if first in own)) - {first}
+        step = max(1, _CHUNK_CELLS // int(np.prod([grid[k] for k in wide])))
         for lo in range(0, grid[first], step):
             hi = min(grid[first], lo + step)
-            views[first] = axis_view(first, lo, hi)
-            total = 0
-            for coeff, path in rel:
-                term = views[arrow_pos[path[0]]]
-                for name in path[1:]:
-                    term = term @ views[arrow_pos[name]] % p
-                total = total + coeff % p * term
-            valid[(slice(None),) * first + (slice(lo, hi),)] &= ~np.any(total % p, axis=(-2, -1))
+            moving_codes = row_codes({**views, first: axis_view(first, lo, hi)}, moving, rows, cols)
+            block = valid[(slice(None),) * first + (slice(lo, hi),)]
+            for i in range(rows):
+                block &= moving_codes[..., i] == fixed_codes[..., i]
     return valid
 
 
-def _positions(cells: np.ndarray, grid, maps: Sequence[np.ndarray], touching: Sequence[int]) -> np.ndarray:
+def _positions(cells: np.ndarray, strides: Sequence[int], digits: Mapping[int, np.ndarray],
+               maps: Sequence[np.ndarray], touching: Sequence[int]) -> np.ndarray:
     """For each cell, the position among cells of its image when grid axis k
-    is moved by the index map maps[k], for k in touching."""
+    is moved by the index map maps[k], for k in touching; digits[k] is each
+    cell's index along axis k, whose flat stride is strides[k]."""
     moved = cells.copy()
     for k in touching:
-        stride = int(np.prod(grid[k + 1:], dtype=np.int64))
-        digit = cells // stride % grid[k]
-        moved += (maps[k][digit] - digit) * np.int32(stride)
+        moved += (maps[k][digits[k]] - digits[k]) * np.int32(strides[k])
     return np.searchsorted(cells, moved).astype(np.int32)
 
 
-def _orbit_labels(algebra: Algebra, p: int, dv: tuple[int, ...]):
+def _orbit_labels(algebra: Algebra, p: int, dv: tuple[int, ...], index_maps: dict):
     """Orbit labels on the relation-satisfying arrow-matrix tuples at this
     dimension vector.
 
@@ -833,9 +860,12 @@ def _orbit_labels(algebra: Algebra, p: int, dv: tuple[int, ...]):
     them.  Every label starts as its own position and drops to the least
     label among its images under the GL(d_v) generators, with pointer
     jumping, until nothing changes; each label is then the position of the
-    least flat index of its orbit.  Returns the grid shape, the arrow
-    shapes, the ascending flat indices of the relation-satisfying cells
-    and their labels.
+    least flat index of its orbit.  A generator's index map on an arrow's
+    matrices depends only on p, the arrow's shape, the generator and the
+    side it acts on, so it is built once and kept in index_maps under that
+    key; enumerate_indecomposables passes one dict for all its dimension
+    vectors.  Returns the grid shape, the arrow shapes, the ascending flat
+    indices of the relation-satisfying cells and their labels.
     """
     arrows = algebra.arrows
     at = algebra.vertex_index
@@ -845,24 +875,32 @@ def _orbit_labels(algebra: Algebra, p: int, dv: tuple[int, ...]):
     cells = np.flatnonzero(valid).astype(np.int32)
     # with every cell valid, positions are flat indices
     dense = len(cells) == valid.size
+    if not dense:
+        strides = [int(np.prod(grid[k + 1:], dtype=np.int64)) for k in range(len(grid))]
+        digits = {k: cells // strides[k] % n for k, n in enumerate(grid) if n > 1}
 
     # A generator g at v moves the matrix index of each arrow at v
     # (M -> g M at its target, M -> M g^-1 at its source).  On a dense grid
     # np.ix_ keeps these per-arrow maps as an open mesh; otherwise each
     # move is kept as one int32 position per cell.
+    unmoved = [np.arange(n, dtype=np.int32) for n in grid]
     moves = []
     for v, i in at.items():
         touching = [k for k, a in enumerate(arrows) if v in (a.src, a.tgt) and grid[k] > 1]
         if not touching:
             continue
-        for g, g_inv in _gl_generators(dv[i], p):
-            maps = [np.arange(n, dtype=np.int32) for n in grid]
+        for j, (g, g_inv) in enumerate(_gl_generators(dv[i], p)):
+            maps = list(unmoved)
             for k in touching:
                 r, c = shapes[k]
-                left = g if arrows[k].tgt == v else np.eye(r, dtype=np.int64)
-                right = g_inv if arrows[k].src == v else np.eye(c, dtype=np.int64)
-                maps[k] = _moved_codes(p, r, c, left, right)
-            moves.append(np.ix_(*maps) if dense else _positions(cells, grid, maps, touching))
+                side = (arrows[k].tgt == v, arrows[k].src == v)
+                key = (p, (r, c), j, side)
+                if key not in index_maps:
+                    left = g if side[0] else np.eye(r, dtype=np.int64)
+                    right = g_inv if side[1] else np.eye(c, dtype=np.int64)
+                    index_maps[key] = _moved_codes(p, r, c, left, right)
+                maps[k] = index_maps[key]
+            moves.append(np.ix_(*maps) if dense else _positions(cells, strides, digits, maps, touching))
 
     label = np.arange(len(cells), dtype=np.int32)
     changed = bool(moves)
@@ -1002,12 +1040,14 @@ def enumerate_indecomposables(algebra: Algebra, bound: int, p: int = DEFAULT_PRI
     # every isomorphism class at each dimension vector done so far, as the
     # ascending tuple of its summands' indices in found
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    # the generators' index maps on arrow matrices, shared by every grid
+    index_maps: dict = {}
     for dv in dim_vectors:
         sums = _sums_at(found, classes, dv)
         classes[dv] = sums
         if not _may_hold_indecomposable(algebra, dv):
             continue
-        orbits = _orbit_labels(algebra, p, dv)
+        orbits = _orbit_labels(algebra, p, dv, index_maps)
         grid, shapes, _, label = orbits
         if len(_self_labelled(label)) == len(sums):
             continue

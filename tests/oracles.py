@@ -33,6 +33,10 @@ one Ext space per member.
 `quotient_recollement_by_formulas` apply the `TriangularData` object
 formulas to every module and decompose each value (`closure_indices`),
 where `recol` reads the classes off the tabulated functors.
+`relation_mask_by_totals` forms each relation's whole value on every
+tuple of a chunk, recomputing every term in every chunk, and tests it for
+zero, where `quivrep._relation_mask` evaluates each term over its own axes
+and compares row codes.
 `ext_push`, `ext_pull` and `reduce_class` are the one-class forms of
 `homext`'s batched pushes, pulls and reductions, and `dump_algebra_text`
 writes the text format `quivrep.parse_algebra_text` reads.
@@ -72,11 +76,13 @@ from extriang.homext import (
     summand_projection,
 )
 from extriang.quivrep import (
+    _CHUNK_CELLS,
     Algebra,
     Module,
     Morphism,
     _commuting_system,
     _flatten_morphism,
+    _matrices,
     _morphism_from_vector,
     cokernel,
     direct_sum,
@@ -655,3 +661,32 @@ def is_injective_object(i: int, e: ExCat) -> bool:
         ext1_space(e.catalog.indecs[j], e.catalog.indecs[i]).dim == 0
         for j in e.indec_indices()
     )
+
+
+def relation_mask_by_totals(algebra: Algebra, p: int, shapes: list[tuple[int, int]]) -> np.ndarray:
+    """Whether each tuple satisfies every relation, on the tuple grid: each
+    relation's value on every tuple of a slice of its first arrow's axis,
+    tested for zero."""
+    grid = tuple(p ** (r * c) for r, c in shapes)
+    valid = np.ones(grid, dtype=bool)
+    arrow_pos = {a.name: k for k, a in enumerate(algebra.arrows)}
+
+    def axis_view(k: int, lo: int, hi: int) -> np.ndarray:
+        lead = (1,) * k + (hi - lo,) + (1,) * (len(grid) - 1 - k)
+        return _matrices(p, *shapes[k], np.arange(lo, hi)).reshape(lead + shapes[k])
+
+    for rel in algebra.relations:
+        first, *others = sorted({arrow_pos[name] for _, path in rel for name in path})
+        views = {k: axis_view(k, 0, grid[k]) for k in others}
+        step = max(1, _CHUNK_CELLS // int(np.prod([grid[k] for k in others])))
+        for lo in range(0, grid[first], step):
+            hi = min(grid[first], lo + step)
+            views[first] = axis_view(first, lo, hi)
+            total = 0
+            for coeff, path in rel:
+                term = views[arrow_pos[path[0]]]
+                for name in path[1:]:
+                    term = term @ views[arrow_pos[name]] % p
+                total = total + coeff % p * term
+            valid[(slice(None),) * first + (slice(lo, hi),)] &= ~np.any(total % p, axis=(-2, -1))
+    return valid

@@ -1,7 +1,10 @@
 """The pair summary of scripts/bench_pairs.py on synthetic numbers."""
 
 import importlib.util
+import json
 import pathlib
+
+import pytest
 
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
@@ -87,3 +90,47 @@ def test_a_larger_failed_share_is_flagged():
     assert not bench_pairs.failures([(run(1, 10), run(2, 20))])["more"]
     assert not bench_pairs.failures([(run(0, 10), run(0, 0))])["more"]
     assert bench_pairs.failures([(run(0, 0), run(1, 5))])["more"]
+
+
+def fake_checkouts(tmp_path, names):
+    """A parent and a change checkout holding only a BENCHMARK.json."""
+    bench = {"command": ["true"], "run_seconds": 1,
+             "workloads": [{"name": n} for n in names],
+             "end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}]}
+    sides = []
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+        sides.append(str(tmp_path / side))
+    return sides
+
+
+@pytest.mark.parametrize("chosen, expected", [
+    ([], ["w1", "w2", "w3"]),
+    (["w3"], ["w3"]),
+    (["w3", "w1"], ["w1", "w3"]),
+])
+def test_workload_option_picks_the_workloads_run(tmp_path, monkeypatch, capsys, chosen, expected):
+    ran = []
+
+    def fake_run(checkout, bench, workload, seed):
+        ran.append(workload)
+        return {"ops_per_s": 1.0, "correct": True, "failed": 0, "attempted": 1, "rounds": 1}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    argv = fake_checkouts(tmp_path, ["w1", "w2", "w3"]) + ["--first-seed", "1"]
+    for name in chosen:
+        argv += ["--workload", name]
+    assert bench_pairs.main(argv) == 0
+    # both sides of every pair, ten pairs, workloads in BENCHMARK.json order
+    assert ran == [w for _ in range(bench_pairs.PAIRS) for w in expected for _ in range(2)]
+    summaries = [line.split(" ")[0] for line in capsys.readouterr().out.splitlines() if "gain rule" in line]
+    assert summaries == expected
+
+
+def test_an_unknown_workload_is_refused(tmp_path, capsys):
+    argv = fake_checkouts(tmp_path, ["w1"]) + ["--first-seed", "1", "--workload", "w9"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert "unknown workload w9" in capsys.readouterr().err

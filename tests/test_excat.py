@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from extriang import excat, homext
-from extriang.fixtures import A2_ALGEBRA
-from extriang.quivrep import Catalog, hom_basis, zero_morphism, identity_morphism
+from extriang.fixtures import A2_ALGEBRA, build_example51
+from extriang.quivrep import Catalog, Module, Morphism, hom_basis, zero_morphism, identity_morphism
 from extriang.excat import (
     ExCat,
     NotExtensionClosedError,
@@ -260,6 +261,83 @@ def test_witnesses_agree_with_the_scan_oracle(bundle):
                 got = res.pair.witness[c]
                 assert (got.a, got.b, got.c, got.inc, got.prj) == (
                     ses.a, ses.b, ses.c, ses.inc, ses.prj)
+
+
+def assert_conflation_onto(ses, c_mod, t_ms, f_ms, catalog):
+    """ses is T -> C -> F with middle C itself, ends the sums of t_ms and
+    f_ms, and maps of modules.  SES itself checks exactness as linear maps."""
+    assert ses.b == c_mod
+    assert catalog.decompose(ses.a) == Counter(t_ms) and catalog.decompose(ses.c) == Counter(f_ms)
+    # the checked constructor refuses a square that does not commute
+    Morphism(ses.a, ses.b, ses.inc.comps)
+    Morphism(ses.b, ses.c, ses.prj.comps)
+
+
+def check_witnesses(host, max_size):
+    """Check a host's witness rows and torsion queries; returns the row
+    outcomes and query outcomes seen (found or not) and how many witnesses
+    were rebased, their middle realized as a module other than C itself."""
+    cat, e = host.catalog, fresh_copy(host)
+    rows_decided, queries_decided, rebased = set(), set(), 0
+    # each candidate row alone: a witness exactly when some extension class
+    # of its ends has a middle that decomposes as C
+    for c in host.indec_indices():
+        for row in excat._witness_candidates(c, e):
+            ses = excat._witness_from_classes(cat, c, row.t_ms, row.f_ms)
+            space = homext.ext1_space(cat.sum_of(row.f_ms), cat.sum_of(row.t_ms))
+            middles = [space.realize(cls).b for cls in space.elements()]
+            onto = [b for b in middles if cat.decompose(b) == {c: 1}]
+            assert (ses is not None) == bool(onto)
+            rows_decided.add(ses is not None)
+            if ses is not None:
+                assert_conflation_onto(ses, cat.indecs[c], row.t_ms, row.f_ms, cat)
+                rebased += onto[0] != cat.indecs[c]
+    # each query: the row _find_witness picks against the scan oracle
+    for t_tuple, f_tuple in perp_queries(host, max_size):
+        t, f = Subcat.add(cat, t_tuple), Subcat.add(cat, f_tuple)
+        for c in host.indec_indices():
+            row = excat._find_witness(c, t, f, e)
+            expected = find_witness_by_scan(c, t, f, host)
+            assert (row is None) == (expected is None)
+            queries_decided.add(row is not None)
+            if row is None:
+                continue
+            assert set(row.t_ms) <= t.members and set(row.f_ms) <= f.members
+            assert_conflation_onto(row.outcome, cat.indecs[c], row.t_ms, row.f_ms, cat)
+            got = row.outcome
+            assert (got.a, got.c, got.inc, got.prj) == (expected.a, expected.c, expected.inc, expected.prj)
+    return rows_decided, queries_decided, rebased
+
+
+def test_witness_conflations_are_exact_with_ends_in_t_and_f(bundle):
+    seen = [check_witnesses(host, max_size) for host, max_size in (
+        (bundle.full_a, None), (bundle.a_ext, None), (bundle.c_ext, None),
+        (bundle.b_ext, None), (bundle.full_b, 2))]
+    # both outcomes occur, for rows and for queries
+    assert set().union(*(rows for rows, _, _ in seen)) == {False, True}
+    assert set().union(*(queries for _, queries, _ in seen)) == {False, True}
+
+
+def test_witnesses_are_rebased_onto_the_catalog_entry():
+    # over F_2 with vertex dimensions at most 1 a module has no other form,
+    # so every realized middle is the catalog entry itself; moving each
+    # entry of a catalog over F_3 by vertex scalars leaves realized middles
+    # that only split_off_summand's isomorphism carries onto C
+    small = build_example51(p=3, bound=1)
+    for host in (small.full_a, small.full_b):
+        cat = host.catalog
+        p, at = cat.p, cat.algebra.vertex_index
+        scalar = {v: 1 + i % (p - 1) for v, i in at.items()}
+
+        def moved(m):
+            return Module(cat.algebra, p, m.dims, {
+                a.name: m.action[a.name].scale(scalar[a.tgt] * pow(scalar[a.src], p - 2, p))
+                for a in cat.algebra.arrows})
+
+        moved_cat = Catalog(cat.algebra, p, cat.bound, tuple(moved(m) for m in cat.indecs))
+        assert moved_cat.indecs != cat.indecs
+        _, _, rebased = check_witnesses(ExCat(moved_cat, cap=host.cap), 2)
+        assert rebased
 
 
 def test_witnesses_do_not_depend_on_query_order(bundle):

@@ -43,6 +43,7 @@ from oracles import (
     morphism_coords,
     morphism_coords_many,
     morphism_from_coords,
+    relation_mask_by_totals,
 )
 
 A2 = Algebra(("1", "2"), (Arrow("a", "1", "2"),))
@@ -64,6 +65,14 @@ POINT = Algebra(("1",), ())
 TWO_POINTS = Algebra(("1", "2"), ())
 # two copies of A2 side by side: a support can be disconnected with room at every vertex
 TWO_ARROWS = Algebra(("1", "2", "3", "4"), (Arrow("a", "1", "2"), Arrow("b", "3", "4")))
+# a three-term relation whose first arrow, b, lies in two of its terms
+THREE_TERMS = Algebra(("1", "2", "3"),
+                      (Arrow("b", "2", "3"), Arrow("a", "1", "2"), Arrow("e", "1", "2"), Arrow("c", "1", "3")),
+                      (((1, ("b", "a")), (1, ("b", "e")), (-1, ("c",))),))
+A4_PATH3 = Algebra(A4_LINEAR.vertices, A4_LINEAR.arrows, (((1, ("c", "b", "a")),),))
+# a 2-cycle with both composites zero; at dims (8, 1), b.a is 8 x 8
+CYCLE = Algebra(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "2", "1")),
+                (((1, ("b", "a")),), ((1, ("a", "b")),)))
 
 
 @pytest.fixture(scope="module")
@@ -363,7 +372,7 @@ def _orbit_representatives(algebra, p, dv):
     """One arrow-matrix tuple per isomorphism class at this dimension
     vector: the lexicographically first tuple of each relation-satisfying
     orbit, in ascending order."""
-    grid, shapes, cells, label = quivrep._orbit_labels(algebra, p, dv)
+    grid, shapes, cells, label = quivrep._orbit_labels(algebra, p, dv, {})
     reps = cells[quivrep._self_labelled(label)]
     return quivrep._actions(algebra, p, quivrep._matrices_at(p, grid, shapes, reps), len(reps))
 
@@ -447,11 +456,48 @@ def _bfs_orbit_representatives(algebra, p, dv):
 
 @pytest.mark.parametrize("algebra, p, bound", [
     (A2, 3, 2), (A3_LINEAR, 2, 2), (A3_SINK, 2, 2), (KRONECKER, 3, 2), (A3_ZERO, 3, 2),
-    (LAMBDA, 2, 1), (LAMBDA, 2, 2),
-], ids=["A2", "A3-linear", "A3-sink", "Kronecker", "A3-zero-relation", "Lambda-1", "Lambda-2"])
+    (LAMBDA, 2, 1), (LAMBDA, 2, 2), (THREE_TERMS, 2, 2), (THREE_TERMS, 3, 1),
+    (DUAL_NUMBERS, 2, 3), (DUAL_NUMBERS, 3, 2),
+], ids=["A2", "A3-linear", "A3-sink", "Kronecker", "A3-zero-relation", "Lambda-1", "Lambda-2",
+        "three-terms-2", "three-terms-3", "loop-2", "loop-3"])
 def test_orbit_representatives_match_the_bfs_oracle(algebra, p, bound):
     for dv in _dim_vectors(len(algebra.vertices), bound):
         assert _orbit_representatives(algebra, p, dv) == _bfs_orbit_representatives(algebra, p, dv), dv
+
+
+def _arrow_shapes(algebra, dv):
+    at = algebra.vertex_index
+    return [(dv[at[a.tgt]], dv[at[a.src]]) for a in algebra.arrows]
+
+
+# every dimension vector up to the bound, so vertices of dimension 0 sit
+# at a relation's ends and in the middle of its paths
+@pytest.mark.parametrize("algebra, p, bound", [
+    (THREE_TERMS, 2, 2), (THREE_TERMS, 3, 1), (DUAL_NUMBERS, 2, 3), (DUAL_NUMBERS, 3, 2),
+    (A4_PATH3, 2, 2), (A3_ZERO, 3, 2), (LAMBDA, 2, 2), (LAMBDA, 3, 1), (CYCLE, 2, 2),
+], ids=["three-terms-2", "three-terms-3", "loop-2", "loop-3", "path-of-length-3",
+        "A3-zero-relation", "Lambda-2", "Lambda-3", "cycle"])
+def test_relation_mask_matches_the_oracle(algebra, p, bound):
+    some_fail = False
+    for dv in _dim_vectors(len(algebra.vertices), bound):
+        shapes = _arrow_shapes(algebra, dv)
+        got = quivrep._relation_mask(algebra, p, shapes)
+        assert np.array_equal(got, relation_mask_by_totals(algebra, p, shapes)), dv
+        some_fail = some_fail or not got.all()
+    assert some_fail
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_relation_mask_compares_rows_where_a_whole_value_code_would_overflow(n):
+    # at dims (n, 1), b.a is an n x n outer product, whose code as a whole
+    # matrix at p = 2 runs up to 2**(n*n): at n = 8 it wraps int64 (as a bit
+    # pattern, still one code per matrix), at n = 9 two matrices share a
+    # code.  b.a vanishes iff a or b does, and the 1 x 1 value a.b then does too
+    shapes = _arrow_shapes(CYCLE, (n, 1))
+    assert shapes == [(1, n), (n, 1)]
+    got = quivrep._relation_mask(CYCLE, 2, shapes)
+    assert np.array_equal(got, relation_mask_by_totals(CYCLE, 2, shapes))
+    assert got.sum() == 2 * 2 ** n - 1 and got[0].all() and got[:, 0].all()
 
 
 def test_gl_generators_need_no_loop_over_the_field():
@@ -544,9 +590,9 @@ def test_enumeration_searches_orbits_only_where_an_indecomposable_is_left(
     labelled, struck = [], []
     orbit_labels, strike_out = quivrep._orbit_labels, quivrep._strike_out
 
-    def label_spy(alg, p, dv):
+    def label_spy(alg, p, dv, index_maps):
         labelled.append(dv)
-        return orbit_labels(alg, p, dv)
+        return orbit_labels(alg, p, dv, index_maps)
 
     def strike_spy(alg, p, found, sums, orbits):
         struck.append(orbits)
@@ -561,6 +607,28 @@ def test_enumeration_searches_orbits_only_where_an_indecomposable_is_left(
     # these catalogs have one indecomposable per dimension vector, and a
     # strike-out runs only where one is left
     assert len(catalog) == len({m.dims for m in catalog.indecs}) == strike_outs
+
+
+def test_enumeration_builds_each_index_map_once(monkeypatch):
+    # mod Lambda at p = 2, bound 2 labels 48 grids, whose generators move
+    # single arrows 240 times in all with only 8 different index maps; the
+    # spy sees each map's arguments, so a map built twice shows
+    built, masked = [], []
+    moved_codes, relation_mask = quivrep._moved_codes, quivrep._relation_mask
+
+    def moved_spy(p, rows, cols, left, right):
+        built.append((p, rows, cols, left.tobytes(), right.tobytes()))
+        return moved_codes(p, rows, cols, left, right)
+
+    def mask_spy(algebra, p, shapes):
+        masked.append(shapes)
+        return relation_mask(algebra, p, shapes)
+
+    monkeypatch.setattr(quivrep, "_moved_codes", moved_spy)
+    monkeypatch.setattr(quivrep, "_relation_mask", mask_spy)
+    assert len(enumerate_indecomposables(LAMBDA, 2, 2)) == 11
+    assert len(built) == len(set(built)) == 8
+    assert len(masked) == 48
 
 
 def test_enumeration_runs_no_split_test(monkeypatch):

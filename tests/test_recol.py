@@ -215,6 +215,50 @@ def test_outer_functors_zero_on_maps_break_r1(bundle, which):
 
 
 @pytest.mark.parametrize("which", ["restricted", "full"])
+def test_functors_zero_on_objects_fail_r1_with_witnesses(bundle, which):
+    # a table whose apply_obj sends every object to 0 leaves its maps' ends
+    # where they were, so each triangle identity at an object with a nonzero
+    # value has no composite: a failure named by adjunction and object, not
+    # a composition error
+    r = getattr(bundle, which)
+    for name, symbol, pairs, laws in (
+        ("i_upper_star", "i*", ("(i*,i_*)",), ("i* i_* ~ Id",)),
+        ("j_upper_star", "j^*", ("(j_!,j^*)", "(j^*,j_*)"), ("j^* j_! ~ Id", "j^* j_* ~ Id")),
+        ("i_lower_star", "i_*", ("(i*,i_*)", "(i_*,i^!)"), ()),
+    ):
+        fd = r.six[name]
+        zero = zero_module(fd.target.catalog.algebra, fd.target.catalog.p)
+        corrupt = dataclasses.replace(fd, apply_obj=lambda m, zero=zero: zero)
+        report = check_recollement(dataclasses.replace(r, six={**r.six, name: corrupt}))
+        nonzero = [x for x in fd.source.indec_indices() if not fd.obj_map[x].is_zero()]
+        triangle = report.clause("R1_triangle_identities")
+        assert not triangle.ok
+        assert triangle.detail["failures"] == [f"{pair} id on {symbol} at {x}" for pair in pairs for x in nonzero]
+        # the consequences apply i* and j^* through the table too, and no
+        # value of theirs vanishes on a nonzero outer object
+        isos = report.clause("natural_isomorphisms")
+        side = r.a_cat if name == "i_upper_star" else r.c_cat
+        assert isos.ok == (not laws)
+        assert not laws or isos.detail["failures"] == [
+            (law, x) for x in side.indec_indices() for law in laws]
+        for clause in ("R1_hom_dimensions", "R1_naturality", "vanishing_compositions"):
+            assert report.clause(clause).ok, clause
+
+
+def test_vanishing_composites_apply_the_table(bundle):
+    # i^! reading the Y layer instead of the X layer keeps j_* c = [0;c]
+    # whole, so i^! j_* no longer vanishes, and i^! i_* a = 0
+    r = bundle.restricted
+    fd = r.six["i_upper_shriek"]
+    corrupt = dataclasses.replace(fd, apply_obj=r.triangular.y_part)
+    report = check_recollement(dataclasses.replace(r, six={**r.six, "i_upper_shriek": corrupt}))
+    assert report.clause("vanishing_compositions").detail["failures"] == [
+        ("i^! j_*", c) for c in r.c_cat.indec_indices()]
+    assert report.clause("natural_isomorphisms").detail["failures"] == [
+        ("i^! i_* ~ Id", a) for a in r.a_cat.indec_indices()]
+
+
+@pytest.mark.parametrize("which", ["restricted", "full"])
 def test_tabulated_classes_agree_with_the_formula_oracle(which):
     """Glue, restrict and the forced quotient recollement read functor
     classes off the tables; the oracle decomposes every formula value."""
