@@ -13,7 +13,10 @@ file-based `catalog` on the A4 and D4 algebras under tests/algebras, and
 the isolated-vertex file holds the same for the file-based `catalog` on
 A2 beside a vertex no arrow touches, and the F_3 recollement file holds
 the same for `recollement check` and `classify` on both recollements and
-the README's `glue` and `restrict` over F_3 at bound 1;
+the README's `glue` and `restrict` over F_3 at bound 1, and the F_3
+torsion-pair file holds the same for `torsion enumerate` on B and on mod
+Lambda over F_3 at bound 1, where catalog entries are not the only form of
+a module with their dimension vector;
 rewriting any of them is an explicit, reviewed act, so
 this script is the only thing that touches the files.
 """
@@ -80,6 +83,12 @@ RECOLLEMENT_F3B1_COMMANDS = [
     ["restrict", "--example51", *B_PAIR, *F3_BOUND1],
 ]
 
+# the torsion-pair scans over F_3 at bound 1
+TORSION_F3B1_COMMANDS = [
+    ["torsion", "enumerate", "--example51", "B", *F3_BOUND1],
+    ["torsion", "enumerate", "--example51", "modLambda", *F3_BOUND1],
+]
+
 
 def run_command(argv: list[str]) -> dict:
     """Exit code, stdout and stderr of one CLI invocation, run in process."""
@@ -123,6 +132,9 @@ def main() -> int:
     out = GOLDEN / "recollement_f3b1.json"
     out.write_text(commands_json(RECOLLEMENT_F3B1_COMMANDS))
     print(f"wrote {out} ({len(RECOLLEMENT_F3B1_COMMANDS)} commands)")
+    out = GOLDEN / "torsion_pairs_f3b1.json"
+    out.write_text(commands_json(TORSION_F3B1_COMMANDS))
+    print(f"wrote {out} ({len(TORSION_F3B1_COMMANDS)} commands)")
     return 0
 
 

@@ -5,11 +5,14 @@ additive closure is extension closed in the ambient module category; its
 conflations are the short exact sequences with every term decomposing among
 the members.  Inflations, deflations, one-sided exact sequences, torsion
 pairs, approximations, rigidity, cluster tilting, and additive quotients are
-all decided by finite linear algebra over the catalog.  Two questions read
-conflation lists: the extension-closure check on construction reads the
-list with indecomposable ends and may fall back on the full one, and
-exactness classification reads the full one, whose ends are capped at a
-configurable summand count (reported in JSON output).
+all decided by finite linear algebra over the catalog.  A torsion pair's
+conflation for an object C is read off the trace of T in C, the image of
+the universal map onto C from the members of T, so no extension class is
+searched.  Two questions read conflation lists: the extension-closure
+check on construction reads the list with indecomposable ends and may fall
+back on the full one, and exactness classification reads the full one,
+whose ends are capped at a configurable summand count (reported in JSON
+output).
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .quivrep import (
     kernel,
     cokernel,
     span_rank,
-    split_off_summand,
 )
 from .homext import (
     ConflationRecord,
@@ -81,31 +83,17 @@ class Subcat:
             return True
         return set(self.catalog.decompose(m)) <= self.members
 
-    def is_subset_of(self, other: "Subcat") -> bool:
-        return self.members <= other.members
-
     def __le__(self, other: "Subcat") -> bool:
-        return self.is_subset_of(other)
+        return self.members <= other.members
 
 
 class NotExtensionClosedError(ValueError):
     """A conflation with ends inside the subcategory has a middle outside."""
 
 
-@dataclass(slots=True)
-class WitnessCandidate:
-    """One witness candidate of a host object and, once realized, its outcome.
-
-    The outcome is the rebased witness SES, or None when no extension class
-    of sum(f_ms) by sum(t_ms) has the object as middle.
-    """
-
-    t_ms: tuple[int, ...]
-    f_ms: tuple[int, ...]
-    t_support: frozenset[int]
-    f_support: frozenset[int]
-    realized: bool = False
-    outcome: Optional[SES] = None
+# the trace conflation tC >-> C ->> C/tC of a subcategory t in C, with the
+# sorted decompositions of its ends
+Trace = tuple[SES, tuple[int, ...], tuple[int, ...]]
 
 
 class ExCat:
@@ -130,9 +118,9 @@ class ExCat:
             self.objects = Subcat.add(catalog, members)
         self.cap = cap
         self._conflations: Optional[list[ConflationRecord]] = None
-        # object -> its witness candidates over all members in scan order;
-        # a query keeps the rows inside its T and F, its own scan order
-        self._candidate_table: dict[int, list[WitnessCandidate]] = {}
+        # (object C, members of T mapping nonzero into C, or C alone when C
+        # is in T) -> the trace conflation of T in C and its ends' summands
+        self._traces: dict[tuple[int, frozenset[int]], Optional[Trace]] = {}
         if not self.is_full():
             bad = self.extension_closure_failure()
             if bad is not None:
@@ -260,9 +248,9 @@ class TorsionPair:
     host: ExCat
     t: Subcat
     f: Subcat
-    witness: dict[int, SES]  # catalog index of each host object -> T -> C -> F
-    # the same objects -> (torsion summands, free summands) of the witness;
-    # its ends are these sums, so they are its ends' sorted decompositions
+    witness: dict[int, SES]  # catalog index of each host object -> tC >-> C ->> C/tC
+    # the same objects -> the sorted decompositions of the witness's ends,
+    # found once when the host first builds the trace
     parts: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
 
     def to_json_dict(self) -> dict:
@@ -289,104 +277,44 @@ class TorsionPairResult:
         return {"valid": False, "clause": self.clause, "detail": self.detail}
 
 
-def _bounded_multisets(members: Sequence[int], catalog: Catalog, max_dims: tuple[int, ...]):
-    """Multisets of member indices whose summed dimension vector fits under max_dims."""
-    out: list[tuple[int, ...]] = []
+def _trace(c_index: int, t: Subcat, e: ExCat) -> Optional[Trace]:
+    """The trace of t in C, built once per host and key.
 
-    def rec(start: int, remaining: tuple[int, ...], chosen: tuple[int, ...]):
-        out.append(chosen)
-        for k in range(start, len(members)):
-            dims = catalog.indecs[members[k]].dims
-            nxt = tuple(r - d for r, d in zip(remaining, dims))
-            if all(x >= 0 for x in nxt):
-                rec(k, nxt, chosen + (members[k],))
-
-    rec(0, max_dims, ())
-    out.sort(key=lambda t: (len(t), t))
-    return out
-
-
-def _dims_of(catalog: Catalog, ms: Sequence[int]) -> tuple[int, ...]:
-    """Dimension vector of the direct sum of the catalog entries in ms."""
-    out = (0,) * len(catalog.algebra.vertices)
-    for i in ms:
-        out = tuple(a + b for a, b in zip(out, catalog.indecs[i].dims))
-    return out
-
-
-def _witness_from_classes(
-    catalog: Catalog, c_index: int, t_ms: tuple[int, ...], f_ms: tuple[int, ...]
-) -> Optional[SES]:
-    """First extension class of sum(f_ms) by sum(t_ms) whose middle is C, rebased onto C."""
-    c_mod = catalog.indecs[c_index]
-    space = ext1_space(catalog.sum_of(f_ms), catalog.sum_of(t_ms))
-    for cls in space.elements():
-        ses = space.realize(cls)
-        # t_ms and f_ms add up to C's dimension vector, so C splits off the
-        # middle exactly when the middle is C, and then the retraction g is
-        # an isomorphism ses.b -> c_mod
-        split = split_off_summand(c_mod, ses.b)
-        if split is not None:
-            _, g = split
-            return SES(ses.a, c_mod, ses.c, g @ ses.inc, ses.prj @ g.inverse())
-    return None
-
-
-def _witness_candidates(c_index: int, e: ExCat) -> list[WitnessCandidate]:
-    """The host's witness candidates for one object, built on first use.
-
-    Torsion multiset by size then lexicographic, then the free multiset of
-    complementary dimension vector, both over all host members.
+    tC is the image of the universal map onto C from the members of t.  It
+    depends only on the members with a nonzero map into C, or on C alone
+    when C is in t, so the host keeps it under that key.  None when an end
+    has a summand outside the catalog, and so outside every member class.
     """
-    rows = e._candidate_table.get(c_index)
-    if rows is None:
-        catalog = e.catalog
-        members = e.indec_indices()
-        c_dims = catalog.indecs[c_index].dims
-        rows = []
-        for t_ms in _bounded_multisets(members, catalog, c_dims):
-            comp_dims = tuple(c - d for c, d in zip(c_dims, _dims_of(catalog, t_ms)))
-            for f_ms in _bounded_multisets(members, catalog, comp_dims):
-                if _dims_of(catalog, f_ms) == comp_dims:
-                    rows.append(WitnessCandidate(t_ms, f_ms, frozenset(t_ms), frozenset(f_ms)))
-        e._candidate_table[c_index] = rows
-    return rows
-
-
-def _find_witness(c_index: int, t: Subcat, f: Subcat, e: ExCat) -> Optional[WitnessCandidate]:
-    """The candidate row of the canonical conflation T -> C -> F, if one exists.
-
-    Candidates are scanned in a fixed order (torsion part by size then
-    lexicographic, then the free part of complementary dimension vector,
-    then extension classes), so the witness is deterministic.  The host
-    lists its candidates for C once, over all members, and a query keeps
-    those with torsion part in T and free part in F.  That is the query's
-    own scan order: the multisets over a sorted subset of the members are
-    a sublist of those over all members, and sorting by (size, tuple) keeps
-    their relative order.  Each row is realized at most once per host and
-    keeps its outcome, a failure included; one split test per extension
-    class decides it.  Rows change neither which candidates a query visits
-    nor in what order, so witnesses do not depend on the order of earlier
-    queries.
-    """
-    t_set, f_set = t.members, f.members
-    for row in _witness_candidates(c_index, e):
-        if not (row.t_support <= t_set and row.f_support <= f_set):
-            continue
-        if not row.realized:
-            row.outcome = _witness_from_classes(e.catalog, c_index, row.t_ms, row.f_ms)
-            row.realized = True
-        if row.outcome is not None:
-            return row
-    return None
+    if c_index in t.members:
+        sources = frozenset((c_index,))
+    else:
+        sources = frozenset(k for k in t.members if e.catalog.dim_hom(k, c_index))
+    key = (c_index, sources)
+    if key not in e._traces:
+        f_mod, prj, _ = cokernel(_universal_map(c_index, Subcat(e.catalog, sources), into=True))
+        t_mod, inc = kernel(prj)
+        try:
+            t_ms, f_ms = (tuple(sorted(e.catalog.decompose(m).elements())) for m in (t_mod, f_mod))
+        except CatalogIncompleteError:
+            e._traces[key] = None
+        else:
+            e._traces[key] = (SES(t_mod, e.catalog.indecs[c_index], f_mod, inc, prj), t_ms, f_ms)
+    return e._traces[key]
 
 
 def verify_torsion_pair(t: Subcat, f: Subcat, e: ExCat) -> TorsionPairResult:
     """Check Hom(T, F) = 0 and per-object torsion conflations.
 
     Witnesses on indecomposables suffice: conflations add, so every direct
-    sum inherits one.  Failure is a value naming the violated clause and a
-    counterexample.
+    sum inherits one.  Once Hom(T, F) = 0, a conflation T' >-> C ->> F'
+    with T' in add T and F' in add F has T' = tC, the trace of T in C:
+    T' is a sum of members, so it lies in tC, and every map from a member
+    into C dies in F', so tC lies in T'.  C has a witness exactly when the
+    trace's ends lie in add T and add F (Assem-Simson-Skowronski, Elements
+    of the Representation Theory of Associative Algebras, VI.1; the
+    argument holds in any extension-closed host, whose conflations are the
+    exact sequences with all three terms inside).  Failure is a value
+    naming the violated clause and a counterexample.
     """
     if not (t <= e.objects and f <= e.objects):
         raise ValueError("torsion candidates must lie inside the subcategory")
@@ -400,13 +328,14 @@ def verify_torsion_pair(t: Subcat, f: Subcat, e: ExCat) -> TorsionPairResult:
     witness: dict[int, SES] = {}
     parts: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for c_index in e.indec_indices():
-        row = _find_witness(c_index, t, f, e)
-        if row is None:
+        trace = _trace(c_index, t, e)
+        if trace is None or not (t.contains_index_multiset(trace[1])
+                                 and f.contains_index_multiset(trace[2])):
             return TorsionPairResult(
                 ok=False, clause="conflation_existence", detail={"object": c_index},
             )
-        witness[c_index] = row.outcome
-        parts[c_index] = (row.t_ms, row.f_ms)
+        witness[c_index], t_ms, f_ms = trace
+        parts[c_index] = (t_ms, f_ms)
     return TorsionPairResult(
         ok=True, pair=TorsionPair(host=e, t=t, f=f, witness=witness, parts=parts))
 

@@ -57,3 +57,8 @@ def golden_catalog_dynkin():
 @pytest.fixture(scope="session")
 def golden_catalog_isolated():
     return json.loads((GOLDEN_DIR / "catalog_isolated.json").read_text())
+
+
+@pytest.fixture(scope="session")
+def golden_torsion_pairs_f3b1():
+    return json.loads((GOLDEN_DIR / "torsion_pairs_f3b1.json").read_text())

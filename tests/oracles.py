@@ -4,10 +4,10 @@ The isomorphism and indecomposability oracles walk all p**dim F_p
 combinations of a Hom basis, so they are exponential in dim Hom and meant
 only for the small modules of the tests, where they check the
 catalog-based answers of `quivrep`.  `find_witness_by_scan` enumerates
-its own candidate multisets and searches torsion witnesses from scratch on
-every call, accepting a class when the whole middle decomposes as C, where
-`excat` lists each object's candidate rows once per host, decides each by
-one split test and keeps its outcome on the row.  The short-exact-sequence
+candidate torsion and free multisets and searches their extension classes
+for a torsion witness on every call, accepting a class when the whole
+middle decomposes as C, where `excat` reads the witness off the trace of
+T in C, the image of the universal map onto C from the members of T.  The short-exact-sequence
 references (`lift_through_surjection`, `is_split`, `pushout_ses`, `pullback_ses`)
 answer by solving for morphisms and forming pushouts and pullbacks,
 where `homext` reads everything off arrow cocycles.

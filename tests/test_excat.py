@@ -2,11 +2,10 @@
 
 import itertools
 import random
-from collections import Counter
 
 import pytest
 
-from extriang import excat, homext
+from extriang import excat, homext, quivrep
 from extriang.fixtures import A2_ALGEBRA, build_example51
 from extriang.quivrep import Catalog, Module, Morphism, hom_basis, zero_morphism, identity_morphism
 from extriang.excat import (
@@ -29,7 +28,6 @@ from oracles import (
     find_approximations,
     find_witness_by_scan,
     morphism_from_coords,
-    witness_candidates_by_scan,
 )
 
 
@@ -198,7 +196,7 @@ def test_every_witness_is_a_member_conflation(bundle):
 
 
 def test_torsion_pair_json_decomposes_nothing(bundle, monkeypatch):
-    # the witness parts come from the candidate rows, not from the ends
+    # the witness parts are kept with each trace, not read off the ends
     pairs = [p for h, _ in scan_hosts(bundle) for p in enumerate_torsion_pairs(h)]
 
     def refuse(self, m):
@@ -231,7 +229,7 @@ def perp_queries(host, max_size=None):
 
 
 def fresh_copy(host):
-    """The same host with no candidate rows built or realized yet."""
+    """The same host with no trace built yet."""
     members = None if host.is_full() else host.objects.members
     return ExCat(host.catalog, members, cap=host.cap)
 
@@ -242,6 +240,8 @@ def scan_hosts(bundle):
 
 
 def test_witnesses_agree_with_the_scan_oracle(bundle):
+    # the witness is the trace conflation tC >-> C ->> C/tC, not the
+    # oracle's first extension class, so existence and parts are compared
     rng = random.Random(8)
     for host, max_size in ((bundle.full_a, None), (bundle.b_ext, None), (bundle.full_b, 2)):
         cat = host.catalog
@@ -257,72 +257,61 @@ def test_witnesses_agree_with_the_scan_oracle(bundle):
                 assert res.detail == {"object": missing[0]}
                 continue
             assert res.ok
-            for c, ses in expected.items():
-                got = res.pair.witness[c]
-                assert (got.a, got.b, got.c, got.inc, got.prj) == (
-                    ses.a, ses.b, ses.c, ses.inc, ses.prj)
+            assert res.pair.parts == {c: sorted_parts(cat, ses) for c, ses in expected.items()}
 
 
-def assert_conflation_onto(ses, c_mod, t_ms, f_ms, catalog):
-    """ses is T -> C -> F with middle C itself, ends the sums of t_ms and
-    f_ms, and maps of modules.  SES itself checks exactness as linear maps."""
-    assert ses.b == c_mod
-    assert catalog.decompose(ses.a) == Counter(t_ms) and catalog.decompose(ses.c) == Counter(f_ms)
-    # the checked constructor refuses a square that does not commute
-    Morphism(ses.a, ses.b, ses.inc.comps)
-    Morphism(ses.b, ses.c, ses.prj.comps)
+def sorted_parts(catalog, ses):
+    """The sorted decompositions of a conflation's ends."""
+    return tuple(tuple(sorted(catalog.decompose(m).elements())) for m in (ses.a, ses.c))
 
 
-def check_witnesses(host, max_size):
-    """Check a host's witness rows and torsion queries; returns the row
-    outcomes and query outcomes seen (found or not) and how many witnesses
-    were rebased, their middle realized as a module other than C itself."""
+def check_against_scan(host, max_size):
+    """Check every query (T, T^perp) and (T, T^perp less its first member)
+    of at most max_size members against the scan oracle; returns the set of
+    verdicts seen."""
     cat, e = host.catalog, fresh_copy(host)
-    rows_decided, queries_decided, rebased = set(), set(), 0
-    # each candidate row alone: a witness exactly when some extension class
-    # of its ends has a middle that decomposes as C
-    for c in host.indec_indices():
-        for row in excat._witness_candidates(c, e):
-            ses = excat._witness_from_classes(cat, c, row.t_ms, row.f_ms)
-            space = homext.ext1_space(cat.sum_of(row.f_ms), cat.sum_of(row.t_ms))
-            middles = [space.realize(cls).b for cls in space.elements()]
-            onto = [b for b in middles if cat.decompose(b) == {c: 1}]
-            assert (ses is not None) == bool(onto)
-            rows_decided.add(ses is not None)
-            if ses is not None:
-                assert_conflation_onto(ses, cat.indecs[c], row.t_ms, row.f_ms, cat)
-                rebased += onto[0] != cat.indecs[c]
-    # each query: the row _find_witness picks against the scan oracle
-    for t_tuple, f_tuple in perp_queries(host, max_size):
+    verdicts = set()
+    queries = perp_queries(host, max_size)
+    for t_tuple, f_tuple in queries + [(t, f[1:]) for t, f in queries if f]:
         t, f = Subcat.add(cat, t_tuple), Subcat.add(cat, f_tuple)
+        res = verify_torsion_pair(t, f, e)
+        verdicts.add(res.ok)
+        expected = {}
         for c in host.indec_indices():
-            row = excat._find_witness(c, t, f, e)
-            expected = find_witness_by_scan(c, t, f, host)
-            assert (row is None) == (expected is None)
-            queries_decided.add(row is not None)
-            if row is None:
-                continue
-            assert set(row.t_ms) <= t.members and set(row.f_ms) <= f.members
-            assert_conflation_onto(row.outcome, cat.indecs[c], row.t_ms, row.f_ms, cat)
-            got = row.outcome
-            assert (got.a, got.c, got.inc, got.prj) == (expected.a, expected.c, expected.inc, expected.prj)
-    return rows_decided, queries_decided, rebased
+            expected[c] = find_witness_by_scan(c, t, f, host)
+            if expected[c] is None:
+                # the same existence and the same first failing object
+                assert not res.ok and res.detail == {"object": c}
+                break
+        if not res.ok:
+            assert None in expected.values()
+            continue
+        for c, ses in res.pair.witness.items():
+            # parts are the sorted decompositions of the oracle's ends
+            assert res.pair.parts[c] == sorted_parts(cat, expected[c])
+            # the middle is the catalog entry itself, the ends in add T and add F
+            assert ses.b is cat.indecs[c]
+            assert t.contains_module(ses.a) and f.contains_module(ses.c)
+            assert res.pair.parts[c] == sorted_parts(cat, ses)
+            # the checked constructor refuses a square that does not commute;
+            # SES itself checks exactness as linear maps
+            Morphism(ses.a, ses.b, ses.inc.comps)
+            Morphism(ses.b, ses.c, ses.prj.comps)
+    return verdicts
 
 
-def test_witness_conflations_are_exact_with_ends_in_t_and_f(bundle):
-    seen = [check_witnesses(host, max_size) for host, max_size in (
+def test_witness_conflations_are_traces_with_ends_in_t_and_f(bundle):
+    seen = [check_against_scan(host, max_size) for host, max_size in (
         (bundle.full_a, None), (bundle.a_ext, None), (bundle.c_ext, None),
         (bundle.b_ext, None), (bundle.full_b, 2))]
-    # both outcomes occur, for rows and for queries
-    assert set().union(*(rows for rows, _, _ in seen)) == {False, True}
-    assert set().union(*(queries for _, queries, _ in seen)) == {False, True}
+    assert set().union(*seen) == {False, True}
 
 
-def test_witnesses_are_rebased_onto_the_catalog_entry():
-    # over F_2 with vertex dimensions at most 1 a module has no other form,
-    # so every realized middle is the catalog entry itself; moving each
-    # entry of a catalog over F_3 by vertex scalars leaves realized middles
-    # that only split_off_summand's isomorphism carries onto C
+def test_witnesses_over_moved_catalogs_agree_with_the_scan_oracle():
+    # over F_2 with vertex dimensions at most 1 a module has no other form;
+    # over F_3 each entry is moved by vertex scalars, so the oracle's
+    # realized middles are other forms of C, while each trace's middle is
+    # the moved entry itself
     small = build_example51(p=3, bound=1)
     for host in (small.full_a, small.full_b):
         cat = host.catalog
@@ -336,8 +325,49 @@ def test_witnesses_are_rebased_onto_the_catalog_entry():
 
         moved_cat = Catalog(cat.algebra, p, cat.bound, tuple(moved(m) for m in cat.indecs))
         assert moved_cat.indecs != cat.indecs
-        _, _, rebased = check_witnesses(ExCat(moved_cat, cap=host.cap), 2)
-        assert rebased
+        assert check_against_scan(ExCat(moved_cat, cap=host.cap), 2) == {False, True}
+
+
+def test_torsion_scan_builds_each_trace_once(bundle, monkeypatch):
+    # a trace is kept per host under (C, members of T mapping into C), so a
+    # second pass over the same queries builds none; no extension class is
+    # realized and no summand split off
+    counts = {"universal_map": 0, "realize": 0, "split": 0}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    hosts = [(fresh_copy(h), queries) for h, queries in scan_hosts(bundle)]
+    monkeypatch.setattr(excat, "_universal_map", spy("universal_map", excat._universal_map))
+    monkeypatch.setattr(homext.Ext1Space, "realize", spy("realize", homext.Ext1Space.realize))
+    monkeypatch.setattr(quivrep, "split_off_summand", spy("split", quivrep.split_off_summand))
+    passes = []
+    for _ in range(2):
+        counts.update(dict.fromkeys(counts, 0))
+        for e, queries in hosts:
+            for t, f in queries:
+                verify_torsion_pair(Subcat.add(e.catalog, t), Subcat.add(e.catalog, f), e)
+        passes.append(dict(counts))
+    assert sum(len(q) for _, q in hosts) == 2072
+    assert passes == [{"universal_map": 145, "realize": 0, "split": 0},
+                      {"universal_map": 0, "realize": 0, "split": 0}]
+    assert [len(e._traces) for e, _ in hosts] == [8, 12, 125]
+
+
+def test_trace_with_an_end_outside_the_catalog_has_no_witness(bundle):
+    # a hand-built catalog of mod A without S1: the trace of S2 in P1 is S2,
+    # and P1/S2 = S1 is no catalog entry, so it lies in no member class
+    cat = bundle.mod_a
+    partial = Catalog(cat.algebra, cat.p, cat.bound,
+                      tuple(cat.indecs[a_idx(bundle, name)] for name in ("S2", "P1")))
+    host = ExCat(partial)
+    t, f = Subcat.add(partial, [0]), Subcat.zero(partial)
+    assert verify_torsion_pair(t, f, host).to_json_dict() == {
+        "valid": False, "clause": "conflation_existence", "detail": {"object": 1}}
+    assert find_witness_by_scan(1, t, f, host) is None
 
 
 def test_witnesses_do_not_depend_on_query_order(bundle):
@@ -353,77 +383,6 @@ def test_witnesses_do_not_depend_on_query_order(bundle):
                 q: verify_torsion_pair(sub(q[0]), sub(q[1]), e).to_json_dict() for q in order
             })
         assert answers[0] == answers[1]
-
-
-def test_torsion_scan_realizes_each_candidate_once(bundle, monkeypatch):
-    # a row's outcome decides only whether it is realized again, never which
-    # candidates a query visits, so these counts hold in any query order;
-    # each realized class gets one split test and no decomposition
-    counts = {"realize": 0, "split": 0}
-
-    def spy(name, fn):
-        def wrapped(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapped
-
-    hosts = [(fresh_copy(h), queries) for h, queries in scan_hosts(bundle)]
-    monkeypatch.setattr(homext.Ext1Space, "realize", spy("realize", homext.Ext1Space.realize))
-    monkeypatch.setattr(excat, "split_off_summand", spy("split", excat.split_off_summand))
-    for e, queries in hosts:
-        for t, f in queries:
-            verify_torsion_pair(Subcat.add(e.catalog, t), Subcat.add(e.catalog, f), e)
-    assert sum(len(q) for _, q in hosts) == 2072
-    assert counts == {"realize": 153, "split": 153}
-    assert [sum(row.realized for rows in e._candidate_table.values() for row in rows)
-            for e, _ in hosts] == [9, 11, 98]
-
-
-def test_candidate_table_gives_the_scan_order(bundle):
-    # the host lists each object's candidates once over all members; the rows
-    # a query keeps must be the oracle's scan over T and F, list for list.
-    # That scan lists the pairs of the scan over all members whose parts lie
-    # in T and F, so one oracle call serves every query keeping the same pairs
-    for host, queries in scan_hosts(bundle):
-        cat = host.catalog
-        for c in host.indec_indices():
-            rows = excat._witness_candidates(c, host)
-            full_scan = witness_candidates_by_scan(c, host.objects, host.objects, host)
-            scans = {}
-            for t_tuple, f_tuple in queries:
-                t, f = frozenset(t_tuple), frozenset(f_tuple)
-                kept = [(row.t_ms, row.f_ms) for row in rows
-                        if row.t_support <= t and row.f_support <= f]
-                key = tuple(k for k, (t_ms, f_ms) in enumerate(full_scan)
-                            if t.issuperset(t_ms) and f.issuperset(f_ms))
-                if key not in scans:
-                    scans[key] = witness_candidates_by_scan(
-                        c, Subcat.add(cat, t), Subcat.add(cat, f), host)
-                assert kept == scans[key], (c, t_tuple, f_tuple)
-
-
-def test_candidate_tables_are_built_once_per_object(bundle, monkeypatch):
-    # bounded multisets are enumerated only while a host builds an object's
-    # candidate table, so a second pass over the same queries makes no call
-    calls = []
-    real = excat._bounded_multisets
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    hosts = [(fresh_copy(h), queries) for h, queries in scan_hosts(bundle)]
-    monkeypatch.setattr(excat, "_bounded_multisets", spy)
-    counts = []
-    for _ in range(2):
-        calls.clear()
-        for e, queries in hosts:
-            for t, f in queries:
-                verify_torsion_pair(Subcat.add(e.catalog, t), Subcat.add(e.catalog, f), e)
-        counts.append(len(calls))
-    assert counts == [134, 0]
-    assert [sorted(e._candidate_table) for e, _ in hosts] == \
-        [e.indec_indices() for e, _ in hosts]
 
 
 def test_approximations(bundle, b_indices):

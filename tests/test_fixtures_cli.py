@@ -385,6 +385,17 @@ def test_cli_torsion_enumerate_modlambda_matches_golden(capsys, golden_torsion_p
     assert code == 0 and out == golden_torsion_pairs_mod_lambda
 
 
+def test_torsion_enumerate_over_f3_matches_golden(capsys, golden_torsion_pairs_f3b1):
+    # over F_3 a module has forms other than its catalog entry, so the
+    # witnesses' parts must come from decompositions of their ends
+    assert [entry["argv"][3] for entry in golden_torsion_pairs_f3b1] == ["B", "modLambda"]
+    for entry in golden_torsion_pairs_f3b1:
+        code = main(entry["argv"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (entry["exit_code"], entry["stdout"], entry["stderr"]), entry["argv"]
+
+
 def test_subcat_spec_dimension_vector_patterns(bundle):
     sub = bundle.parse_subcat("(1,1,0,0),(0,0,1,1)", bundle.mod_lambda)
     assert sub.members == {bundle.lambda_names["[P1;0]_0"], bundle.lambda_names["[0;P1]_0"]}
