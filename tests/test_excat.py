@@ -328,10 +328,10 @@ def test_witnesses_over_moved_catalogs_agree_with_the_scan_oracle():
         assert check_against_scan(ExCat(moved_cat, cap=host.cap), 2) == {False, True}
 
 
-def test_torsion_scan_builds_each_trace_once(bundle, monkeypatch):
-    # a trace is kept per host under (C, members of T mapping into C), so a
-    # second pass over the same queries builds none; no extension class is
-    # realized and no summand split off
+def run_scan_passes(bundle, monkeypatch, passes):
+    """Run every scan query on fresh hosts passes times, counting calls of
+    the universal map, of Ext^1 realization and of summand splitting; returns
+    the hosts and each pass's counts."""
     counts = {"universal_map": 0, "realize": 0, "split": 0}
 
     def spy(name, fn):
@@ -344,17 +344,33 @@ def test_torsion_scan_builds_each_trace_once(bundle, monkeypatch):
     monkeypatch.setattr(excat, "_universal_map", spy("universal_map", excat._universal_map))
     monkeypatch.setattr(homext.Ext1Space, "realize", spy("realize", homext.Ext1Space.realize))
     monkeypatch.setattr(quivrep, "split_off_summand", spy("split", quivrep.split_off_summand))
-    passes = []
-    for _ in range(2):
+    passes_seen = []
+    for _ in range(passes):
         counts.update(dict.fromkeys(counts, 0))
         for e, queries in hosts:
             for t, f in queries:
                 verify_torsion_pair(Subcat.add(e.catalog, t), Subcat.add(e.catalog, f), e)
-        passes.append(dict(counts))
+        passes_seen.append(dict(counts))
     assert sum(len(q) for _, q in hosts) == 2072
-    assert passes == [{"universal_map": 145, "realize": 0, "split": 0},
-                      {"universal_map": 0, "realize": 0, "split": 0}]
+    return hosts, passes_seen
+
+
+def test_torsion_scan_realizes_each_candidate_once(bundle, monkeypatch):
+    # each object's one witness candidate for T is its trace, built by one
+    # universal map per key (C, members of T mapping into C); no extension
+    # class is realized and no summand split off
+    hosts, seen = run_scan_passes(bundle, monkeypatch, 1)
+    assert seen == [{"universal_map": 145, "realize": 0, "split": 0}]
     assert [len(e._traces) for e, _ in hosts] == [8, 12, 125]
+
+
+def test_candidate_tables_are_built_once_per_object(bundle, monkeypatch):
+    # a host keeps its traces, so a second pass over the same queries builds
+    # none, and every object of every host has had a trace built
+    hosts, seen = run_scan_passes(bundle, monkeypatch, 2)
+    assert [s["universal_map"] for s in seen] == [145, 0]
+    assert [sorted({c for c, _ in e._traces}) for e, _ in hosts] == \
+        [e.indec_indices() for e, _ in hosts]
 
 
 def test_trace_with_an_end_outside_the_catalog_has_no_witness(bundle):
