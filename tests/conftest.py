@@ -62,3 +62,13 @@ def golden_catalog_isolated():
 @pytest.fixture(scope="session")
 def golden_torsion_pairs_f3b1():
     return json.loads((GOLDEN_DIR / "torsion_pairs_f3b1.json").read_text())
+
+
+@pytest.fixture(scope="session")
+def golden_cli_errors():
+    return json.loads((GOLDEN_DIR / "cli_errors.json").read_text())
+
+
+@pytest.fixture(scope="session")
+def golden_example51_report():
+    return (GOLDEN_DIR / "example51_report.txt").read_text()

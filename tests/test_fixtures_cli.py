@@ -1,5 +1,6 @@
 """Fixture bundle determinism and the command line surface."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -394,6 +395,26 @@ def test_torsion_enumerate_over_f3_matches_golden(capsys, golden_torsion_pairs_f
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == \
             (entry["exit_code"], entry["stdout"], entry["stderr"]), entry["argv"]
+
+
+def test_cli_error_paths_match_golden(capsys, golden_cli_errors):
+    # inputs that are not torsion pairs print an error document and exit 1;
+    # an unknown name is read before any pair is verified, and exits 2
+    assert [entry["exit_code"] for entry in golden_cli_errors] == [1, 1, 2, 1, 2, 2, 2, 0]
+    for entry in golden_cli_errors:
+        code = main(entry["argv"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (entry["exit_code"], entry["stdout"], entry["stderr"]), entry["argv"]
+
+
+def test_example51_report_matches_golden(capsys, golden_example51_report):
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "example51_report.py"
+    spec = importlib.util.spec_from_file_location("example51_report", script)
+    report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report)
+    assert report.main() == 0
+    assert capsys.readouterr().out == golden_example51_report
 
 
 def test_subcat_spec_dimension_vector_patterns(bundle):
