@@ -27,11 +27,8 @@ from extriang.recol import (
 
 
 def label_set(bundle, catalog, indices):
-    rev = {}
-    names = bundle.a_names if catalog is bundle.mod_a else bundle.lambda_names
-    for k, v in names.items():
-        rev.setdefault(v, k)
-    return "{" + ", ".join(rev[i] for i in sorted(indices)) + "}"
+    labels = bundle.labels(catalog)
+    return "{" + ", ".join(labels[str(i)] for i in sorted(indices)) + "}"
 
 
 def main() -> int:

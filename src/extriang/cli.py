@@ -1,9 +1,12 @@
 """Command line front end.
 
-Every subcommand prints a JSON document (top-level "schema": 1) to stdout,
-or a human-readable rendering with --pretty.  Exit codes: 0 all checks
-passed, 1 a mathematical check failed (report still printed), 2 bad input,
-141 stdout closed before the report was written (as for a SIGPIPE kill).
+Every subcommand prints one document to stdout: JSON with top-level
+"schema": 1 and a "kind" naming its contents, or a human-readable
+rendering with --pretty.  Exit codes: 0 all checks passed, 1 a mathematical
+check failed (the document is still printed), 2 bad input (a message on
+stderr, nothing on stdout), 141 stdout closed before the document was
+written (as for a SIGPIPE kill).  Each handler returns its document and
+verdict, and `_emit` alone prints the one and maps the other to 0 or 1.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import os
 import sys
 
-from .quivrep import AlgebraFormatError, enumerate_indecomposables, parse_algebra_text
+from .quivrep import enumerate_indecomposables, parse_algebra_text
 from .excat import (
     enumerate_torsion_pairs,
     is_cluster_tilting,
@@ -21,7 +24,7 @@ from .excat import (
     torsion_pairs_document,
     verify_torsion_pair,
 )
-from .fixtures import FixtureBundle, build_example51
+from .fixtures import build_example51
 from .recol import (
     check_recollement,
     classify_all,
@@ -35,11 +38,25 @@ class InputError(Exception):
     pass
 
 
-def _emit(payload: dict, pretty: bool) -> None:
+class Refused(Exception):
+    """An input failed its check before the command could run: the document
+    says why, and the exit code is 1."""
+
+    def __init__(self, document: dict):
+        super().__init__(document["error"])
+        self.document = document
+
+
+def _emit(document: dict, ok: bool, pretty: bool) -> int:
+    """Print one document and map its verdict to the exit code."""
+    document = {"schema": 1, **document}
     if pretty:
-        _render(payload, indent=0)
+        _render(document, indent=0)
     else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(document, sort_keys=True, indent=2))
+    # flush here, so a closed reader surfaces in `main` and not at exit
+    sys.stdout.flush()
+    return 0 if ok else 1
 
 
 def _render(obj, indent: int) -> None:
@@ -63,200 +80,122 @@ def _render(obj, indent: int) -> None:
         print(f"{pad}{obj}")
 
 
-def _bundle(args) -> FixtureBundle:
-    return build_example51(p=args.field, bound=args.bound)
-
-
 # category name -> bundle attribute; only the chosen one is built
 _CATEGORIES = {"A": "a_ext", "B": "b_ext", "C": "c_ext", "modA": "full_a", "modLambda": "full_b"}
 
 
-def _excat_by_name(bundle: FixtureBundle, which: str):
-    if which not in _CATEGORIES:
-        raise InputError(f"unknown category {which!r}; pick one of {sorted(_CATEGORIES)}")
-    return getattr(bundle, _CATEGORIES[which])
+def _host(args):
+    """The bundle, the category named by --example51 and its catalog's labels."""
+    if args.category not in _CATEGORIES:
+        raise InputError(f"unknown category {args.category!r}; pick one of {sorted(_CATEGORIES)}")
+    bundle = build_example51(args.field, args.bound)
+    e = getattr(bundle, _CATEGORIES[args.category])
+    return bundle, e, bundle.labels(e.catalog)
 
 
-def _labels_for(bundle: FixtureBundle, catalog) -> dict[str, str]:
-    names = bundle.a_names if catalog is bundle.mod_a else bundle.lambda_names
-    out: dict[str, str] = {}
-    for label, idx in names.items():
-        out.setdefault(str(idx), label)
-    return out
+def _torsion_pair(kind: str, which: str, t, f, e):
+    """The pair (t, f) of `e` once verified; refused with its verdict if it fails."""
+    res = verify_torsion_pair(t, f, e)
+    if not res.ok:
+        raise Refused({"kind": kind, "error": f"{which} is not a torsion pair",
+                       "detail": res.to_json_dict()})
+    return res.pair
 
 
-# -- subcommand handlers ------------------------------------------------------
+# -- subcommand handlers: each returns (document, verdict) -----------------------
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args):
     if args.algebra_file:
         try:
             with open(args.algebra_file) as fh:
                 text = fh.read()
         except OSError as exc:
             raise InputError(str(exc)) from exc
-        algebra = parse_algebra_text(text)
-        catalog = enumerate_indecomposables(algebra, args.bound, args.field)
-        payload = catalog.to_json_dict()
+        catalog = enumerate_indecomposables(parse_algebra_text(text), args.bound, args.field)
+        doc = catalog.to_json_dict()
     elif args.example51:
-        bundle = _bundle(args)
+        bundle = build_example51(args.field, args.bound)
         catalog = bundle.mod_a if args.example51 == "modA" else bundle.mod_lambda
-        payload = catalog.to_json_dict()
-        payload["labels"] = _labels_for(bundle, catalog)
+        doc = catalog.to_json_dict()
+        doc["labels"] = bundle.labels(catalog)
         if args.example51 == "modLambda" and bundle.notes:
-            payload["notes"] = bundle.notes
+            doc["notes"] = bundle.notes
     else:
         raise InputError("need an algebra file or --example51")
-    payload["count"] = len(catalog)
-    _emit(payload, args.pretty)
-    return 0
+    doc["count"] = len(catalog)
+    return doc, True
 
 
-def cmd_torsion(args) -> int:
-    bundle = _bundle(args)
-    e = _excat_by_name(bundle, args.category)
+def cmd_torsion(args):
+    bundle, e, labels = _host(args)
     if args.action == "enumerate":
-        payload = torsion_pairs_document(enumerate_torsion_pairs(e), e)
-        payload.update(category=args.category, labels=_labels_for(bundle, e.catalog))
-        _emit(payload, args.pretty)
-        return 0
+        doc = torsion_pairs_document(enumerate_torsion_pairs(e), e)
+        return dict(doc, category=args.category, labels=labels), True
     t = bundle.parse_subcat(args.t, e.catalog)
     f = bundle.parse_subcat(args.f, e.catalog)
     res = verify_torsion_pair(t, f, e)
-    payload = {
-        "schema": 1,
-        "kind": "torsion_verify",
-        "category": args.category,
-        "labels": _labels_for(bundle, e.catalog),
-        "result": res.to_json_dict(),
-    }
-    _emit(payload, args.pretty)
-    return 0 if res.ok else 1
+    return {"kind": "torsion_verify", "category": args.category, "labels": labels,
+            "result": res.to_json_dict()}, res.ok
 
 
-def cmd_recollement(args) -> int:
-    bundle = _bundle(args)
+def cmd_recollement(args):
+    bundle = build_example51(args.field, args.bound)
     r = bundle.restricted if args.which == "restricted" else bundle.full
     if args.action == "check":
         report = check_recollement(r)
-        payload = {
-            "schema": 1,
-            "kind": "recollement_check",
-            "which": args.which,
-            "report": report.to_json_dict(),
-        }
-        _emit(payload, args.pretty)
-        return 0 if report.ok else 1
+        return {"kind": "recollement_check", "which": args.which,
+                "report": report.to_json_dict()}, report.ok
     classifications = classify_all(r)
-    payload = {
-        "schema": 1,
-        "kind": "recollement_classify",
-        "which": args.which,
-        "end_summand_cap": {"middle": r.b_cat.cap, "outer": r.a_cat.cap},
-        "classifications": {name: cls.to_json_dict() for name, cls in classifications.items()},
-    }
-    _emit(payload, args.pretty)
-    return 0
+    return {"kind": "recollement_classify", "which": args.which,
+            "end_summand_cap": {"middle": r.b_cat.cap, "outer": r.a_cat.cap},
+            "classifications": {name: cls.to_json_dict()
+                                for name, cls in classifications.items()}}, True
 
 
-def cmd_glue(args) -> int:
-    bundle = _bundle(args)
+def cmd_glue(args):
+    bundle = build_example51(args.field, args.bound)
     r = bundle.restricted
-    t1 = bundle.parse_subcat(args.t1, bundle.mod_a)
-    f1 = bundle.parse_subcat(args.f1, bundle.mod_a)
-    t2 = bundle.parse_subcat(args.t2, bundle.mod_a)
-    f2 = bundle.parse_subcat(args.f2, bundle.mod_a)
-    res1 = verify_torsion_pair(t1, f1, r.a_cat)
-    if not res1.ok:
-        _emit({"schema": 1, "kind": "glue", "error": "first input is not a torsion pair",
-               "detail": res1.to_json_dict()}, args.pretty)
-        return 1
-    res2 = verify_torsion_pair(t2, f2, r.c_cat)
-    if not res2.ok:
-        _emit({"schema": 1, "kind": "glue", "error": "second input is not a torsion pair",
-               "detail": res2.to_json_dict()}, args.pretty)
-        return 1
-    g = glue_torsion_pairs(r, res1.pair, res2.pair)
-    payload = {
-        "schema": 1,
-        "kind": "glue",
-        "labels": _labels_for(bundle, bundle.mod_lambda),
-        "result": g.to_json_dict(),
-    }
-    _emit(payload, args.pretty)
-    return 0 if g.verdict.ok else 1
+    t1, f1, t2, f2 = (bundle.parse_subcat(spec, bundle.mod_a)
+                      for spec in (args.t1, args.f1, args.t2, args.f2))
+    g = glue_torsion_pairs(r, _torsion_pair("glue", "first input", t1, f1, r.a_cat),
+                           _torsion_pair("glue", "second input", t2, f2, r.c_cat))
+    return {"kind": "glue", "labels": bundle.labels(bundle.mod_lambda),
+            "result": g.to_json_dict()}, g.verdict.ok
 
 
-def cmd_restrict(args) -> int:
-    bundle = _bundle(args)
+def cmd_restrict(args):
+    bundle = build_example51(args.field, args.bound)
     r = bundle.restricted
     t = bundle.parse_subcat(args.t, bundle.mod_lambda)
     f = bundle.parse_subcat(args.f, bundle.mod_lambda)
-    res = verify_torsion_pair(t, f, r.b_cat)
-    if not res.ok:
-        _emit({"schema": 1, "kind": "restrict", "error": "input is not a torsion pair",
-               "detail": res.to_json_dict()}, args.pretty)
-        return 1
-    rr = restrict_torsion_pair(r, res.pair)
-    payload = {
-        "schema": 1,
-        "kind": "restrict",
-        "labels_outer": _labels_for(bundle, bundle.mod_a),
-        "result": rr.to_json_dict(),
-    }
-    _emit(payload, args.pretty)
-    return 0 if rr.a_verdict.ok and rr.c_verdict.ok else 1
+    rr = restrict_torsion_pair(r, _torsion_pair("restrict", "input", t, f, r.b_cat))
+    return {"kind": "restrict", "labels_outer": bundle.labels(bundle.mod_a),
+            "result": rr.to_json_dict()}, rr.a_verdict.ok and rr.c_verdict.ok
 
 
-def cmd_cluster_tilting(args) -> int:
-    bundle = _bundle(args)
-    e = _excat_by_name(bundle, args.category)
+def cmd_cluster_tilting(args):
+    bundle, e, labels = _host(args)
     t = bundle.parse_subcat(args.t, e.catalog)
     report = is_cluster_tilting(t, e)
-    payload = {
-        "schema": 1,
-        "kind": "cluster_tilting",
-        "category": args.category,
-        "t": t.sorted_members(),
-        "labels": _labels_for(bundle, e.catalog),
-        "report": report.to_json_dict(),
-    }
-    _emit(payload, args.pretty)
-    return 0 if report.ok else 1
+    return {"kind": "cluster_tilting", "category": args.category, "t": t.sorted_members(),
+            "labels": labels, "report": report.to_json_dict()}, report.ok
 
 
-def cmd_quotient(args) -> int:
-    bundle = _bundle(args)
-    e = _excat_by_name(bundle, args.category)
-    t = bundle.parse_subcat(args.t, e.catalog)
-    q = quotient(e, t)
-    payload = {
-        "schema": 1,
-        "kind": "quotient",
-        "category": args.category,
-        "labels": _labels_for(bundle, e.catalog),
-        "result": q.to_json_dict(),
-    }
-    _emit(payload, args.pretty)
-    return 0
+def cmd_quotient(args):
+    bundle, e, labels = _host(args)
+    q = quotient(e, bundle.parse_subcat(args.t, e.catalog))
+    return {"kind": "quotient", "category": args.category, "labels": labels,
+            "result": q.to_json_dict()}, True
 
 
-def cmd_quotient_recollement(args) -> int:
-    bundle = _bundle(args)
+def cmd_quotient_recollement(args):
+    bundle = build_example51(args.field, args.bound)
     t = bundle.parse_subcat(args.t, bundle.mod_lambda)
-    res = quotient_recollement(
-        bundle.restricted, t, require_cluster_tilting=not args.force)
-    payload = {
-        "schema": 1,
-        "kind": "quotient_recollement",
-        "labels": _labels_for(bundle, bundle.mod_lambda),
-        "result": res.to_json_dict(),
-    }
-    _emit(payload, args.pretty)
-    if not res.constructed:
-        return 1
-    checks_ok = all(v for v in res.induced_checks.values() if isinstance(v, bool))
-    return 0 if checks_ok else 1
+    res = quotient_recollement(bundle.restricted, t, require_cluster_tilting=not args.force)
+    ok = res.constructed and all(v for v in res.induced_checks.values() if isinstance(v, bool))
+    return {"kind": "quotient_recollement", "labels": bundle.labels(bundle.mod_lambda),
+            "result": res.to_json_dict()}, ok
 
 
 # -- parser ---------------------------------------------------------------------
@@ -329,13 +268,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        # flush here, so a closed reader surfaces below and not at exit
-        sys.stdout.flush()
-        return code
+        document, ok = args.func(args)
+    except Refused as exc:
+        document, ok = exc.document, False
+    except (InputError, KeyError, ValueError) as exc:
+        # user-supplied data violating a precondition (a malformed algebra
+        # file, an unknown label, a subcategory member outside the chosen
+        # category) lands here
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return _emit(document, ok, args.pretty)
     except BrokenPipeError:
         # the reader has gone; send what is still buffered to the null
         # device, so the interpreter's final flush stays silent too
@@ -343,14 +288,6 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except AlgebraFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (InputError, KeyError, ValueError) as exc:
-        # user-supplied data violating a precondition (e.g. a subcategory
-        # member outside the chosen category) lands here
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -118,9 +118,19 @@ class FixtureBundle:
     def full(self) -> RecollementData:
         return six_functors(self.full_a, self.full_b, self.full_c, self.triangular)
 
+    def _names(self, catalog: Catalog) -> dict[str, int]:
+        return self.a_names if catalog is self.mod_a else self.lambda_names
+
+    def labels(self, catalog: Catalog) -> dict[str, str]:
+        """Each index of `catalog` (as a string, the JSON key form) -> its first label."""
+        out: dict[str, str] = {}
+        for label, idx in self._names(catalog).items():
+            out.setdefault(str(idx), label)
+        return out
+
     def resolve(self, token: str, catalog: Catalog) -> int:
         """Catalog index from a label, an integer, or a (d1,d2,...) pattern."""
-        names = self.a_names if catalog is self.mod_a else self.lambda_names
+        names = self._names(catalog)
         if token in names:
             return names[token]
         if token.startswith("(") and token.endswith(")"):

@@ -862,8 +862,10 @@ def _orbit_labels(algebra: Algebra, p: int, dv: tuple[int, ...], index_maps: dic
     jumping, until nothing changes; each label is then the position of the
     least flat index of its orbit.  A generator's index map on an arrow's
     matrices depends only on p, the arrow's shape, the generator and the
-    side it acts on, so it is built once and kept in index_maps under that
-    key; enumerate_indecomposables passes one dict for all its dimension
+    side it acts on, so the maps of all generators are built once and kept
+    in index_maps under (p, shape, side); the generators of GL(d, F_p) are
+    built only for such a miss, once, and kept under (p, d).
+    enumerate_indecomposables passes one dict for all its dimension
     vectors.  Returns the grid shape, the arrow shapes, the ascending flat
     indices of the relation-satisfying cells and their labels.
     """
@@ -889,17 +891,23 @@ def _orbit_labels(algebra: Algebra, p: int, dv: tuple[int, ...], index_maps: dic
         touching = [k for k, a in enumerate(arrows) if v in (a.src, a.tgt) and grid[k] > 1]
         if not touching:
             continue
-        for j, (g, g_inv) in enumerate(_gl_generators(dv[i], p)):
+        per_arrow = []
+        for k in touching:
+            r, c = shapes[k]
+            side = (arrows[k].tgt == v, arrows[k].src == v)
+            key = (p, (r, c), side)
+            if key not in index_maps:
+                if (p, dv[i]) not in index_maps:
+                    index_maps[p, dv[i]] = _gl_generators(dv[i], p)
+                index_maps[key] = [
+                    _moved_codes(p, r, c, g if side[0] else np.eye(r, dtype=np.int64),
+                                 g_inv if side[1] else np.eye(c, dtype=np.int64))
+                    for g, g_inv in index_maps[p, dv[i]]]
+            per_arrow.append(index_maps[key])
+        for generator_maps in zip(*per_arrow):
             maps = list(unmoved)
-            for k in touching:
-                r, c = shapes[k]
-                side = (arrows[k].tgt == v, arrows[k].src == v)
-                key = (p, (r, c), j, side)
-                if key not in index_maps:
-                    left = g if side[0] else np.eye(r, dtype=np.int64)
-                    right = g_inv if side[1] else np.eye(c, dtype=np.int64)
-                    index_maps[key] = _moved_codes(p, r, c, left, right)
-                maps[k] = index_maps[key]
+            for k, index_map in zip(touching, generator_maps):
+                maps[k] = index_map
             moves.append(np.ix_(*maps) if dense else _positions(cells, strides, digits, maps, touching))
 
     label = np.arange(len(cells), dtype=np.int32)
@@ -1040,7 +1048,7 @@ def enumerate_indecomposables(algebra: Algebra, bound: int, p: int = DEFAULT_PRI
     # every isomorphism class at each dimension vector done so far, as the
     # ascending tuple of its summands' indices in found
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    # the generators' index maps on arrow matrices, shared by every grid
+    # the generators and their index maps on arrow matrices, shared by every grid
     index_maps: dict = {}
     for dv in dim_vectors:
         sums = _sums_at(found, classes, dv)

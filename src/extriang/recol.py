@@ -513,40 +513,26 @@ def check_recollement(r: RecollementData) -> RecollementReport:
                 ff_fail.append((name, i, j, "not bijective"))
     clauses.append(_clause("R3_fully_faithful", ff_fail, 5))
 
-    # R4: left exact four-term sequence per object
-    r4_fail = []
-    for b in r.b_cat.indec_indices():
-        m = r.b_cat.catalog.indecs[b]
-        theta = tri.theta_of(m)
-        vartheta = tri.vartheta_of(m)
-        if not is_left_exact_seq(theta, vartheta, r.b_cat):
-            r4_fail.append((b, "three-term part not left exact"))
-            continue
-        cok_mod, _, sect = cokernel(theta)
-        induced = Morphism(cok_mod, vartheta.target,
-                           {v: vartheta.comps[v] @ sect[v] for v in m.algebra.vertices})
-        tail, _, _ = cokernel(induced)
-        if not tail.is_zero():
-            dec = r.b_cat.catalog.decompose(tail)
-            if not set(dec) <= image:
-                r4_fail.append((b, "fourth term outside Im i_*"))
-    clauses.append(_clause("R4_left_exact_sequence", r4_fail))
-
-    # R5: right exact four-term sequence per object
-    r5_fail = []
-    for b in r.b_cat.indec_indices():
-        m = r.b_cat.catalog.indecs[b]
-        upsilon = tri.upsilon_of(m)
-        nu = tri.nu_of(m)
-        if not is_right_exact_seq(upsilon, nu, r.b_cat):
-            r5_fail.append((b, "three-term part not right exact"))
-            continue
-        head, _ = kernel(upsilon)
-        if not head.is_zero():
-            dec = r.b_cat.catalog.decompose(head)
-            if not set(dec) <= image:
-                r5_fail.append((b, "first term outside Im i_*"))
-    clauses.append(_clause("R5_right_exact_sequence", r5_fail))
+    # R4 and R5: per object, a left exact four-term sequence ending in
+    # coker(vartheta) and a right exact one starting at ker(upsilon), whose
+    # outer terms lie in Im i_*
+    for clause, first, second, side, exact, outer_term, outer in (
+        ("R4_left_exact_sequence", "theta", "vartheta", "left", is_left_exact_seq,
+         lambda f, g: cokernel(g)[0], "fourth"),
+        ("R5_right_exact_sequence", "upsilon", "nu", "right", is_right_exact_seq,
+         lambda f, g: kernel(f)[0], "first"),
+    ):
+        fail = []
+        for b in r.b_cat.indec_indices():
+            m = r.b_cat.catalog.indecs[b]
+            f, g = getattr(tri, f"{first}_of")(m), getattr(tri, f"{second}_of")(m)
+            if not exact(f, g, r.b_cat):
+                fail.append((b, f"three-term part not {side} exact"))
+                continue
+            term = outer_term(f, g)
+            if not term.is_zero() and not set(r.b_cat.catalog.decompose(term)) <= image:
+                fail.append((b, f"{outer} term outside Im i_*"))
+        clauses.append(_clause(clause, fail))
 
     # consequences: natural isomorphisms and vanishing composites, applying
     # the outer functor of each composite to the inner one's tabulated

@@ -37,6 +37,10 @@ where `recol` reads the classes off the tabulated functors.
 tuple of a chunk, recomputing every term in every chunk, and tests it for
 zero, where `quivrep._relation_mask` evaluates each term over its own axes
 and compares row codes.
+`is_right_exact_by_factoring` and `is_left_exact_by_factoring` build the
+map A ->> ker g or coker f >-> C that f and g induce and test it for a
+deflation or an inflation, where `excat` reads exactness at the middle off
+ranks and tests ker f or coker g for membership.
 `ext_push`, `ext_pull` and `reduce_class` are the one-class forms of
 `homext`'s batched pushes, pulls and reductions, and `dump_algebra_text`
 writes the text format `quivrep.parse_algebra_text` reads.
@@ -54,6 +58,8 @@ from extriang.excat import (
     ExCat,
     Subcat,
     is_cluster_tilting,
+    is_deflation,
+    is_inflation,
     is_left_exact_seq,
     is_right_exact_seq,
     quotient,
@@ -690,3 +696,27 @@ def relation_mask_by_totals(algebra: Algebra, p: int, shapes: list[tuple[int, in
                 total = total + coeff % p * term
             valid[(slice(None),) * first + (slice(lo, hi),)] &= ~np.any(total % p, axis=(-2, -1))
     return valid
+
+
+def is_right_exact_by_factoring(f: Morphism, g: Morphism, e: ExCat) -> bool:
+    """g is a deflation, g o f = 0, and the map A ->> ker(g) that f factors
+    through is again a deflation."""
+    if f.target != g.source:
+        raise ValueError("sequence not composable")
+    if not is_deflation(g, e) or not (g @ f).is_zero():
+        return False
+    ker_mod, incl = kernel(g)
+    comps = {v: incl.comps[v].solve(f.comps[v]) for v in f.source.algebra.vertices}
+    return is_deflation(Morphism(f.source, ker_mod, comps), e)
+
+
+def is_left_exact_by_factoring(f: Morphism, g: Morphism, e: ExCat) -> bool:
+    """f is an inflation, g o f = 0, and the map coker(f) >-> C that g
+    factors through is again an inflation."""
+    if f.target != g.source:
+        raise ValueError("sequence not composable")
+    if not is_inflation(f, e) or not (g @ f).is_zero():
+        return False
+    cok_mod, _, sect = cokernel(f)
+    comps = {v: g.comps[v] @ sect[v] for v in f.source.algebra.vertices}
+    return is_inflation(Morphism(cok_mod, g.target, comps), e)

@@ -7,7 +7,9 @@ import pytest
 
 from extriang import excat, homext, quivrep
 from extriang.fixtures import A2_ALGEBRA, build_example51
-from extriang.quivrep import Catalog, Module, Morphism, hom_basis, zero_morphism, identity_morphism
+from extriang.quivrep import (
+    Catalog, Module, Morphism, hom_basis, identity_morphism, zero_module, zero_morphism,
+)
 from extriang.excat import (
     ExCat,
     NotExtensionClosedError,
@@ -27,6 +29,8 @@ from extriang.excat import (
 from oracles import (
     find_approximations,
     find_witness_by_scan,
+    is_left_exact_by_factoring,
+    is_right_exact_by_factoring,
     morphism_from_coords,
 )
 
@@ -123,6 +127,39 @@ def test_both_sided_exactness_characterizes_conflations(bundle):
                         assert both_exact == is_conflation
                         both += both_exact
     assert checked > 0 and both > 0  # the scan saw both kinds
+
+
+def test_one_sided_exactness_agrees_with_the_factoring_oracle(bundle, monkeypatch):
+    # every composable pair of Hom basis maps between members, and the
+    # images of every conflation under the six functors, which is what
+    # exactness grading tests; the rank route builds no induced morphism
+    def no_morphism(*args, **kwargs):
+        raise AssertionError("an induced morphism was built")
+
+    # add(P1, S1) is extension closed, and the kernel S2 of P1 ->> S1 is not in it
+    p1_s1 = ExCat(bundle.mod_a, {a_idx(bundle, "P1"), a_idx(bundle, "S1")})
+    cases = []
+    for e in (bundle.a_ext, bundle.b_ext, bundle.full_a, p1_s1):
+        members = e.indec_indices()
+        mods = e.catalog.indecs
+        z = zero_module(e.catalog.algebra, e.catalog.p)
+        pairs = [(f, g) for i, j, k in itertools.product(members, repeat=3)
+                 for f in e.catalog.hom(i, j) for g in e.catalog.hom(j, k)]
+        # a zero end on either side: f is judged alone by the right test,
+        # and g alone by the left one
+        for i, j in itertools.product(members, repeat=2):
+            pairs += [(f, zero_morphism(mods[j], z)) for f in e.catalog.hom(i, j)]
+            pairs += [(zero_morphism(z, mods[i]), g) for g in e.catalog.hom(i, j)]
+        cases += [(f, g, e) for f, g in pairs]
+    for fd in bundle.restricted.six.values():
+        cases += [(fd.apply_mor(rec.ses.inc), fd.apply_mor(rec.ses.prj), fd.target)
+                  for rec in fd.source.conflations]
+    expected = [(is_left_exact_by_factoring(*case), is_right_exact_by_factoring(*case))
+                for case in cases]
+    monkeypatch.setattr(excat, "Morphism", no_morphism)
+    assert [(is_left_exact_seq(*case), is_right_exact_seq(*case)) for case in cases] == expected
+    # the scan saw every verdict on each side
+    assert {left for left, _ in expected} == {right for _, right in expected} == {True, False}
 
 
 def test_projective_to_zero_is_right_not_left_exact(bundle):

@@ -631,6 +631,24 @@ def test_enumeration_builds_each_index_map_once(monkeypatch):
     assert len(masked) == 48
 
 
+@pytest.mark.parametrize("algebra, p, bound, builds", [
+    (LAMBDA, 2, 2, [(1, 2), (2, 2)]), (LAMBDA, 3, 1, [(1, 3)]), (A2, 5, 2, [(1, 5), (2, 5)]),
+], ids=["Lambda-2-2", "Lambda-3-1", "modA-5-2"])
+def test_enumeration_builds_each_gl_generator_set_once(monkeypatch, algebra, p, bound, builds):
+    # the generators of GL(d, F_p) are built only where an index map is
+    # missing, and then once per (d, p) for the whole enumeration
+    built = []
+    gl_generators = quivrep._gl_generators
+
+    def spy(d, p):
+        built.append((d, p))
+        return gl_generators(d, p)
+
+    monkeypatch.setattr(quivrep, "_gl_generators", spy)
+    enumerate_indecomposables(algebra, bound, p)
+    assert sorted(built) == builds
+
+
 def test_enumeration_runs_no_split_test(monkeypatch):
     calls = []
 
