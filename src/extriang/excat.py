@@ -225,13 +225,15 @@ def _exact_in_middle(f: Morphism, g: Morphism, e: ExCat) -> bool:
 def is_right_exact_seq(f: Morphism, g: Morphism, e: ExCat) -> bool:
     """g is a deflation, g o f = 0, and A ->> ker(g) is again a deflation:
     f maps onto ker g, and the induced map's kernel, ker f, lies in e."""
-    return _exact_in_middle(f, g, e) and is_deflation(g, e) and e.contains(kernel(f)[0])
+    return (_exact_in_middle(f, g, e) and g.is_surjective()
+            and e.contains(kernel(g)[0]) and e.contains(kernel(f)[0]))
 
 
 def is_left_exact_seq(f: Morphism, g: Morphism, e: ExCat) -> bool:
     """f is an inflation, g o f = 0, and coker(f) >-> C is again an inflation:
     ker g is im f, and the induced map's cokernel, coker g, lies in e."""
-    return _exact_in_middle(f, g, e) and is_inflation(f, e) and e.contains(cokernel(g)[0])
+    return (_exact_in_middle(f, g, e) and f.is_injective()
+            and e.contains(cokernel(f)[0]) and e.contains(cokernel(g)[0]))
 
 
 # -- torsion pairs -------------------------------------------------------------

@@ -517,15 +517,15 @@ def check_recollement(r: RecollementData) -> RecollementReport:
     # coker(vartheta) and a right exact one starting at ker(upsilon), whose
     # outer terms lie in Im i_*
     for clause, first, second, side, exact, outer_term, outer in (
-        ("R4_left_exact_sequence", "theta", "vartheta", "left", is_left_exact_seq,
+        ("R4_left_exact_sequence", tri.theta_of, tri.vartheta_of, "left", is_left_exact_seq,
          lambda f, g: cokernel(g)[0], "fourth"),
-        ("R5_right_exact_sequence", "upsilon", "nu", "right", is_right_exact_seq,
+        ("R5_right_exact_sequence", tri.upsilon_of, tri.nu_of, "right", is_right_exact_seq,
          lambda f, g: kernel(f)[0], "first"),
     ):
         fail = []
         for b in r.b_cat.indec_indices():
             m = r.b_cat.catalog.indecs[b]
-            f, g = getattr(tri, f"{first}_of")(m), getattr(tri, f"{second}_of")(m)
+            f, g = first(m), second(m)
             if not exact(f, g, r.b_cat):
                 fail.append((b, f"three-term part not {side} exact"))
                 continue

@@ -136,10 +136,14 @@ def test_one_sided_exactness_agrees_with_the_factoring_oracle(bundle, monkeypatc
     def no_morphism(*args, **kwargs):
         raise AssertionError("an induced morphism was built")
 
-    # add(P1, S1) is extension closed, and the kernel S2 of P1 ->> S1 is not in it
+    # add(P1, S1) is extension closed, and the kernel S2 of P1 ->> S1 is not
+    # in it; in the last host some sequences exact at the middle have a
+    # ker g or coker f outside it
     p1_s1 = ExCat(bundle.mod_a, {a_idx(bundle, "P1"), a_idx(bundle, "S1")})
+    n = bundle.lambda_names
+    leaky = ExCat(bundle.mod_lambda, {n["[0;S1]_0"], n["[S2;0]_0"], n["[0;P1]_0"], n["[S2;S2]_1"]})
     cases = []
-    for e in (bundle.a_ext, bundle.b_ext, bundle.full_a, p1_s1):
+    for e in (bundle.a_ext, bundle.b_ext, bundle.full_a, p1_s1, leaky):
         members = e.indec_indices()
         mods = e.catalog.indecs
         z = zero_module(e.catalog.algebra, e.catalog.p)
@@ -150,6 +154,12 @@ def test_one_sided_exactness_agrees_with_the_factoring_oracle(bundle, monkeypatc
         for i, j in itertools.product(members, repeat=2):
             pairs += [(f, zero_morphism(mods[j], z)) for f in e.catalog.hom(i, j)]
             pairs += [(zero_morphism(z, mods[i]), g) for g in e.catalog.hom(i, j)]
+        # X >-> X + X ->> X onto either summand: the ranks fill the middle
+        # both times, but only the second composite is zero
+        for i in members:
+            twice = [mods[i], mods[i]]
+            pairs += [(homext.summand_inclusion(twice, 0), homext.summand_projection(twice, k))
+                      for k in (0, 1)]
         cases += [(f, g, e) for f, g in pairs]
     for fd in bundle.restricted.six.values():
         cases += [(fd.apply_mor(rec.ses.inc), fd.apply_mor(rec.ses.prj), fd.target)

@@ -9,6 +9,8 @@ from extriang.exactfield import Mat
 from extriang.quivrep import (
     Algebra,
     Arrow,
+    Morphism,
+    cokernel,
     enumerate_indecomposables,
     hom_basis,
     identity_morphism,
@@ -154,6 +156,20 @@ def test_check_recollement_passes(bundle):
     for r in (bundle.restricted, bundle.full, small.restricted, small.full):
         report = check_recollement(r)
         assert report.ok, report.to_json_dict()
+
+
+def test_r4_fourth_term_is_the_cokernel_of_vartheta(bundle):
+    # R4 reads its fourth term as coker(vartheta): the map coker(theta) ->
+    # i_* i^* m that vartheta induces has the image of vartheta
+    small = build_example51(3, 1)
+    for r in (bundle.restricted, bundle.full, small.restricted, small.full):
+        catalog = r.b_cat.catalog
+        for m in (catalog.indecs[b] for b in r.b_cat.indec_indices()):
+            theta, vartheta = r.triangular.theta_of(m), r.triangular.vartheta_of(m)
+            cok, _, sect = cokernel(theta)
+            induced = Morphism(cok, vartheta.target,
+                               {v: vartheta.comps[v] @ sect[v] for v in vartheta.comps})
+            assert catalog.decompose(cokernel(induced)[0]) == catalog.decompose(cokernel(vartheta)[0])
 
 
 def test_corrupted_recollement_is_caught(bundle):
