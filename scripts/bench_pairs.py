@@ -21,6 +21,9 @@ and `ok` else.  Each workload's line of failures gives each side's failed
 and attempted operations summed over the pairs, flagged FAILED MORE when
 the change failed a larger share of its operations.  Nothing is written
 into either checkout except the benchmark's own git-ignored perfbench/out/.
+Python still reads bytecode compiled earlier, which moves `setup_s` and
+`peak_rss_mb`, so a checkout holding a __pycache__ directory outside .git
+is refused before the first run.
 """
 
 import argparse
@@ -72,6 +75,18 @@ def failures(pairs: list[tuple[dict, dict]]) -> dict:
     return {"parent": parent, "change": change, "more": shares[1] > shares[0]}
 
 
+def bytecode_dirs(checkout: pathlib.Path) -> list[pathlib.Path]:
+    """Every __pycache__ directory under checkout, outside .git."""
+    found = []
+    for root, dirs, _ in os.walk(checkout):
+        if ".git" in dirs:
+            dirs.remove(".git")
+        if "__pycache__" in dirs:
+            dirs.remove("__pycache__")
+            found.append(pathlib.Path(root) / "__pycache__")
+    return sorted(found)
+
+
 def run_once(checkout: pathlib.Path, bench: dict, workload: str, seed: int) -> dict:
     """One untraced benchmark run: its metric values, failures and rounds."""
     argv = [*bench["command"], "--workload", workload, "--seed", str(seed),
@@ -101,6 +116,10 @@ def main(argv=None) -> int:
     unknown = sorted(set(args.workload or ()) - set(names))
     if unknown:
         parser.error(f"unknown workload {', '.join(unknown)}; BENCHMARK.json has {', '.join(names)}")
+    stale = bytecode_dirs(args.parent) + bytecode_dirs(args.change)
+    if stale:
+        sys.exit("compiled bytecode would skew setup_s and peak_rss_mb; remove "
+                 + ", ".join(map(str, stale)))
     runs = {name: [] for name in names if not args.workload or name in args.workload}
     for i in range(PAIRS):
         seed = args.first_seed + i

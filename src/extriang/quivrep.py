@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -971,11 +972,13 @@ def _may_hold_indecomposable(algebra: Algebra, dv: tuple[int, ...]) -> bool:
 def _sums_at(found: Sequence[Module], classes: Mapping, dv: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Every decomposable class at dv as the ascending tuple of its
     summands' indices in found: found[i] + Y for its least index i and each
-    class Y at dv - dims(found[i]) in classes whose least index is >= i."""
+    class Y at dv - dims(found[i]) in classes whose least index is >= i.
+    Only entries whose dimension vector fits under dv can be a summand."""
     sums = []
     for i, top in enumerate(found):
-        rest = classes.get(tuple(d - e for d, e in zip(dv, top.dims)), ())
-        sums += [(i,) + ms for ms in rest if ms[0] >= i]
+        if all(map(operator.le, top.dims, dv)):
+            rest = classes.get(tuple(map(operator.sub, dv, top.dims)), ())
+            sums += [(i,) + ms for ms in rest if ms[0] >= i]
     return sums
 
 

@@ -41,6 +41,8 @@ and compares row codes.
 map A ->> ker g or coker f >-> C that f and g induce and test it for a
 deflation or an inflation, where `excat` reads exactness at the middle off
 ranks and tests ker f or coker g for membership.
+`rref_by_columns` eliminates with numpy calls, one column at a time,
+where `Mat.rref` works on rows of Python integers.
 `ext_push`, `ext_pull` and `reduce_class` are the one-class forms of
 `homext`'s batched pushes, pulls and reductions, and `dump_algebra_text`
 writes the text format `quivrep.parse_algebra_text` reads.
@@ -109,6 +111,36 @@ from extriang.recol import (
     _hom_dims_kept,
     classify_functor,
 )
+
+
+def rref_by_columns(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns of m by one numpy pass
+    per column: the first nonzero entry at or below the current row is the
+    pivot, scaled to 1 and cleared from every other row at once."""
+    p = m.p
+    a = m.a.copy()
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        mask = col != 0
+        if mask.any():
+            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return Mat(p, a), tuple(pivots)
 
 
 def morphism_coords_many(phis: Sequence[Morphism], basis: Sequence[Morphism]) -> np.ndarray:

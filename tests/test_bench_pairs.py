@@ -134,3 +134,24 @@ def test_an_unknown_workload_is_refused(tmp_path, capsys):
         bench_pairs.main(argv)
     assert exc.value.code == 2
     assert "unknown workload w9" in capsys.readouterr().err
+
+
+def test_a_checkout_with_bytecode_is_refused(tmp_path, monkeypatch):
+    ran = []
+
+    def fake_run(checkout, bench, workload, seed):
+        ran.append(checkout)
+        return {"ops_per_s": 1.0, "correct": True, "failed": 0, "attempted": 1, "rounds": 1}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    argv = fake_checkouts(tmp_path, ["w1"]) + ["--first-seed", "1"]
+    (tmp_path / "parent" / ".git" / "hooks" / "__pycache__").mkdir(parents=True)
+    stale = tmp_path / "change" / "src" / "pkg" / "__pycache__"
+    stale.mkdir(parents=True)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert str(exc.value) == f"compiled bytecode would skew setup_s and peak_rss_mb; remove {stale}"
+    assert ran == []
+    # bytecode inside .git is not the benchmark's to read
+    stale.rmdir()
+    assert bench_pairs.main(argv) == 0 and len(ran) == 2 * bench_pairs.PAIRS

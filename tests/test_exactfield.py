@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extriang.exactfield import Mat, is_prime
+from oracles import rref_by_columns
 
 
 def naive_rref(rows, p):
@@ -162,6 +163,17 @@ def test_sum_and_difference_refuse_mismatched_shapes():
         Mat(3, [[1, 2, 0]]) - Mat(3, [[1]])
 
 
+def test_from_rows_checks_row_lengths_against_cols():
+    # the width used to be read off the rows alone: a 1x2 matrix came back
+    with pytest.raises(ValueError, match="every row must have 5 entries"):
+        Mat.from_rows(2, [[1, 0]], cols=5)
+    with pytest.raises(ValueError, match="every row must have 2 entries"):
+        Mat.from_rows(3, [[1, 0], [1]], cols=2)
+    assert Mat.from_rows(3, [[1, 0], [2, 1]], cols=2).shape == (2, 2)
+    assert Mat.from_rows(3, [[], []], cols=0).shape == (2, 0)
+    assert Mat.from_rows(3, [], cols=4).shape == (0, 4)
+
+
 @pytest.mark.parametrize("p", [2, 5])
 @given(data=st.data())
 @settings(max_examples=120, deadline=None)
@@ -195,6 +207,68 @@ def test_solve_exactness(p, data):
     for k in range(ker.cols):
         v = Mat(p, ker.a[:, k].reshape(-1, 1))
         assert (m @ v).is_zero()
+
+
+@st.composite
+def eliminated(draw, p, max_rows=16, max_cols=24):
+    """A matrix of up to max_rows x max_cols, zero rows or columns
+    included: half the draws a product of two thin matrices, so of rank
+    at most 3."""
+    rows, cols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    entry = st.integers(0, p - 1) | st.just(0)
+
+    def entries(r, c):
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, 3))
+        left, right = entries(rows, inner), entries(inner, cols)
+        product = [[sum(x * right[k][j] for k, x in enumerate(row)) % p for j in range(cols)]
+                   for row in left]
+        return Mat.from_rows(p, product, cols)
+    return Mat.from_rows(p, entries(rows, cols), cols)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_elimination_agrees_with_the_numpy_and_naive_oracles(p, data):
+    m = data.draw(eliminated(p))
+    cols = m.cols
+    r, pivots = m.rref()
+    by_columns, by_columns_pivots = rref_by_columns(m)
+    assert r == by_columns and pivots == by_columns_pivots
+    naive, naive_pivots = naive_rref(m.tolist(), p)
+    assert r.tolist() == naive and list(pivots) == naive_pivots
+    assert m.rank() == len(by_columns_pivots)
+    # the kernel basis the reduced form determines: the identity at the
+    # free columns, minus the free columns of the reduced rows at the pivots
+    free = [c for c in range(cols) if c not in by_columns_pivots]
+    reduced = by_columns.tolist()
+    expected = [[0] * len(free) for _ in range(cols)]
+    for k, fc in enumerate(free):
+        expected[fc][k] = 1
+        for row, pc in enumerate(by_columns_pivots):
+            expected[pc][k] = -reduced[row][fc] % p
+    kernel = m.kernel_basis()
+    assert kernel.shape == (cols, len(free)) and kernel.tolist() == expected
+    assert (m @ kernel).is_zero()
+
+
+def test_each_question_is_one_elimination(monkeypatch):
+    calls = []
+    rref = Mat.rref
+
+    def counted(self):
+        calls.append(self.shape)
+        return rref(self)
+
+    monkeypatch.setattr(Mat, "rref", counted)
+    m = Mat.from_rows(5, [[1, 2, 0], [2, 4, 1], [0, 3, 3]])
+    for question in (m.rank, m.kernel_basis, lambda: m.solve(Mat.identity(5, 3)), m.inverse):
+        calls.clear()
+        question()
+        assert len(calls) == 1
 
 
 def test_float_and_complex_entries_are_refused():
