@@ -13,6 +13,11 @@ reduced modulo B.
 
 Extension equivalence is always taken with the ends fixed: two sequences
 are equivalent exactly when their reduced coordinates agree.
+
+Ext^1 of direct sums is the sum of the blocks Ext^1(c_i, a_j), and so are
+its coordinates, interleaved: conflation lists read each class on
+two-summand ends off its blocks' coordinates and build no space of a sum
+to list it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -132,6 +137,17 @@ def _relation_system(c: Module, a: Module, offsets: Mapping[str, int], total: in
 
 def _column(coords) -> np.ndarray:
     return np.array(coords, dtype=np.int64).reshape(-1, 1)
+
+
+def _spread(p: int, free: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
+    """Every vector of the given size that vanishes off the positions `free`,
+    their entries running over F_p in itertools.product order: the zero
+    vector first, the last position fastest."""
+    coords = [0] * size
+    for combo in itertools.product(range(p), repeat=len(free)):
+        for value, i in zip(combo, free):
+            coords[i] = value
+        yield tuple(coords)
 
 
 @dataclass(frozen=True)
@@ -274,13 +290,7 @@ class Ext1Space:
 
     def elements(self) -> list[ExtClass]:
         """All p**dim classes, the zero class first."""
-        out = []
-        for combo in itertools.product(range(self.p), repeat=self.dim):
-            coords = [0] * len(self._zfree)
-            for value, i in zip(combo, self._free):
-                coords[i] = value
-            out.append(ExtClass(self.c, self.a, tuple(coords)))
-        return out
+        return [ExtClass(self.c, self.a, coords) for coords in _spread(self.p, self._free, len(self._zfree))]
 
     def cocycle(self, coords) -> dict[str, Mat]:
         """Blocks phi_x of the cocycle with the given coordinates in Z."""
@@ -548,28 +558,32 @@ def _bounds(mods: Sequence[Module]) -> list[dict[str, int]]:
     return out
 
 
-def _block_classes(cls: ExtClass, catalog: Catalog, a_ms, c_ms) -> list[tuple[int, int, ExtClass]]:
-    """(i, j, class) for the nonzero blocks of a class in Ext^1(sum c_i, sum a_j).
+def _sum_layout(c_mods: Sequence[Module], a_mods: Sequence[Module],
+                blocks: Sequence[Ext1Space]) -> tuple[list[int], list[list[int]]]:
+    """Z's unknowns in Ext^1(sum c_i, sum a_j), and where the Z coordinates
+    of each block Ext^1(c_i, a_j) sit among the sum's, blocks i-major.
 
-    The relations and the coboundaries of a sum of ends act block by
-    block, so block (i, j) of a cocycle is a cocycle of Ext^1(c_i, a_j)
-    and the class is the sum of the block classes.
+    Entry (r, s) of a block phi_x of the sum lies in block (i, j) when row
+    r lies in a_j and column s in c_i.  The relations and the coboundaries
+    act block by block, and a reduced echelon form is unique, so the sum's
+    Z-free unknowns, coboundary pivots and free coordinates are the
+    blocks', placed by this layout, and a reduced class of the sum is the
+    tuple of its reduced block classes.
     """
-    phi = cls.cocycle()
-    a_mods, c_mods = [catalog.indecs[k] for k in a_ms], [catalog.indecs[k] for k in c_ms]
+    arrows = c_mods[0].algebra.arrows
     rows, cols = _bounds(a_mods), _bounds(c_mods)
-    out = []
-    for i, c_mod in enumerate(c_mods):
-        for j, a_mod in enumerate(a_mods):
-            block = {
-                x.name: Mat(catalog.p, phi[x.name].a[rows[j][x.tgt]:rows[j + 1][x.tgt],
-                                                     cols[i][x.src]:cols[i + 1][x.src]])
-                for x in catalog.algebra.arrows
-            }
-            sub = ext1_space(c_mod, a_mod).class_from_cocycle(block)
-            if not sub.is_zero():
-                out.append((i, j, sub))
-    return out
+    starts = list(itertools.accumulate((rows[-1][x.tgt] * cols[-1][x.src] for x in arrows), initial=0))
+    unknowns = []
+    for k, space in enumerate(blocks):
+        i, j = divmod(k, len(a_mods))
+        placed = [start + (rows[j][x.tgt] + r) * cols[-1][x.src] + cols[i][x.src] + s
+                  for x, start in zip(arrows, starts)
+                  for r in range(rows[j + 1][x.tgt] - rows[j][x.tgt])
+                  for s in range(cols[i + 1][x.src] - cols[i][x.src])]
+        unknowns.append([placed[u] for u in space._zfree])
+    zfree = sorted(itertools.chain.from_iterable(unknowns))
+    where = {u: t for t, u in enumerate(zfree)}
+    return zfree, [[where[u] for u in us] for us in unknowns]
 
 
 def all_conflations(
@@ -592,9 +606,13 @@ def all_conflations(
     keeps only its class: its sequence is realized when `ses` is read and
     its middle decomposed when `middle_summands` is.
 
-    Ext^1 and its cocycles Z are sums over the blocks, so a pair of ends
-    whose blocks Ext^1(c_i, a_j) all vanish has only the zero class, with
-    as many coordinates as the blocks' Z together; its space is not built.
+    Ext^1 and its cocycles Z are sums over the blocks Ext^1(c_i, a_j), so
+    a class of a pair of ends is read off its blocks' coordinates: the
+    classes are spread over the blocks' free coordinates as laid out in
+    the sum (_sum_layout), in the order Ext1Space.elements lists them, and
+    a block's class is the slice of the coordinates at its place.  No
+    space of a sum is built to list it; a class's space is built when its
+    sequence is read.
     """
     member_list = sorted(members) if members is not None else list(range(len(catalog)))
     ends = _multisets(member_list, cap)
@@ -616,23 +634,33 @@ def all_conflations(
     for c_ms, c_mod in zip(ends, sums):
         for a_ms, a_mod in zip(ends, sums):
             base = len(a_ms) == len(c_ms) == 1
-            blocks = [singles[i, j] for i in c_ms for j in a_ms]
+            pairs = [(i, j) for i in range(len(c_ms)) for j in range(len(a_ms))]
+            blocks = [singles[c_ms[i], a_ms[j]] for i, j in pairs]
             if any(space.dim for space in blocks):
-                classes = ext1_space(c_mod, a_mod).elements()
+                zfree, places = _sum_layout([catalog.indecs[k] for k in c_ms],
+                                            [catalog.indecs[k] for k in a_ms], blocks)
+                size = len(zfree)
+                free = sorted(place[t] for place, space in zip(places, blocks) for t in space._free)
             else:
-                classes = [ExtClass(c_mod, a_mod, (0,) * sum(len(space._zfree) for space in blocks))]
-            for cls in classes:
+                size, free = sum(len(space._zfree) for space in blocks), []
+            for coords in _spread(catalog.p, free, size):
+                cls = ExtClass(c_mod, a_mod, coords)
                 rec = ConflationRecord(cls, tuple(a_ms), tuple(c_ms), _middle_of=decomposed)
                 if cls.is_zero():
                     rec._middle = tuple(sorted(a_ms + c_ms))
                 elif base:
                     base_middles[cls] = rec.middle_summands
                 else:
-                    blocks = _block_classes(cls, catalog, a_ms, c_ms)
-                    c_used, a_used = {i for i, _, _ in blocks}, {j for _, j, _ in blocks}
-                    if len(c_used) == len(a_used) == len(blocks):
+                    # (i, j, class) for the nonzero blocks, read off their coordinates
+                    nonzero = []
+                    for (i, j), space, place in zip(pairs, blocks, places):
+                        sub = ExtClass(space.c, space.a, tuple(coords[t] for t in place))
+                        if not sub.is_zero():
+                            nonzero.append((i, j, sub))
+                    c_used, a_used = {i for i, _, _ in nonzero}, {j for _, j, _ in nonzero}
+                    if len(c_used) == len(a_used) == len(nonzero):
                         unused = tuple(a for j, a in enumerate(a_ms) if j not in a_used)
                         unused += tuple(c for i, c in enumerate(c_ms) if i not in c_used)
-                        rec.from_blocks, rec._middle_of = True, summed_blocks(blocks, unused)
+                        rec.from_blocks, rec._middle_of = True, summed_blocks(nonzero, unused)
                 records.append(rec)
     return records

@@ -19,6 +19,9 @@ coordinate solve per map and one cocycle push or pull per element, where
 decomposes every nonsplit middle, and `classify_functor_by_scan` grades
 every record, split ones included, where `homext` and `recol` read split
 and block records off their ends and earlier records.
+`block_classes_by_cocycle` reads the block classes of a class whose ends are
+direct sums by expanding its cocycle and solving each block's class, where
+`homext.all_conflations` reads them off the class's coordinates.
 `morphism_coords_many` solves for the coordinates of maps in a Hom basis,
 and `quotient_by_identity_test` ranks each factoring ideal in those
 coordinates and keeps an object when its identity lies outside the
@@ -74,6 +77,7 @@ from extriang.homext import (
     ConflationRecord,
     ExtClass,
     Ext1Space,
+    _bounds,
     _column,
     class_of,
     ext1_space,
@@ -399,6 +403,26 @@ def _reads_off_blocks(cls: ExtClass, a_ms, c_ms, catalog) -> bool:
                 cols.add(j)
                 count += 1
     return len(rows) == len(cols) == count
+
+
+def block_classes_by_cocycle(cls: ExtClass, catalog, a_ms, c_ms) -> list[tuple[int, int, ExtClass]]:
+    """(i, j, class) for the nonzero blocks of a class in Ext^1(sum c_i, sum a_j),
+    block (i, j) being the class of the block of its cocycle between c_i and a_j."""
+    phi = cls.cocycle()
+    a_mods, c_mods = [catalog.indecs[k] for k in a_ms], [catalog.indecs[k] for k in c_ms]
+    rows, cols = _bounds(a_mods), _bounds(c_mods)
+    out = []
+    for i, c_mod in enumerate(c_mods):
+        for j, a_mod in enumerate(a_mods):
+            block = {
+                x.name: Mat(catalog.p, phi[x.name].a[rows[j][x.tgt]:rows[j + 1][x.tgt],
+                                                     cols[i][x.src]:cols[i + 1][x.src]])
+                for x in catalog.algebra.arrows
+            }
+            sub = ext1_space(c_mod, a_mod).class_from_cocycle(block)
+            if not sub.is_zero():
+                out.append((i, j, sub))
+    return out
 
 
 def all_conflations_by_scan(catalog, members=None, cap: int = 2) -> list[ConflationRecord]:

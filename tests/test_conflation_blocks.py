@@ -7,10 +7,10 @@ import pytest
 
 from extriang import homext, quivrep, recol
 from extriang.fixtures import build_example51
-from extriang.homext import ConflationRecord, _multisets, ext1_space
+from extriang.homext import ConflationRecord, _multisets, _spread, _sum_layout, ext1_space
 from extriang.quivrep import Catalog, _decompose_by_splits, decompose
 from extriang.recol import SIX_NAMES, classify_functor
-from oracles import all_conflations_by_scan, classify_functor_by_scan
+from oracles import all_conflations_by_scan, block_classes_by_cocycle, classify_functor_by_scan
 
 BUNDLED = ("a_ext", "b_ext", "c_ext", "full_a", "full_b", "full_c")
 SETTINGS = [(2, 2), (3, 1)]
@@ -74,6 +74,40 @@ def test_pair_spaces_are_the_sums_of_their_blocks(p, bound):
                 blocks = [ext1_space(cat.indecs[i], cat.indecs[j]) for i in c_ms for j in a_ms]
                 assert space.dim == sum(b.dim for b in blocks), (name, c_ms, a_ms)
                 assert len(space.zero().coords) == sum(len(b.zero().coords) for b in blocks), (name, c_ms, a_ms)
+
+
+@pytest.mark.parametrize("p, bound, which", [(p, bound, which) for p, bound in SETTINGS + [(5, 1)]
+                                             for which in ("b_ext", "mod_a")] + [(2, 2, "mod_lambda")])
+def test_sum_spaces_are_their_blocks_laid_out(p, bound, which):
+    # for every pair of nonzero ends, the built Ext^1 of the sums has its
+    # Z-free unknowns, coboundary pivots and free coordinates where the
+    # layout puts the blocks', lists its classes in the order the list
+    # spreads them, and each class's nonzero blocks, solved from its
+    # cocycle, are the slices of its coordinates
+    bundle = build_example51(p, bound)
+    cat = bundle.mod_a if which == "mod_a" else bundle.mod_lambda
+    members = sorted(bundle.b_ext.objects.members) if which == "b_ext" else range(len(cat))
+    sums = {ms: cat.sum_of(ms) for ms in _multisets(members, 2)[1:]}
+    for c_ms, c_mod in sums.items():
+        for a_ms, a_mod in sums.items():
+            space = ext1_space(c_mod, a_mod)
+            blocks = [ext1_space(cat.indecs[i], cat.indecs[j]) for i in c_ms for j in a_ms]
+            zfree, places = _sum_layout([cat.indecs[i] for i in c_ms], [cat.indecs[j] for j in a_ms], blocks)
+
+            def placed(attr):
+                return sorted(place[t] for place, block in zip(places, blocks) for t in getattr(block, attr))
+
+            free = placed("_free")
+            assert (space._zfree, list(space._pivots), space._free) == (zfree, placed("_pivots"), free)
+            classes = space.elements()
+            assert [cls.coords for cls in classes] == list(_spread(p, free, len(zfree))), (c_ms, a_ms)
+            if not any(block.dim for block in blocks):
+                continue
+            for cls in classes[1:]:
+                sliced = [(k // len(a_ms), k % len(a_ms), tuple(cls.coords[t] for t in place))
+                          for k, place in enumerate(places)]
+                expected = block_classes_by_cocycle(cls, cat, a_ms, c_ms)
+                assert [(i, j, sub.coords) for i, j, sub in expected] == [s for s in sliced if any(s[2])]
 
 
 @pytest.mark.parametrize("p, bound, step", [(2, 2, 1), (3, 1, 3)])
@@ -144,9 +178,10 @@ def test_b_ext_list_decomposes_only_what_blocks_do_not_give(bundle, monkeypatch)
     assert not any(r.from_blocks for r in base)
     assert split_calls == []
     assert len(decompose_calls) == len(base) == 1
-    # of the 225 pairs of ends, only those with a nonzero block build their
-    # space, and the decompositions run no split test
-    assert len(built) == 40 and split_tests == []
+    # only the 16 single-summand pairs build their space: a pair of sums
+    # reads its classes off its blocks' spaces; and the decompositions run
+    # no split test
+    assert len(built) == 16 and split_tests == []
     assert all(r._middle is None for r in nonsplit if r is not base[0])
     middles = [r.middle_summands for r in recs]
     assert len(decompose_calls) == len(nonsplit) - len(by_blocks) == 18 and split_calls == []
