@@ -14,6 +14,7 @@ only thing that touches the files.
 import contextlib
 import io
 import json
+import os
 import pathlib
 import sys
 
@@ -112,12 +113,17 @@ def main() -> int:
     with contextlib.redirect_stdout(report):
         example51_report.main()
     (GOLDEN / "example51_report.txt").write_text(report.getvalue())
-    with contextlib.chdir(ROOT):
+    # os.chdir rather than contextlib.chdir, which needs Python 3.11
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
         for name, argv in STDOUT_FILES.items():
             (GOLDEN / name).write_text(run_command(argv)["stdout"])
         for name, commands in COMMAND_FILES.items():
             runs = [run_command(argv) for argv in commands]
             (GOLDEN / name).write_text(json.dumps(runs, indent=2) + "\n")
+    finally:
+        os.chdir(cwd)
     names = ["torsion_pairs_b_ext.json", "example51_report.txt", *STDOUT_FILES, *COMMAND_FILES]
     print(f"wrote {len(names)} files under {GOLDEN}: {', '.join(names)}")
     return 0

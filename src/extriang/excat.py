@@ -12,7 +12,8 @@ searched.  Two questions read conflation lists: the extension-closure
 check on construction reads the list with indecomposable ends and may fall
 back on the full one, and exactness classification reads the full one,
 whose ends are capped at a configurable summand count (reported in JSON
-output).
+output).  Membership in add(S) is decided once, by Subcat.contains_module:
+a summand missing from the catalog lies outside, so the answer is no.
 """
 
 from __future__ import annotations
@@ -79,9 +80,13 @@ class Subcat:
         return set(indices) <= self.members
 
     def contains_module(self, m: Module) -> bool:
-        if m.is_zero():
-            return True
-        return set(self.catalog.decompose(m)) <= self.members
+        """Whether m lies in add(members): every summand of its decomposition
+        is a member.  The zero module's decomposition is empty, so it lies
+        in every add(members); a summand missing from the catalog is none."""
+        try:
+            return set(self.catalog.decompose(m)) <= self.members
+        except CatalogIncompleteError:
+            return False
 
     def __le__(self, other: "Subcat") -> bool:
         return self.members <= other.members
@@ -379,14 +384,6 @@ def torsion_pairs_to_json(pairs: Sequence[TorsionPair], e: ExCat) -> str:
 # -- approximations and cluster tilting ----------------------------------------
 
 
-def _in_add(m: Module, t: Subcat) -> bool:
-    """Whether m lies in add(t); a summand missing from the catalog lies outside."""
-    try:
-        return t.contains_module(m)
-    except CatalogIncompleteError:
-        return False
-
-
 def _universal_map(c_index: int, t: Subcat, into: bool) -> Morphism:
     """The map onto C from the sum of t's members (into) or from C into that
     sum, one copy of a member k per basis map of Hom(k, C), or of Hom(C, k)."""
@@ -420,8 +417,8 @@ def approximation_sides(c_index: int, t: Subcat) -> tuple[bool, bool]:
     """
     right = _universal_map(c_index, t, into=True)
     left = _universal_map(c_index, t, into=False)
-    return (left.is_injective() and _in_add(cokernel(left)[0], t),
-            right.is_surjective() and _in_add(kernel(right)[0], t))
+    return (left.is_injective() and t.contains_module(cokernel(left)[0]),
+            right.is_surjective() and t.contains_module(kernel(right)[0]))
 
 
 def is_rigid(t: Subcat, e: ExCat) -> tuple[bool, Optional[tuple[int, int]]]:

@@ -34,6 +34,7 @@ from .quivrep import (
     Catalog,
     Module,
     Morphism,
+    _bounds,
     _commuting_system,
     _kron_map,
     direct_sum,
@@ -77,36 +78,23 @@ class SES:
 
 def split_ses(a: Module, c: Module) -> SES:
     """The split sequence a >-> a (+) c ->> c."""
-    b = direct_sum([a, c], algebra=a.algebra, p=a.p)
-    inc = summand_inclusion([a, c], 0, b)
-    prj = summand_projection([a, c], 1, b)
-    return SES(a, b, c, inc, prj)
+    b = direct_sum([a, c])
+    return SES(a, b, c, summand_inclusion([a, c], 0, b), summand_projection([a, c], 1, b))
 
 
-def summand_inclusion(mods: Sequence[Module], k: int, total: Optional[Module] = None) -> Morphism:
-    if total is None:
-        total = direct_sum(list(mods))
-    alg, p = total.algebra, total.p
-    comps = {}
-    for v in alg.vertices:
-        block = np.zeros((total.dim(v), mods[k].dim(v)), dtype=np.int64)
-        off = sum(m.dim(v) for m in mods[:k])
-        block[off:off + mods[k].dim(v)] = np.eye(mods[k].dim(v), dtype=np.int64)
-        comps[v] = Mat(p, block)
-    return Morphism(mods[k], total, comps, check=False)
+def summand_inclusion(mods: Sequence[Module], k: int, total: Module) -> Morphism:
+    """The inclusion of summand k into total = direct_sum(mods): at each
+    vertex, the identity's columns at the summand's place in _bounds(mods)."""
+    lo, hi = _bounds(mods)[k:k + 2]
+    return Morphism(mods[k], total, {v: Mat(total.p, np.eye(total.dim(v), dtype=np.int64)[:, lo[v]:hi[v]])
+                                     for v in total.algebra.vertices}, check=False)
 
 
-def summand_projection(mods: Sequence[Module], k: int, total: Optional[Module] = None) -> Morphism:
-    if total is None:
-        total = direct_sum(list(mods))
-    alg, p = total.algebra, total.p
-    comps = {}
-    for v in alg.vertices:
-        block = np.zeros((mods[k].dim(v), total.dim(v)), dtype=np.int64)
-        off = sum(m.dim(v) for m in mods[:k])
-        block[:, off:off + mods[k].dim(v)] = np.eye(mods[k].dim(v), dtype=np.int64)
-        comps[v] = Mat(p, block)
-    return Morphism(total, mods[k], comps, check=False)
+def summand_projection(mods: Sequence[Module], k: int, total: Module) -> Morphism:
+    """The projection of total = direct_sum(mods) onto summand k: the
+    identity's rows at the summand's place, the inclusion transposed."""
+    inc = summand_inclusion(mods, k, total)
+    return Morphism(total, mods[k], {v: m.transpose() for v, m in inc.comps.items()}, check=False)
 
 
 # -- Ext^1 ---------------------------------------------------------------------
@@ -358,7 +346,7 @@ def class_of(ses: SES) -> ExtClass:
 
 
 def ext_push_many(space: Ext1Space, coords: np.ndarray, g: Morphism,
-                  target_space: Optional[Ext1Space] = None) -> np.ndarray:
+                  target_space: Ext1Space) -> np.ndarray:
     """Images of classes of Ext^1(c, a) under Ext^1(c, a) -> Ext^1(c, a') along
     g: a -> a', phi_x -> g_tgt phi_x.
 
@@ -368,28 +356,26 @@ def ext_push_many(space: Ext1Space, coords: np.ndarray, g: Morphism,
     """
     if g.source is not space.a and g.source != space.a:
         raise ValueError("map must start at the class's subobject")
-    target = target_space or ext1_space(space.c, g.target)
     if not coords.shape[1]:
-        return np.zeros((len(target._zfree), 0), dtype=np.int64)
-    push = _kron_map(space.p, target._z.rows, space._z.rows, [
-        (target._offsets[i], space._offsets[i], g.comps[x.tgt].a, space.c.dim(x.src))
+        return np.zeros((len(target_space._zfree), 0), dtype=np.int64)
+    push = _kron_map(space.p, target_space._z.rows, space._z.rows, [
+        (target_space._offsets[i], space._offsets[i], g.comps[x.tgt].a, space.c.dim(x.src))
         for i, x in enumerate(space.c.algebra.arrows)])
-    return target.reduce_cocycles(push @ space.cocycles(coords))
+    return target_space.reduce_cocycles(push @ space.cocycles(coords))
 
 
 def ext_pull_many(space: Ext1Space, coords: np.ndarray, h: Morphism,
-                  target_space: Optional[Ext1Space] = None) -> np.ndarray:
+                  target_space: Ext1Space) -> np.ndarray:
     """Images of classes of Ext^1(c, a) under Ext^1(c, a) -> Ext^1(x, a) along
     h: x -> c, phi_x -> phi_x h_src, as in ext_push_many."""
     if h.target is not space.c and h.target != space.c:
         raise ValueError("map must land in the class's quotient")
-    target = target_space or ext1_space(h.source, space.a)
     if not coords.shape[1]:
-        return np.zeros((len(target._zfree), 0), dtype=np.int64)
-    pull = _kron_map(space.p, target._z.rows, space._z.rows, [
-        (target._offsets[i], space._offsets[i], space.a.dim(x.tgt), h.comps[x.src].a)
+        return np.zeros((len(target_space._zfree), 0), dtype=np.int64)
+    pull = _kron_map(space.p, target_space._z.rows, space._z.rows, [
+        (target_space._offsets[i], space._offsets[i], space.a.dim(x.tgt), h.comps[x.src].a)
         for i, x in enumerate(space.c.algebra.arrows)])
-    return target.reduce_cocycles(pull @ space.cocycles(coords))
+    return target_space.reduce_cocycles(pull @ space.cocycles(coords))
 
 
 # -- five-term exact sequences ---------------------------------------------------
@@ -547,14 +533,6 @@ def _multisets(members: Sequence[int], cap: int):
     out = []
     for size in range(cap + 1):
         out.extend(itertools.combinations_with_replacement(members, size))
-    return out
-
-
-def _bounds(mods: Sequence[Module]) -> list[dict[str, int]]:
-    """Summand k of direct_sum(mods) spans [out[k][v], out[k + 1][v]) at vertex v."""
-    out = [dict.fromkeys(mods[0].algebra.vertices, 0)]
-    for m in mods:
-        out.append({v: start + m.dim(v) for v, start in out[-1].items()})
     return out
 
 

@@ -14,7 +14,8 @@ relation term is evaluated over its own arrows' axes, and the two sides
 of a relation are compared row by row as base-p codes, so only boolean
 arrays span the grid.  Each generator's index map on an arrow's matrices
 is built once per enumeration, and each arrow's digits of the valid cells
-once per grid.
+once per grid.  Where each summand of a direct sum sits at each vertex is
+stated once, in _bounds; sums, summand maps and Ext^1 layouts read it.
 """
 
 from __future__ import annotations
@@ -195,6 +196,15 @@ def zero_module(algebra: Algebra, p: int) -> Module:
     return Module(algebra, p, [0] * len(algebra.vertices), {})
 
 
+def _bounds(mods: Sequence[Module]) -> list[dict[str, int]]:
+    """Summand k of direct_sum(mods) spans [out[k][v], out[k + 1][v]) at vertex v."""
+    vertices = mods[0].algebra.vertices
+    out = [dict.fromkeys(vertices, 0)]
+    for m in mods:
+        out.append(dict(zip(vertices, map(operator.add, out[-1].values(), m.dims))))
+    return out
+
+
 def direct_sum(modules: Sequence[Module], algebra: Optional[Algebra] = None, p: Optional[int] = None) -> Module:
     """Block-diagonal direct sum, in the given order."""
     if not modules:
@@ -205,20 +215,15 @@ def direct_sum(modules: Sequence[Module], algebra: Optional[Algebra] = None, p: 
     p = modules[0].p
     if any(m.algebra != algebra or m.p != p for m in modules):
         raise ValueError("summands over different algebras")
-    dims = tuple(sum(m.dims[i] for m in modules) for i in range(len(algebra.vertices)))
+    bounds = _bounds(modules)
+    total = bounds[-1]
     action = {}
     for a in algebra.arrows:
-        r = dims[algebra.vertex_index[a.tgt]]
-        c = dims[algebra.vertex_index[a.src]]
-        block = np.zeros((r, c), dtype=np.int64)
-        ro = co = 0
-        for m in modules:
-            mr, mc = m.action[a.name].shape
-            block[ro:ro + mr, co:co + mc] = m.action[a.name].a
-            ro += mr
-            co += mc
+        block = np.zeros((total[a.tgt], total[a.src]), dtype=np.int64)
+        for m, lo, hi in zip(modules, bounds, bounds[1:]):
+            block[lo[a.tgt]:hi[a.tgt], lo[a.src]:hi[a.src]] = m.action[a.name].a
         action[a.name] = Mat(p, block)
-    return Module(algebra, p, dims, action, check=False)
+    return Module(algebra, p, total, action, check=False)
 
 
 class Morphism:
@@ -989,12 +994,10 @@ def _strike_out(algebra: Algebra, p: int, found: Sequence[Module], sums: Sequenc
     grid, shapes, cells, label = orbits
     stacks = [np.zeros((len(sums), r, c), dtype=np.int64) for r, c in shapes]
     for j, ms in enumerate(sums):
-        for k, a in enumerate(algebra.arrows):
-            ro = co = 0
-            for i in ms:
-                block = found[i].action[a.name].a
-                stacks[k][j, ro:ro + block.shape[0], co:co + block.shape[1]] = block
-                ro, co = ro + block.shape[0], co + block.shape[1]
+        bounds = _bounds([found[i] for i in ms])
+        for stack, a in zip(stacks, algebra.arrows):
+            for i, lo, hi in zip(ms, bounds, bounds[1:]):
+                stack[j, lo[a.tgt]:hi[a.tgt], lo[a.src]:hi[a.src]] = found[i].action[a.name].a
     decomposable = np.zeros(len(cells), dtype=bool)
     decomposable[label[np.searchsorted(cells, _cells_at(p, grid, stacks, len(sums)))]] = True
     own = _self_labelled(label)

@@ -46,6 +46,10 @@ deflation or an inflation, where `excat` reads exactness at the middle off
 ranks and tests ker f or coker g for membership.
 `rref_by_columns` eliminates with numpy calls, one column at a time,
 where `Mat.rref` works on rows of Python integers.
+`direct_sum_by_offsets`, `summand_inclusion_by_offsets` and
+`summand_projection_by_offsets` place each summand by running row and
+column offsets, where `quivrep.direct_sum` and the `homext` summand maps
+read its place off `quivrep._bounds`.
 `ext_push`, `ext_pull` and `reduce_class` are the one-class forms of
 `homext`'s batched pushes, pulls and reductions, and `dump_algebra_text`
 writes the text format `quivrep.parse_algebra_text` reads.
@@ -77,7 +81,6 @@ from extriang.homext import (
     ConflationRecord,
     ExtClass,
     Ext1Space,
-    _bounds,
     _column,
     class_of,
     ext1_space,
@@ -92,6 +95,7 @@ from extriang.quivrep import (
     Algebra,
     Module,
     Morphism,
+    _bounds,
     _commuting_system,
     _flatten_morphism,
     _matrices,
@@ -250,6 +254,46 @@ def is_indecomposable(m: Module) -> bool:
         if phi @ phi == phi:
             return False
     return True
+
+
+def direct_sum_by_offsets(modules: Sequence[Module]) -> Module:
+    """The block-diagonal sum of a nonempty list, each block placed at the
+    running row and column offsets of the blocks before it."""
+    algebra, p = modules[0].algebra, modules[0].p
+    dims = tuple(sum(m.dims[i] for m in modules) for i in range(len(algebra.vertices)))
+    action = {}
+    for a in algebra.arrows:
+        block = np.zeros((dims[algebra.vertex_index[a.tgt]], dims[algebra.vertex_index[a.src]]), dtype=np.int64)
+        ro = co = 0
+        for m in modules:
+            mr, mc = m.action[a.name].shape
+            block[ro:ro + mr, co:co + mc] = m.action[a.name].a
+            ro += mr
+            co += mc
+        action[a.name] = Mat(p, block)
+    return Module(algebra, p, dims, action, check=False)
+
+
+def summand_inclusion_by_offsets(mods: Sequence[Module], k: int, total: Module) -> Morphism:
+    """The inclusion of summand k, an identity block below the earlier summands' dimensions."""
+    comps = {}
+    for v in total.algebra.vertices:
+        block = np.zeros((total.dim(v), mods[k].dim(v)), dtype=np.int64)
+        off = sum(m.dim(v) for m in mods[:k])
+        block[off:off + mods[k].dim(v)] = np.eye(mods[k].dim(v), dtype=np.int64)
+        comps[v] = Mat(total.p, block)
+    return Morphism(mods[k], total, comps, check=False)
+
+
+def summand_projection_by_offsets(mods: Sequence[Module], k: int, total: Module) -> Morphism:
+    """The projection onto summand k, an identity block right of the earlier summands' dimensions."""
+    comps = {}
+    for v in total.algebra.vertices:
+        block = np.zeros((mods[k].dim(v), total.dim(v)), dtype=np.int64)
+        off = sum(m.dim(v) for m in mods[:k])
+        block[:, off:off + mods[k].dim(v)] = np.eye(mods[k].dim(v), dtype=np.int64)
+        comps[v] = Mat(total.p, block)
+    return Morphism(total, mods[k], comps, check=False)
 
 
 def witness_candidates_by_scan(c_index: int, t: Subcat, f: Subcat, e: ExCat) -> list[tuple]:

@@ -158,8 +158,8 @@ def test_one_sided_exactness_agrees_with_the_factoring_oracle(bundle, monkeypatc
         # both times, but only the second composite is zero
         for i in members:
             twice = [mods[i], mods[i]]
-            pairs += [(homext.summand_inclusion(twice, 0), homext.summand_projection(twice, k))
-                      for k in (0, 1)]
+            pairs += [(homext.summand_inclusion(twice, 0, quivrep.direct_sum(twice)),
+                       homext.summand_projection(twice, k, quivrep.direct_sum(twice))) for k in (0, 1)]
         cases += [(f, g, e) for f, g in pairs]
     for fd in bundle.restricted.six.values():
         cases += [(fd.apply_mor(rec.ses.inc), fd.apply_mor(rec.ses.prj), fd.target)
@@ -431,6 +431,27 @@ def test_trace_with_an_end_outside_the_catalog_has_no_witness(bundle):
     assert verify_torsion_pair(t, f, host).to_json_dict() == {
         "valid": False, "clause": "conflation_existence", "detail": {"object": 1}}
     assert find_witness_by_scan(1, t, f, host) is None
+
+
+def test_a_summand_outside_the_catalog_is_no_member(bundle):
+    # the hand-built catalog of mod A without S1, as above
+    cat = bundle.mod_a
+    partial = Catalog(cat.algebra, cat.p, cat.bound,
+                      tuple(cat.indecs[a_idx(bundle, name)] for name in ("S2", "P1")))
+    s1, p1 = (cat.indecs[a_idx(bundle, name)] for name in ("S1", "P1"))
+    everything = Subcat.full(partial)
+    assert not everything.contains_module(s1)
+    assert not everything.contains_module(quivrep.direct_sum([p1, s1]))
+    # the zero module's decomposition is empty, so it lies in every add(S)
+    assert everything.contains_module(zero_module(cat.algebra, cat.p))
+    assert Subcat.zero(partial).contains_module(zero_module(cat.algebra, cat.p))
+    assert not ExCat(partial, {0}).contains(s1)
+    # S2 >-> P1 has cokernel S1, outside the partial catalog and outside
+    # add(P1) in the full one; with S1 a member the left side holds
+    assert excat.approximation_sides(0, Subcat.add(partial, [1])) == (False, False)
+    assert excat.approximation_sides(a_idx(bundle, "S2"), Subcat.add(cat, [a_idx(bundle, "P1")])) == (False, False)
+    assert excat.approximation_sides(
+        a_idx(bundle, "S2"), Subcat.add(cat, [a_idx(bundle, "P1"), a_idx(bundle, "S1")])) == (True, False)
 
 
 def test_witnesses_do_not_depend_on_query_order(bundle):

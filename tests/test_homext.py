@@ -4,6 +4,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from extriang import homext, quivrep
@@ -13,11 +14,13 @@ from extriang.quivrep import (
     Algebra,
     Arrow,
     Module,
+    Morphism,
     _flatten_morphism,
     direct_sum,
     enumerate_indecomposables,
     hom_basis,
     identity_morphism,
+    zero_morphism,
 )
 from extriang.homext import (
     SES,
@@ -34,10 +37,13 @@ from extriang.homext import (
     five_term_contravariant,
     five_term_covariant,
     split_ses,
+    summand_inclusion,
+    summand_projection,
 )
 from oracles import (
     contravariant_maps_by_elements,
     covariant_maps_by_elements,
+    direct_sum_by_offsets,
     ext_pull,
     ext_push,
     is_isomorphic,
@@ -48,6 +54,8 @@ from oracles import (
     push_by_cocycle,
     pushout_ses,
     reduce_class,
+    summand_inclusion_by_offsets,
+    summand_projection_by_offsets,
 )
 
 
@@ -597,3 +605,29 @@ def test_non_cocycles_are_refused():
     assert space.reduce_cocycles(good).shape == (len(space.zero().coords), 1)
     with pytest.raises(ValueError, match="not a cocycle"):
         space.reduce_cocycles(Mat(p, np.hstack([good.a, np.array([[1], [0]])])))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_summand_layout_agrees_with_running_offsets(data):
+    # mod A and mod Lambda over F_2 and F_3; entries may repeat
+    p, bound = data.draw(st.sampled_from([(2, 2), (3, 1)]))
+    bundle = build_example51(p, bound)
+    catalog = data.draw(st.sampled_from([bundle.mod_a, bundle.mod_lambda]))
+    ks = data.draw(st.lists(st.integers(0, len(catalog) - 1), min_size=1, max_size=3))
+    mods = [catalog.indecs[k] for k in ks]
+    total = direct_sum(mods)
+    assert total == direct_sum_by_offsets(mods)
+    incs = [summand_inclusion(mods, k, total) for k in range(len(mods))]
+    prjs = [summand_projection(mods, k, total) for k in range(len(mods))]
+    for k, (inc, prj) in enumerate(zip(incs, prjs)):
+        assert inc == summand_inclusion_by_offsets(mods, k, total)
+        assert prj == summand_projection_by_offsets(mods, k, total)
+        # both are module maps: the checked constructor accepts them
+        assert Morphism(inc.source, inc.target, inc.comps) == inc
+        assert Morphism(prj.source, prj.target, prj.comps) == prj
+        for j, other in enumerate(prjs):
+            expected = identity_morphism(mods[k]) if j == k else zero_morphism(mods[k], mods[j])
+            assert other @ inc == expected
+    composites = [inc @ prj for inc, prj in zip(incs, prjs)]
+    assert functools.reduce(lambda f, g: f + g, composites) == identity_morphism(total)
