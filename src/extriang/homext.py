@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .quivrep import (
     _bounds,
     _commuting_system,
     _kron_map,
-    direct_sum,
 )
 
 
@@ -76,25 +75,29 @@ class SES:
         return f"SES({self.a.dims} -> {self.b.dims} -> {self.c.dims})"
 
 
-def split_ses(a: Module, c: Module) -> SES:
-    """The split sequence a >-> a (+) c ->> c."""
-    b = direct_sum([a, c])
-    return SES(a, b, c, summand_inclusion([a, c], 0, b), summand_projection([a, c], 1, b))
+def summand_inclusion(mods: Sequence[Module], k: Union[int, Sequence[int]], total: Module,
+                      part: Optional[Module] = None) -> Morphism:
+    """The inclusion into total = direct_sum(mods) of summand k, or of
+    `part`, the sum of the summands at the positions k in that order: at
+    each vertex, the identity's columns at those summands' places in
+    _bounds(mods)."""
+    if isinstance(k, int):
+        k, part = [k], mods[k]
+    bounds = _bounds(mods) if mods else []  # the zero sum has no summand to place
+    comps = {}
+    for v in total.algebra.vertices:
+        places = [u for i in k for u in range(bounds[i][v], bounds[i + 1][v])]
+        comps[v] = Mat(total.p, np.eye(total.dim(v), dtype=np.int64).take(places, axis=1))
+    return Morphism(part, total, comps, check=False)
 
 
-def summand_inclusion(mods: Sequence[Module], k: int, total: Module) -> Morphism:
-    """The inclusion of summand k into total = direct_sum(mods): at each
-    vertex, the identity's columns at the summand's place in _bounds(mods)."""
-    lo, hi = _bounds(mods)[k:k + 2]
-    return Morphism(mods[k], total, {v: Mat(total.p, np.eye(total.dim(v), dtype=np.int64)[:, lo[v]:hi[v]])
-                                     for v in total.algebra.vertices}, check=False)
-
-
-def summand_projection(mods: Sequence[Module], k: int, total: Module) -> Morphism:
-    """The projection of total = direct_sum(mods) onto summand k: the
-    identity's rows at the summand's place, the inclusion transposed."""
-    inc = summand_inclusion(mods, k, total)
-    return Morphism(total, mods[k], {v: m.transpose() for v, m in inc.comps.items()}, check=False)
+def summand_projection(mods: Sequence[Module], k: Union[int, Sequence[int]], total: Module,
+                       part: Optional[Module] = None) -> Morphism:
+    """The projection of total = direct_sum(mods) onto summand k, or onto
+    `part`, the sum of the summands at the positions k: the identity's
+    rows at their places, the inclusion transposed."""
+    inc = summand_inclusion(mods, k, total, part)
+    return Morphism(total, inc.source, {v: m.transpose() for v, m in inc.comps.items()}, check=False)
 
 
 # -- Ext^1 ---------------------------------------------------------------------
@@ -302,6 +305,8 @@ class Ext1Space:
     def realize(self, cls: ExtClass) -> SES:
         """Short exact sequence a >-> [[a, phi], [0, c]] ->> c realizing the class."""
         a, c = self.a, self.c
+        if (cls.a is not a and cls.a != a) or (cls.c is not c and cls.c != c):
+            raise ValueError("class ends do not match this Ext space")
         phi = cls.cocycle()
         action = {
             x.name: Mat(self.p, np.block([
@@ -474,8 +479,10 @@ def five_term_contravariant(ses: SES, x: Module) -> dict:
 class ConflationRecord:
     """A conflation with catalog bookkeeping for its three terms.
 
-    The sequence is built from the class the first time `ses` is read: the
-    split sequence for the zero class, the class's realization otherwise.
+    The sequence is built from the class the first time `ses` is read: for
+    the zero class, a >-> b ->> c on the list's one module b of the sorted
+    middle summands, by `_split_of(record)`; the class's realization
+    otherwise.
     A middle left unknown is found the first time `middle_summands` is
     read, by `_middle_of(record)`; so a middle outside the catalog raises
     CatalogIncompleteError when it is read, not when the list is built.
@@ -492,6 +499,7 @@ class ConflationRecord:
     from_blocks: bool = False
     _ses: Optional[SES] = field(default=None, repr=False)
     _middle_of: Optional[Callable[["ConflationRecord"], Iterable[int]]] = field(default=None, repr=False)
+    _split_of: Optional[Callable[["ConflationRecord"], SES]] = field(default=None, repr=False)
 
     @property
     def coords(self) -> tuple[int, ...]:
@@ -504,7 +512,7 @@ class ConflationRecord:
     @property
     def ses(self) -> SES:
         if self._ses is None:
-            self._ses = split_ses(self.cls.a, self.cls.c) if self.split else self.cls.realize()
+            self._ses = self._split_of(self) if self.split else self.cls.realize()
         return self._ses
 
     @property
@@ -576,13 +584,17 @@ def all_conflations(
     the split class among them.  Middles must decompose in the catalog.
 
     Only the middles of the single-summand nonsplit records are decomposed
-    here.  A split middle is the sum of the ends.  When the nonzero blocks
-    (i, j) of a class lie in distinct rows and columns, the sequence is the
-    sum of its blocks' sequences and split pieces, so its middle is the sum
-    of the blocks' middles, read off the single-summand records, and of the
-    unused summands; it is added up when it is read.  Every other class
-    keeps only its class: its sequence is realized when `ses` is read and
-    its middle decomposed when `middle_summands` is.
+    here.  A split middle's summands are the ends' summands, sorted, and
+    its module is the catalog sum of them, one module per multiset as for
+    the ends: records with equal middles share it, so their Ext^1 spaces
+    are built once.  A split sequence includes each end at its summands'
+    places in that sum, and is built when `ses` is read.  When the nonzero
+    blocks (i, j) of a class lie in distinct rows and columns, the
+    sequence is the sum of its blocks' sequences and split pieces, so its
+    middle is the sum of the blocks' middles, read off the single-summand
+    records, and of the unused summands; it is added up when it is read.
+    Every other class keeps only its class: its sequence is realized when
+    `ses` is read and its middle decomposed when `middle_summands` is.
 
     Ext^1 and its cocycles Z are sums over the blocks Ext^1(c_i, a_j), so
     a class of a pair of ends is read off its blocks' coordinates: the
@@ -604,13 +616,30 @@ def all_conflations(
     def summed_blocks(blocks, unused: tuple[int, ...]) -> Callable[[ConflationRecord], tuple[int, ...]]:
         return lambda rec: sum((base_middles[sub] for _, _, sub in blocks), unused)
 
-    # one module per end, so records and Ext lookups with equal ends share it
-    sums = [catalog.sum_of(ms) for ms in ends]
+    # one module per multiset of summands, ends and split middles alike, so
+    # records and Ext lookups with equal terms share it; middles are summed
+    # when a sequence is read
+    sums = {ms: catalog.sum_of(ms) for ms in ends}
+
+    def split_sequence(rec: ConflationRecord) -> SES:
+        ms = rec.middle_summands
+        b = sums.get(ms)
+        if b is None:
+            b = sums[ms] = catalog.sum_of(ms)
+        # the places of a's summands, then c's, in the sorted middle, a's
+        # first among equal ones
+        both = rec.a_summands + rec.c_summands
+        order = sorted(range(len(both)), key=both.__getitem__)
+        places = sorted(range(len(both)), key=order.__getitem__)
+        mods, n = [catalog.indecs[k] for k in ms], len(rec.a_summands)
+        return SES(rec.cls.a, b, rec.cls.c, summand_inclusion(mods, places[:n], b, rec.cls.a),
+                   summand_projection(mods, places[n:], b, rec.cls.c))
+
     # the blocks of every pair of ends: Ext^1(c_i, a_j) by (i, j)
     singles = {(i, j): ext1_space(catalog.indecs[i], catalog.indecs[j])
                for i in member_list for j in member_list}
-    for c_ms, c_mod in zip(ends, sums):
-        for a_ms, a_mod in zip(ends, sums):
+    for c_ms, c_mod in sums.items():
+        for a_ms, a_mod in sums.items():
             base = len(a_ms) == len(c_ms) == 1
             pairs = [(i, j) for i in range(len(c_ms)) for j in range(len(a_ms))]
             blocks = [singles[c_ms[i], a_ms[j]] for i, j in pairs]
@@ -625,7 +654,7 @@ def all_conflations(
                 cls = ExtClass(c_mod, a_mod, coords)
                 rec = ConflationRecord(cls, tuple(a_ms), tuple(c_ms), _middle_of=decomposed)
                 if cls.is_zero():
-                    rec._middle = tuple(sorted(a_ms + c_ms))
+                    rec._middle, rec._split_of = tuple(sorted(a_ms + c_ms)), split_sequence
                 elif base:
                     base_middles[cls] = rec.middle_summands
                 else:

@@ -18,7 +18,10 @@ coordinate solve per map and one cocycle push or pull per element, where
 `all_conflations_by_scan` builds every sequence of a conflation list and
 decomposes every nonsplit middle, and `classify_functor_by_scan` grades
 every record, split ones included, where `homext` and `recol` read split
-and block records off their ends and earlier records.
+and block records off their ends and earlier records.  The scan's split
+sequences are `split_ses` on a (+) c carried onto the sorted sum of the
+summands by a block permutation (`sorted_split_ses`), where `homext`
+includes each end at its summands' places in that sum.
 `block_classes_by_cocycle` reads the block classes of a class whose ends are
 direct sums by expanding its cocycle and solving each block's class, where
 `homext.all_conflations` reads them off the class's coordinates.
@@ -86,7 +89,6 @@ from extriang.homext import (
     ext1_space,
     ext_pull_many,
     ext_push_many,
-    split_ses,
     summand_inclusion,
     summand_projection,
 )
@@ -296,6 +298,34 @@ def summand_projection_by_offsets(mods: Sequence[Module], k: int, total: Module)
     return Morphism(total, mods[k], comps, check=False)
 
 
+def split_ses(a: Module, c: Module) -> SES:
+    """The split sequence a >-> a (+) c ->> c."""
+    b = direct_sum([a, c])
+    return SES(a, b, c, summand_inclusion([a, c], 0, b), summand_projection([a, c], 1, b))
+
+
+def sorted_split_ses(catalog, a_ms, c_ms, a: Module, c: Module) -> SES:
+    """split_ses(a, c), a and c the catalog sums of a_ms and c_ms, carried
+    along the block permutation of a (+) c onto the catalog sum of the
+    sorted summands: each summand of a, then of c, goes to the first place
+    of its entry there not yet taken.  The permutation is checked as a
+    module isomorphism."""
+    ses = split_ses(a, c)
+    both = list(a_ms) + list(c_ms)
+    mid = sorted(both)
+    b = catalog.sum_of(mid)
+    places: list[int] = []
+    for k in both:
+        places.append(next(s for s, m in enumerate(mid) if m == k and s not in places))
+    parts, mods = [catalog.indecs[k] for k in both], [catalog.indecs[k] for k in mid]
+    sigma = zero_morphism(ses.b, b)
+    for t, s in enumerate(places):
+        sigma = sigma + summand_inclusion_by_offsets(mods, s, b) @ summand_projection_by_offsets(parts, t, ses.b)
+    sigma = Morphism(ses.b, b, sigma.comps)  # checks every square
+    assert sigma.is_isomorphism()
+    return SES(a, b, c, sigma @ ses.inc, ses.prj @ sigma.inverse())
+
+
 def witness_candidates_by_scan(c_index: int, t: Subcat, f: Subcat, e: ExCat) -> list[tuple]:
     """(torsion multiset, free multiset) pairs in the torsion witness scan order.
 
@@ -472,11 +502,11 @@ def block_classes_by_cocycle(cls: ExtClass, catalog, a_ms, c_ms) -> list[tuple[i
 def all_conflations_by_scan(catalog, members=None, cap: int = 2) -> list[ConflationRecord]:
     """Every conflation over the members, as `homext.all_conflations` lists them.
 
-    Each record carries its sequence: the split sequence of the zero class,
-    the realization of every other class, whose middle is decomposed.  A
-    nonsplit record is marked `from_blocks` when its blocks, read by
-    pushing and pulling along the summand maps, lie in distinct rows and
-    columns.
+    Each record carries its sequence: the split sequence of the zero class
+    on the sorted sum of its summands, the realization of every other
+    class, whose middle is decomposed.  A nonsplit record is marked
+    `from_blocks` when its blocks, read by pushing and pulling along the
+    summand maps, lie in distinct rows and columns.
     """
     member_list = sorted(members) if members is not None else list(range(len(catalog)))
     ends = [ms for size in range(cap + 1)
@@ -489,7 +519,7 @@ def all_conflations_by_scan(catalog, members=None, cap: int = 2) -> list[Conflat
             space = ext1_space(c_mod, a_mod)
             for cls in space.elements():
                 if cls.is_zero():
-                    ses = split_ses(a_mod, c_mod)
+                    ses = sorted_split_ses(catalog, a_ms, c_ms, a_mod, c_mod)
                     mid = tuple(sorted(a_ms + c_ms))
                 else:
                     ses = space.realize(cls)

@@ -7,7 +7,7 @@ import pytest
 
 from extriang import homext, quivrep, recol
 from extriang.fixtures import build_example51
-from extriang.homext import ConflationRecord, _multisets, _spread, _sum_layout, ext1_space
+from extriang.homext import ConflationRecord, _multisets, _spread, _sum_layout, class_of, ext1_space
 from extriang.quivrep import Catalog, _decompose_by_splits, decompose
 from extriang.recol import SIX_NAMES, classify_functor
 from oracles import all_conflations_by_scan, block_classes_by_cocycle, classify_functor_by_scan
@@ -56,6 +56,27 @@ def test_lazy_middles_agree_with_the_scan_oracle(p, bound):
         assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in expected], name
         assert [r.from_blocks for r in got] == [r.from_blocks for r in expected], name
         assert got == expected, name
+
+
+@pytest.mark.parametrize("p, bound, name", [(p, bound, "b_ext") for p, bound in SETTINGS + [(5, 1)]]
+                         + [(2, 2, "full_a")])
+def test_split_middles_are_the_sorted_catalog_sum(p, bound, name):
+    # every split record of a fresh list is a >-> b ->> c on the catalog
+    # sum of its sorted middle summands, with the zero class, and records
+    # with equal middles hold one module: for B_ext at p = 2, bound 2, 70
+    # middles for the 225 split records, where summing the ends in their
+    # order made 149
+    e = getattr(build_example51(p, bound), name)
+    recs = homext.all_conflations(e.catalog, None if e.is_full() else e.objects.members, e.cap)
+    middles = {}
+    for rec in (r for r in recs if r.split):
+        ses = rec.ses
+        assert ses.b == e.catalog.sum_of(rec.middle_summands), rec
+        assert (ses.a, ses.c) == (rec.cls.a, rec.cls.c)
+        assert class_of(ses).is_zero() and (ses.prj @ ses.inc).is_zero(), rec
+        assert middles.setdefault(rec.middle_summands, ses.b) is ses.b, rec
+    if (p, bound, name) == (2, 2, "b_ext"):
+        assert (sum(r.split for r in recs), len(middles)) == (225, 70)
 
 
 @pytest.mark.parametrize("p, bound", SETTINGS)
@@ -137,15 +158,16 @@ def test_classifications_agree_with_the_scan_oracle(p, bound, which):
 
 
 def test_b_ext_list_decomposes_only_what_blocks_do_not_give(bundle, monkeypatch):
-    # building B_ext's list builds no split sequence, and decomposes the
-    # middles of the single-summand nonsplit records, nothing else; reading
-    # the other middles decomposes those of the classes whose nonzero blocks
-    # share a row or a column, and adds up the block records'; the bundle's
+    # building B_ext's list builds no sequence but the realization of the
+    # single-summand nonsplit record, whose middle it decomposes, nothing
+    # else; reading the other middles decomposes those of the classes whose
+    # nonzero blocks share a row or a column, and adds up the block
+    # records'; the bundle's
     # catalog and members are read first, since building them decomposes
     # mod A's objects for the labels
     catalog, members = bundle.mod_lambda, bundle.b_ext.objects.members
-    split_calls, decompose_calls, built, split_tests = [], [], [], []
-    real_split, real_decompose = homext.split_ses, Catalog.decompose
+    sequences, decompose_calls, built, split_tests = [], [], [], []
+    real_ses, real_decompose = homext.SES, Catalog.decompose
     real_split_test = quivrep.split_off_summand
 
     def build(c, a):
@@ -156,15 +178,15 @@ def test_b_ext_list_decomposes_only_what_blocks_do_not_give(bundle, monkeypatch)
         split_tests.append((u, m))
         return real_split_test(u, m)
 
-    def split_spy(a, c):
-        split_calls.append((a, c))
-        return real_split(a, c)
+    def ses_spy(*terms):
+        sequences.append(terms)
+        return real_ses(*terms)
 
     def decompose_spy(catalog, m):
         decompose_calls.append(m)
         return real_decompose(catalog, m)
 
-    monkeypatch.setattr(homext, "split_ses", split_spy)
+    monkeypatch.setattr(homext, "SES", ses_spy)
     monkeypatch.setattr(Catalog, "decompose", decompose_spy)
     # Ext spaces and decompositions from empty caches
     monkeypatch.setattr(homext, "ext1_space", lru_cache(maxsize=None)(build))
@@ -176,20 +198,19 @@ def test_b_ext_list_decomposes_only_what_blocks_do_not_give(bundle, monkeypatch)
     by_blocks = [r for r in nonsplit if r.from_blocks]
     assert (len(recs), len(nonsplit), len(base), len(by_blocks)) == (280, 55, 1, 37)
     assert not any(r.from_blocks for r in base)
-    assert split_calls == []
-    assert len(decompose_calls) == len(base) == 1
+    assert len(sequences) == len(decompose_calls) == len(base) == 1
     # only the 16 single-summand pairs build their space: a pair of sums
     # reads its classes off its blocks' spaces; and the decompositions run
     # no split test
     assert len(built) == 16 and split_tests == []
     assert all(r._middle is None for r in nonsplit if r is not base[0])
     middles = [r.middle_summands for r in recs]
-    assert len(decompose_calls) == len(nonsplit) - len(by_blocks) == 18 and split_calls == []
+    assert len(decompose_calls) == len(nonsplit) - len(by_blocks) == 18 == len(sequences)
     assert middles == [r.middle_summands for r in recs]  # read once, then kept
     assert len(decompose_calls) == 18 and split_tests == []
     # a split sequence is built when it is read, once
     rec = recs[0]
-    assert rec.split and rec.ses is rec.ses and len(split_calls) == 1
+    assert rec.split and rec.ses is rec.ses and len(sequences) == 19
 
 
 def test_classification_grades_only_records_it_cannot_derive(bundle, monkeypatch):

@@ -1,6 +1,7 @@
 """Ext^1 computation, realization, class extraction, conflation enumeration."""
 
 import functools
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from extriang.homext import (
     ext_push_many,
     five_term_contravariant,
     five_term_covariant,
-    split_ses,
     summand_inclusion,
     summand_projection,
 )
@@ -54,6 +54,7 @@ from oracles import (
     push_by_cocycle,
     pushout_ses,
     reduce_class,
+    split_ses,
     summand_inclusion_by_offsets,
     summand_projection_by_offsets,
 )
@@ -218,6 +219,20 @@ def test_realize_nonzero_class_middle(bundle):
     ses = nz.realize()
     assert not is_split(ses)
     assert dict(cat.decompose(ses.b)) == {idx_of(cat, (1, 1)): 1}
+
+
+def test_realize_refuses_a_class_of_another_space(bundle):
+    # a class of Ext^1(S1, S2) has the wrong shapes for Ext^1(S1, S1); a
+    # class of Ext^1(S1, P1) has the right ones for Ext^1(S1, S1 (+) S2),
+    # whose realization would put the wrong module at the front
+    cat = bundle.mod_a
+    s1, s2, p1 = (cat.indecs[idx_of(cat, dims)] for dims in ((1, 0), (0, 1), (1, 1)))
+    nonzero = ext1_space(s1, s2).basis()[0]
+    with pytest.raises(ValueError, match="class ends do not match this Ext space"):
+        ext1_space(s1, s1).realize(nonzero)
+    with pytest.raises(ValueError, match="class ends do not match this Ext space"):
+        ext1_space(s1, direct_sum([s1, s2])).realize(ext1_space(s1, p1).zero())
+    assert nonzero.realize() == ext1_space(s1, s2).realize(nonzero)
 
 
 def test_class_of_round_trip_everywhere(bundle):
@@ -466,6 +481,28 @@ def test_five_term_pair_on_warm_spaces_builds_nothing(bundle, monkeypatch):
     assert ext1_space.cache_info().misses == misses
 
 
+def test_five_term_pass_over_b_ext_builds_each_middle_space_once(bundle, monkeypatch):
+    # from empty Ext^1 and class caches, after B_ext's sequences are read,
+    # both five-term sequences of every conflation against every
+    # indecomposable of mod Lambda build a fixed number of spaces; split
+    # records with equal middle summands share one middle, so its spaces
+    # are built once (summing the ends in their order built 3,911)
+    sequences = [rec.ses for rec in bundle.b_ext.conflations]
+    built = []
+
+    def build(c, a):
+        built.append((c, a))
+        return homext.Ext1Space(c, a)
+
+    monkeypatch.setattr(homext, "ext1_space", lru_cache(maxsize=None)(build))
+    monkeypatch.setattr(homext, "class_of", lru_cache(maxsize=None)(homext.class_of.__wrapped__))
+    for ses in sequences:
+        for x in bundle.mod_lambda.indecs:
+            five_term_covariant(ses, x)
+            five_term_contravariant(ses, x)
+    assert len(built) == len(set(built)) == 2503
+
+
 def test_first_map_iso_iff_third_term_zero(bundle):
     """inc is an isomorphism exactly when the quotient vanishes, and dually."""
     for rec in bundle.b_ext.conflations:
@@ -631,3 +668,24 @@ def test_summand_layout_agrees_with_running_offsets(data):
             assert other @ inc == expected
     composites = [inc @ prj for inc, prj in zip(incs, prjs)]
     assert functools.reduce(lambda f, g: f + g, composites) == identity_morphism(total)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_summand_maps_of_a_set_of_places(data):
+    # the inclusion of the summands at some places, in a given order, is
+    # the inclusion of each at its place, and the projection undoes it
+    p, bound = data.draw(st.sampled_from([(2, 2), (3, 1)]))
+    catalog = data.draw(st.sampled_from([build_example51(p, bound).mod_a, build_example51(p, bound).mod_lambda]))
+    ks = data.draw(st.lists(st.integers(0, len(catalog) - 1), min_size=1, max_size=4))
+    places = data.draw(st.permutations(range(len(ks))))[:data.draw(st.integers(0, len(ks)))]
+    mods = [catalog.indecs[k] for k in ks]
+    total, parts = direct_sum(mods), [mods[t] for t in places]
+    part = direct_sum(parts, catalog.algebra, catalog.p)
+    inc, prj = summand_inclusion(mods, places, total, part), summand_projection(mods, places, total, part)
+    assert inc.source is part and prj.target is part
+    for s, t in enumerate(places):
+        assert inc @ summand_inclusion_by_offsets(parts, s, part) == summand_inclusion_by_offsets(mods, t, total)
+        assert summand_projection_by_offsets(parts, s, part) @ prj == summand_projection_by_offsets(mods, t, total)
+    assert prj @ inc == identity_morphism(part)
+    assert Morphism(inc.source, total, inc.comps) == inc and Morphism(total, part, prj.comps) == prj
