@@ -14,10 +14,17 @@ reduced modulo B.
 Extension equivalence is always taken with the ends fixed: two sequences
 are equivalent exactly when their reduced coordinates agree.
 
+Ext^1 is a bifunctor: Ext^1(h, g) maps a class along g: a -> a' and
+h: x -> c by phi_y -> g_tgt phi_y h_src (ext_map_many), and Hom(h, g)
+maps f -> g f h (_hom_map); the five-term maps are these and the
+connecting maps.
+
 Ext^1 of direct sums is the sum of the blocks Ext^1(c_i, a_j), and so are
 its coordinates, interleaved: conflation lists read each class on
 two-summand ends off its blocks' coordinates and build no space of a sum
-to list it.
+to list it.  A list's ends and split middles are the catalog's sums
+(Catalog.sum_of), one module per tuple of summands, so equal terms are one
+object and share their Ext^1 spaces.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -347,40 +354,42 @@ def class_of(ses: SES) -> ExtClass:
     return ext1_space(ses.c, ses.a).class_of(ses)
 
 
-# -- functoriality of Ext -------------------------------------------------------
+# -- functoriality of Ext and Hom -----------------------------------------------
 
 
-def ext_push_many(space: Ext1Space, coords: np.ndarray, g: Morphism,
-                  target_space: Ext1Space) -> np.ndarray:
-    """Images of classes of Ext^1(c, a) under Ext^1(c, a) -> Ext^1(c, a') along
-    g: a -> a', phi_x -> g_tgt phi_x.
+def ext_map_many(space: Ext1Space, coords: np.ndarray, target_space: Ext1Space,
+                 g: Optional[Morphism] = None, h: Optional[Morphism] = None) -> np.ndarray:
+    """Images of classes of Ext^1(c, a) under Ext^1(h, g): Ext^1(c, a) ->
+    Ext^1(x, a') along g: a -> a' and h: x -> c, phi_y -> g_tgt phi_y h_src,
+    a missing map the identity.
 
     The classes are the columns of Z coordinates of `space`; so are their
     images, reduced, of the target space.  One product, one relation check
     and one reduction serve all columns; no columns need no map.
     """
-    if g.source is not space.a and g.source != space.a:
+    if g is not None and g.source is not space.a and g.source != space.a:
         raise ValueError("map must start at the class's subobject")
-    if not coords.shape[1]:
-        return np.zeros((len(target_space._zfree), 0), dtype=np.int64)
-    push = _kron_map(space.p, target_space._z.rows, space._z.rows, [
-        (target_space._offsets[i], space._offsets[i], g.comps[x.tgt].a, space.c.dim(x.src))
-        for i, x in enumerate(space.c.algebra.arrows)])
-    return target_space.reduce_cocycles(push @ space.cocycles(coords))
-
-
-def ext_pull_many(space: Ext1Space, coords: np.ndarray, h: Morphism,
-                  target_space: Ext1Space) -> np.ndarray:
-    """Images of classes of Ext^1(c, a) under Ext^1(c, a) -> Ext^1(x, a) along
-    h: x -> c, phi_x -> phi_x h_src, as in ext_push_many."""
-    if h.target is not space.c and h.target != space.c:
+    if h is not None and h.target is not space.c and h.target != space.c:
         raise ValueError("map must land in the class's quotient")
     if not coords.shape[1]:
         return np.zeros((len(target_space._zfree), 0), dtype=np.int64)
-    pull = _kron_map(space.p, target_space._z.rows, space._z.rows, [
-        (target_space._offsets[i], space._offsets[i], space.a.dim(x.tgt), h.comps[x.src].a)
-        for i, x in enumerate(space.c.algebra.arrows)])
-    return target_space.reduce_cocycles(pull @ space.cocycles(coords))
+    along = _kron_map(space.p, target_space._z.rows, space._z.rows, [
+        (target_space._offsets[i], space._offsets[i], space.a.dim(y.tgt) if g is None else g.comps[y.tgt].a,
+         space.c.dim(y.src) if h is None else h.comps[y.src].a)
+        for i, y in enumerate(space.c.algebra.arrows)])
+    return target_space.reduce_cocycles(along @ space.cocycles(coords))
+
+
+def _hom_map(src: Ext1Space, tgt: Ext1Space, g: Optional[Morphism] = None,
+             h: Optional[Morphism] = None) -> Mat:
+    """Hom(h, g): Hom(c, a) -> Hom(c', a'), f -> g f h vertex by vertex, a
+    missing map the identity, in the Hom bases of the two spaces."""
+    if not src.hom.cols:
+        return Mat.zeros(src.p, tgt.hom.cols, 0)
+    return tgt.hom_coords(_kron_map(src.p, tgt.hom.rows, src.hom.rows, [
+        (tgt._hom_offsets[i], src._hom_offsets[i], src.a.dims[i] if g is None else g.comps[v].a,
+         src.c.dims[i] if h is None else h.comps[v].a)
+        for i, v in enumerate(src.c.algebra.vertices)]) @ src.hom)
 
 
 # -- five-term exact sequences ---------------------------------------------------
@@ -395,15 +404,6 @@ def covariant_maps(ses: SES, x: Module) -> list[Mat]:
     ext_a, ext_b, ext_c = ext1_space(x, ses.a), ext1_space(x, ses.b), ext1_space(x, ses.c)
     alg, p = x.algebra, x.p
     cls = class_of(ses)
-
-    def after(g: Morphism, src: Ext1Space, tgt: Ext1Space) -> Mat:
-        # f -> g f on Hom(x, -), vertex by vertex
-        if not src.hom.cols:
-            return Mat.zeros(p, tgt.hom.cols, 0)
-        return tgt.hom_coords(_kron_map(p, tgt.hom.rows, src.hom.rows, [
-            (tgt._hom_offsets[i], src._hom_offsets[i], g.comps[v].a, x.dims[i])
-            for i, v in enumerate(alg.vertices)]) @ src.hom)
-
     # the connecting map pulls the class along each f: x -> c, phi_y f_src
     if ext_c.hom.cols:
         phi = cls.cocycle()
@@ -413,8 +413,8 @@ def covariant_maps(ses: SES, x: Module) -> list[Mat]:
         m3 = Mat(p, ext_a.compress(ext_a.reduce_cocycles(pull @ ext_c.hom)))
     else:
         m3 = Mat.zeros(p, ext_a.dim, 0)
-    m4 = ext_push_many(ext_a, ext_a.basis_coords(), ses.inc, ext_b)
-    return [after(ses.inc, ext_a, ext_b), after(ses.prj, ext_b, ext_c),
+    m4 = ext_map_many(ext_a, ext_a.basis_coords(), ext_b, g=ses.inc)
+    return [_hom_map(ext_a, ext_b, g=ses.inc), _hom_map(ext_b, ext_c, g=ses.prj),
             m3, Mat(p, ext_b.compress(m4))]
 
 
@@ -425,15 +425,6 @@ def contravariant_maps(ses: SES, x: Module) -> list[Mat]:
     ext_a, ext_b, ext_c = ext1_space(ses.a, x), ext1_space(ses.b, x), ext1_space(ses.c, x)
     alg, p = x.algebra, x.p
     cls = class_of(ses)
-
-    def before(h: Morphism, src: Ext1Space, tgt: Ext1Space) -> Mat:
-        # f -> f h on Hom(-, x), vertex by vertex
-        if not src.hom.cols:
-            return Mat.zeros(p, tgt.hom.cols, 0)
-        return tgt.hom_coords(_kron_map(p, tgt.hom.rows, src.hom.rows, [
-            (tgt._hom_offsets[i], src._hom_offsets[i], x.dims[i], h.comps[v].a)
-            for i, v in enumerate(alg.vertices)]) @ src.hom)
-
     # the connecting map pushes the class along each f: a -> x, f_tgt phi_y
     if ext_a.hom.cols:
         phi = cls.cocycle()
@@ -443,8 +434,8 @@ def contravariant_maps(ses: SES, x: Module) -> list[Mat]:
         m3 = Mat(p, ext_c.compress(ext_c.reduce_cocycles(push @ ext_a.hom)))
     else:
         m3 = Mat.zeros(p, ext_c.dim, 0)
-    m4 = ext_pull_many(ext_c, ext_c.basis_coords(), ses.prj, ext_b)
-    return [before(ses.prj, ext_c, ext_b), before(ses.inc, ext_b, ext_a),
+    m4 = ext_map_many(ext_c, ext_c.basis_coords(), ext_b, h=ses.prj)
+    return [_hom_map(ext_c, ext_b, h=ses.prj), _hom_map(ext_b, ext_a, h=ses.inc),
             m3, Mat(p, ext_b.compress(m4))]
 
 
@@ -480,26 +471,25 @@ class ConflationRecord:
     """A conflation with catalog bookkeeping for its three terms.
 
     The sequence is built from the class the first time `ses` is read: for
-    the zero class, a >-> b ->> c on the list's one module b of the sorted
-    middle summands, by `_split_of(record)`; the class's realization
-    otherwise.
+    the zero class, a >-> b ->> c on the catalog's one module b of the
+    sorted middle summands, including each end at its summands' places
+    there; the class's realization otherwise.
     A middle left unknown is found the first time `middle_summands` is
-    read, by `_middle_of(record)`; so a middle outside the catalog raises
-    CatalogIncompleteError when it is read, not when the list is built.
-    Records whose middle was decomposed keep the realization they built.
-    `from_blocks` marks a nonsplit record whose middle is read off the
-    single-summand records of its nonzero blocks.  Equality compares the
-    class, the ends and the middle, which it reads.
+    read, by decomposing the sequence's middle in the catalog; so a middle
+    outside the catalog raises CatalogIncompleteError when it is read, not
+    when the list is built.  Records whose middle was decomposed keep the
+    realization they built.  `from_blocks` marks a nonsplit record whose
+    middle is read off the single-summand records of its nonzero blocks.
+    Equality compares the class, the ends and the middle, which it reads.
     """
 
     cls: ExtClass
     a_summands: tuple[int, ...]
     c_summands: tuple[int, ...]
+    catalog: Catalog = field(repr=False)
     _middle: Optional[tuple[int, ...]] = None
     from_blocks: bool = False
     _ses: Optional[SES] = field(default=None, repr=False)
-    _middle_of: Optional[Callable[["ConflationRecord"], Iterable[int]]] = field(default=None, repr=False)
-    _split_of: Optional[Callable[["ConflationRecord"], SES]] = field(default=None, repr=False)
 
     @property
     def coords(self) -> tuple[int, ...]:
@@ -512,13 +502,25 @@ class ConflationRecord:
     @property
     def ses(self) -> SES:
         if self._ses is None:
-            self._ses = self._split_of(self) if self.split else self.cls.realize()
+            self._ses = self._split_ses() if self.split else self.cls.realize()
         return self._ses
+
+    def _split_ses(self) -> SES:
+        ms = self.middle_summands
+        b = self.catalog.sum_of(ms)
+        # the places of a's summands, then c's, in the sorted middle, a's
+        # first among equal ones
+        both = self.a_summands + self.c_summands
+        order = sorted(range(len(both)), key=both.__getitem__)
+        places = sorted(range(len(both)), key=order.__getitem__)
+        mods, n = [self.catalog.indecs[k] for k in ms], len(self.a_summands)
+        return SES(self.cls.a, b, self.cls.c, summand_inclusion(mods, places[:n], b, self.cls.a),
+                   summand_projection(mods, places[n:], b, self.cls.c))
 
     @property
     def middle_summands(self) -> tuple[int, ...]:
         if self._middle is None:
-            self._middle = tuple(sorted(self._middle_of(self)))
+            self._middle = tuple(sorted(self.catalog.decompose(self.ses.b).elements()))
         return self._middle
 
     def __eq__(self, other):
@@ -580,21 +582,21 @@ def all_conflations(
     """Every conflation (up to fixed-end equivalence) over the given members.
 
     Ends run over direct sums of member indecomposables with at most `cap`
-    summands each (the zero object included); one record per Ext^1 class,
-    the split class among them.  Middles must decompose in the catalog.
+    summands each (the zero object included), each the catalog's one
+    module of its summands; one record per Ext^1 class, the split class
+    among them.  Middles must decompose in the catalog.
 
     Only the middles of the single-summand nonsplit records are decomposed
     here.  A split middle's summands are the ends' summands, sorted, and
-    its module is the catalog sum of them, one module per multiset as for
-    the ends: records with equal middles share it, so their Ext^1 spaces
-    are built once.  A split sequence includes each end at its summands'
-    places in that sum, and is built when `ses` is read.  When the nonzero
-    blocks (i, j) of a class lie in distinct rows and columns, the
-    sequence is the sum of its blocks' sequences and split pieces, so its
-    middle is the sum of the blocks' middles, read off the single-summand
-    records, and of the unused summands; it is added up when it is read.
-    Every other class keeps only its class: its sequence is realized when
-    `ses` is read and its middle decomposed when `middle_summands` is.
+    its module is the catalog's sum of them: records with equal middles
+    share it, so their Ext^1 spaces are built once.  A split sequence is
+    built when `ses` is read.  When the nonzero blocks (i, j) of a class
+    lie in distinct rows and columns, the sequence is the sum of its
+    blocks' sequences and split pieces, so its middle is the sum of the
+    blocks' middles, read off the single-summand records listed before
+    it, and of the unused summands.  Every other class keeps only its
+    class: its sequence is realized when `ses` is read and its middle
+    decomposed when `middle_summands` is.
 
     Ext^1 and its cocycles Z are sums over the blocks Ext^1(c_i, a_j), so
     a class of a pair of ends is read off its blocks' coordinates: the
@@ -609,38 +611,13 @@ def all_conflations(
     records: list[ConflationRecord] = []
     # middles of the single-summand records, by class
     base_middles: dict[ExtClass, tuple[int, ...]] = {}
-
-    def decomposed(rec: ConflationRecord) -> Iterable[int]:
-        return catalog.decompose(rec.ses.b).elements()
-
-    def summed_blocks(blocks, unused: tuple[int, ...]) -> Callable[[ConflationRecord], tuple[int, ...]]:
-        return lambda rec: sum((base_middles[sub] for _, _, sub in blocks), unused)
-
-    # one module per multiset of summands, ends and split middles alike, so
-    # records and Ext lookups with equal terms share it; middles are summed
-    # when a sequence is read
-    sums = {ms: catalog.sum_of(ms) for ms in ends}
-
-    def split_sequence(rec: ConflationRecord) -> SES:
-        ms = rec.middle_summands
-        b = sums.get(ms)
-        if b is None:
-            b = sums[ms] = catalog.sum_of(ms)
-        # the places of a's summands, then c's, in the sorted middle, a's
-        # first among equal ones
-        both = rec.a_summands + rec.c_summands
-        order = sorted(range(len(both)), key=both.__getitem__)
-        places = sorted(range(len(both)), key=order.__getitem__)
-        mods, n = [catalog.indecs[k] for k in ms], len(rec.a_summands)
-        return SES(rec.cls.a, b, rec.cls.c, summand_inclusion(mods, places[:n], b, rec.cls.a),
-                   summand_projection(mods, places[n:], b, rec.cls.c))
-
     # the blocks of every pair of ends: Ext^1(c_i, a_j) by (i, j)
     singles = {(i, j): ext1_space(catalog.indecs[i], catalog.indecs[j])
                for i in member_list for j in member_list}
-    for c_ms, c_mod in sums.items():
-        for a_ms, a_mod in sums.items():
-            base = len(a_ms) == len(c_ms) == 1
+    for c_ms in ends:
+        c_mod = catalog.sum_of(c_ms)
+        for a_ms in ends:
+            a_mod, base = catalog.sum_of(a_ms), len(a_ms) == len(c_ms) == 1
             pairs = [(i, j) for i in range(len(c_ms)) for j in range(len(a_ms))]
             blocks = [singles[c_ms[i], a_ms[j]] for i, j in pairs]
             if any(space.dim for space in blocks):
@@ -652,9 +629,9 @@ def all_conflations(
                 size, free = sum(len(space._zfree) for space in blocks), []
             for coords in _spread(catalog.p, free, size):
                 cls = ExtClass(c_mod, a_mod, coords)
-                rec = ConflationRecord(cls, tuple(a_ms), tuple(c_ms), _middle_of=decomposed)
+                rec = ConflationRecord(cls, a_ms, c_ms, catalog)
                 if cls.is_zero():
-                    rec._middle, rec._split_of = tuple(sorted(a_ms + c_ms)), split_sequence
+                    rec._middle = tuple(sorted(a_ms + c_ms))
                 elif base:
                     base_middles[cls] = rec.middle_summands
                 else:
@@ -668,6 +645,7 @@ def all_conflations(
                     if len(c_used) == len(a_used) == len(nonzero):
                         unused = tuple(a for j, a in enumerate(a_ms) if j not in a_used)
                         unused += tuple(c for i, c in enumerate(c_ms) if i not in c_used)
-                        rec.from_blocks, rec._middle_of = True, summed_blocks(nonzero, unused)
+                        rec.from_blocks = True
+                        rec._middle = tuple(sorted(sum((base_middles[sub] for _, _, sub in nonzero), unused)))
                 records.append(rec)
     return records

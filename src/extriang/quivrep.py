@@ -501,7 +501,10 @@ def split_off_summand(u: Module, m: Module) -> Optional[tuple[Morphism, Morphism
 @dataclass
 class Catalog:
     """Ordered list of pairwise non-isomorphic indecomposables.  Hom bases of
-    pairs, End-ring tops of entries and decompositions are found on first use."""
+    pairs, End-ring tops of entries, sums of entries and decompositions are
+    found on first use and kept: one module per tuple of entries summed, so
+    equal sums are one object, which the Ext and decomposition memos find
+    by identity."""
 
     algebra: Algebra
     p: int
@@ -511,7 +514,8 @@ class Catalog:
     def __post_init__(self):
         self._homs: dict[tuple[int, int], tuple[Morphism, ...]] = {}
         self._tops: dict[int, Optional[tuple[str, Mat, Mat]]] = {}
-        self._decompose_memo: dict = {}
+        self._sums: dict[tuple[int, ...], Module] = {}
+        self._decompose_memo: dict[Module, Counter] = {}
 
     def __len__(self):
         return len(self.indecs)
@@ -533,15 +537,19 @@ class Catalog:
         return self._tops[i]
 
     def sum_of(self, indices: Iterable[int]) -> Module:
-        mods = [self.indecs[i] for i in indices]
-        return direct_sum(mods, algebra=self.algebra, p=self.p)
+        """The direct sum of the entries at the indices, in their order, one
+        module per tuple; one index gives the entry itself."""
+        key = tuple(indices)
+        m = self._sums.get(key)
+        if m is None:
+            m = self._sums[key] = (self.indecs[key[0]] if len(key) == 1 else direct_sum(
+                [self.indecs[i] for i in key], algebra=self.algebra, p=self.p))
+        return m
 
     def decompose(self, m: Module) -> Counter:
-        key = m.key()
-        hit = self._decompose_memo.get(key)
+        hit = self._decompose_memo.get(m)
         if hit is None:
-            hit = decompose(m, self)
-            self._decompose_memo[key] = hit
+            hit = self._decompose_memo[m] = decompose(m, self)
         return Counter(hit)
 
     def to_json_dict(self) -> dict:

@@ -110,11 +110,9 @@ class TriangularData:
         )
 
     def _coker_data(self, m: Module):
-        key = m.key()
-        hit = self._coker_cache.get(key)
+        hit = self._coker_cache.get(m)
         if hit is None:
-            hit = cokernel(self.connecting_morphism(m))
-            self._coker_cache[key] = hit
+            hit = self._coker_cache[m] = cokernel(self.connecting_morphism(m))
         return hit
 
     def _read_mor(self, phi: Morphism, vertex: dict[str, str], part: Callable[[Module], Module]) -> Morphism:

@@ -54,8 +54,9 @@ where `Mat.rref` works on rows of Python integers.
 column offsets, where `quivrep.direct_sum` and the `homext` summand maps
 read its place off `quivrep._bounds`.
 `ext_push`, `ext_pull` and `reduce_class` are the one-class forms of
-`homext`'s batched pushes, pulls and reductions, and `dump_algebra_text`
-writes the text format `quivrep.parse_algebra_text` reads.
+`homext`'s batched pushes and pulls (`ext_map_many`) and reductions, and
+`dump_algebra_text` writes the text format `quivrep.parse_algebra_text`
+reads.
 """
 
 from __future__ import annotations
@@ -87,8 +88,7 @@ from extriang.homext import (
     _column,
     class_of,
     ext1_space,
-    ext_pull_many,
-    ext_push_many,
+    ext_map_many,
     summand_inclusion,
     summand_projection,
 )
@@ -525,7 +525,7 @@ def all_conflations_by_scan(catalog, members=None, cap: int = 2) -> list[Conflat
                     ses = space.realize(cls)
                     mid = tuple(sorted(catalog.decompose(ses.b).elements()))
                 records.append(ConflationRecord(
-                    cls, a_ms, c_ms, mid, _ses=ses,
+                    cls, a_ms, c_ms, catalog, mid, _ses=ses,
                     from_blocks=not cls.is_zero() and _reads_off_blocks(cls, a_ms, c_ms, catalog)))
     return records
 
@@ -700,16 +700,16 @@ def pull_by_cocycle(cls: ExtClass, h: Morphism, target: Ext1Space) -> ExtClass:
 
 
 def ext_push(cls: ExtClass, g: Morphism, target_space: Optional[Ext1Space] = None) -> ExtClass:
-    """Image of one class along g: a -> a' (see homext.ext_push_many)."""
+    """Image of one class along g: a -> a' (see homext.ext_map_many)."""
     target = target_space or ext1_space(cls.c, g.target)
-    coords = ext_push_many(cls.space, _column(cls.coords), g, target)
+    coords = ext_map_many(cls.space, _column(cls.coords), target, g=g)
     return ExtClass(target.c, target.a, tuple(int(t) for t in coords[:, 0]))
 
 
 def ext_pull(cls: ExtClass, h: Morphism, target_space: Optional[Ext1Space] = None) -> ExtClass:
-    """Image of one class along h: x -> c (see homext.ext_pull_many)."""
+    """Image of one class along h: x -> c (see homext.ext_map_many)."""
     target = target_space or ext1_space(h.source, cls.a)
-    coords = ext_pull_many(cls.space, _column(cls.coords), h, target)
+    coords = ext_map_many(cls.space, _column(cls.coords), target, h=h)
     return ExtClass(target.c, target.a, tuple(int(t) for t in coords[:, 0]))
 
 

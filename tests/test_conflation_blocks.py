@@ -42,9 +42,11 @@ def test_conflations_agree_with_the_scan_oracle(p, bound):
 
 @pytest.mark.parametrize("p, bound", SETTINGS + [(5, 1)])
 def test_lazy_middles_agree_with_the_scan_oracle(p, bound):
-    # a list built afresh leaves every nonsplit middle but the
-    # single-summand records' unread; read, each record's JSON is the
-    # oracle's, which decomposed every middle when it listed it
+    # a list built afresh leaves unread the middle of every nonsplit
+    # record but the single-summand and block records': a block record's
+    # middle is summed from the single-summand records', with no sequence
+    # built; read, each record's JSON is the oracle's, which decomposed
+    # every middle when it listed it
     bundle = build_example51(p, bound)
     for name in BUNDLED:
         e = getattr(bundle, name)
@@ -52,7 +54,9 @@ def test_lazy_middles_agree_with_the_scan_oracle(p, bound):
         expected = scanned(p, bound, name)
         # by identity: comparing records reads their middles
         unread = [id(r) for r in got if r._middle is None]
-        assert unread == [id(r) for r in got if not r.split and len(r.a_summands) + len(r.c_summands) > 2], name
+        assert unread == [id(r) for r in got if not r.split and not r.from_blocks
+                          and len(r.a_summands) + len(r.c_summands) > 2], name
+        assert all(r._ses is None for r in got if r.from_blocks), name
         assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in expected], name
         assert [r.from_blocks for r in got] == [r.from_blocks for r in expected], name
         assert got == expected, name
@@ -77,6 +81,24 @@ def test_split_middles_are_the_sorted_catalog_sum(p, bound, name):
         assert middles.setdefault(rec.middle_summands, ses.b) is ses.b, rec
     if (p, bound, name) == (2, 2, "b_ext"):
         assert (sum(r.split for r in recs), len(middles)) == (225, 70)
+
+
+@pytest.mark.parametrize("p, bound, name", [(p, bound, name) for p, bound in SETTINGS
+                                            for name in ("b_ext", "full_a")])
+def test_one_module_per_summand_tuple(p, bound, name):
+    # the catalog keeps one module per tuple of entries summed, the entry
+    # itself for one index, and a list's ends and split middles are those
+    # modules
+    e = getattr(build_example51(p, bound), name)
+    cat = e.catalog
+    assert all(cat.sum_of((i,)) is m for i, m in enumerate(cat.indecs))
+    recs = homext.all_conflations(cat, None if e.is_full() else e.objects.members, e.cap)
+    for ms in {r.a_summands for r in recs} | {r.middle_summands for r in recs if r.split}:
+        assert cat.sum_of(ms) is cat.sum_of(list(ms)) is cat.sum_of(iter(ms)), ms
+    for rec in recs:
+        assert rec.cls.a is cat.sum_of(rec.a_summands) and rec.cls.c is cat.sum_of(rec.c_summands), rec
+        if rec.split:
+            assert rec.ses.b is cat.sum_of(rec.middle_summands), rec
 
 
 @pytest.mark.parametrize("p, bound", SETTINGS)
@@ -160,9 +182,9 @@ def test_classifications_agree_with_the_scan_oracle(p, bound, which):
 def test_b_ext_list_decomposes_only_what_blocks_do_not_give(bundle, monkeypatch):
     # building B_ext's list builds no sequence but the realization of the
     # single-summand nonsplit record, whose middle it decomposes, nothing
-    # else; reading the other middles decomposes those of the classes whose
-    # nonzero blocks share a row or a column, and adds up the block
-    # records'; the bundle's
+    # else, and adds up the block records' middles; reading the other
+    # middles decomposes those of the classes whose nonzero blocks share a
+    # row or a column; the bundle's
     # catalog and members are read first, since building them decomposes
     # mod A's objects for the labels
     catalog, members = bundle.mod_lambda, bundle.b_ext.objects.members
@@ -203,7 +225,10 @@ def test_b_ext_list_decomposes_only_what_blocks_do_not_give(bundle, monkeypatch)
     # reads its classes off its blocks' spaces; and the decompositions run
     # no split test
     assert len(built) == 16 and split_tests == []
-    assert all(r._middle is None for r in nonsplit if r is not base[0])
+    # the block records' middles are summed from the single-summand
+    # record's; every other nonsplit middle is unread
+    assert all(r._middle is not None and r._ses is None for r in by_blocks)
+    assert all(r._middle is None for r in nonsplit if r is not base[0] and not r.from_blocks)
     middles = [r.middle_summands for r in recs]
     assert len(decompose_calls) == len(nonsplit) - len(by_blocks) == 18 == len(sequences)
     assert middles == [r.middle_summands for r in recs]  # read once, then kept

@@ -33,8 +33,7 @@ from extriang.homext import (
     contravariant_maps,
     covariant_maps,
     ext1_space,
-    ext_pull_many,
-    ext_push_many,
+    ext_map_many,
     five_term_contravariant,
     five_term_covariant,
     summand_inclusion,
@@ -560,9 +559,9 @@ def test_ext_round_trip_at_a_large_prime():
 
 
 def test_batched_pushes_and_pulls_at_a_large_prime():
-    """At p = 2**31 - 1, pushes and pulls of several classes at once, with
-    large unreduced Z coordinates and maps with large entries, give the
-    classes the one-class route and the cocycle oracle give."""
+    """At p = 2**31 - 1, pushes, pulls and both at once of several classes,
+    with large unreduced Z coordinates and maps with large entries, give
+    the classes the one-class route and the cocycle oracle give."""
     p = 2**31 - 1
     rng = np.random.default_rng(7)
     s1 = Module(SQUARE, p, (1, 0, 0, 0), {})
@@ -580,14 +579,21 @@ def test_batched_pushes_and_pulls_at_a_large_prime():
     assert space.dim == 1 and ext1_space(s1, aa).dim == 2 and ext1_space(ss, a).dim == 2
     coords = rng.integers(0, p, size=(len(space.zero().coords), 4), dtype=np.int64)
     coords[:, 0] = 0
-    for many, one, oracle, f, target in ((ext_push_many, ext_push, push_by_cocycle, g, ext1_space(s1, aa)),
-                                         (ext_pull_many, ext_pull, pull_by_cocycle, h, ext1_space(ss, a))):
-        images = many(space, coords, f, target)
+    for side, one, oracle, f, target in (("g", ext_push, push_by_cocycle, g, ext1_space(s1, aa)),
+                                         ("h", ext_pull, pull_by_cocycle, h, ext1_space(ss, a))):
+        images = ext_map_many(space, coords, target, **{side: f})
         assert images.shape == (len(target.zero().coords), coords.shape[1])
         assert not images[:, 0].any() and images[:, 1:].any()
         for k in range(coords.shape[1]):
             cls = reduce_class(space, coords[:, k])
             assert one(cls, f) == oracle(cls, f, target) == ExtClass(target.c, target.a, tuple(images[:, k]))
+    target = ext1_space(ss, aa)
+    images = ext_map_many(space, coords, target, g=g, h=h)
+    assert not images[:, 0].any() and images[:, 1:].any()
+    for k in range(coords.shape[1]):
+        cls = reduce_class(space, coords[:, k])
+        expected = push_by_cocycle(pull_by_cocycle(cls, h, ext1_space(ss, a)), g, target)
+        assert ExtClass(ss, aa, tuple(images[:, k])) == expected
 
 
 @pytest.mark.parametrize("left_shape, right_shape", [
@@ -689,3 +695,58 @@ def test_summand_maps_of_a_set_of_places(data):
         assert summand_projection_by_offsets(parts, s, part) @ prj == summand_projection_by_offsets(mods, t, total)
     assert prj @ inc == identity_morphism(part)
     assert Morphism(inc.source, total, inc.comps) == inc and Morphism(total, part, prj.comps) == prj
+
+
+@lru_cache(maxsize=None)
+def _ext_pairs(p, bound, which):
+    """The catalog and its pairs (i, j) of entries with Ext^1(i, j) nonzero."""
+    catalog = getattr(build_example51(p, bound), which)
+    n = len(catalog)
+    return catalog, [(i, j) for i in range(n) for j in range(n)
+                     if ext1_space(catalog.indecs[i], catalog.indecs[j]).dim]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_ext_is_a_bifunctor(data):
+    # Ext^1(h, g) on classes of Ext^1(c, a) is the push along g after the
+    # pull along h and the pull after the push, and the cocycle oracle's
+    # g_tgt phi h_src; an identity map acts as a missing one.  c and x
+    # hold the entry i, a and a2 the entry j, with Ext^1(i, j) nonzero, and
+    # h and g are the identity between those summands plus a drawn
+    # combination of a Hom basis, so most images are nonzero
+    p, bound = data.draw(st.sampled_from([(2, 2), (3, 1)]))
+    catalog, pairs = _ext_pairs(p, bound, data.draw(st.sampled_from(["mod_a", "mod_lambda"])))
+    entries = st.integers(0, len(catalog) - 1)
+    i, j = data.draw(st.sampled_from(pairs))
+
+    def around(k):
+        ms = data.draw(st.permutations([k, *data.draw(st.lists(entries, max_size=1))]))
+        return ms, catalog.sum_of(ms)
+
+    def through(k, src_ms, src, tgt_ms, tgt):
+        out = (summand_inclusion([catalog.indecs[t] for t in tgt_ms], tgt_ms.index(k), tgt)
+               @ summand_projection([catalog.indecs[t] for t in src_ms], src_ms.index(k), src))
+        for f in hom_basis(src, tgt):
+            out = out + f.scale(data.draw(st.integers(0, p - 1)))
+        return out
+
+    (c_ms, c), (a_ms, a), (x_ms, x), (a2_ms, a2) = around(i), around(j), around(i), around(j)
+    g, h = through(j, a_ms, a, a2_ms, a2), through(i, x_ms, x, c_ms, c)
+    space, target = ext1_space(c, a), ext1_space(x, a2)
+    size = len(space.zero().coords)
+    drawn = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=size, max_size=size), max_size=2))
+    coords = np.hstack([space.basis_coords(), np.array(drawn, dtype=np.int64).reshape(-1, size).T])
+    both = ext_map_many(space, coords, target, g=g, h=h)
+    pushed = ext_map_many(space, coords, ext1_space(c, a2), g=g)
+    pulled = ext_map_many(space, coords, ext1_space(x, a), h=h)
+    assert (both == ext_map_many(ext1_space(c, a2), pushed, target, h=h)).all()
+    assert (both == ext_map_many(ext1_space(x, a), pulled, target, g=g)).all()
+    for k in range(coords.shape[1]):
+        cls = reduce_class(space, coords[:, k])
+        expected = push_by_cocycle(pull_by_cocycle(cls, h, ext1_space(x, a)), g, target)
+        assert ExtClass(x, a2, tuple(both[:, k])) == expected
+    ones = [ext_map_many(space, coords, space, g=identity_morphism(a), h=identity_morphism(c)),
+            ext_map_many(space, coords, space, g=identity_morphism(a)),
+            ext_map_many(space, coords, space, h=identity_morphism(c))]
+    assert all((one == space.reduce_many(coords)).all() for one in ones)
