@@ -15,16 +15,21 @@ Extension equivalence is always taken with the ends fixed: two sequences
 are equivalent exactly when their reduced coordinates agree.
 
 Ext^1 is a bifunctor: Ext^1(h, g) maps a class along g: a -> a' and
-h: x -> c by phi_y -> g_tgt phi_y h_src (ext_map_many), and Hom(h, g)
-maps f -> g f h (_hom_map); the five-term maps are these and the
-connecting maps.
+h: x -> c by phi_y -> g_tgt phi_y h_src (ext_map_many).
 
 Ext^1 of direct sums is the sum of the blocks Ext^1(c_i, a_j), and so are
 its coordinates, interleaved: conflation lists read each class on
 two-summand ends off its blocks' coordinates and build no space of a sum
-to list it.  A list's ends and split middles are the catalog's sums
-(Catalog.sum_of), one module per tuple of summands, so equal terms are one
-object and share their Ext^1 spaces.
+to list it.  A list's ends and middles are the catalog's sums
+(Catalog.sum_of), one module per tuple of summands: a realized middle is
+carried onto the sum of its sorted summands along the catalog's
+placement.  So every listed sequence is a sequence of catalog sums, and
+it carries its block coordinates (Blocks): the Hom coordinates of each
+block of its maps and the class of each block.  The five-term maps are
+assembled block by block from those and from the tables over triples
+of catalog entries (Catalog.compose, push_table and pull_table); they
+build Ext^1 only between catalog entries and solve no Hom or Ext^1
+system of a sum.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -50,11 +55,30 @@ from .quivrep import (
 # -- short exact sequences -----------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class Blocks:
+    """A sequence a >-> b ->> c of catalog sums in the catalog's block
+    coordinates: a, b and c are the terms' summand tuples; inc[k, j] holds
+    the coordinates of inc's block a_j -> b_k in catalog.hom(a[j], b[k]),
+    prj[i, k] those of prj's block b_k -> c_i, and cls[i, j] the quotient
+    coordinates of the class's block in Ext^1(c_i, a_j); zero blocks are
+    left out."""
+
+    catalog: Catalog
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    c: tuple[int, ...]
+    inc: dict[tuple[int, int], np.ndarray]
+    prj: dict[tuple[int, int], np.ndarray]
+    cls: dict[tuple[int, int], np.ndarray]
+
+
 @dataclass(frozen=True)
 class SES:
     """Short exact sequence a >-> b ->> c, exactness rank-checked.
 
-    Frozen, so equal sequences hash equal and can key the class_of memo.
+    Frozen, so equal sequences hash equal.  A listed sequence carries its
+    block coordinates, which equality and hashing leave out.
     """
 
     a: Module
@@ -62,6 +86,7 @@ class SES:
     c: Module
     inc: Morphism
     prj: Morphism
+    blocks: Optional[Blocks] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.inc.source != self.a or self.inc.target != self.b:
@@ -82,28 +107,19 @@ class SES:
         return f"SES({self.a.dims} -> {self.b.dims} -> {self.c.dims})"
 
 
-def summand_inclusion(mods: Sequence[Module], k: Union[int, Sequence[int]], total: Module,
-                      part: Optional[Module] = None) -> Morphism:
-    """The inclusion into total = direct_sum(mods) of summand k, or of
-    `part`, the sum of the summands at the positions k in that order: at
-    each vertex, the identity's columns at those summands' places in
-    _bounds(mods)."""
-    if isinstance(k, int):
-        k, part = [k], mods[k]
-    bounds = _bounds(mods) if mods else []  # the zero sum has no summand to place
-    comps = {}
-    for v in total.algebra.vertices:
-        places = [u for i in k for u in range(bounds[i][v], bounds[i + 1][v])]
-        comps[v] = Mat(total.p, np.eye(total.dim(v), dtype=np.int64).take(places, axis=1))
-    return Morphism(part, total, comps, check=False)
+def summand_inclusion(mods: Sequence[Module], k: int, total: Module) -> Morphism:
+    """The inclusion of summand k into total = direct_sum(mods): at each
+    vertex, the identity's columns at the summand's place in _bounds(mods)."""
+    bounds = _bounds(mods)
+    comps = {v: Mat(total.p, np.eye(total.dim(v), dtype=np.int64)[:, bounds[k][v]:bounds[k + 1][v]])
+             for v in total.algebra.vertices}
+    return Morphism(mods[k], total, comps, check=False)
 
 
-def summand_projection(mods: Sequence[Module], k: Union[int, Sequence[int]], total: Module,
-                       part: Optional[Module] = None) -> Morphism:
-    """The projection of total = direct_sum(mods) onto summand k, or onto
-    `part`, the sum of the summands at the positions k: the identity's
-    rows at their places, the inclusion transposed."""
-    inc = summand_inclusion(mods, k, total, part)
+def summand_projection(mods: Sequence[Module], k: int, total: Module) -> Morphism:
+    """The projection of total = direct_sum(mods) onto summand k: the
+    identity's rows at its place, the inclusion transposed."""
+    inc = summand_inclusion(mods, k, total)
     return Morphism(total, inc.source, {v: m.transpose() for v, m in inc.comps.items()}, check=False)
 
 
@@ -154,14 +170,15 @@ class ExtClass:
 
     A class is its ends and coordinates; its space is looked up through
     ext1_space only when a cocycle or a realization is asked for, so a
-    zero class can be listed without building its space.  The cocycle is
-    expanded once and kept.
+    zero class can be listed without building its space.  The cocycle and
+    the realization are built once and kept.
     """
 
     c: Module
     a: Module
     coords: tuple[int, ...]
     _cocycle: Optional[dict[str, Mat]] = field(default=None, repr=False, compare=False)
+    _realization: Optional[SES] = field(default=None, repr=False, compare=False)
 
     @property
     def space(self) -> "Ext1Space":
@@ -170,14 +187,19 @@ class ExtClass:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def cocycle(self) -> dict[str, Mat]:
-        """The blocks phi_x: c_src -> a_tgt of the class's cocycle, by arrow name."""
+    def cocycle(self, space: Optional["Ext1Space"] = None) -> dict[str, Mat]:
+        """The blocks phi_x: c_src -> a_tgt of the class's cocycle, by arrow
+        name, expanded on `space` (the class's own, looked up when not
+        given)."""
         if self._cocycle is None:
-            object.__setattr__(self, "_cocycle", self.space.cocycle(self.coords))
+            object.__setattr__(self, "_cocycle", (space or self.space).cocycle(self.coords))
         return self._cocycle
 
     def realize(self) -> SES:
-        return self.space.realize(self)
+        """The sequence Ext1Space.realize builds for the class, built once and kept."""
+        if self._realization is None:
+            object.__setattr__(self, "_realization", self.space.realize(self))
+        return self._realization
 
 
 class Ext1Space:
@@ -314,7 +336,7 @@ class Ext1Space:
         a, c = self.a, self.c
         if (cls.a is not a and cls.a != a) or (cls.c is not c and cls.c != c):
             raise ValueError("class ends do not match this Ext space")
-        phi = cls.cocycle()
+        phi = cls.cocycle(self)
         action = {
             x.name: Mat(self.p, np.block([
                 [a.action[x.name].a, phi[x.name].a],
@@ -349,11 +371,6 @@ def ext1_space(c: Module, a: Module) -> Ext1Space:
     return Ext1Space(c, a)
 
 
-@lru_cache(maxsize=None)
-def class_of(ses: SES) -> ExtClass:
-    return ext1_space(ses.c, ses.a).class_of(ses)
-
-
 # -- functoriality of Ext and Hom -----------------------------------------------
 
 
@@ -380,63 +397,120 @@ def ext_map_many(space: Ext1Space, coords: np.ndarray, target_space: Ext1Space,
     return target_space.reduce_cocycles(along @ space.cocycles(coords))
 
 
-def _hom_map(src: Ext1Space, tgt: Ext1Space, g: Optional[Morphism] = None,
-             h: Optional[Morphism] = None) -> Mat:
-    """Hom(h, g): Hom(c, a) -> Hom(c', a'), f -> g f h vertex by vertex, a
-    missing map the identity, in the Hom bases of the two spaces."""
-    if not src.hom.cols:
-        return Mat.zeros(src.p, tgt.hom.cols, 0)
-    return tgt.hom_coords(_kron_map(src.p, tgt.hom.rows, src.hom.rows, [
-        (tgt._hom_offsets[i], src._hom_offsets[i], src.a.dims[i] if g is None else g.comps[v].a,
-         src.c.dims[i] if h is None else h.comps[v].a)
-        for i, v in enumerate(src.c.algebra.vertices)]) @ src.hom)
-
-
 # -- five-term exact sequences ---------------------------------------------------
 
 
-def covariant_maps(ses: SES, x: Module) -> list[Mat]:
-    """The maps Hom(x,a) -> Hom(x,b) -> Hom(x,c) -> Ext(x,a) -> Ext(x,b) as
-    matrices in the spaces' bases, each computed on a whole basis at once.
-
-    A map out of a zero space is the empty matrix, built without a product;
-    the sequence's class is read all the same."""
-    ext_a, ext_b, ext_c = ext1_space(x, ses.a), ext1_space(x, ses.b), ext1_space(x, ses.c)
-    alg, p = x.algebra, x.p
-    cls = class_of(ses)
-    # the connecting map pulls the class along each f: x -> c, phi_y f_src
-    if ext_c.hom.cols:
-        phi = cls.cocycle()
-        pull = _kron_map(p, ext_a._z.rows, ext_c.hom.rows, [
-            (ext_a._offsets[i], ext_c._hom_offsets[alg.vertex_index[y.src]], phi[y.name].a, x.dim(y.src))
-            for i, y in enumerate(alg.arrows)])
-        m3 = Mat(p, ext_a.compress(ext_a.reduce_cocycles(pull @ ext_c.hom)))
-    else:
-        m3 = Mat.zeros(p, ext_a.dim, 0)
-    m4 = ext_map_many(ext_a, ext_a.basis_coords(), ext_b, g=ses.inc)
-    return [_hom_map(ext_a, ext_b, g=ses.inc), _hom_map(ext_b, ext_c, g=ses.prj),
-            m3, Mat(p, ext_b.compress(m4))]
+def push_table(catalog: Catalog, i: int, j: int, k: int) -> np.ndarray:
+    """Hom(j, k) x Ext^1(i, j) -> Ext^1(i, k) over catalog entries: entry
+    [b, :, e] holds the quotient coordinates of basis class e pushed along
+    hom(j, k)[b].  Built once per triple and kept in catalog._pushes."""
+    table = catalog._pushes.get((i, j, k))
+    if table is None:
+        indecs = catalog.indecs
+        src, tgt = ext1_space(indecs[i], indecs[j]), ext1_space(indecs[i], indecs[k])
+        table = np.zeros((catalog.dim_hom(j, k), tgt.dim, src.dim), dtype=np.int64)
+        for b, g in enumerate(catalog.hom(j, k) if src.dim and tgt.dim else ()):
+            table[b] = tgt.compress(ext_map_many(src, src.basis_coords(), tgt, g=g))
+        catalog._pushes[(i, j, k)] = table
+    return table
 
 
-def contravariant_maps(ses: SES, x: Module) -> list[Mat]:
-    """The maps Hom(c,x) -> Hom(b,x) -> Hom(a,x) -> Ext(c,x) -> Ext(b,x) as
-    matrices in the spaces' bases, each computed on a whole basis at once;
-    maps out of a zero space as in covariant_maps."""
-    ext_a, ext_b, ext_c = ext1_space(ses.a, x), ext1_space(ses.b, x), ext1_space(ses.c, x)
-    alg, p = x.algebra, x.p
-    cls = class_of(ses)
-    # the connecting map pushes the class along each f: a -> x, f_tgt phi_y
-    if ext_a.hom.cols:
-        phi = cls.cocycle()
-        push = _kron_map(p, ext_c._z.rows, ext_a.hom.rows, [
-            (ext_c._offsets[i], ext_a._hom_offsets[alg.vertex_index[y.tgt]], x.dim(y.tgt), phi[y.name].a)
-            for i, y in enumerate(alg.arrows)])
-        m3 = Mat(p, ext_c.compress(ext_c.reduce_cocycles(push @ ext_a.hom)))
-    else:
-        m3 = Mat.zeros(p, ext_c.dim, 0)
-    m4 = ext_map_many(ext_c, ext_c.basis_coords(), ext_b, h=ses.prj)
-    return [_hom_map(ext_c, ext_b, h=ses.prj), _hom_map(ext_b, ext_a, h=ses.inc),
-            m3, Mat(p, ext_b.compress(m4))]
+def pull_table(catalog: Catalog, i: int, j: int, k: int) -> np.ndarray:
+    """Ext^1(j, k) x Hom(i, j) -> Ext^1(i, k) over catalog entries: entry
+    [e, :, a] holds the quotient coordinates of basis class e pulled along
+    hom(i, j)[a].  Built once per triple and kept in catalog._pulls."""
+    table = catalog._pulls.get((i, j, k))
+    if table is None:
+        indecs = catalog.indecs
+        src, tgt = ext1_space(indecs[j], indecs[k]), ext1_space(indecs[i], indecs[k])
+        table = np.zeros((src.dim, tgt.dim, catalog.dim_hom(i, j)), dtype=np.int64)
+        for a, h in enumerate(catalog.hom(i, j) if src.dim and tgt.dim else ()):
+            table[:, :, a] = tgt.compress(ext_map_many(src, src.basis_coords(), tgt, h=h)).T
+        catalog._pulls[(i, j, k)] = table
+    return table
+
+
+def _terms(ses: SES, x: Module) -> tuple[Blocks, int]:
+    """The sequence's block data and the catalog index of x."""
+    if ses.blocks is None:
+        raise ValueError("the sequence carries no block coordinates: read it off a conflation list")
+    return ses.blocks, ses.blocks.catalog.index(x)
+
+
+def _dot(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b mod p for arrays of residues, in Python integers where int64 could wrap."""
+    if a.shape[-1] * (p - 1) ** 2 >= 2 ** 63:
+        return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+    return a @ b % p
+
+
+def _after(p: int, table: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The map right -> left o right of a table [left, out, right], for the
+    left factor with the given coordinates."""
+    n, rows, cols = table.shape
+    return _dot(p, coords.reshape(1, n), table.reshape(n, rows * cols)).reshape(rows, cols)
+
+
+def _before(p: int, table: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The map left -> left o right of a table [left, out, right], for the
+    right factor with the given coordinates."""
+    n, rows, cols = table.shape
+    return _dot(p, table.reshape(n * rows, cols), coords.reshape(cols, 1)).reshape(n, rows).T
+
+
+def _block_matrix(p: int, rows: Sequence[int], cols: Sequence[int], blocks) -> Mat:
+    """The matrix with row and column blocks of the given sizes, zero but at
+    the given ((r, c), block) pairs."""
+    ro, co = list(itertools.accumulate(rows, initial=0)), list(itertools.accumulate(cols, initial=0))
+    out = np.zeros((ro[-1], co[-1]), dtype=np.int64)
+    for (r, c), block in blocks:
+        out[ro[r]:ro[r + 1], co[c]:co[c + 1]] = block
+    return Mat(p, out)
+
+
+def covariant_block_maps(ses: SES, x: Module) -> list[Mat]:
+    """The maps Hom(x,a) -> Hom(x,b) -> Hom(x,c) -> Ext(x,a) -> Ext(x,b) of a
+    listed sequence and a catalog entry x, assembled block by block from
+    the catalog's tables: composing with inc and prj, pulling the class's
+    blocks along maps x -> c_i (the connecting map) and pushing along inc.
+    The bases are the blocks' bases, summand by summand."""
+    bl, t = _terms(ses, x)
+    cat = bl.catalog
+    p, u = cat.p, cat.indecs[t]
+    ha, hb, hc = ([cat.dim_hom(t, i) for i in ms] for ms in (bl.a, bl.b, bl.c))
+    ea, eb = ([ext1_space(u, cat.indecs[i]).dim for i in ms] for ms in (bl.a, bl.b))
+    return [
+        _block_matrix(p, hb, ha, [((k, j), _after(p, cat.compose(t, bl.a[j], bl.b[k]), f))
+                                  for (k, j), f in bl.inc.items() if hb[k] and ha[j]]),
+        _block_matrix(p, hc, hb, [((i, k), _after(p, cat.compose(t, bl.b[k], bl.c[i]), g))
+                                  for (i, k), g in bl.prj.items() if hc[i] and hb[k]]),
+        _block_matrix(p, ea, hc, [((j, i), _after(p, pull_table(cat, t, bl.c[i], bl.a[j]), d))
+                                  for (i, j), d in bl.cls.items() if ea[j] and hc[i]]),
+        _block_matrix(p, eb, ea, [((k, j), _after(p, push_table(cat, t, bl.a[j], bl.b[k]), f))
+                                  for (k, j), f in bl.inc.items() if eb[k] and ea[j]]),
+    ]
+
+
+def contravariant_block_maps(ses: SES, x: Module) -> list[Mat]:
+    """The maps Hom(c,x) -> Hom(b,x) -> Hom(a,x) -> Ext(c,x) -> Ext(b,x) of a
+    listed sequence and a catalog entry x, as in covariant_block_maps:
+    composing with prj and inc, pushing the class's blocks along maps
+    a_j -> x (the connecting map) and pulling along prj."""
+    bl, t = _terms(ses, x)
+    cat = bl.catalog
+    p, u = cat.p, cat.indecs[t]
+    ha, hb, hc = ([cat.dim_hom(i, t) for i in ms] for ms in (bl.a, bl.b, bl.c))
+    eb, ec = ([ext1_space(cat.indecs[i], u).dim for i in ms] for ms in (bl.b, bl.c))
+    return [
+        _block_matrix(p, hb, hc, [((k, i), _before(p, cat.compose(bl.b[k], bl.c[i], t), g))
+                                  for (i, k), g in bl.prj.items() if hb[k] and hc[i]]),
+        _block_matrix(p, ha, hb, [((j, k), _before(p, cat.compose(bl.a[j], bl.b[k], t), f))
+                                  for (k, j), f in bl.inc.items() if ha[j] and hb[k]]),
+        _block_matrix(p, ec, ha, [((i, j), _before(p, push_table(cat, bl.c[i], bl.a[j], t), d))
+                                  for (i, j), d in bl.cls.items() if ec[i] and ha[j]]),
+        _block_matrix(p, eb, ec, [((k, i), _before(p, pull_table(cat, bl.b[k], bl.c[i], t), g))
+                                  for (i, k), g in bl.prj.items() if eb[k] and ec[i]]),
+    ]
 
 
 def _exactness(maps: Sequence[Mat]) -> list[bool]:
@@ -455,12 +529,12 @@ def _exactness(maps: Sequence[Mat]) -> list[bool]:
 def five_term_covariant(ses: SES, x: Module) -> dict:
     """Hom(x,a) -> Hom(x,b) -> Hom(x,c) -> Ext(x,a) -> Ext(x,b), exactness
     checked at the three middle terms."""
-    return dict(zip(("at_hom_b", "at_hom_c", "at_ext_a"), _exactness(covariant_maps(ses, x))))
+    return dict(zip(("at_hom_b", "at_hom_c", "at_ext_a"), _exactness(covariant_block_maps(ses, x))))
 
 
 def five_term_contravariant(ses: SES, x: Module) -> dict:
     """Hom(c,x) -> Hom(b,x) -> Hom(a,x) -> Ext(c,x) -> Ext(b,x)."""
-    return dict(zip(("at_hom_b", "at_hom_a", "at_ext_c"), _exactness(contravariant_maps(ses, x))))
+    return dict(zip(("at_hom_b", "at_hom_a", "at_ext_c"), _exactness(contravariant_block_maps(ses, x))))
 
 
 # -- conflation enumeration -------------------------------------------------------
@@ -470,16 +544,19 @@ def five_term_contravariant(ses: SES, x: Module) -> dict:
 class ConflationRecord:
     """A conflation with catalog bookkeeping for its three terms.
 
-    The sequence is built from the class the first time `ses` is read: for
-    the zero class, a >-> b ->> c on the catalog's one module b of the
-    sorted middle summands, including each end at its summands' places
-    there; the class's realization otherwise.
-    A middle left unknown is found the first time `middle_summands` is
-    read, by decomposing the sequence's middle in the catalog; so a middle
-    outside the catalog raises CatalogIncompleteError when it is read, not
-    when the list is built.  Records whose middle was decomposed keep the
-    realization they built.  `from_blocks` marks a nonsplit record whose
-    middle is read off the single-summand records of its nonzero blocks.
+    The sequence is built the first time `ses` is read, on the catalog's
+    one module b of the sorted middle summands, and carries its block
+    coordinates (Blocks).  A `from_blocks` record is a nonsplit record
+    whose nonzero blocks lie in distinct rows and columns: its sequence is
+    the sum of those blocks' single-summand records' sequences, its
+    `pieces`, and of split pieces for the unused summands, placed by the
+    permutation that sorts their middles' summands.  The zero class's
+    sequence is summed the same way, of split pieces alone.  Every other
+    class is realized: its middle summands are the catalog's decomposition
+    of the realized middle, found when `middle_summands` is read, and its
+    sequence is the realization carried onto b along the catalog's
+    placement of that middle.  So a middle outside the catalog raises
+    CatalogIncompleteError when it is read, not when the list is built.
     Equality compares the class, the ends and the middle, which it reads.
     """
 
@@ -490,6 +567,8 @@ class ConflationRecord:
     _middle: Optional[tuple[int, ...]] = None
     from_blocks: bool = False
     _ses: Optional[SES] = field(default=None, repr=False)
+    # (i, j, single-summand record) for a from_blocks record's nonzero blocks
+    pieces: tuple[tuple[int, int, "ConflationRecord"], ...] = field(default=(), repr=False)
 
     @property
     def coords(self) -> tuple[int, ...]:
@@ -502,25 +581,70 @@ class ConflationRecord:
     @property
     def ses(self) -> SES:
         if self._ses is None:
-            self._ses = self._split_ses() if self.split else self.cls.realize()
+            if self.split or self.from_blocks:
+                self._ses = self._summed_ses()
+            else:
+                realized, cat = self.cls.realize(), self.catalog
+                self._middle, iso = cat.placement(realized.b)
+                inc, prj = iso @ realized.inc, realized.prj @ iso.inverse()
+                a_ms, b_ms, c_ms = self.a_summands, self._middle, self.c_summands
+                self._ses = SES(realized.a, iso.target, realized.c, inc, prj, Blocks(
+                    cat, a_ms, b_ms, c_ms, _map_blocks(cat, inc, a_ms, b_ms), _map_blocks(cat, prj, b_ms, c_ms),
+                    _class_blocks(cat, self.cls, a_ms, c_ms)))
         return self._ses
 
-    def _split_ses(self) -> SES:
-        ms = self.middle_summands
-        b = self.catalog.sum_of(ms)
-        # the places of a's summands, then c's, in the sorted middle, a's
-        # first among equal ones
-        both = self.a_summands + self.c_summands
+    def _summed_ses(self) -> SES:
+        """A from_blocks or split record's sequence: the sum of the pieces'
+        sequences and of a_j >-> a_j ->> 0 and 0 >-> c_i ->> c_i for the
+        unused summands (all of them when the record is split), in that
+        order, each summand at its place in the sorted middle, earlier parts
+        first among equal summands.  Its blocks are the pieces' blocks and
+        identities, moved to those places."""
+        cat, a_ms, c_ms = self.catalog, self.a_summands, self.c_summands
+        # (middle summands, a position, c position, sequence, or None for identities)
+        parts = [(rec.middle_summands, j, i, rec.ses) for i, j, rec in self.pieces]
+        parts += [((a,), j, None, None) for j, a in enumerate(a_ms) if all(j != q for _, q, _ in self.pieces)]
+        parts += [((c,), None, i, None) for i, c in enumerate(c_ms) if all(i != q for q, _, _ in self.pieces)]
+        both = [k for part in parts for k in part[0]]
         order = sorted(range(len(both)), key=both.__getitem__)
         places = sorted(range(len(both)), key=order.__getitem__)
-        mods, n = [self.catalog.indecs[k] for k in ms], len(self.a_summands)
-        return SES(self.cls.a, b, self.cls.c, summand_inclusion(mods, places[:n], b, self.cls.a),
-                   summand_projection(mods, places[n:], b, self.cls.c))
+        self._middle = tuple(both[q] for q in order)
+        b = cat.sum_of(self._middle)
+        bb, ba, bc = (_bounds([cat.indecs[k] for k in ms]) if ms else None for ms in (self._middle, a_ms, c_ms))
+        vertices = cat.algebra.vertices
+        inc = {v: np.zeros((b.dim(v), self.cls.a.dim(v)), dtype=np.int64) for v in vertices}
+        prj = {v: np.zeros((self.cls.c.dim(v), b.dim(v)), dtype=np.int64) for v in vertices}
+        inc_blocks, prj_blocks, cls_blocks = {}, {}, {}
+        start = 0
+        for ms, j, i, piece in parts:
+            at = places[start:start + len(ms)]
+            start += len(ms)
+            for v in vertices:
+                rows = [r for q in at for r in range(bb[q][v], bb[q + 1][v])]
+                eye = None if piece else np.eye(len(rows), dtype=np.int64)
+                if j is not None:
+                    inc[v][rows, ba[j][v]:ba[j + 1][v]] = eye if piece is None else piece.inc.comps[v].a
+                if i is not None:
+                    prj[v][bc[i][v]:bc[i + 1][v], rows] = eye if piece is None else piece.prj.comps[v].a
+            if piece is None:
+                unit = cat.unit(ms[0])
+                if j is not None:
+                    inc_blocks[at[0], j] = unit
+                else:
+                    prj_blocks[i, at[0]] = unit
+            else:
+                inc_blocks.update(((at[k], j), coords) for (k, _), coords in piece.blocks.inc.items())
+                prj_blocks.update(((i, at[k]), coords) for (_, k), coords in piece.blocks.prj.items())
+                cls_blocks[i, j] = piece.blocks.cls[0, 0]
+        return SES(self.cls.a, b, self.cls.c,
+                   Morphism(self.cls.a, b, {v: Mat(cat.p, m) for v, m in inc.items()}, check=False),
+                   Morphism(b, self.cls.c, {v: Mat(cat.p, m) for v, m in prj.items()}, check=False),
+                   Blocks(cat, a_ms, self._middle, c_ms, inc_blocks, prj_blocks, cls_blocks))
 
     @property
     def middle_summands(self) -> tuple[int, ...]:
         if self._middle is None:
-            self._middle = tuple(sorted(self.catalog.decompose(self.ses.b).elements()))
+            self._middle = tuple(sorted(self.catalog.decompose(self.cls.realize().b).elements()))
         return self._middle
 
     def __eq__(self, other):
@@ -537,6 +661,40 @@ class ConflationRecord:
             "class": list(self.coords),
             "split": self.split,
         }
+
+
+def _map_blocks(catalog: Catalog, f: Morphism, src: Sequence[int], tgt: Sequence[int]) -> dict:
+    """The nonzero blocks of a map between catalog sums: (k, j) -> the
+    coordinates of its block src[j] -> tgt[k] in the catalog's Hom basis."""
+    if not src or not tgt:
+        return {}
+    cols, rows = _bounds([catalog.indecs[j] for j in src]), _bounds([catalog.indecs[k] for k in tgt])
+    out = {}
+    for k, t in enumerate(tgt):
+        for j, s in enumerate(src):
+            if catalog.dim_hom(s, t):
+                vec = np.concatenate([f.comps[v].a[rows[k][v]:rows[k + 1][v], cols[j][v]:cols[j + 1][v]].reshape(-1)
+                                      for v in catalog.algebra.vertices])
+                coords = catalog.hom_coords(s, t, vec)
+                if coords.any():
+                    out[k, j] = coords
+    return out
+
+
+def _class_blocks(catalog: Catalog, cls: ExtClass, a_ms: Sequence[int], c_ms: Sequence[int]) -> dict:
+    """The nonzero blocks of a class on catalog sums: (i, j) -> its quotient
+    coordinates in Ext^1(c_i, a_j), the slice of its coordinates at the
+    block's place (_sum_layout)."""
+    if cls.is_zero():
+        return {}
+    spaces = [ext1_space(catalog.indecs[i], catalog.indecs[j]) for i in c_ms for j in a_ms]
+    _, places = _sum_layout([catalog.indecs[i] for i in c_ms], [catalog.indecs[j] for j in a_ms], spaces)
+    out = {}
+    for k, (space, place) in enumerate(zip(spaces, places)):
+        coords = space.compress([cls.coords[t] for t in place])
+        if coords.any():
+            out[divmod(k, len(a_ms))] = coords
+    return out
 
 
 def _multisets(members: Sequence[int], cap: int):
@@ -609,8 +767,8 @@ def all_conflations(
     member_list = sorted(members) if members is not None else list(range(len(catalog)))
     ends = _multisets(member_list, cap)
     records: list[ConflationRecord] = []
-    # middles of the single-summand records, by class
-    base_middles: dict[ExtClass, tuple[int, ...]] = {}
+    # the single-summand nonsplit records, by class
+    base_records: dict[ExtClass, ConflationRecord] = {}
     # the blocks of every pair of ends: Ext^1(c_i, a_j) by (i, j)
     singles = {(i, j): ext1_space(catalog.indecs[i], catalog.indecs[j])
                for i in member_list for j in member_list}
@@ -633,7 +791,8 @@ def all_conflations(
                 if cls.is_zero():
                     rec._middle = tuple(sorted(a_ms + c_ms))
                 elif base:
-                    base_middles[cls] = rec.middle_summands
+                    rec.middle_summands
+                    base_records[cls] = rec
                 else:
                     # (i, j, class) for the nonzero blocks, read off their coordinates
                     nonzero = []
@@ -646,6 +805,8 @@ def all_conflations(
                         unused = tuple(a for j, a in enumerate(a_ms) if j not in a_used)
                         unused += tuple(c for i, c in enumerate(c_ms) if i not in c_used)
                         rec.from_blocks = True
-                        rec._middle = tuple(sorted(sum((base_middles[sub] for _, _, sub in nonzero), unused)))
+                        rec.pieces = tuple((i, j, base_records[sub]) for i, j, sub in nonzero)
+                        rec._middle = tuple(sorted(sum((piece.middle_summands for _, _, piece in rec.pieces),
+                                                       unused)))
                 records.append(rec)
     return records

@@ -181,7 +181,7 @@ class Module:
         return (self.algebra, self.p, self.dims, tuple(self.action[a.name] for a in self.algebra.arrows))
 
     def __eq__(self, other):
-        return isinstance(other, Module) and self.key() == other.key()
+        return self is other or (isinstance(other, Module) and self.key() == other.key())
 
     def __hash__(self):
         if self._hash is None:
@@ -501,10 +501,18 @@ def split_off_summand(u: Module, m: Module) -> Optional[tuple[Morphism, Morphism
 @dataclass
 class Catalog:
     """Ordered list of pairwise non-isomorphic indecomposables.  Hom bases of
-    pairs, End-ring tops of entries, sums of entries and decompositions are
-    found on first use and kept: one module per tuple of entries summed, so
-    equal sums are one object, which the Ext and decomposition memos find
-    by identity."""
+    pairs, End-ring tops of entries, sums of entries, decompositions and
+    placements are found on first use and kept: one module per tuple of
+    entries summed, so equal sums are one object, which the Ext and
+    decomposition memos find by identity.
+
+    The catalog is also the Krull-Schmidt skeleton of its modules: a map
+    between sums of entries is a block matrix of coordinates in the Hom
+    bases, and the compose table over triples of entries, built on first
+    use and kept, composes such blocks.  _pushes and _pulls keep the
+    tables that compose them with the blocks of an Ext^1 class, which
+    homext fills (push_table, pull_table).
+    """
 
     algebra: Algebra
     p: int
@@ -513,12 +521,30 @@ class Catalog:
 
     def __post_init__(self):
         self._homs: dict[tuple[int, int], tuple[Morphism, ...]] = {}
+        self._hom_places: dict[tuple[int, int], list[int]] = {}
+        self._units: dict[int, np.ndarray] = {}
         self._tops: dict[int, Optional[tuple[str, Mat, Mat]]] = {}
         self._sums: dict[tuple[int, ...], Module] = {}
         self._decompose_memo: dict[Module, Counter] = {}
+        self._placements: dict[Module, tuple[tuple[int, ...], Morphism]] = {}
+        self._composes: dict[tuple[int, int, int], np.ndarray] = {}
+        self._pushes: dict[tuple[int, int, int], np.ndarray] = {}
+        self._pulls: dict[tuple[int, int, int], np.ndarray] = {}
+        self._index: Optional[dict[Module, int]] = None
+        # the order decompositions try the entries in (see decompose)
+        self._largest_first = sorted(range(len(self.indecs)), key=lambda i: -self.indecs[i].total_dim)
 
     def __len__(self):
         return len(self.indecs)
+
+    def index(self, m: Module) -> int:
+        """The index of the entry m; ValueError when m is no entry."""
+        if self._index is None:
+            self._index = {u: i for i, u in enumerate(self.indecs)}
+        i = self._index.get(m)
+        if i is None:
+            raise ValueError(f"{m!r} is not an entry of the catalog")
+        return i
 
     def hom(self, i: int, j: int) -> tuple[Morphism, ...]:
         """hom_basis(indecs[i], indecs[j]), solved once per pair."""
@@ -529,6 +555,24 @@ class Catalog:
 
     def dim_hom(self, i: int, j: int) -> int:
         return len(self.hom(i, j))
+
+    def hom_coords(self, i: int, j: int, vecs: np.ndarray) -> np.ndarray:
+        """Coordinates in hom(i, j) of maps given as flattened vectors
+        (_flatten_morphism), one per column: their entries where the basis
+        maps have their last nonzero entry.  hom_basis is a reduced echelon
+        kernel, so there one basis map is 1 and the others are 0."""
+        places = self._hom_places.get((i, j))
+        if places is None:
+            places = self._hom_places[(i, j)] = [
+                int(np.flatnonzero(_flatten_morphism(f))[-1]) for f in self.hom(i, j)]
+        return vecs[places]
+
+    def unit(self, i: int) -> np.ndarray:
+        """The coordinates of entry i's identity in hom(i, i), read once per entry."""
+        unit = self._units.get(i)
+        if unit is None:
+            unit = self._units[i] = self.hom_coords(i, i, _flatten_morphism(identity_morphism(self.indecs[i])))
+        return unit
 
     def top(self, i: int) -> Optional[tuple[str, Mat, Mat]]:
         """_top of entry i on its End basis, found once per entry."""
@@ -551,6 +595,54 @@ class Catalog:
         if hit is None:
             hit = self._decompose_memo[m] = decompose(m, self)
         return Counter(hit)
+
+    def placement(self, m: Module) -> tuple[tuple[int, ...], Morphism]:
+        """The sorted summands of m and an isomorphism of m onto their
+        sum_of, found once per module.
+
+        For an entry u of multiplicity k, the isomorphism's rows at u's
+        places are the k maps m -> u of _summand_maps, whose rows of u's
+        pairing are independent.  Stacked over the entries they form
+        G: m -> sum, and G H, for H the maps u -> m at independent columns,
+        is invertible: modulo the radical it is block diagonal with
+        invertible k x k blocks, since a map between distinct
+        indecomposables lies in the radical.  So G, between modules of one
+        dimension, is invertible.  The pass that finds the maps also
+        decomposes m; when m's decomposition is known, only its summands
+        are paired.  Entries whose residue field is larger than F_p are
+        split off one at a time instead (_placement_by_splits).
+        """
+        hit = self._placements.get(m)
+        if hit is None:
+            known = self._decompose_memo.get(m)
+            maps = _summand_maps(m, self, sorted(known) if known is not None else self._largest_first)
+            if maps is None:
+                indices, rows = _placement_by_splits(m, self)
+                counts = self._decompose_memo.setdefault(m, Counter(indices))
+            else:
+                counts = self._decompose_memo.setdefault(m, Counter({i: len(gs) for i, gs in maps.items()}))
+                rows = {v: [g.comps[v].a for i in sorted(maps) for g in maps[i]] for v in self.algebra.vertices}
+            summands = tuple(sorted(counts.elements()))
+            target = self.sum_of(summands)
+            iso = Morphism(m, target, {v: Mat(self.p, np.vstack(blocks) if blocks else
+                                              np.zeros((0, m.dim(v)), dtype=np.int64))
+                                       for v, blocks in rows.items()}, check=False)
+            if not iso.is_isomorphism():
+                raise AssertionError("the placement of a module is not an isomorphism")
+            hit = self._placements[m] = (summands, iso)
+        return hit
+
+    def compose(self, i: int, j: int, k: int) -> np.ndarray:
+        """Hom(j, k) x Hom(i, j) -> Hom(i, k): entry [b, :, a] holds the
+        coordinates of hom(j, k)[b] @ hom(i, j)[a] in hom(i, k)."""
+        table = self._composes.get((i, j, k))
+        if table is None:
+            before = self.hom(i, j)
+            table = np.zeros((self.dim_hom(j, k), self.dim_hom(i, k), len(before)), dtype=np.int64)
+            for b, g in enumerate(self.hom(j, k) if before else ()):
+                table[b] = self.hom_coords(i, k, np.stack([_flatten_morphism(g @ f) for f in before], axis=1))
+            self._composes[(i, j, k)] = table
+        return table
 
     def to_json_dict(self) -> dict:
         return {
@@ -620,17 +712,17 @@ def _top(u: Module, ends: Sequence[Morphism]) -> Optional[tuple[str, Mat, Mat]]:
     raise AssertionError("the radical of a local ring kills no vector")
 
 
-def _multiplicity(u: Module, m: Module, top: tuple[str, Mat, Mat]) -> int:
-    """How often u is a summand of m: the rank of (h, g) -> phi g_v h_v v0
-    on Hom(u, m) x Hom(m, u), whose matrix is rows phi g_v times columns h_v v0."""
+def _pairing(u: Module, m: Module, top: tuple[str, Mat, Mat]) -> tuple[list[Morphism], Mat]:
+    """Hom(m, u) and the matrix of (g, h) -> top(g h) = phi g_v h_v v0 on
+    Hom(m, u) x Hom(u, m): rows phi g_v times columns h_v v0."""
     into = hom_basis(u, m)
     back = hom_basis(m, u) if into else []
     if not back:
-        return 0
+        return back, Mat.zeros(m.p, 0, len(into))
     v, v0, phi = top
     cols = Mat(m.p, np.hstack([(h.comps[v] @ v0).a for h in into]))
     rows = Mat(m.p, np.vstack([(phi @ g.comps[v]).a for g in back]))
-    return (rows @ cols).rank()
+    return back, rows @ cols
 
 
 def decompose(m: Module, catalog: Catalog) -> Counter:
@@ -642,55 +734,88 @@ def decompose(m: Module, catalog: Catalog) -> Counter:
     radical of the local ring End(u), and on the copies of u the pairing
     is the sum of top(g_k) top(h_k) (Auslander-Reiten-Smalo, Representation
     Theory of Artin Algebras, on local endomorphism rings).  Entries are
-    tried in catalog order while they fit the dimensions not yet
-    accounted for.  When one that fits has a residue field larger than
-    F_p, the whole module goes to _decompose_by_splits instead.  Raises
+    tried largest first while they fit the dimensions not yet accounted
+    for, so a few large summands leave no room for the many small entries
+    after them.  When one that fits has a residue field larger than F_p,
+    the whole module goes to _decompose_by_splits instead.  Raises
     CatalogIncompleteError when dimensions are left over.
     """
     if m.algebra != catalog.algebra or m.p != catalog.p:
         raise ValueError("module not over the catalog's algebra")
-    result: Counter = Counter()
-    left = m.dims
-    for idx, u in enumerate(catalog.indecs):
+    maps = _summand_maps(m, catalog, catalog._largest_first)
+    if maps is None:
+        return _decompose_by_splits(m, catalog)
+    return Counter({idx: len(gs) for idx, gs in maps.items()})
+
+
+def _summand_maps(m: Module, catalog: Catalog, entries: Iterable[int]) -> Optional[dict[int, list[Morphism]]]:
+    """For each of the entries that is a summand of m, the maps of
+    Hom(m, u) at a basis of the rows of u's pairing, as many as its
+    multiplicity.  The entries are tried in order while they fit the
+    dimensions not yet accounted for.  None when one that fits has a
+    residue field larger than F_p; CatalogIncompleteError when dimensions
+    are left over."""
+    maps, left = {}, m.dims
+    for idx in entries:
+        u = catalog.indecs[idx]
         if not any(left):
             break
         if any(du > dl for du, dl in zip(u.dims, left)):
             continue
         top = catalog.top(idx)
         if top is None:
-            return _decompose_by_splits(m, catalog)
-        k = _multiplicity(u, m, top)
-        if k:
-            result[idx] = k
-            left = tuple(dl - k * du for dl, du in zip(left, u.dims))
+            return None
+        back, pairing = _pairing(u, m, top)
+        rows = pairing.transpose().rref()[1]
+        if rows:
+            maps[idx] = [back[r] for r in rows]
+            left = tuple(dl - len(rows) * du for dl, du in zip(left, u.dims))
     if any(left):
         raise CatalogIncompleteError(
             f"indecomposable summand of dims {dict(zip(m.algebra.vertices, left))} not in catalog"
         )
-    return result
+    return maps
 
 
 def _decompose_by_splits(m: Module, catalog: Catalog) -> Counter:
-    """decompose by splitting one summand at a time: find a catalog entry u
-    with a section h: u -> m and a map g: m -> u such that g @ h is
-    invertible, pass to the kernel of g, repeat.  Needs only End(u) local,
-    so it serves entries whose residue field is larger than F_p.
+    """decompose by splitting one summand at a time (_placement_by_splits).
+    Needs only End(u) local, so it serves entries whose residue field is
+    larger than F_p.
     """
-    result: Counter = Counter()
-    current = m
-    while not current.is_zero():
+    return Counter(_placement_by_splits(m, catalog)[0])
+
+
+def _placement_by_splits(m: Module, catalog: Catalog) -> tuple[list[int], dict[str, list[np.ndarray]]]:
+    """The summands of m in catalog order and the rows, by vertex, of an
+    isomorphism of m onto their sum, split off one at a time: find the
+    first catalog entry u with a section h: u -> m and a map g: m -> u such
+    that g h is invertible; e = (g h)^-1 g retracts h, and the rest
+    m' = ker(e) is reached by 1 - h e, which lands in it; repeat on m'.
+    Raises CatalogIncompleteError when no entry splits off a nonzero rest.
+    """
+    indices: list[int] = []
+    rows: dict[str, list[np.ndarray]] = {v: [] for v in m.algebra.vertices}
+    rest, to_rest = m, identity_morphism(m)
+    while not rest.is_zero():
         for idx, u in enumerate(catalog.indecs):
-            pair = split_off_summand(u, current)
+            pair = split_off_summand(u, rest)
             if pair is not None:
-                _, g = pair
-                result[idx] += 1
-                current, _ = kernel(g)
                 break
         else:
             raise CatalogIncompleteError(
-                f"indecomposable summand of dims {current.dims_by_vertex} not in catalog"
+                f"indecomposable summand of dims {rest.dims_by_vertex} not in catalog"
             )
-    return result
+        h, g = pair
+        e = (g @ h).inverse() @ g
+        indices.append(idx)
+        for v, mat in (e @ to_rest).comps.items():
+            rows[v].append(mat.a)
+        kept, incl = kernel(e)
+        onto = identity_morphism(rest) + -(h @ e)
+        to_rest = Morphism(rest, kept, {v: incl.comps[v].solve(onto.comps[v]) for v in rows},
+                           check=False) @ to_rest
+        rest = kept
+    return indices, rows
 
 
 # -- exhaustive enumeration -------------------------------------------------

@@ -610,8 +610,10 @@ def classify_functor(fd: FunctorData) -> Classification:
 
     Both tests depend on the image pair (F(inc), F(prj)) alone, so each
     side tests each distinct image once.  The records are still graded in
-    list order, so the first failure is the same.  No middle is read, so
-    none is decomposed.
+    list order, so the first failure is the same.  A record is graded on
+    its class's realization, not on its sequence: an isomorphic middle
+    gives isomorphic images, and the realization needs no middle, so none
+    is decomposed.
     """
     tgt = fd.target
     all_left = all_right = True
@@ -622,7 +624,8 @@ def classify_functor(fd: FunctorData) -> Classification:
     for rec in fd.source.conflations:
         if rec.split or rec.from_blocks:
             continue
-        image = (fd.apply_mor(rec.ses.inc), fd.apply_mor(rec.ses.prj))
+        seq = rec.cls.realize()
+        image = (fd.apply_mor(seq.inc), fd.apply_mor(seq.prj))
         if all_left and not _graded(left_exact, is_left_exact_seq, image, tgt):
             all_left = False
             left_witness = rec

@@ -11,10 +11,14 @@ T in C, the image of the universal map onto C from the members of T.  The short-
 references (`lift_through_surjection`, `is_split`, `pushout_ses`, `pullback_ses`)
 answer by solving for morphisms and forming pushouts and pullbacks,
 where `homext` reads everything off arrow cocycles.
+`covariant_maps` and `contravariant_maps` build the five-term maps on
+the modules of the terms, from the Hom and Ext^1 spaces of the sums and
+the class `class_of` solves from the sequence, each map on a whole basis
+at once, where `homext` assembles them block by block from the catalog's
+tables and the sequence's block coordinates.
 `covariant_maps_by_elements` and `contravariant_maps_by_elements` build
-the five-term maps one basis element at a time, from `hom_basis`, a
-coordinate solve per map and one cocycle push or pull per element, where
-`homext` reads Hom off its Ext spaces and maps whole bases at once.
+them one basis element at a time, from `hom_basis`, a coordinate solve
+per map and one cocycle push or pull per element.
 `all_conflations_by_scan` builds every sequence of a conflation list and
 decomposes every nonsplit middle, and `classify_functor_by_scan` grades
 every record, split ones included, where `homext` and `recol` read split
@@ -63,6 +67,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -86,7 +91,7 @@ from extriang.homext import (
     ExtClass,
     Ext1Space,
     _column,
-    class_of,
+    _kron_map,
     ext1_space,
     ext_map_many,
     summand_inclusion,
@@ -731,6 +736,69 @@ def _map_matrix(images: Sequence, space: Ext1Space) -> Mat:
     """One column of quotient coordinates per image class."""
     cols = [space.compress(np.array(cls.coords, dtype=np.int64)) for cls in images]
     return Mat(space.p, np.stack(cols, axis=1)) if cols else Mat.zeros(space.p, space.dim, 0)
+
+
+@lru_cache(maxsize=None)
+def class_of(ses: SES) -> ExtClass:
+    """The class of a sequence, solved from a section of its deflation and
+    kept per sequence."""
+    return ext1_space(ses.c, ses.a).class_of(ses)
+
+
+def _hom_map(src: Ext1Space, tgt: Ext1Space, g: Optional[Morphism] = None,
+             h: Optional[Morphism] = None) -> Mat:
+    """Hom(h, g): Hom(c, a) -> Hom(c', a'), f -> g f h vertex by vertex, a
+    missing map the identity, in the Hom bases of the two spaces."""
+    if not src.hom.cols:
+        return Mat.zeros(src.p, tgt.hom.cols, 0)
+    return tgt.hom_coords(_kron_map(src.p, tgt.hom.rows, src.hom.rows, [
+        (tgt._hom_offsets[i], src._hom_offsets[i], src.a.dims[i] if g is None else g.comps[v].a,
+         src.c.dims[i] if h is None else h.comps[v].a)
+        for i, v in enumerate(src.c.algebra.vertices)]) @ src.hom)
+
+
+def covariant_maps(ses: SES, x: Module) -> list[Mat]:
+    """The maps Hom(x,a) -> Hom(x,b) -> Hom(x,c) -> Ext(x,a) -> Ext(x,b) on
+    the modules of the terms, in the bases of their Hom and Ext^1 spaces,
+    each computed on a whole basis at once.
+
+    A map out of a zero space is the empty matrix, built without a product;
+    the sequence's class is read all the same."""
+    ext_a, ext_b, ext_c = ext1_space(x, ses.a), ext1_space(x, ses.b), ext1_space(x, ses.c)
+    alg, p = x.algebra, x.p
+    cls = class_of(ses)
+    # the connecting map pulls the class along each f: x -> c, phi_y f_src
+    if ext_c.hom.cols:
+        phi = cls.cocycle()
+        pull = _kron_map(p, ext_a._z.rows, ext_c.hom.rows, [
+            (ext_a._offsets[i], ext_c._hom_offsets[alg.vertex_index[y.src]], phi[y.name].a, x.dim(y.src))
+            for i, y in enumerate(alg.arrows)])
+        m3 = Mat(p, ext_a.compress(ext_a.reduce_cocycles(pull @ ext_c.hom)))
+    else:
+        m3 = Mat.zeros(p, ext_a.dim, 0)
+    m4 = ext_map_many(ext_a, ext_a.basis_coords(), ext_b, g=ses.inc)
+    return [_hom_map(ext_a, ext_b, g=ses.inc), _hom_map(ext_b, ext_c, g=ses.prj),
+            m3, Mat(p, ext_b.compress(m4))]
+
+
+def contravariant_maps(ses: SES, x: Module) -> list[Mat]:
+    """The maps Hom(c,x) -> Hom(b,x) -> Hom(a,x) -> Ext(c,x) -> Ext(b,x) on
+    the modules of the terms, as in covariant_maps."""
+    ext_a, ext_b, ext_c = ext1_space(ses.a, x), ext1_space(ses.b, x), ext1_space(ses.c, x)
+    alg, p = x.algebra, x.p
+    cls = class_of(ses)
+    # the connecting map pushes the class along each f: a -> x, f_tgt phi_y
+    if ext_a.hom.cols:
+        phi = cls.cocycle()
+        push = _kron_map(p, ext_c._z.rows, ext_a.hom.rows, [
+            (ext_c._offsets[i], ext_a._hom_offsets[alg.vertex_index[y.tgt]], x.dim(y.tgt), phi[y.name].a)
+            for i, y in enumerate(alg.arrows)])
+        m3 = Mat(p, ext_c.compress(ext_c.reduce_cocycles(push @ ext_a.hom)))
+    else:
+        m3 = Mat.zeros(p, ext_c.dim, 0)
+    m4 = ext_map_many(ext_c, ext_c.basis_coords(), ext_b, h=ses.prj)
+    return [_hom_map(ext_c, ext_b, h=ses.prj), _hom_map(ext_b, ext_a, h=ses.inc),
+            m3, Mat(p, ext_b.compress(m4))]
 
 
 def covariant_maps_by_elements(ses: SES, x: Module) -> list[Mat]:

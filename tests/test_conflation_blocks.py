@@ -7,10 +7,10 @@ import pytest
 
 from extriang import homext, quivrep, recol
 from extriang.fixtures import build_example51
-from extriang.homext import ConflationRecord, _multisets, _spread, _sum_layout, class_of, ext1_space
+from extriang.homext import ConflationRecord, _multisets, _spread, _sum_layout, ext1_space
 from extriang.quivrep import Catalog, _decompose_by_splits, decompose
 from extriang.recol import SIX_NAMES, classify_functor
-from oracles import all_conflations_by_scan, block_classes_by_cocycle, classify_functor_by_scan
+from oracles import all_conflations_by_scan, block_classes_by_cocycle, class_of, classify_functor_by_scan
 
 BUNDLED = ("a_ext", "b_ext", "c_ext", "full_a", "full_b", "full_c")
 SETTINGS = [(2, 2), (3, 1)]
@@ -37,7 +37,11 @@ def test_conflations_agree_with_the_scan_oracle(p, bound):
         assert got == expected, name
         assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in expected], name
         assert [r.from_blocks for r in got] == [r.from_blocks for r in expected], name
-        assert [r.ses for r in got] == [r.ses for r in expected], name
+        # split sequences are the oracle's; a nonsplit one is an equivalent
+        # extension on the sorted middle, where the oracle realizes
+        assert [r.ses for r in got if r.split] == [r.ses for r in expected if r.split], name
+        assert [(r.ses.a, r.ses.c, class_of(r.ses)) for r in got if not r.split] == \
+            [(r.ses.a, r.ses.c, class_of(r.ses)) for r in expected if not r.split], name
 
 
 @pytest.mark.parametrize("p, bound", SETTINGS + [(5, 1)])
@@ -236,27 +240,55 @@ def test_b_ext_list_decomposes_only_what_blocks_do_not_give(bundle, monkeypatch)
     # a split sequence is built when it is read, once
     rec = recs[0]
     assert rec.split and rec.ses is rec.ses and len(sequences) == 19
+    # a block record's sequence is the sum of its pieces' sequences, which
+    # are placed on their sorted middles: two sequences, and no
+    # decomposition, since the placement reads the single-summand record's
+    # middle off the memo
+    rec = by_blocks[0]
+    assert rec.ses.b is catalog.sum_of(rec.middle_summands) and len(sequences) == 21
+    assert base[0]._ses is not None and len(decompose_calls) == 18 and split_tests == []
+    # any other nonsplit sequence is its class's realization carried onto
+    # the sorted middle: from a list built afresh, reading it realizes the
+    # class and places the realized middle, a pass that decomposes it too
+    # and leaves the decomposition in the memo; the class keeps its
+    # realization
+    fresh = homext.all_conflations(catalog, members, cap=2)
+    rec = next(r for r in fresh if not r.split and not r.from_blocks and r._middle is None)
+    monkeypatch.setattr(catalog, "_decompose_memo", {})
+    monkeypatch.setattr(catalog, "_placements", {})
+    decompose_calls.clear()
+    sequences.clear()
+    assert rec.ses.b is catalog.sum_of(rec.middle_summands)
+    assert len(sequences) == 2 and decompose_calls == []
+    assert list(catalog._decompose_memo) == [rec.cls.realize().b] and rec.cls.realize().b is not rec.ses.b
 
 
 def test_classification_grades_only_records_it_cannot_derive(bundle, monkeypatch):
-    # per functor of the restricted recollement, the records whose sequence
-    # the grading reads are the nonsplit records with no block reading, in order
+    # per functor of the restricted recollement, the records whose class's
+    # realization the grading reads are the nonsplit records with no block
+    # reading, in order; no record's sequence is read, so none is placed
     read = []
-    real = ConflationRecord.ses
+    real = homext.ExtClass.realize
+
+    def realize_spy(cls):
+        if not read or read[-1] is not cls:
+            read.append(cls)
+        return real(cls)
 
     def ses_spy(rec):
-        if not read or read[-1] is not rec:
-            read.append(rec)
-        return real.fget(rec)
+        raise AssertionError("grading read a record's sequence")
 
+    monkeypatch.setattr(homext.ExtClass, "realize", realize_spy)
+    for fd in bundle.restricted.six.values():
+        fd.source.conflations  # listing realizes the single-summand classes
     monkeypatch.setattr(ConflationRecord, "ses", property(ses_spy))
     graded = {}
     for name in SIX_NAMES:
         fd = bundle.restricted.six[name]
         read.clear()
         classify_functor.__wrapped__(fd)  # grade afresh, past the cache
-        expected = [r for r in fd.source.conflations if not r.split and not r.from_blocks]
-        assert [id(r) for r in read] == [id(r) for r in expected], name
+        expected = [r.cls for r in fd.source.conflations if not r.split and not r.from_blocks]
+        assert [id(c) for c in read] == [id(c) for c in expected], name
         graded[name] = len(read)
     assert graded == {"i_upper_star": 18, "i_lower_star": 0, "i_upper_shriek": 18,
                       "j_lower_shriek": 0, "j_upper_star": 18, "j_lower_star": 0}

@@ -29,9 +29,8 @@ from extriang.homext import (
     _exactness,
     _kron_map,
     all_conflations,
-    class_of,
-    contravariant_maps,
-    covariant_maps,
+    contravariant_block_maps,
+    covariant_block_maps,
     ext1_space,
     ext_map_many,
     five_term_contravariant,
@@ -40,7 +39,10 @@ from extriang.homext import (
     summand_projection,
 )
 from oracles import (
+    class_of,
+    contravariant_maps,
     contravariant_maps_by_elements,
+    covariant_maps,
     covariant_maps_by_elements,
     direct_sum_by_offsets,
     ext_pull,
@@ -327,44 +329,141 @@ def test_pullback_pushout_agree_with_cocycle_maps(bundle):
             assert via_ses == via_cocycle
 
 
-def test_five_term_sequences_on_mod_a(bundle):
-    cat = bundle.mod_a
-    s1 = cat.indecs[idx_of(cat, (1, 0))]
-    s2 = cat.indecs[idx_of(cat, (0, 1))]
-    space = ext1_space(s1, s2)
-    ses = [e for e in space.elements() if not e.is_zero()][0].realize()
-    for x in cat.indecs:
-        assert all(five_term_covariant(ses, x).values())
-        assert all(five_term_contravariant(ses, x).values())
-
-
-def test_five_term_sequences_compute_the_class_once(bundle):
-    """Both variances against every x share one class_of computation."""
+def test_a_realization_looks_its_space_up_once(bundle, monkeypatch):
+    # the space realizing a class expands its cocycle and keeps it on the
+    # class, and the class keeps its realization
     cat = bundle.mod_a
     space = ext1_space(cat.indecs[idx_of(cat, (1, 0))], cat.indecs[idx_of(cat, (0, 1))])
-    cls = [e for e in space.elements() if not e.is_zero()][0]
-    ses, twin = cls.realize(), cls.realize()
-    assert twin is not ses and twin == ses and hash(twin) == hash(ses)
-    class_of.cache_clear()
-    before = class_of.cache_info()
-    for x in cat.indecs:
-        five_term_covariant(ses, x)
-        five_term_contravariant(ses, x)
-    after = class_of.cache_info()
-    assert after.misses - before.misses == 1
-    assert after.hits - before.hits == 2 * len(cat.indecs) - 1
-    assert class_of(twin) == cls
-    assert class_of.cache_info().misses == after.misses
+    lookups = []
+    real = homext.ext1_space
+
+    def spy(c, a):
+        lookups.append((c, a))
+        return real(c, a)
+
+    monkeypatch.setattr(homext, "ext1_space", spy)
+    cls = ExtClass(space.c, space.a, space.basis()[0].coords)
+    ses = cls.realize()
+    assert lookups == [(space.c, space.a)] and cls._cocycle is not None
+    assert cls.realize() is ses and cls.cocycle() is cls._cocycle and len(lookups) == 1
+
+
+def test_five_term_sequences_on_mod_a(bundle):
+    cat = bundle.mod_a
+    recs = [r for r in bundle.full_a.conflations if not r.split]
+    assert recs
+    for rec in recs:
+        for x in cat.indecs:
+            assert all(five_term_covariant(rec.ses, x).values())
+            assert all(five_term_contravariant(rec.ses, x).values())
+
+
+def test_five_term_sequences_need_listed_sequences_and_entries(bundle):
+    # the block route reads a sequence's block coordinates and x's catalog
+    # index: a bare realization has none, and a sum is no entry
+    rec = next(r for r in bundle.full_a.conflations if not r.split)
+    bare, x = rec.cls.space.realize(rec.cls), bundle.mod_a.indecs[0]
+    assert bare == rec.cls.realize() and bare.blocks is None
+    for five_term in (five_term_covariant, five_term_contravariant):
+        with pytest.raises(ValueError, match="no block coordinates"):
+            five_term(bare, x)
+        with pytest.raises(ValueError, match="not an entry"):
+            five_term(rec.ses, direct_sum([x, x]))
+
+
+def test_five_term_sequences_compute_the_class_once(bundle, monkeypatch):
+    """The class of a listed sequence is computed once, when the list is
+    built: both variances against every x read it off the record's blocks
+    and solve no class from a sequence."""
+    solved = []
+    real = homext.Ext1Space.class_from_cocycle
+
+    def spy(space, phi):
+        solved.append(space)
+        return real(space, phi)
+
+    monkeypatch.setattr(homext.Ext1Space, "class_from_cocycle", spy)
+    monkeypatch.setattr(homext.Ext1Space, "class_of", None)
+    for rec in bundle.full_a.conflations:
+        for x in bundle.mod_a.indecs:
+            five_term_covariant(rec.ses, x)
+            five_term_contravariant(rec.ses, x)
+    assert solved == []
+    rec = next(r for r in bundle.full_a.conflations if not r.split)
+    assert {(i, j): list(c) for (i, j), c in rec.ses.blocks.cls.items()} == {(0, 0): [1]}
+
+
+def _profile(maps):
+    """The ranks of the four maps and whether each composite vanishes."""
+    return [m.rank() for m in maps] + [(second @ first).is_zero() for first, second in zip(maps, maps[1:])]
+
+
+@pytest.mark.parametrize("p, bound, step", [(2, 2, 1), (3, 1, 1), (5, 1, 15)])
+def test_block_maps_agree_with_the_module_route(p, bound, step):
+    """The maps assembled from the catalog's tables have the shapes, the
+    ranks and the vanishing composites of the module route's, for every
+    conflation of B_ext and of full mod A against every entry (every
+    fifteenth pair at p = 5).  The bases differ, the block route's being
+    summand by summand, so the matrices themselves need not agree."""
+    bundle = build_example51(p, bound)
+    pairs = [(rec, x) for e, cat in ((bundle.b_ext, bundle.mod_lambda), (bundle.full_a, bundle.mod_a))
+             for rec in e.conflations for x in cat.indecs][::step]
+    for rec, x in pairs:
+        for blocks, modules in ((covariant_block_maps, covariant_maps),
+                                (contravariant_block_maps, contravariant_maps)):
+            got, expected = blocks(rec.ses, x), modules(rec.ses, x)
+            assert [m.shape for m in got] == [m.shape for m in expected], (rec, x)
+            assert _profile(got) == _profile(expected), (rec, x)
+    assert len(pairs) == {2: 3_080 + 426, 3: 4_411 + 738, 5: 992}[p]
+
+
+@pytest.mark.parametrize("name", ["b_ext", "full_a", "full_b"])
+def test_listed_sequences_are_catalog_sums_with_the_records_class(bundle, name):
+    # every record's sequence has the catalog's sum of its sorted middle
+    # summands as its middle and the record's class; its block data name
+    # the terms' summands
+    e = getattr(bundle, name)
+    for rec in e.conflations:
+        ses = rec.ses
+        assert ses.b is e.catalog.sum_of(rec.middle_summands), rec
+        assert ses.a is rec.cls.a and ses.c is rec.cls.c, rec
+        assert class_of(ses) == rec.cls, rec
+        assert (ses.blocks.a, ses.blocks.b, ses.blocks.c) == (rec.a_summands, rec.middle_summands, rec.c_summands)
+
+
+@pytest.mark.parametrize("kind", ["_composes", "_pushes", "_pulls"])
+def test_a_corrupted_table_flips_a_flag(bundle, kind, monkeypatch):
+    # the flags are computed from the tables: zeroing one nonzero entry of
+    # a table the five-term pass reads breaks the exactness of some sequence
+    cat, objects = bundle.mod_lambda, bundle.mod_lambda.indecs
+    sequences = [rec.ses for rec in bundle.b_ext.conflations]
+
+    def flags():
+        return [(five_term_covariant(ses, x), five_term_contravariant(ses, x))
+                for ses in sequences for x in objects]
+
+    # from an empty table, so it holds only what the pass reads
+    monkeypatch.setattr(cat, kind, {})
+    exact = flags()
+    assert all(all(cov.values()) and all(con.values()) for cov, con in exact)
+    tables = getattr(cat, kind)
+    key = next(key for key, table in sorted(tables.items()) if table.any())
+    broken = tables[key].copy()
+    broken.reshape(-1)[np.flatnonzero(broken)[0]] = 0
+    monkeypatch.setitem(tables, key, broken)
+    assert flags() != exact
 
 
 @pytest.mark.parametrize("p, bound", [(2, 2), (3, 1)])
 def test_five_term_maps_agree_with_the_element_oracle(p, bound, monkeypatch):
-    """The block products give the matrices the element-by-element route
-    gives: every conflation of mod A against every object, every fifth
-    conflation of B_ext against every object of mod Lambda, and every other
-    B_ext x mod Lambda pair where some map starts at a zero space and so is
-    built without a product.  The oracle's Hom bases are solved once per
-    pair of modules."""
+    """The two oracles agree: the module route's block products give the
+    matrices the element-by-element route gives, for every conflation of
+    mod A against every object, every fifth conflation of B_ext against
+    every object of mod Lambda, and every other B_ext x mod Lambda pair
+    where some map starts at a zero space and so is built without a
+    product.  The oracle's Hom bases are solved once per pair of modules.
+    test_block_maps_agree_with_the_module_route checks homext's block maps
+    against the module route."""
     monkeypatch.setattr(oracles, "hom_basis", functools.lru_cache(maxsize=None)(hom_basis))
     bundle = build_example51(p, bound)
     pairs = [(rec, x) for rec in bundle.full_a.conflations for x in bundle.mod_a.indecs]
@@ -385,10 +484,11 @@ def test_five_term_maps_agree_with_the_element_oracle(p, bound, monkeypatch):
 
 
 def test_maps_out_of_a_zero_space_skip_the_kronecker_route(bundle, monkeypatch):
-    """One five-term round over B_ext x mod Lambda builds a Kronecker map
-    only for each map whose source is nonzero: 10,318 where every map used
-    to build one (24,640).  The class of every conflation is still read by
-    both variances against every object."""
+    """One five-term round of the module route (the oracle) over B_ext x
+    mod Lambda builds a Kronecker map only for each map whose source is
+    nonzero: 10,318 where every map used to build one (24,640).  The
+    class of every conflation is still read by both variances against
+    every object."""
     recs, objects = bundle.b_ext.conflations, bundle.mod_lambda.indecs
     # Ext spaces built inside the loop would count their relation systems,
     # so every one the loop reads is built first
@@ -399,7 +499,7 @@ def test_maps_out_of_a_zero_space_skip_the_kronecker_route(bundle, monkeypatch):
             for c, a in ((x, ses.a), (x, ses.b), (x, ses.c), (ses.a, x), (ses.b, x), (ses.c, x)):
                 ext1_space(c, a)
     kron_maps, reads = [], []
-    real_kron_map, real_class_of = homext._kron_map, homext.class_of
+    real_kron_map, real_class_of = oracles._kron_map, oracles.class_of
 
     def kron_map_spy(*args):
         kron_maps.append(args)
@@ -409,15 +509,17 @@ def test_maps_out_of_a_zero_space_skip_the_kronecker_route(bundle, monkeypatch):
         reads.append(ses)
         return real_class_of(ses)
 
+    # the Hom maps are the oracle's, the pushes and pulls homext's
+    monkeypatch.setattr(oracles, "_kron_map", kron_map_spy)
     monkeypatch.setattr(homext, "_kron_map", kron_map_spy)
-    monkeypatch.setattr(homext, "class_of", class_of_spy)
+    monkeypatch.setattr(oracles, "class_of", class_of_spy)
     dim_hom = functools.lru_cache(maxsize=None)(quivrep.dim_hom)
     nonzero_sources = 0
     for rec in recs:
         ses = rec.ses
         for x in objects:
-            five_term_covariant(ses, x)
-            five_term_contravariant(ses, x)
+            covariant_maps(ses, x)
+            contravariant_maps(ses, x)
             # the sources of m1..m4, covariant then contravariant
             sources = (dim_hom(x, ses.a), dim_hom(x, ses.b), dim_hom(x, ses.c), ext1_space(x, ses.a).dim,
                        dim_hom(ses.c, x), dim_hom(ses.b, x), dim_hom(ses.a, x), ext1_space(ses.c, x).dim)
@@ -438,6 +540,28 @@ def test_ext_spaces_carry_their_hom_bases(bundle):
                 assert space.hom.cols == len(basis)
                 for k, f in enumerate(basis):
                     assert np.array_equal(space.hom.a[:, k], _flatten_morphism(f))
+
+
+def test_five_term_at_a_large_prime():
+    """At p = 2**31 - 1 a listed sequence is placed and its block maps have
+    the module route's ranks and vanishing composites; a contraction whose
+    inner sum could wrap int64 is made in Python integers."""
+    p = 2**31 - 1
+    entries = (Module(A2, p, (1, 0), {}), Module(A2, p, (0, 1), {}),
+               Module(A2, p, (1, 1), {"a": Mat.from_rows(p, [[1]])}))
+    catalog = quivrep.Catalog(A2, p, 1, entries)
+    space = ext1_space(entries[0], entries[1])
+    cls = reduce_class(space, [p - 3])
+    rec = homext.ConflationRecord(cls, (1,), (0,), catalog)
+    assert rec.ses.b is catalog.sum_of(rec.middle_summands) == entries[2]
+    assert class_of(rec.ses) == cls
+    for x in entries:
+        for blocks, modules in ((covariant_block_maps, covariant_maps),
+                                (contravariant_block_maps, contravariant_maps)):
+            assert _profile(blocks(rec.ses, x)) == _profile(modules(rec.ses, x))
+        assert all(five_term_covariant(rec.ses, x).values()) and all(five_term_contravariant(rec.ses, x).values())
+    wide = np.full((1, 3), p - 1, dtype=np.int64)
+    assert homext._dot(p, wide, wide.T).tolist() == [[3]]
 
 
 def test_exactness_asks_image_equal_to_kernel():
@@ -463,8 +587,11 @@ def test_hom_coordinates_refuse_maps_outside_hom(bundle):
 
 
 def test_five_term_pair_on_warm_spaces_builds_nothing(bundle, monkeypatch):
+    # once a pair's tables and spaces are built, repeating it solves no Hom
+    # basis, builds no Ext^1 space and adds no table
+    cat = bundle.mod_lambda
     rec = next(r for r in bundle.b_ext.conflations if not r.split and len(r.c_summands) == 2)
-    x = bundle.mod_lambda.indecs[-1]
+    x = cat.indecs[-1]
     expected = five_term_covariant(rec.ses, x), five_term_contravariant(rec.ses, x)
     calls = []
 
@@ -475,17 +602,21 @@ def test_five_term_pair_on_warm_spaces_builds_nothing(bundle, monkeypatch):
     monkeypatch.setattr(quivrep, "hom_basis", spy)
     monkeypatch.setattr(homext, "hom_basis", spy, raising=False)
     misses = ext1_space.cache_info().misses
+    sizes = [len(t) for t in (cat._homs, cat._composes, cat._pushes, cat._pulls)]
     assert (five_term_covariant(rec.ses, x), five_term_contravariant(rec.ses, x)) == expected
     assert calls == []
     assert ext1_space.cache_info().misses == misses
+    assert [len(t) for t in (cat._homs, cat._composes, cat._pushes, cat._pulls)] == sizes
 
 
 def test_five_term_pass_over_b_ext_builds_each_middle_space_once(bundle, monkeypatch):
-    # from empty Ext^1 and class caches, after B_ext's sequences are read,
+    # from empty Ext^1 caches and tables, after B_ext's sequences are read,
     # both five-term sequences of every conflation against every
-    # indecomposable of mod Lambda build a fixed number of spaces; split
-    # records with equal middle summands share one middle, so its spaces
-    # are built once (summing the ends in their order built 3,911)
+    # indecomposable of mod Lambda build Ext^1 spaces between catalog
+    # entries only, each once, and solve no class: the terms are catalog
+    # sums, read block by block (building Ext^1 of the terms' modules
+    # built 2,503, and summing the ends in their order 3,911)
+    cat = bundle.mod_lambda
     sequences = [rec.ses for rec in bundle.b_ext.conflations]
     built = []
 
@@ -494,12 +625,15 @@ def test_five_term_pass_over_b_ext_builds_each_middle_space_once(bundle, monkeyp
         return homext.Ext1Space(c, a)
 
     monkeypatch.setattr(homext, "ext1_space", lru_cache(maxsize=None)(build))
-    monkeypatch.setattr(homext, "class_of", lru_cache(maxsize=None)(homext.class_of.__wrapped__))
+    monkeypatch.setattr(homext.Ext1Space, "class_of", None)
+    for name in ("_composes", "_pushes", "_pulls"):
+        monkeypatch.setattr(cat, name, {})
     for ses in sequences:
-        for x in bundle.mod_lambda.indecs:
+        for x in cat.indecs:
             five_term_covariant(ses, x)
             five_term_contravariant(ses, x)
-    assert len(built) == len(set(built)) == 2503
+    assert len(built) == len(set(built)) == 72
+    assert all(c in cat.indecs and a in cat.indecs for c, a in built)
 
 
 def test_first_map_iso_iff_third_term_zero(bundle):
@@ -674,27 +808,6 @@ def test_summand_layout_agrees_with_running_offsets(data):
             assert other @ inc == expected
     composites = [inc @ prj for inc, prj in zip(incs, prjs)]
     assert functools.reduce(lambda f, g: f + g, composites) == identity_morphism(total)
-
-
-@given(st.data())
-@settings(max_examples=40, deadline=None)
-def test_summand_maps_of_a_set_of_places(data):
-    # the inclusion of the summands at some places, in a given order, is
-    # the inclusion of each at its place, and the projection undoes it
-    p, bound = data.draw(st.sampled_from([(2, 2), (3, 1)]))
-    catalog = data.draw(st.sampled_from([build_example51(p, bound).mod_a, build_example51(p, bound).mod_lambda]))
-    ks = data.draw(st.lists(st.integers(0, len(catalog) - 1), min_size=1, max_size=4))
-    places = data.draw(st.permutations(range(len(ks))))[:data.draw(st.integers(0, len(ks)))]
-    mods = [catalog.indecs[k] for k in ks]
-    total, parts = direct_sum(mods), [mods[t] for t in places]
-    part = direct_sum(parts, catalog.algebra, catalog.p)
-    inc, prj = summand_inclusion(mods, places, total, part), summand_projection(mods, places, total, part)
-    assert inc.source is part and prj.target is part
-    for s, t in enumerate(places):
-        assert inc @ summand_inclusion_by_offsets(parts, s, part) == summand_inclusion_by_offsets(mods, t, total)
-        assert summand_projection_by_offsets(parts, s, part) @ prj == summand_projection_by_offsets(mods, t, total)
-    assert prj @ inc == identity_morphism(part)
-    assert Morphism(inc.source, total, inc.comps) == inc and Morphism(total, part, prj.comps) == prj
 
 
 @lru_cache(maxsize=None)

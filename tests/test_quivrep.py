@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -281,6 +282,93 @@ def test_decompose_by_rank_agrees_with_the_split_loop(algebra, p, bound, monkeyp
     for expected, m in _modules_to_decompose(catalog, np.random.default_rng(100 * p + bound), 30):
         assert decompose(m, catalog) == splits(m, catalog) == expected
     assert bool(fallbacks) == (algebra is KRONECKER)
+
+
+@pytest.mark.parametrize("algebra, p, bound", [
+    (A2, 2, 2), (A2, 5, 1), (LAMBDA, 2, 2), (LAMBDA, 3, 1), (D4, 2, 2), (KRONECKER, 2, 2),
+], ids=["A-2-2", "A-5-1", "Lambda-2-2", "Lambda-3-1", "D4", "Kronecker-2"])
+def test_placement_is_an_isomorphism_onto_the_sorted_sum(algebra, p, bound):
+    # every entry and seeded sums of entries, under random base changes:
+    # the placement is a morphism (its squares commute) and an isomorphism
+    # onto the catalog's sum of the sorted summands, found once per module;
+    # Kronecker modules with End/rad = F_{p^2} are placed by the split loop
+    catalog = enumerate_indecomposables(algebra, bound, p)
+    for expected, m in _modules_to_decompose(catalog, np.random.default_rng(7 * p + bound), 20):
+        summands, iso = catalog.placement(m)
+        assert summands == tuple(sorted(expected.elements()))
+        assert iso.source == m and iso.target is catalog.sum_of(summands)
+        assert iso.is_isomorphism()
+        quivrep.Morphism(m, iso.target, iso.comps, check=True)
+        assert catalog.placement(m)[1] is iso
+    assert (algebra is KRONECKER) == any(catalog.top(i) is None for i in range(len(catalog)))
+
+
+def test_placement_at_a_large_prime():
+    p = 2**31 - 1
+    entries = (Module(A2, p, (1, 0), {}), Module(A2, p, (0, 1), {}),
+               Module(A2, p, (1, 1), {"a": Mat.identity(p, 1)}))
+    catalog = Catalog(A2, p, 1, entries)
+    for expected, m in _modules_to_decompose(catalog, np.random.default_rng(37), 8):
+        summands, iso = catalog.placement(m)
+        assert summands == tuple(sorted(expected.elements())) and iso.is_isomorphism()
+        quivrep.Morphism(m, iso.target, iso.comps, check=True)
+
+
+def test_placement_by_splits_reports_a_missing_summand():
+    # a Kronecker summand with End/rad = F_4 sends the module to the split
+    # loop, which says which summand the catalog lacks
+    full = enumerate_indecomposables(KRONECKER, 2, 2)
+    wide = next(i for i in range(len(full)) if full.top(i) is None)
+    gone = next(i for i in range(len(full)) if i != wide and full.top(i) is not None)
+    partial = Catalog(KRONECKER, 2, 2, tuple(u for i, u in enumerate(full.indecs) if i != gone))
+    m = direct_sum([full.indecs[wide], full.indecs[gone]])
+    with pytest.raises(CatalogIncompleteError, match=re.escape(f"{full.indecs[gone].dims_by_vertex} not in catalog")):
+        partial.placement(m)
+    assert m not in partial._decompose_memo
+
+
+def test_tables_compose_the_catalogs_hom_bases(bundle):
+    # entry [b, :, a] of compose(i, j, k) holds the coordinates of
+    # hom(j, k)[b] @ hom(i, j)[a], so the basis maps summed with them give
+    # the composite; hom_coords reads a map's coordinates off its entries
+    cat = bundle.mod_lambda
+    n, checked = len(cat), 0
+    for i, j, k in itertools.product(range(n), repeat=3):
+        table = cat.compose(i, j, k)
+        assert table.shape == (cat.dim_hom(j, k), cat.dim_hom(i, k), cat.dim_hom(i, j))
+        for (b, g), (a, f) in itertools.product(enumerate(cat.hom(j, k)), enumerate(cat.hom(i, j))):
+            total = quivrep.zero_morphism(cat.indecs[i], cat.indecs[k])
+            for c, h in zip(table[b, :, a], cat.hom(i, k)):
+                total = total + h.scale(int(c))
+            assert total == g @ f
+            checked += 1
+    assert checked == 165
+
+
+def test_catalog_index_finds_entries_only(bundle):
+    cat = bundle.mod_a
+    assert [cat.index(m) for m in cat.indecs] == list(range(len(cat)))
+    twin = Module(A2, 2, cat.indecs[0].dims, dict(cat.indecs[0].action))
+    assert cat.index(twin) == 0
+    with pytest.raises(ValueError, match="not an entry"):
+        cat.index(direct_sum([cat.indecs[0], cat.indecs[1]]))
+
+
+def test_a_module_equals_itself_without_building_keys(a2_catalog, monkeypatch):
+    # an SES checks its ends against its maps' ends, most often the same
+    # objects: identity answers before any key tuple is built
+    keys = []
+    real = Module.key
+
+    def spy(m):
+        keys.append(m)
+        return real(m)
+
+    monkeypatch.setattr(Module, "key", spy)
+    m = a2_catalog.indecs[0]
+    assert m == m and not (m != m)
+    assert keys == []
+    assert m == Module(A2, 2, m.dims, dict(m.action)) and len(keys) == 2
 
 
 def test_catalog_incomplete_message_is_the_split_loops():
