@@ -60,6 +60,12 @@ COMMAND_FILES = {
         ["catalog", "tests/algebras/a4_alternating.alg", "--bound", "2"],
         ["catalog", "tests/algebras/d4_source.alg", "--bound", "2"],
     ],
+    # the same catalogs over F_3, where counting orbits leaves the most grids
+    # unlabelled: D4's widest grid alone has 3**12 tuples
+    "catalog_dynkin_f3.json": [
+        ["catalog", "tests/algebras/a4_alternating.alg", "--field", "3", "--bound", "2"],
+        ["catalog", "tests/algebras/d4_source.alg", "--field", "3", "--bound", "2"],
+    ],
     # a vertex no arrow touches holds only its simple, which enumeration lists
     # apart from the vectors of the other vertices
     "catalog_isolated.json": [

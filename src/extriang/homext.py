@@ -26,10 +26,10 @@ carried onto the sum of its sorted summands along the catalog's
 placement.  So every listed sequence is a sequence of catalog sums, and
 it carries its block coordinates (Blocks): the Hom coordinates of each
 block of its maps and the class of each block.  The five-term maps are
-assembled block by block from those and from the tables over triples
-of catalog entries (Catalog.compose, push_table and pull_table); they
-build Ext^1 only between catalog entries and solve no Hom or Ext^1
-system of a sum.
+assembled block by block from those, from the tables over triples of
+catalog entries (Catalog.compose, push_table and pull_table) and from
+the Ext^1 dimensions of entry pairs (ext1_dim); they build Ext^1 only
+between catalog entries and solve no Hom or Ext^1 system of a sum.
 """
 
 from __future__ import annotations
@@ -400,17 +400,27 @@ def ext_map_many(space: Ext1Space, coords: np.ndarray, target_space: Ext1Space,
 # -- five-term exact sequences ---------------------------------------------------
 
 
+def ext1_dim(catalog: Catalog, i: int, j: int) -> int:
+    """dim Ext^1(indecs[i], indecs[j]), read off the space once per ordered
+    pair and kept in catalog._ext1_dims beside the push and pull tables."""
+    dim = catalog._ext1_dims.get((i, j))
+    if dim is None:
+        dim = catalog._ext1_dims[(i, j)] = ext1_space(catalog.indecs[i], catalog.indecs[j]).dim
+    return dim
+
+
 def push_table(catalog: Catalog, i: int, j: int, k: int) -> np.ndarray:
     """Hom(j, k) x Ext^1(i, j) -> Ext^1(i, k) over catalog entries: entry
     [b, :, e] holds the quotient coordinates of basis class e pushed along
     hom(j, k)[b].  Built once per triple and kept in catalog._pushes."""
     table = catalog._pushes.get((i, j, k))
     if table is None:
-        indecs = catalog.indecs
-        src, tgt = ext1_space(indecs[i], indecs[j]), ext1_space(indecs[i], indecs[k])
-        table = np.zeros((catalog.dim_hom(j, k), tgt.dim, src.dim), dtype=np.int64)
-        for b, g in enumerate(catalog.hom(j, k) if src.dim and tgt.dim else ()):
-            table[b] = tgt.compress(ext_map_many(src, src.basis_coords(), tgt, g=g))
+        table = np.zeros((catalog.dim_hom(j, k), ext1_dim(catalog, i, k), ext1_dim(catalog, i, j)), dtype=np.int64)
+        if table.size:
+            indecs = catalog.indecs
+            src, tgt = ext1_space(indecs[i], indecs[j]), ext1_space(indecs[i], indecs[k])
+            for b, g in enumerate(catalog.hom(j, k)):
+                table[b] = tgt.compress(ext_map_many(src, src.basis_coords(), tgt, g=g))
         catalog._pushes[(i, j, k)] = table
     return table
 
@@ -421,11 +431,12 @@ def pull_table(catalog: Catalog, i: int, j: int, k: int) -> np.ndarray:
     hom(i, j)[a].  Built once per triple and kept in catalog._pulls."""
     table = catalog._pulls.get((i, j, k))
     if table is None:
-        indecs = catalog.indecs
-        src, tgt = ext1_space(indecs[j], indecs[k]), ext1_space(indecs[i], indecs[k])
-        table = np.zeros((src.dim, tgt.dim, catalog.dim_hom(i, j)), dtype=np.int64)
-        for a, h in enumerate(catalog.hom(i, j) if src.dim and tgt.dim else ()):
-            table[:, :, a] = tgt.compress(ext_map_many(src, src.basis_coords(), tgt, h=h)).T
+        table = np.zeros((ext1_dim(catalog, j, k), ext1_dim(catalog, i, k), catalog.dim_hom(i, j)), dtype=np.int64)
+        if table.size:
+            indecs = catalog.indecs
+            src, tgt = ext1_space(indecs[j], indecs[k]), ext1_space(indecs[i], indecs[k])
+            for a, h in enumerate(catalog.hom(i, j)):
+                table[:, :, a] = tgt.compress(ext_map_many(src, src.basis_coords(), tgt, h=h)).T
         catalog._pulls[(i, j, k)] = table
     return table
 
@@ -476,9 +487,9 @@ def covariant_block_maps(ses: SES, x: Module) -> list[Mat]:
     The bases are the blocks' bases, summand by summand."""
     bl, t = _terms(ses, x)
     cat = bl.catalog
-    p, u = cat.p, cat.indecs[t]
+    p = cat.p
     ha, hb, hc = ([cat.dim_hom(t, i) for i in ms] for ms in (bl.a, bl.b, bl.c))
-    ea, eb = ([ext1_space(u, cat.indecs[i]).dim for i in ms] for ms in (bl.a, bl.b))
+    ea, eb = ([ext1_dim(cat, t, i) for i in ms] for ms in (bl.a, bl.b))
     return [
         _block_matrix(p, hb, ha, [((k, j), _after(p, cat.compose(t, bl.a[j], bl.b[k]), f))
                                   for (k, j), f in bl.inc.items() if hb[k] and ha[j]]),
@@ -498,9 +509,9 @@ def contravariant_block_maps(ses: SES, x: Module) -> list[Mat]:
     a_j -> x (the connecting map) and pulling along prj."""
     bl, t = _terms(ses, x)
     cat = bl.catalog
-    p, u = cat.p, cat.indecs[t]
+    p = cat.p
     ha, hb, hc = ([cat.dim_hom(i, t) for i in ms] for ms in (bl.a, bl.b, bl.c))
-    eb, ec = ([ext1_space(cat.indecs[i], u).dim for i in ms] for ms in (bl.b, bl.c))
+    eb, ec = ([ext1_dim(cat, i, t) for i in ms] for ms in (bl.b, bl.c))
     return [
         _block_matrix(p, hb, hc, [((k, i), _before(p, cat.compose(bl.b[k], bl.c[i], t), g))
                                   for (i, k), g in bl.prj.items() if hb[k] and hc[i]]),

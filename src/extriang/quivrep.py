@@ -6,15 +6,17 @@ Paths compose right to left: the path written "b.a" means apply a, then b,
 so its matrix is M_b @ M_a.
 
 The enumeration of indecomposables is exhaustive over dimension vectors:
-where one may live, it labels the relation-satisfying arrow-matrix tuples
-with their base-change orbits by array operations and keeps the orbits no
-direct sum of smaller indecomposables lies in.  The grid has p**(sum of
-matrix sizes) cells per dimension vector, capped at MAX_GRID_CELLS.  Each
-relation term is evaluated over its own arrows' axes, and the two sides
-of a relation are compared row by row as base-p codes, so only boolean
-arrays span the grid.  Each generator's index map on an arrow's matrices
-is built once per enumeration, and each arrow's digits of the valid cells
-once per grid.  Where each summand of a direct sum sits at each vertex is
+where one may live, it counts the tuples the direct sums of smaller
+indecomposables fill (orbit-stabilizer), and only where tuples are left
+over does it label the relation-satisfying arrow-matrix tuples with their
+base-change orbits by array operations and keep the orbits no such sum
+lies in.  The grid has p**(sum of matrix sizes) cells per dimension
+vector, capped at MAX_GRID_CELLS.  Each relation term is evaluated over
+its own arrows' axes, and the two sides of a relation are compared row
+by row as base-p codes, so only boolean arrays span the grid.  Each
+generator's index map on an arrow's matrices is built once per
+enumeration, and each arrow's digits of the valid cells once per grid.
+Where each summand of a direct sum sits at each vertex is
 stated once, in _bounds; sums, summand maps and Ext^1 layouts read it.
 """
 
@@ -363,16 +365,15 @@ def _commuting_system(m: Module, n: Module) -> tuple[Mat, dict[str, int]]:
     phi: m -> n, in vertex order; offsets[v] is where the component at v
     starts among them.  Each arrow gives n.dim(tgt) * m.dim(src) rows.
     """
-    alg = m.algebra
-    offsets, total, row, terms = {}, 0, 0, []
-    for v in alg.vertices:
-        offsets[v] = total
-        total += n.dim(v) * m.dim(v)
+    alg, at = m.algebra, m.algebra.vertex_index
+    starts = list(itertools.accumulate(map(operator.mul, n.dims, m.dims), initial=0))
+    row, terms = 0, []
     for a in alg.arrows:
-        terms += [(row, offsets[a.src], n.action[a.name].a, m.dim(a.src)),
-                  (row, offsets[a.tgt], n.dim(a.tgt), -m.action[a.name].a)]
-        row += n.dim(a.tgt) * m.dim(a.src)
-    return _kron_map(m.p, row, total, terms), offsets
+        s, t = at[a.src], at[a.tgt]
+        terms += [(row, starts[s], n.action[a.name].a, m.dims[s]),
+                  (row, starts[t], n.dims[t], -m.action[a.name].a)]
+        row += n.dims[t] * m.dims[s]
+    return _kron_map(m.p, row, starts[-1], terms), dict(zip(alg.vertices, starts))
 
 
 def _morphism_from_vector(vec: np.ndarray, m: Module, n: Module, offsets: Mapping[str, int],
@@ -504,20 +505,24 @@ class Catalog:
     pairs, End-ring tops of entries, sums of entries, decompositions and
     placements are found on first use and kept: one module per tuple of
     entries summed, so equal sums are one object, which the Ext and
-    decomposition memos find by identity.
+    decomposition memos find by identity.  hom_dims holds the Hom
+    dimensions enumerate_indecomposables solved as ranks for its orbit
+    counts; dim_hom reads them before it solves a basis.
 
     The catalog is also the Krull-Schmidt skeleton of its modules: a map
     between sums of entries is a block matrix of coordinates in the Hom
     bases, and the compose table over triples of entries, built on first
     use and kept, composes such blocks.  _pushes and _pulls keep the
-    tables that compose them with the blocks of an Ext^1 class, which
-    homext fills (push_table, pull_table).
+    tables that compose them with the blocks of an Ext^1 class, and
+    _ext1_dims the Ext^1 dimension of each ordered pair of entries, which
+    homext fills (push_table, pull_table, ext1_dim).
     """
 
     algebra: Algebra
     p: int
     bound: int
     indecs: tuple[Module, ...]
+    hom_dims: dict[tuple[int, int], int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self._homs: dict[tuple[int, int], tuple[Morphism, ...]] = {}
@@ -530,6 +535,7 @@ class Catalog:
         self._composes: dict[tuple[int, int, int], np.ndarray] = {}
         self._pushes: dict[tuple[int, int, int], np.ndarray] = {}
         self._pulls: dict[tuple[int, int, int], np.ndarray] = {}
+        self._ext1_dims: dict[tuple[int, int], int] = {}
         self._index: Optional[dict[Module, int]] = None
         # the order decompositions try the entries in (see decompose)
         self._largest_first = sorted(range(len(self.indecs)), key=lambda i: -self.indecs[i].total_dim)
@@ -554,7 +560,10 @@ class Catalog:
         return basis
 
     def dim_hom(self, i: int, j: int) -> int:
-        return len(self.hom(i, j))
+        """dim Hom(indecs[i], indecs[j]): kept in hom_dims where the
+        enumeration solved it, else the length of hom(i, j)."""
+        dim = self.hom_dims.get((i, j))
+        return len(self.hom(i, j)) if dim is None else dim
 
     def hom_coords(self, i: int, j: int, vecs: np.ndarray) -> np.ndarray:
         """Coordinates in hom(i, j) of maps given as flattened vectors
@@ -987,9 +996,15 @@ def _positions(cells: np.ndarray, strides: Sequence[int], digits: Mapping[int, n
     return np.searchsorted(cells, moved).astype(np.int32)
 
 
-def _orbit_labels(algebra: Algebra, p: int, dv: tuple[int, ...], index_maps: dict):
+def _arrow_shapes(algebra: Algebra, dv: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The (rows, cols) of each arrow's matrices at this dimension vector."""
+    at = algebra.vertex_index
+    return [(dv[at[a.tgt]], dv[at[a.src]]) for a in algebra.arrows]
+
+
+def _orbit_labels(algebra: Algebra, p: int, dv: tuple[int, ...], valid: np.ndarray, index_maps: dict):
     """Orbit labels on the relation-satisfying arrow-matrix tuples at this
-    dimension vector.
+    dimension vector, which the mask valid (_relation_mask) marks.
 
     The tuples form a grid with one axis per arrow, indexed by matrix
     index, so flat indices order tuples lexicographically (a quiver
@@ -1010,9 +1025,8 @@ def _orbit_labels(algebra: Algebra, p: int, dv: tuple[int, ...], index_maps: dic
     """
     arrows = algebra.arrows
     at = algebra.vertex_index
-    shapes = [(dv[at[a.tgt]], dv[at[a.src]]) for a in arrows]
-    grid = tuple(p ** (r * c) for r, c in shapes)
-    valid = _relation_mask(algebra, p, shapes)
+    shapes = _arrow_shapes(algebra, dv)
+    grid = valid.shape
     cells = np.flatnonzero(valid).astype(np.int32)
     # with every cell valid, positions are flat indices
     dense = len(cells) == valid.size
@@ -1137,6 +1151,73 @@ def _strike_out(algebra: Algebra, p: int, found: Sequence[Module], sums: Sequenc
     return cells[own[~decomposable[own]]]
 
 
+def _gl_order(d: int, p: int) -> int:
+    """|GL(d, F_p)|: column k has p**d - p**k choices outside the span of the first k."""
+    return math.prod(p ** d - p ** k for k in range(d))
+
+
+class _HomDims(dict):
+    """dim Hom(found[i], found[j]) under (i, j), solved as a rank
+    (dim_hom) the first time a pair is looked up."""
+
+    def __init__(self, found: Sequence[Module]):
+        super().__init__()
+        self.found = found
+
+    def __missing__(self, pair: tuple[int, int]) -> int:
+        i, j = pair
+        dim = self[pair] = dim_hom(self.found[i], self.found[j])
+        return dim
+
+
+class _Automorphisms:
+    """|Aut| of the sums of the entries found so far, from ranks of Hom systems.
+
+    When every summand M_i of S = (+) M_i**m_i is a brick, End(S) modulo its
+    radical is the product of the rings M_{m_i}(F_p), so
+    |Aut S| = p**(dim End S - sum m_i**2) * prod |GL(m_i, F_p)|, with
+    dim End S = sum m_i m_j dim Hom(M_i, M_j).  dim Hom of each pair is
+    solved once, in hom_dims; |Aut| is kept per class tuple in orders.
+    """
+
+    def __init__(self, p: int, found: Sequence[Module]):
+        self.p = p
+        self.hom_dims = _HomDims(found)
+        self.orders: dict[tuple[int, ...], Optional[int]] = {(): 1}
+
+    def order(self, ms: tuple[int, ...]) -> Optional[int]:
+        """|Aut| of the sum of the entries ms (ascending), or None when one of
+        them is no brick.  It extends its tail's: the m-th copy of i = ms[0]
+        adds dim Hom(i, i) + sum over the tail's j of dim Hom(i, j) +
+        dim Hom(j, i) to dim End, 2m - 1 to sum m_i**2, and the factor
+        p**(m - 1) * (p**m - 1) to |GL(m, F_p)|."""
+        if ms in self.orders:
+            return self.orders[ms]
+        i, tail = ms[0], ms[1:]
+        rest, hom = self.order(tail), self.hom_dims
+        order = None
+        if rest is not None and hom[i, i] == 1:
+            m = ms.count(i)
+            grow = 1 + sum([hom[i, j] + hom[j, i] for j in tail])
+            order = rest * self.p ** (grow - m) * (self.p ** m - 1)
+        self.orders[ms] = order
+        return order
+
+    def tuples_filled(self, dv: tuple[int, ...], sums: Iterable[tuple[int, ...]]) -> Optional[int]:
+        """How many arrow-matrix tuples at dv the classes sums fill, or None
+        when a summand of one is no brick.  G_d = prod GL(d_v, F_p) acts by
+        base change, and the stabilizer of a tuple is the automorphism group
+        of its module, so each class fills |G_d| / |Aut S| tuples."""
+        group = math.prod(_gl_order(d, self.p) for d in dv)
+        filled = 0
+        for ms in sums:
+            order = self.order(ms)
+            if order is None:
+                return None
+            filled += group // order
+        return filled
+
+
 def enumerate_indecomposables(algebra: Algebra, bound: int, p: int = DEFAULT_PRIME) -> Catalog:
     """All indecomposables with every vertex dimension <= bound.
 
@@ -1154,13 +1235,22 @@ def enumerate_indecomposables(algebra: Algebra, bound: int, p: int = DEFAULT_PRI
     at v holding I but not x, with everything at the other vertices, is a
     complement.  The relations take no part.
 
-    Otherwise _orbit_labels gives one orbit per isomorphism class.  When
-    there are as many orbits as multisets, no orbit is left for an
-    indecomposable and nothing more is built; only when there are more
-    does _strike_out build the sums and keep the least tuple of each orbit
-    none of them lies in.  No Hom space is computed: the catalog solves
-    each one the first time it is asked for.  Before any dimension vector
-    is listed, raises ValueError when some dimension vector has more than
+    Otherwise the decomposable classes are counted before any tuple is
+    labelled (orbit-stabilizer, _Automorphisms.tuples_filled; cf. Hua,
+    Counting representations of quivers over finite fields, J. Algebra
+    2000).  When their orbits fill all the relation-satisfying tuples
+    (p**e of them without relations, the mask's count otherwise), d holds
+    no indecomposable and nothing is labelled; a count above the tuples
+    is a broken invariant and raises AssertionError.  Where tuples are
+    left over, or a summand is no brick and the count does not apply,
+    _orbit_labels gives one orbit per isomorphism class on the relation
+    mask, the count's own where there are relations.  When there are as
+    many orbits as multisets, no orbit is left for an indecomposable;
+    otherwise _strike_out builds the sums and keeps the least tuple of
+    each orbit none of them lies in, as without the count.  The catalog
+    keeps the Hom dimensions the count solved as ranks (Catalog.hom_dims);
+    no Hom basis is solved.  Before any dimension vector is listed,
+    raises ValueError when some dimension vector has more than
     MAX_GRID_CELLS tuples.
     """
     if bound < 1:
@@ -1187,6 +1277,7 @@ def enumerate_indecomposables(algebra: Algebra, bound: int, p: int = DEFAULT_PRI
     # every isomorphism class at each dimension vector done so far, as the
     # ascending tuple of its summands' indices in found
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    automorphisms = _Automorphisms(p, found)
     # the generators and their index maps on arrow matrices, shared by every grid
     index_maps: dict = {}
     for dv in dim_vectors:
@@ -1194,15 +1285,27 @@ def enumerate_indecomposables(algebra: Algebra, bound: int, p: int = DEFAULT_PRI
         classes[dv] = sums
         if not _may_hold_indecomposable(algebra, dv):
             continue
-        orbits = _orbit_labels(algebra, p, dv, index_maps)
-        grid, shapes, _, label = orbits
+        shapes = _arrow_shapes(algebra, dv)
+        # without relations every tuple counts, and no mask is built unless
+        # the grid is labelled
+        valid = _relation_mask(algebra, p, shapes) if algebra.relations else None
+        tuples = p ** sum(r * c for r, c in shapes) if valid is None else int(np.count_nonzero(valid))
+        filled = automorphisms.tuples_filled(dv, sums)
+        if filled is not None and filled > tuples:
+            raise AssertionError(f"the decomposable classes at {dv} fill {filled} of its {tuples} tuples")
+        if filled == tuples:
+            continue
+        if valid is None:
+            valid = _relation_mask(algebra, p, shapes)
+        orbits = _orbit_labels(algebra, p, dv, valid, index_maps)
+        grid, _, _, label = orbits
         if len(_self_labelled(label)) == len(sums):
             continue
         reps = _strike_out(algebra, p, found, sums, orbits)
         new = _matrices_at(p, grid, shapes, reps)
         classes[dv] = sums + [(i,) for i in range(len(found), len(found) + len(reps))]
         found += [Module(algebra, p, dv, action, check=False) for action in _actions(algebra, p, new, len(reps))]
-    return Catalog(algebra, p, bound, tuple(found))
+    return Catalog(algebra, p, bound, tuple(found), hom_dims=dict(automorphisms.hom_dims))
 
 
 # -- text format -------------------------------------------------------------

@@ -303,21 +303,30 @@ def test_cli_refusal_names_the_first_widest_vector(capsys, tmp_path, text, expec
 
 
 def test_catalog_command_solves_each_hom_basis_once(capsys, monkeypatch):
-    calls = []
-    real = quivrep.hom_basis
+    calls, ranks = [], []
+    real, real_rank = quivrep.hom_basis, quivrep.dim_hom
 
     def spy(m, n):
         calls.append((m, n))
         return real(m, n)
 
+    def rank_spy(m, n):
+        ranks.append((m, n))
+        return real_rank(m, n)
+
     monkeypatch.setattr(quivrep, "hom_basis", spy)
+    monkeypatch.setattr(quivrep, "dim_hom", rank_spy)
     monkeypatch.setattr(cli, "build_example51", FixtureBundle)  # not the cached bundle
     code, payload = run_cli_json(capsys, "catalog", "--example51", "modLambda")
     assert code == 0 and payload["count"] == 11
-    # hom_dims reads one basis per pair of mod Lambda's indecomposables; the
-    # other calls decompose mod A objects for the labels
+    # hom_dims reads the dimension of every pair of mod Lambda's
+    # indecomposables off the ranks the enumeration's orbit counts solved,
+    # one per pair, and solves no basis (it solved 121); the other calls
+    # decompose mod A objects for the labels
     on_lambda = [(m, n) for m, n in calls if len(m.dims) == 4]
-    assert len(on_lambda) == len(set(on_lambda)) == 121
+    ranks_on_lambda = [(m, n) for m, n in ranks if len(m.dims) == 4]
+    assert on_lambda == []
+    assert len(ranks_on_lambda) == len(set(ranks_on_lambda)) == 121
 
 
 def test_cli_catalog_one_vertex_at_a_large_prime(capsys, tmp_path):

@@ -626,7 +626,7 @@ def test_five_term_pass_over_b_ext_builds_each_middle_space_once(bundle, monkeyp
 
     monkeypatch.setattr(homext, "ext1_space", lru_cache(maxsize=None)(build))
     monkeypatch.setattr(homext.Ext1Space, "class_of", None)
-    for name in ("_composes", "_pushes", "_pulls"):
+    for name in ("_composes", "_pushes", "_pulls", "_ext1_dims"):
         monkeypatch.setattr(cat, name, {})
     for ses in sequences:
         for x in cat.indecs:
@@ -634,6 +634,38 @@ def test_five_term_pass_over_b_ext_builds_each_middle_space_once(bundle, monkeyp
             five_term_contravariant(ses, x)
     assert len(built) == len(set(built)) == 72
     assert all(c in cat.indecs and a in cat.indecs for c, a in built)
+
+
+def test_five_term_pass_reads_each_ext1_dimension_once(bundle, monkeypatch):
+    # the block maps read Ext^1 dimensions of entry pairs off the catalog,
+    # where each ordered pair's is kept beside the push and pull tables:
+    # from empty tables the pass looks a space up once per pair and twice
+    # per table it fills (looking every dimension up gave 29,360 lookups
+    # in a traced five-term round), and a second pass looks up none
+    cat = bundle.mod_lambda
+    sequences = [rec.ses for rec in bundle.b_ext.conflations]
+    calls = []
+
+    def spy(c, a):
+        calls.append((c, a))
+        return ext1_space(c, a)
+
+    monkeypatch.setattr(homext, "ext1_space", spy)
+    for name in ("_composes", "_pushes", "_pulls", "_ext1_dims"):
+        monkeypatch.setattr(cat, name, {})
+
+    def run():
+        for ses in sequences:
+            for x in cat.indecs:
+                five_term_covariant(ses, x)
+                five_term_contravariant(ses, x)
+
+    run()
+    filled = sum(table.size > 0 for table in [*cat._pushes.values(), *cat._pulls.values()])
+    assert (len(cat._ext1_dims), filled, len(calls)) == (72, 14, 72 + 2 * 14)
+    calls.clear()
+    run()
+    assert calls == []
 
 
 def test_first_map_iso_iff_third_term_zero(bundle):

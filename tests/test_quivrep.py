@@ -3,6 +3,8 @@
 import dataclasses
 import functools
 import itertools
+import math
+import pathlib
 import re
 from collections import Counter
 
@@ -460,7 +462,8 @@ def _orbit_representatives(algebra, p, dv):
     """One arrow-matrix tuple per isomorphism class at this dimension
     vector: the lexicographically first tuple of each relation-satisfying
     orbit, in ascending order."""
-    grid, shapes, cells, label = quivrep._orbit_labels(algebra, p, dv, {})
+    valid = quivrep._relation_mask(algebra, p, quivrep._arrow_shapes(algebra, dv))
+    grid, shapes, cells, label = quivrep._orbit_labels(algebra, p, dv, valid, {})
     reps = cells[quivrep._self_labelled(label)]
     return quivrep._actions(algebra, p, quivrep._matrices_at(p, grid, shapes, reps), len(reps))
 
@@ -553,11 +556,6 @@ def test_orbit_representatives_match_the_bfs_oracle(algebra, p, bound):
         assert _orbit_representatives(algebra, p, dv) == _bfs_orbit_representatives(algebra, p, dv), dv
 
 
-def _arrow_shapes(algebra, dv):
-    at = algebra.vertex_index
-    return [(dv[at[a.tgt]], dv[at[a.src]]) for a in algebra.arrows]
-
-
 # every dimension vector up to the bound, so vertices of dimension 0 sit
 # at a relation's ends and in the middle of its paths
 @pytest.mark.parametrize("algebra, p, bound", [
@@ -568,7 +566,7 @@ def _arrow_shapes(algebra, dv):
 def test_relation_mask_matches_the_oracle(algebra, p, bound):
     some_fail = False
     for dv in _dim_vectors(len(algebra.vertices), bound):
-        shapes = _arrow_shapes(algebra, dv)
+        shapes = quivrep._arrow_shapes(algebra, dv)
         got = quivrep._relation_mask(algebra, p, shapes)
         assert np.array_equal(got, relation_mask_by_totals(algebra, p, shapes)), dv
         some_fail = some_fail or not got.all()
@@ -581,7 +579,7 @@ def test_relation_mask_compares_rows_where_a_whole_value_code_would_overflow(n):
     # matrix at p = 2 runs up to 2**(n*n): at n = 8 it wraps int64 (as a bit
     # pattern, still one code per matrix), at n = 9 two matrices share a
     # code.  b.a vanishes iff a or b does, and the 1 x 1 value a.b then does too
-    shapes = _arrow_shapes(CYCLE, (n, 1))
+    shapes = quivrep._arrow_shapes(CYCLE, (n, 1))
     assert shapes == [(1, n), (n, 1)]
     got = quivrep._relation_mask(CYCLE, 2, shapes)
     assert np.array_equal(got, relation_mask_by_totals(CYCLE, 2, shapes))
@@ -670,17 +668,17 @@ def test_the_support_lemma_reads_support_and_arrow_room():
     assert may(DUAL_NUMBERS, (3,))
 
 
-@pytest.mark.parametrize("algebra, p, bound, dim_vectors, searches, strike_outs", [
-    (LAMBDA, 2, 2, 80, 48, 11), (LAMBDA, 3, 1, 15, 13, 11), (A2, 2, 2, 8, 4, 3),
+@pytest.mark.parametrize("algebra, p, bound, dim_vectors, searches, widest, strike_outs", [
+    (LAMBDA, 2, 2, 80, 11, 16, 11), (LAMBDA, 3, 1, 15, 11, 81, 11), (A2, 2, 2, 8, 3, 2, 3),
 ], ids=["Lambda-2-2", "Lambda-3-1", "modA-2-2"])
 def test_enumeration_searches_orbits_only_where_an_indecomposable_is_left(
-        monkeypatch, algebra, p, bound, dim_vectors, searches, strike_outs):
+        monkeypatch, algebra, p, bound, dim_vectors, searches, widest, strike_outs):
     labelled, struck = [], []
     orbit_labels, strike_out = quivrep._orbit_labels, quivrep._strike_out
 
-    def label_spy(alg, p, dv, index_maps):
-        labelled.append(dv)
-        return orbit_labels(alg, p, dv, index_maps)
+    def label_spy(alg, p, dv, valid, index_maps):
+        labelled.append((dv, valid.size))
+        return orbit_labels(alg, p, dv, valid, index_maps)
 
     def strike_spy(alg, p, found, sums, orbits):
         struck.append(orbits)
@@ -691,18 +689,23 @@ def test_enumeration_searches_orbits_only_where_an_indecomposable_is_left(
     catalog = enumerate_indecomposables(algebra, bound, p)
     dvs = _dim_vectors(len(algebra.vertices), bound)
     assert (len(dvs), len(labelled), len(struck)) == (dim_vectors, searches, strike_outs)
-    assert labelled == [dv for dv in dvs if quivrep._may_hold_indecomposable(algebra, dv)]
+    # the orbit counts certify every other dimension vector, so only those
+    # of the entries are labelled (Lambda at p = 2 labelled 48 grids of up
+    # to 65,536 cells before they were counted)
+    assert [dv for dv, _ in labelled] == [m.dims for m in catalog.indecs]
+    assert max(size for _, size in labelled) == widest
     # these catalogs have one indecomposable per dimension vector, and a
     # strike-out runs only where one is left
     assert len(catalog) == len({m.dims for m in catalog.indecs}) == strike_outs
 
 
 def test_enumeration_builds_each_index_map_once(monkeypatch):
-    # mod Lambda at p = 2, bound 2 labels 48 grids, whose generators move
-    # single arrows 240 times in all with only 8 different index maps; the
-    # spy sees each map's arguments, so a map built twice shows
-    built, masked = [], []
-    moved_codes, relation_mask = quivrep._moved_codes, quivrep._relation_mask
+    # the three-term relation's algebra at p = 2, bound 2 labels 14 grids,
+    # whose generators move single arrows 66 times in all with only 8
+    # different index maps; the spy sees each map's arguments, so a map
+    # built twice shows
+    built, masked, labelled = [], [], []
+    moved_codes, relation_mask, orbit_labels = quivrep._moved_codes, quivrep._relation_mask, quivrep._orbit_labels
 
     def moved_spy(p, rows, cols, left, right):
         built.append((p, rows, cols, left.tobytes(), right.tobytes()))
@@ -712,19 +715,31 @@ def test_enumeration_builds_each_index_map_once(monkeypatch):
         masked.append(shapes)
         return relation_mask(algebra, p, shapes)
 
+    def label_spy(alg, p, dv, valid, index_maps):
+        labelled.append(dv)
+        return orbit_labels(alg, p, dv, valid, index_maps)
+
     monkeypatch.setattr(quivrep, "_moved_codes", moved_spy)
     monkeypatch.setattr(quivrep, "_relation_mask", mask_spy)
-    assert len(enumerate_indecomposables(LAMBDA, 2, 2)) == 11
+    monkeypatch.setattr(quivrep, "_orbit_labels", label_spy)
+    assert len(enumerate_indecomposables(THREE_TERMS, 2, 2)) == 35
+    assert len(labelled) == 14
     assert len(built) == len(set(built)) == 8
+    # with relations, one mask per counted dimension vector, which the
+    # labelling reuses: mod Lambda counts 48 and labels 11 of them
+    assert len(masked) == 19
+    masked.clear()
+    assert len(enumerate_indecomposables(LAMBDA, 2, 2)) == 11
     assert len(masked) == 48
 
 
 @pytest.mark.parametrize("algebra, p, bound, builds", [
-    (LAMBDA, 2, 2, [(1, 2), (2, 2)]), (LAMBDA, 3, 1, [(1, 3)]), (A2, 5, 2, [(1, 5), (2, 5)]),
+    (LAMBDA, 2, 2, [(1, 2)]), (LAMBDA, 3, 1, [(1, 3)]), (A2, 5, 2, [(1, 5)]),
 ], ids=["Lambda-2-2", "Lambda-3-1", "modA-5-2"])
 def test_enumeration_builds_each_gl_generator_set_once(monkeypatch, algebra, p, bound, builds):
     # the generators of GL(d, F_p) are built only where an index map is
-    # missing, and then once per (d, p) for the whole enumeration
+    # missing, and then once per (d, p) for the whole enumeration; here
+    # every grid with d_v = 2 is certified by its count and never labelled
     built = []
     gl_generators = quivrep._gl_generators
 
@@ -735,6 +750,67 @@ def test_enumeration_builds_each_gl_generator_set_once(monkeypatch, algebra, p, 
     monkeypatch.setattr(quivrep, "_gl_generators", spy)
     enumerate_indecomposables(algebra, bound, p)
     assert sorted(built) == builds
+
+
+def _bundled(name):
+    return parse_algebra_text((pathlib.Path(__file__).parent / "algebras" / name).read_text())
+
+
+COUNT_CASES = [(A2, p, bound) for p, bound in ((2, 2), (3, 1), (5, 1))]
+COUNT_CASES += [(LAMBDA, p, bound) for p, bound in ((2, 2), (3, 1), (5, 1))]
+COUNT_CASES += [(_bundled(name), p, 2) for name in ("a2_isolated.alg", "a4_alternating.alg", "d4_source.alg")
+                for p in (2, 3)]
+# summands that are no bricks, where the count does not apply
+COUNT_CASES += [(KRONECKER, 2, 2), (DUAL_NUMBERS, 2, 3)]
+
+
+@pytest.mark.parametrize("algebra, p, bound", COUNT_CASES, ids=[
+    "modA-2-2", "modA-3-1", "modA-5-1", "Lambda-2-2", "Lambda-3-1", "Lambda-5-1",
+    "a2-isolated-2", "a2-isolated-3", "a4-alternating-2", "a4-alternating-3", "d4-source-2", "d4-source-3",
+    "Kronecker-2", "dual-numbers-2"])
+def test_orbit_sizes_are_the_orbit_stabilizer_counts(algebra, p, bound):
+    """The orbit labels check the count at every dimension vector up to the
+    bound, those the enumeration certifies by counting included: the orbit
+    of each sum S of bricks holds |G_d| / |Aut S| tuples for the |Aut S|
+    that _Automorphisms computes, the orbit of each brick entry
+    |G_d| / (p - 1), and there is one orbit per class."""
+    catalog = enumerate_indecomposables(algebra, bound, p)
+    automorphisms = quivrep._Automorphisms(p, catalog.indecs)
+    classes, index_maps, refused = {}, {}, 0
+    for dv in _dim_vectors(len(algebra.vertices), bound):
+        entries = [(k,) for k, m in enumerate(catalog.indecs) if m.dims == dv]
+        classes[dv] = quivrep._sums_at(catalog.indecs, classes, dv) + entries
+        valid = quivrep._relation_mask(algebra, p, quivrep._arrow_shapes(algebra, dv))
+        grid, shapes, cells, label = quivrep._orbit_labels(algebra, p, dv, valid, index_maps)
+        sizes = np.bincount(label, minlength=len(cells))
+        group = math.prod(quivrep._gl_order(d, p) for d in dv)
+        assert len(quivrep._self_labelled(label)) == len(classes[dv]), dv
+        for ms in classes[dv]:
+            m = catalog.sum_of(ms)
+            at = quivrep._cells_at(p, grid, [m.action[a.name].a[None] for a in algebra.arrows], 1)
+            size = sizes[label[np.searchsorted(cells, at[0])]]
+            order = automorphisms.order(ms)
+            bricks = all(catalog.dim_hom(i, i) == 1 for i in ms)
+            assert (order is not None) == bricks, (dv, ms)
+            refused += not bricks
+            if bricks:
+                assert size * order == group, (dv, ms)
+            if bricks and ms in entries:
+                assert size * (p - 1) == group, (dv, ms)
+    assert refused if algebra in (KRONECKER, DUAL_NUMBERS) else not refused
+    for i in range(len(catalog)):
+        for j in range(len(catalog)):
+            assert len(catalog.hom(i, j)) == catalog.dim_hom(i, j), (i, j)
+
+
+def test_a_count_above_the_tuples_raises(monkeypatch):
+    # a decomposable count above the tuple count is a broken invariant, not
+    # a reason to label: with |GL(d, F_2)| doubled, S1 + S2 of A2 fills 4
+    # of the 2 tuples at (1, 1)
+    gl_order = quivrep._gl_order
+    monkeypatch.setattr(quivrep, "_gl_order", lambda d, p: 2 * gl_order(d, p))
+    with pytest.raises(AssertionError, match=r"\(1, 1\) fill 4 of its 2 tuples"):
+        enumerate_indecomposables(A2, 1, 2)
 
 
 def test_enumeration_runs_no_split_test(monkeypatch):
