@@ -3,11 +3,12 @@
 Matrices are wrapped numpy int64 arrays with entries reduced mod p.
 Every operation is exact.  Elimination (rref, and through it rank,
 kernels, solving and inverses) runs on Python integers, which cannot
-wrap, and converts back to int64 once.  The int64 bound concerns matrix
-products only: primes with (p-1)**2 >= 2**63 are refused, and a product
-sums at most (2**63 - 1) // (p-1)**2 residue products before it reduces
-mod p, so no int64 sum can wrap.  The only division ever performed is by
-modular inverse.  No floats.
+wrap, and converts back to int64 once; row_rank ranks rows of Python
+integers by the same elimination and builds no Mat.  The int64 bound
+concerns matrix products only: primes with (p-1)**2 >= 2**63 are
+refused, and a product sums at most (2**63 - 1) // (p-1)**2 residue
+products before it reduces mod p, so no int64 sum can wrap.  The only
+division ever performed is by modular inverse.  No floats.
 """
 
 from __future__ import annotations
@@ -81,6 +82,12 @@ def _gauss_jordan(p: int, rows: list[list[int]], cols: int) -> tuple[list[list[i
         if r == n:
             break
     return rows, tuple(pivots)
+
+
+def row_rank(p: int, rows: Sequence[Sequence[int]], cols: int) -> int:
+    """The rank of the matrix with these rows of residues in [0, p), each
+    of length cols; the rows themselves are left as they are."""
+    return len(_gauss_jordan(p, list(rows), cols)[1])
 
 
 class Mat:

@@ -30,6 +30,8 @@ assembled block by block from those, from the tables over triples of
 catalog entries (Catalog.compose, push_table and pull_table) and from
 the Ext^1 dimensions of entry pairs (ext1_dim); they build Ext^1 only
 between catalog entries and solve no Hom or Ext^1 system of a sum.
+Tables, block coordinates and the maps' rows hold Python integers, so
+the maps are composed and ranked (exactfield.row_rank) without numpy.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .exactfield import Mat
+from .exactfield import Mat, row_rank
 from .quivrep import (
     Catalog,
     Module,
@@ -49,6 +51,7 @@ from .quivrep import (
     _bounds,
     _commuting_system,
     _kron_map,
+    _tuples,
 )
 
 
@@ -61,16 +64,16 @@ class Blocks:
     coordinates: a, b and c are the terms' summand tuples; inc[k, j] holds
     the coordinates of inc's block a_j -> b_k in catalog.hom(a[j], b[k]),
     prj[i, k] those of prj's block b_k -> c_i, and cls[i, j] the quotient
-    coordinates of the class's block in Ext^1(c_i, a_j); zero blocks are
-    left out."""
+    coordinates of the class's block in Ext^1(c_i, a_j), each a tuple of
+    Python integers; zero blocks are left out."""
 
     catalog: Catalog
     a: tuple[int, ...]
     b: tuple[int, ...]
     c: tuple[int, ...]
-    inc: dict[tuple[int, int], np.ndarray]
-    prj: dict[tuple[int, int], np.ndarray]
-    cls: dict[tuple[int, int], np.ndarray]
+    inc: dict[tuple[int, int], tuple[int, ...]]
+    prj: dict[tuple[int, int], tuple[int, ...]]
+    cls: dict[tuple[int, int], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -409,9 +412,9 @@ def ext1_dim(catalog: Catalog, i: int, j: int) -> int:
     return dim
 
 
-def push_table(catalog: Catalog, i: int, j: int, k: int) -> np.ndarray:
+def push_table(catalog: Catalog, i: int, j: int, k: int) -> tuple:
     """Hom(j, k) x Ext^1(i, j) -> Ext^1(i, k) over catalog entries: entry
-    [b, :, e] holds the quotient coordinates of basis class e pushed along
+    [b][c][e] holds quotient coordinate c of basis class e pushed along
     hom(j, k)[b].  Built once per triple and kept in catalog._pushes."""
     table = catalog._pushes.get((i, j, k))
     if table is None:
@@ -421,13 +424,13 @@ def push_table(catalog: Catalog, i: int, j: int, k: int) -> np.ndarray:
             src, tgt = ext1_space(indecs[i], indecs[j]), ext1_space(indecs[i], indecs[k])
             for b, g in enumerate(catalog.hom(j, k)):
                 table[b] = tgt.compress(ext_map_many(src, src.basis_coords(), tgt, g=g))
-        catalog._pushes[(i, j, k)] = table
+        table = catalog._pushes[(i, j, k)] = _tuples(table)
     return table
 
 
-def pull_table(catalog: Catalog, i: int, j: int, k: int) -> np.ndarray:
+def pull_table(catalog: Catalog, i: int, j: int, k: int) -> tuple:
     """Ext^1(j, k) x Hom(i, j) -> Ext^1(i, k) over catalog entries: entry
-    [e, :, a] holds the quotient coordinates of basis class e pulled along
+    [e][c][a] holds quotient coordinate c of basis class e pulled along
     hom(i, j)[a].  Built once per triple and kept in catalog._pulls."""
     table = catalog._pulls.get((i, j, k))
     if table is None:
@@ -437,7 +440,7 @@ def pull_table(catalog: Catalog, i: int, j: int, k: int) -> np.ndarray:
             src, tgt = ext1_space(indecs[j], indecs[k]), ext1_space(indecs[i], indecs[k])
             for a, h in enumerate(catalog.hom(i, j)):
                 table[:, :, a] = tgt.compress(ext_map_many(src, src.basis_coords(), tgt, h=h)).T
-        catalog._pulls[(i, j, k)] = table
+        table = catalog._pulls[(i, j, k)] = _tuples(table)
     return table
 
 
@@ -448,61 +451,54 @@ def _terms(ses: SES, x: Module) -> tuple[Blocks, int]:
     return ses.blocks, ses.blocks.catalog.index(x)
 
 
-def _dot(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b mod p for arrays of residues, in Python integers where int64 could wrap."""
-    if a.shape[-1] * (p - 1) ** 2 >= 2 ** 63:
-        return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
-    return a @ b % p
+def _after(p: int, table: tuple, coords: Sequence[int]) -> list[list[int]]:
+    """The rows of the map right -> left o right of a table [left][out][right],
+    for the left factor with the given coordinates."""
+    return [[sum(c * t for c, t in zip(coords, entries)) % p for entries in zip(*rows)] for rows in zip(*table)]
 
 
-def _after(p: int, table: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """The map right -> left o right of a table [left, out, right], for the
-    left factor with the given coordinates."""
-    n, rows, cols = table.shape
-    return _dot(p, coords.reshape(1, n), table.reshape(n, rows * cols)).reshape(rows, cols)
+def _before(p: int, table: tuple, coords: Sequence[int]) -> list[list[int]]:
+    """The rows of the map left -> left o right of a table [left][out][right],
+    for the right factor with the given coordinates."""
+    return [[sum(c * t for c, t in zip(coords, row)) % p for row in rows] for rows in zip(*table)]
 
 
-def _before(p: int, table: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """The map left -> left o right of a table [left, out, right], for the
-    right factor with the given coordinates."""
-    n, rows, cols = table.shape
-    return _dot(p, table.reshape(n * rows, cols), coords.reshape(cols, 1)).reshape(n, rows).T
-
-
-def _block_matrix(p: int, rows: Sequence[int], cols: Sequence[int], blocks) -> Mat:
+def _block_matrix(rows: Sequence[int], cols: Sequence[int], blocks) -> tuple[list[list[int]], int]:
     """The matrix with row and column blocks of the given sizes, zero but at
-    the given ((r, c), block) pairs."""
+    the given ((r, c), block rows) pairs, as its rows and its column count."""
     ro, co = list(itertools.accumulate(rows, initial=0)), list(itertools.accumulate(cols, initial=0))
-    out = np.zeros((ro[-1], co[-1]), dtype=np.int64)
+    out = [[0] * co[-1] for _ in range(ro[-1])]
     for (r, c), block in blocks:
-        out[ro[r]:ro[r + 1], co[c]:co[c + 1]] = block
-    return Mat(p, out)
+        for row, entries in zip(out[ro[r]:ro[r + 1]], block):
+            row[co[c]:co[c + 1]] = entries
+    return out, co[-1]
 
 
-def covariant_block_maps(ses: SES, x: Module) -> list[Mat]:
+def covariant_block_maps(ses: SES, x: Module) -> list[tuple[list[list[int]], int]]:
     """The maps Hom(x,a) -> Hom(x,b) -> Hom(x,c) -> Ext(x,a) -> Ext(x,b) of a
     listed sequence and a catalog entry x, assembled block by block from
     the catalog's tables: composing with inc and prj, pulling the class's
     blocks along maps x -> c_i (the connecting map) and pushing along inc.
-    The bases are the blocks' bases, summand by summand."""
+    The bases are the blocks' bases, summand by summand; each map is its
+    rows of Python integers and its column count."""
     bl, t = _terms(ses, x)
     cat = bl.catalog
     p = cat.p
     ha, hb, hc = ([cat.dim_hom(t, i) for i in ms] for ms in (bl.a, bl.b, bl.c))
     ea, eb = ([ext1_dim(cat, t, i) for i in ms] for ms in (bl.a, bl.b))
     return [
-        _block_matrix(p, hb, ha, [((k, j), _after(p, cat.compose(t, bl.a[j], bl.b[k]), f))
-                                  for (k, j), f in bl.inc.items() if hb[k] and ha[j]]),
-        _block_matrix(p, hc, hb, [((i, k), _after(p, cat.compose(t, bl.b[k], bl.c[i]), g))
-                                  for (i, k), g in bl.prj.items() if hc[i] and hb[k]]),
-        _block_matrix(p, ea, hc, [((j, i), _after(p, pull_table(cat, t, bl.c[i], bl.a[j]), d))
-                                  for (i, j), d in bl.cls.items() if ea[j] and hc[i]]),
-        _block_matrix(p, eb, ea, [((k, j), _after(p, push_table(cat, t, bl.a[j], bl.b[k]), f))
-                                  for (k, j), f in bl.inc.items() if eb[k] and ea[j]]),
+        _block_matrix(hb, ha, [((k, j), _after(p, cat.compose(t, bl.a[j], bl.b[k]), f))
+                               for (k, j), f in bl.inc.items() if hb[k] and ha[j]]),
+        _block_matrix(hc, hb, [((i, k), _after(p, cat.compose(t, bl.b[k], bl.c[i]), g))
+                               for (i, k), g in bl.prj.items() if hc[i] and hb[k]]),
+        _block_matrix(ea, hc, [((j, i), _after(p, pull_table(cat, t, bl.c[i], bl.a[j]), d))
+                               for (i, j), d in bl.cls.items() if ea[j] and hc[i]]),
+        _block_matrix(eb, ea, [((k, j), _after(p, push_table(cat, t, bl.a[j], bl.b[k]), f))
+                               for (k, j), f in bl.inc.items() if eb[k] and ea[j]]),
     ]
 
 
-def contravariant_block_maps(ses: SES, x: Module) -> list[Mat]:
+def contravariant_block_maps(ses: SES, x: Module) -> list[tuple[list[list[int]], int]]:
     """The maps Hom(c,x) -> Hom(b,x) -> Hom(a,x) -> Ext(c,x) -> Ext(b,x) of a
     listed sequence and a catalog entry x, as in covariant_block_maps:
     composing with prj and inc, pushing the class's blocks along maps
@@ -513,39 +509,41 @@ def contravariant_block_maps(ses: SES, x: Module) -> list[Mat]:
     ha, hb, hc = ([cat.dim_hom(i, t) for i in ms] for ms in (bl.a, bl.b, bl.c))
     eb, ec = ([ext1_dim(cat, i, t) for i in ms] for ms in (bl.b, bl.c))
     return [
-        _block_matrix(p, hb, hc, [((k, i), _before(p, cat.compose(bl.b[k], bl.c[i], t), g))
-                                  for (i, k), g in bl.prj.items() if hb[k] and hc[i]]),
-        _block_matrix(p, ha, hb, [((j, k), _before(p, cat.compose(bl.a[j], bl.b[k], t), f))
-                                  for (k, j), f in bl.inc.items() if ha[j] and hb[k]]),
-        _block_matrix(p, ec, ha, [((i, j), _before(p, push_table(cat, bl.c[i], bl.a[j], t), d))
-                                  for (i, j), d in bl.cls.items() if ec[i] and ha[j]]),
-        _block_matrix(p, eb, ec, [((k, i), _before(p, pull_table(cat, bl.b[k], bl.c[i], t), g))
-                                  for (i, k), g in bl.prj.items() if eb[k] and ec[i]]),
+        _block_matrix(hb, hc, [((k, i), _before(p, cat.compose(bl.b[k], bl.c[i], t), g))
+                               for (i, k), g in bl.prj.items() if hb[k] and hc[i]]),
+        _block_matrix(ha, hb, [((j, k), _before(p, cat.compose(bl.a[j], bl.b[k], t), f))
+                               for (k, j), f in bl.inc.items() if ha[j] and hb[k]]),
+        _block_matrix(ec, ha, [((i, j), _before(p, push_table(cat, bl.c[i], bl.a[j], t), d))
+                               for (i, j), d in bl.cls.items() if ec[i] and ha[j]]),
+        _block_matrix(eb, ec, [((k, i), _before(p, pull_table(cat, bl.b[k], bl.c[i], t), g))
+                               for (i, k), g in bl.prj.items() if eb[k] and ec[i]]),
     ]
 
 
-def _exactness(maps: Sequence[Mat]) -> list[bool]:
-    """Exactness at each inner term of a chain of maps, im(first) = ker(second),
-    with each map's rank computed once."""
-    ranks = [m.rank() for m in maps]
+def _exactness(p: int, maps: Sequence[tuple[list[list[int]], int]]) -> list[bool]:
+    """Exactness im(first) = ker(second) at each inner term of a chain of
+    maps over F_p, each its rows and its column count, each ranked once."""
+    ranks = [row_rank(p, rows, cols) for rows, cols in maps]
     out = []
     for i in range(1, len(maps)):
-        first, second = maps[i - 1], maps[i]
-        if second.cols != first.rows:
+        (first, _), (second, cols) = maps[i - 1], maps[i]
+        if cols != len(first):
             raise ValueError("dimension mismatch")
-        out.append((second @ first).is_zero() and ranks[i - 1] + ranks[i] == second.cols)
+        columns = list(zip(*first))
+        out.append(ranks[i - 1] + ranks[i] == cols
+                   and not any(sum(x * y for x, y in zip(row, col)) % p for row in second for col in columns))
     return out
 
 
 def five_term_covariant(ses: SES, x: Module) -> dict:
     """Hom(x,a) -> Hom(x,b) -> Hom(x,c) -> Ext(x,a) -> Ext(x,b), exactness
     checked at the three middle terms."""
-    return dict(zip(("at_hom_b", "at_hom_c", "at_ext_a"), _exactness(covariant_block_maps(ses, x))))
+    return dict(zip(("at_hom_b", "at_hom_c", "at_ext_a"), _exactness(ses.a.p, covariant_block_maps(ses, x))))
 
 
 def five_term_contravariant(ses: SES, x: Module) -> dict:
     """Hom(c,x) -> Hom(b,x) -> Hom(a,x) -> Ext(c,x) -> Ext(b,x)."""
-    return dict(zip(("at_hom_b", "at_hom_a", "at_ext_c"), _exactness(contravariant_block_maps(ses, x))))
+    return dict(zip(("at_hom_b", "at_hom_a", "at_ext_c"), _exactness(ses.a.p, contravariant_block_maps(ses, x))))
 
 
 # -- conflation enumeration -------------------------------------------------------
@@ -686,8 +684,8 @@ def _map_blocks(catalog: Catalog, f: Morphism, src: Sequence[int], tgt: Sequence
             if catalog.dim_hom(s, t):
                 vec = np.concatenate([f.comps[v].a[rows[k][v]:rows[k + 1][v], cols[j][v]:cols[j + 1][v]].reshape(-1)
                                       for v in catalog.algebra.vertices])
-                coords = catalog.hom_coords(s, t, vec)
-                if coords.any():
+                coords = _tuples(catalog.hom_coords(s, t, vec))
+                if any(coords):
                     out[k, j] = coords
     return out
 
@@ -702,8 +700,8 @@ def _class_blocks(catalog: Catalog, cls: ExtClass, a_ms: Sequence[int], c_ms: Se
     _, places = _sum_layout([catalog.indecs[i] for i in c_ms], [catalog.indecs[j] for j in a_ms], spaces)
     out = {}
     for k, (space, place) in enumerate(zip(spaces, places)):
-        coords = space.compress([cls.coords[t] for t in place])
-        if coords.any():
+        coords = _tuples(space.compress([cls.coords[t] for t in place]))
+        if any(coords):
             out[divmod(k, len(a_ms))] = coords
     return out
 

@@ -419,6 +419,11 @@ def span_rank(phis: Sequence[Morphism]) -> int:
     return Mat(phis[0].source.p, np.stack([_flatten_morphism(phi) for phi in phis], axis=1)).rank()
 
 
+def _tuples(a: np.ndarray) -> tuple:
+    """The entries of an integer array as nested tuples of Python integers."""
+    return tuple(map(_tuples, a)) if a.ndim > 1 else tuple(a.tolist())
+
+
 def _flatten_morphism(phi: Morphism) -> np.ndarray:
     parts = [phi.comps[v].a.reshape(-1) for v in phi.source.algebra.vertices]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
@@ -505,9 +510,8 @@ class Catalog:
     pairs, End-ring tops of entries, sums of entries, decompositions and
     placements are found on first use and kept: one module per tuple of
     entries summed, so equal sums are one object, which the Ext and
-    decomposition memos find by identity.  hom_dims holds the Hom
-    dimensions enumerate_indecomposables solved as ranks for its orbit
-    counts; dim_hom reads them before it solves a basis.
+    decomposition memos find by identity.  hom_dims holds Hom dimensions,
+    ranked by enumerate_indecomposables's orbit counts or by dim_hom.
 
     The catalog is also the Krull-Schmidt skeleton of its modules: a map
     between sums of entries is a block matrix of coordinates in the Hom
@@ -515,7 +519,8 @@ class Catalog:
     use and kept, composes such blocks.  _pushes and _pulls keep the
     tables that compose them with the blocks of an Ext^1 class, and
     _ext1_dims the Ext^1 dimension of each ordered pair of entries, which
-    homext fills (push_table, pull_table, ext1_dim).
+    homext fills (push_table, pull_table, ext1_dim).  Tables and block
+    coordinates are tuples of Python integers, converted once when built.
     """
 
     algebra: Algebra
@@ -527,14 +532,14 @@ class Catalog:
     def __post_init__(self):
         self._homs: dict[tuple[int, int], tuple[Morphism, ...]] = {}
         self._hom_places: dict[tuple[int, int], list[int]] = {}
-        self._units: dict[int, np.ndarray] = {}
+        self._units: dict[int, tuple[int, ...]] = {}
         self._tops: dict[int, Optional[tuple[str, Mat, Mat]]] = {}
         self._sums: dict[tuple[int, ...], Module] = {}
         self._decompose_memo: dict[Module, Counter] = {}
         self._placements: dict[Module, tuple[tuple[int, ...], Morphism]] = {}
-        self._composes: dict[tuple[int, int, int], np.ndarray] = {}
-        self._pushes: dict[tuple[int, int, int], np.ndarray] = {}
-        self._pulls: dict[tuple[int, int, int], np.ndarray] = {}
+        self._composes: dict[tuple[int, int, int], tuple] = {}
+        self._pushes: dict[tuple[int, int, int], tuple] = {}
+        self._pulls: dict[tuple[int, int, int], tuple] = {}
         self._ext1_dims: dict[tuple[int, int], int] = {}
         self._index: Optional[dict[Module, int]] = None
         # the order decompositions try the entries in (see decompose)
@@ -560,10 +565,13 @@ class Catalog:
         return basis
 
     def dim_hom(self, i: int, j: int) -> int:
-        """dim Hom(indecs[i], indecs[j]): kept in hom_dims where the
-        enumeration solved it, else the length of hom(i, j)."""
+        """dim Hom(indecs[i], indecs[j]), kept in hom_dims: the length of
+        hom(i, j) once its basis is solved, else a rank (dim_hom)."""
         dim = self.hom_dims.get((i, j))
-        return len(self.hom(i, j)) if dim is None else dim
+        if dim is None:
+            basis = self._homs.get((i, j))
+            dim = self.hom_dims[(i, j)] = dim_hom(self.indecs[i], self.indecs[j]) if basis is None else len(basis)
+        return dim
 
     def hom_coords(self, i: int, j: int, vecs: np.ndarray) -> np.ndarray:
         """Coordinates in hom(i, j) of maps given as flattened vectors
@@ -576,11 +584,12 @@ class Catalog:
                 int(np.flatnonzero(_flatten_morphism(f))[-1]) for f in self.hom(i, j)]
         return vecs[places]
 
-    def unit(self, i: int) -> np.ndarray:
+    def unit(self, i: int) -> tuple[int, ...]:
         """The coordinates of entry i's identity in hom(i, i), read once per entry."""
         unit = self._units.get(i)
         if unit is None:
-            unit = self._units[i] = self.hom_coords(i, i, _flatten_morphism(identity_morphism(self.indecs[i])))
+            identity = _flatten_morphism(identity_morphism(self.indecs[i]))
+            unit = self._units[i] = _tuples(self.hom_coords(i, i, identity))
         return unit
 
     def top(self, i: int) -> Optional[tuple[str, Mat, Mat]]:
@@ -641,16 +650,16 @@ class Catalog:
             hit = self._placements[m] = (summands, iso)
         return hit
 
-    def compose(self, i: int, j: int, k: int) -> np.ndarray:
-        """Hom(j, k) x Hom(i, j) -> Hom(i, k): entry [b, :, a] holds the
-        coordinates of hom(j, k)[b] @ hom(i, j)[a] in hom(i, k)."""
+    def compose(self, i: int, j: int, k: int) -> tuple:
+        """Hom(j, k) x Hom(i, j) -> Hom(i, k): entry [b][c][a] holds
+        coordinate c of hom(j, k)[b] @ hom(i, j)[a] in hom(i, k)."""
         table = self._composes.get((i, j, k))
         if table is None:
             before = self.hom(i, j)
             table = np.zeros((self.dim_hom(j, k), self.dim_hom(i, k), len(before)), dtype=np.int64)
             for b, g in enumerate(self.hom(j, k) if before else ()):
                 table[b] = self.hom_coords(i, k, np.stack([_flatten_morphism(g @ f) for f in before], axis=1))
-            self._composes[(i, j, k)] = table
+            table = self._composes[(i, j, k)] = _tuples(table)
         return table
 
     def to_json_dict(self) -> dict:

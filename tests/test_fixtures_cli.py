@@ -302,7 +302,9 @@ def test_cli_refusal_names_the_first_widest_vector(capsys, tmp_path, text, expec
     assert code == 2 and f"dimension vector {expected} arrow-matrix tuples" in captured.err
 
 
-def test_catalog_command_solves_each_hom_basis_once(capsys, monkeypatch):
+def _catalog_hom_solves(capsys, monkeypatch, *args):
+    """The Hom bases solved and the Hom dimensions ranked by `catalog
+    --example51 modLambda` with the given options, each as (m, n) pairs."""
     calls, ranks = [], []
     real, real_rank = quivrep.hom_basis, quivrep.dim_hom
 
@@ -317,8 +319,13 @@ def test_catalog_command_solves_each_hom_basis_once(capsys, monkeypatch):
     monkeypatch.setattr(quivrep, "hom_basis", spy)
     monkeypatch.setattr(quivrep, "dim_hom", rank_spy)
     monkeypatch.setattr(cli, "build_example51", FixtureBundle)  # not the cached bundle
-    code, payload = run_cli_json(capsys, "catalog", "--example51", "modLambda")
+    code, payload = run_cli_json(capsys, "catalog", "--example51", "modLambda", *args)
     assert code == 0 and payload["count"] == 11
+    return calls, ranks
+
+
+def test_catalog_command_solves_each_hom_basis_once(capsys, monkeypatch):
+    calls, ranks = _catalog_hom_solves(capsys, monkeypatch)
     # hom_dims reads the dimension of every pair of mod Lambda's
     # indecomposables off the ranks the enumeration's orbit counts solved,
     # one per pair, and solves no basis (it solved 121); the other calls
@@ -326,6 +333,18 @@ def test_catalog_command_solves_each_hom_basis_once(capsys, monkeypatch):
     on_lambda = [(m, n) for m, n in calls if len(m.dims) == 4]
     ranks_on_lambda = [(m, n) for m, n in ranks if len(m.dims) == 4]
     assert on_lambda == []
+    assert len(ranks_on_lambda) == len(set(ranks_on_lambda)) == 121
+
+
+@pytest.mark.parametrize("field", ["3", "5"])
+def test_catalog_command_ranks_the_hom_dimensions_its_count_left(capsys, monkeypatch, field):
+    # at bound 1 the enumeration's orbit counts rank 46 pairs of mod
+    # Lambda's indecomposables; Catalog.dim_hom ranks the other 75 too,
+    # where it solved their bases (84 basis solves in all), so the command
+    # solves only the 9 bases that decompose mod A objects for the labels
+    calls, ranks = _catalog_hom_solves(capsys, monkeypatch, "--field", field, "--bound", "1")
+    ranks_on_lambda = [(m, n) for m, n in ranks if len(m.dims) == 4]
+    assert len(calls) == 9 and all(len(m.dims) == 2 for m, _ in calls)
     assert len(ranks_on_lambda) == len(set(ranks_on_lambda)) == 121
 
 

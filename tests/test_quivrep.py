@@ -330,17 +330,19 @@ def test_placement_by_splits_reports_a_missing_summand():
 
 
 def test_tables_compose_the_catalogs_hom_bases(bundle):
-    # entry [b, :, a] of compose(i, j, k) holds the coordinates of
+    # entry [b][c][a] of compose(i, j, k) holds coordinate c of
     # hom(j, k)[b] @ hom(i, j)[a], so the basis maps summed with them give
     # the composite; hom_coords reads a map's coordinates off its entries
     cat = bundle.mod_lambda
     n, checked = len(cat), 0
     for i, j, k in itertools.product(range(n), repeat=3):
         table = cat.compose(i, j, k)
-        assert table.shape == (cat.dim_hom(j, k), cat.dim_hom(i, k), cat.dim_hom(i, j))
+        assert len(table) == cat.dim_hom(j, k)
+        assert all(len(rows) == cat.dim_hom(i, k) and all(len(row) == cat.dim_hom(i, j) for row in rows)
+                   for rows in table)
         for (b, g), (a, f) in itertools.product(enumerate(cat.hom(j, k)), enumerate(cat.hom(i, j))):
             total = quivrep.zero_morphism(cat.indecs[i], cat.indecs[k])
-            for c, h in zip(table[b, :, a], cat.hom(i, k)):
+            for c, h in zip([row[a] for row in table[b]], cat.hom(i, k)):
                 total = total + h.scale(int(c))
             assert total == g @ f
             checked += 1
