@@ -212,21 +212,18 @@ class Ext1Space:
     in arrow order, subject to _relation_system; the coboundaries of the
     unit vertexwise maps h are the columns of the Hom(c, a)
     commuting-square system, whose rows have the same layout.  A cocycle
-    is zero exactly when its coordinates in Z are, so the rows of that
-    system at Z's coordinates have Hom(c, a) as their kernel: one
-    elimination gives the coboundaries in Z and Hom(c, a), in the basis
-    hom_basis(c, a) gives.  Both systems, like the push, pull and
-    five-term maps between spaces, are built by _kron_map.
+    is zero exactly when its coordinates in Z are, so the coboundaries in
+    Z are that system's rows at Z's coordinates, eliminated once.  Both
+    systems, like the push and pull maps between spaces, are built by
+    _kron_map.
 
     Batched forms work on many classes at once, one per column: Z
-    coordinates (`cocycles`, `reduce_many`), cocycle vectors
-    (`reduce_cocycles`) and Hom vectors (`hom_coords`); the one-class
-    forms are their one-column cases.
+    coordinates (`cocycles`, `reduce_many`) and cocycle vectors
+    (`reduce_cocycles`); the one-class forms are their one-column cases.
     """
 
     # thousands are kept by ext1_space, so they carry no instance dict
-    __slots__ = ("c", "a", "p", "hom", "_offsets", "_relations", "_z", "_zfree",
-                 "_hom_offsets", "_pivots", "_rref_t", "_free", "_hom_free")
+    __slots__ = ("c", "a", "p", "_offsets", "_relations", "_z", "_zfree", "_pivots", "_rref_t", "_free")
 
     def __init__(self, c: Module, a: Module):
         if c.algebra != a.algebra or c.p != a.p:
@@ -238,8 +235,7 @@ class Ext1Space:
         for x in c.algebra.arrows:
             offsets[x.name] = total
             total += a.dim(x.tgt) * c.dim(x.src)
-        # where each arrow's block starts among the cocycle unknowns, by
-        # arrow index, and likewise each vertex's component among Hom's
+        # where each arrow's block starts among the cocycle unknowns, by arrow index
         self._offsets = tuple(offsets.values())
         r, held = _relation_system(c, a, offsets, total).rref()
         # the pivot rows span the relations; Z's basis is the identity on
@@ -247,24 +243,12 @@ class Ext1Space:
         self._relations = Mat(p, r.a[:len(held)])
         self._z = Mat.echelon_kernel(r, held)
         self._zfree = [i for i in range(total) if i not in held]
-        boundaries, offsets = _commuting_system(c, a)
-        self._hom_offsets = tuple(offsets.values())
-        nz, n = len(self._zfree), boundaries.cols
-        # [B^T | J], J reversing the unit maps: on top the coboundaries in Z,
-        # in echelon form; below, the combinations of unit maps with zero
-        # coboundary, in echelon form from the last unit map, which is the
-        # reduced-echelon kernel hom_basis reads off the full system
-        r, pivots = Mat(p, np.hstack([boundaries.a[self._zfree].T,
-                                      np.eye(n, dtype=np.int64)[::-1]])).rref()
-        rank = sum(pc < nz for pc in pivots)
-        self._pivots = pivots[:rank]
-        # the coboundaries' pivot rows, one per column
-        self._rref_t = Mat(p, r.a[:rank, :nz].T)
-        self._free = [i for i in range(nz) if i not in self._pivots]
-        self.hom = Mat(p, r.a[rank:, nz:][::-1, ::-1].T)
-        # each Hom basis vector is 1 at its last nonzero unknown and the
-        # others are 0 there, so a map's entries there are its coordinates
-        self._hom_free = [n - 1 - (pc - nz) for pc in reversed(pivots[rank:])]
+        boundaries, _ = _commuting_system(c, a)
+        # the coboundaries at Z's coordinates in reduced echelon form, and its
+        # pivot rows transposed, one per column
+        r, self._pivots = Mat(p, boundaries.a[self._zfree].T).rref()
+        self._rref_t = Mat(p, r.a[:len(self._pivots)].T)
+        self._free = [i for i in range(len(self._zfree)) if i not in self._pivots]
 
     @property
     def dim(self) -> int:
@@ -294,14 +278,6 @@ class Ext1Space:
     def basis_coords(self) -> np.ndarray:
         """Z coordinates of the basis classes, one per column."""
         return np.eye(len(self._zfree), dtype=np.int64)[:, self._free]
-
-    def hom_coords(self, vecs: Mat) -> Mat:
-        """Coordinates in the Hom basis of maps c -> a given as vectors (exact;
-        raises if some map is not in the span)."""
-        coords = Mat(self.p, vecs.a[self._hom_free])
-        if self.hom @ coords != vecs:
-            raise ValueError("morphism not in span of basis")
-        return coords
 
     # -- one class ----------------------------------------------------------
 

@@ -1332,6 +1332,7 @@ def parse_algebra_text(text: str) -> Algebra:
     vertices: list[str] = []
     arrows: list[Arrow] = []
     relations: list[Relation] = []
+    arrow_lines: list[int] = []
     relation_lines: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -1342,11 +1343,16 @@ def parse_algebra_text(text: str) -> Algebra:
         if kind == "vertex":
             if len(parts) != 2:
                 raise AlgebraFormatError(line_no, "expected: vertex <id>")
+            if parts[1] in vertices:
+                raise AlgebraFormatError(line_no, f"duplicate vertex {parts[1]!r}")
             vertices.append(parts[1])
         elif kind == "arrow":
             if len(parts) != 4:
                 raise AlgebraFormatError(line_no, "expected: arrow <id> <src> <tgt>")
+            if any(a.name == parts[1] for a in arrows):
+                raise AlgebraFormatError(line_no, f"duplicate arrow {parts[1]!r}")
             arrows.append(Arrow(parts[1], parts[2], parts[3]))
+            arrow_lines.append(line_no)
         elif kind == "relation":
             body = parts[1:]
             if not body:
@@ -1377,15 +1383,16 @@ def parse_algebra_text(text: str) -> Algebra:
             relation_lines.append(line_no)
         else:
             raise AlgebraFormatError(line_no, f"unknown directive {kind!r}")
-    # an arrow may be declared after a relation that names it
-    known = {a.name for a in arrows}
-    for line_no, rel in zip(relation_lines, relations):
-        for name in (n for _, path in rel for n in path if n not in known):
-            raise AlgebraFormatError(line_no, f"relation names unknown arrow {name!r}")
-    try:
-        return Algebra(tuple(vertices), tuple(arrows), tuple(relations))
-    except ValueError as exc:
-        raise AlgebraFormatError(0, str(exc)) from exc
+    # an arrow may be declared before its vertices and a relation before
+    # its arrows, so Algebra checks each on its own line once all are read
+    checks = [(line_no, (arrow,), ()) for line_no, arrow in zip(arrow_lines, arrows)]
+    checks += [(line_no, tuple(arrows), (rel,)) for line_no, rel in zip(relation_lines, relations)]
+    for line_no, some_arrows, some_relations in checks:
+        try:
+            Algebra(tuple(vertices), some_arrows, some_relations)
+        except ValueError as exc:
+            raise AlgebraFormatError(line_no, str(exc)) from exc
+    return Algebra(tuple(vertices), tuple(arrows), tuple(relations))
 
 
 def algebra_to_json_dict(algebra: Algebra) -> dict:

